@@ -10,7 +10,7 @@
 //! trajectory is tracked across PRs. Row kinds:
 //!
 //! * `reference` — pre-optimization scan greedy + cloning bisections;
-//! * `fast` — the indexed engine through its public (cold-context) API;
+//! * `fast` — the indexed engine on a fresh (cold) context;
 //! * `fast_warm` — the same clear on a persistent [`ClearContext`]:
 //!   steady-state campaign shape, where the CSR index, heap seeds, and
 //!   workspaces carry over and syncing is a delta patch;
@@ -36,7 +36,7 @@ use std::time::Instant;
 use criterion::{BenchmarkId, Criterion};
 use mcs_bench::synthetic_multi_task;
 use mcs_core::indexed::{ClearContext, ProfCounters};
-use mcs_core::mechanism::{contingent_reward, WinnerDetermination};
+use mcs_core::mechanism::contingent_reward;
 use mcs_core::multi_task::{reference, MultiTaskMechanism};
 use mcs_core::types::{TypeProfile, UserId};
 use std::hint::black_box;
@@ -76,44 +76,24 @@ fn clear_reference(profile: &TypeProfile) -> Quotes {
         .collect()
 }
 
-/// The fast engine through its public entry points: every call builds a
-/// fresh index, seeds, and workspaces (cold context).
+/// The fast engine on a fresh (cold) context: every call builds a new
+/// index, seeds, and workspaces.
 fn clear_fast(profile: &TypeProfile, threads: usize) -> Quotes {
-    let mechanism = MultiTaskMechanism::new(ALPHA)
-        .expect("valid alpha")
-        .with_payment_threads(threads);
-    let allocation = mechanism
-        .select_winners(profile)
-        .expect("bench instance is feasible");
-    mechanism
-        .critical_pos_all(profile, &allocation)
-        .expect("winners have critical bids")
-        .into_iter()
-        .map(|(winner, critical)| {
-            let cost = profile.user(winner).expect("winner exists").cost();
-            (
-                winner,
-                (
-                    contingent_reward(ALPHA, critical, cost, true),
-                    contingent_reward(ALPHA, critical, cost, false),
-                ),
-            )
-        })
-        .collect()
+    clear_fast_warm(profile, threads, &mut ClearContext::new())
 }
 
 /// The fast engine on a persistent arena: the shard-worker /
 /// campaign-loop shape, where consecutive rounds delta-patch the index
-/// instead of rebuilding it. Bitwise identical to [`clear_fast`].
+/// instead of rebuilding it. Bitwise identical to [`clear_fast`]. One
+/// prepare and one base run allocate; the handle prices those winners.
 fn clear_fast_warm(profile: &TypeProfile, threads: usize, context: &mut ClearContext) -> Quotes {
     let mechanism = MultiTaskMechanism::new(ALPHA)
         .expect("valid alpha")
         .with_payment_threads(threads);
-    let allocation = mechanism
-        .allocate_with(context, profile)
-        .expect("bench instance is feasible");
     mechanism
-        .critical_pos_all_with(context, profile, &allocation)
+        .allocate_with(context, profile)
+        .expect("bench instance is feasible")
+        .criticals()
         .expect("winners have critical bids")
         .into_iter()
         .map(|(winner, critical)| {
@@ -135,6 +115,7 @@ fn allocate_fast(profile: &TypeProfile, context: &mut ClearContext) -> usize {
     mechanism
         .allocate_with(context, profile)
         .expect("bench instance is feasible")
+        .allocation()
         .winner_count()
 }
 

@@ -34,11 +34,10 @@ fn clear_digest(
     context: &mut ClearContext,
     profile: &TypeProfile,
 ) -> (usize, u64) {
-    let allocation = mechanism
-        .allocate_with(context, profile)
-        .expect("instance is feasible");
     let criticals = mechanism
-        .critical_pos_all_with(context, profile, &allocation)
+        .allocate_with(context, profile)
+        .expect("instance is feasible")
+        .criticals()
         .expect("winners have critical bids");
     let digest = fnv(criticals
         .iter()

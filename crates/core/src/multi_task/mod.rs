@@ -12,6 +12,6 @@ pub mod reference;
 mod reward;
 mod winner;
 
-pub use self::mechanism::MultiTaskMechanism;
+pub use self::mechanism::{AllocatedRound, MultiTaskMechanism};
 pub use self::reward::{algorithm5_critical_contribution, critical_contribution, critical_pos};
 pub use self::winner::{GreedyIteration, GreedyRun, GreedyWinnerDetermination};

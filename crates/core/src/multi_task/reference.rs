@@ -11,13 +11,9 @@
 //! `payment_scaling` benchmark.
 
 use crate::error::{McsError, Result};
-use crate::mechanism::Allocation;
+use crate::mechanism::{Allocation, BISECTION_STEPS};
 use crate::multi_task::{GreedyIteration, GreedyRun};
 use crate::types::{Contribution, Cost, TaskId, TypeProfile, UserId, UserType};
-
-/// Bisection steps for the critical-scale search (kept in lockstep with
-/// the fast path in [`crate::multi_task::critical_contribution`]).
-pub(crate) const BISECTION_STEPS: u32 = 60;
 
 /// Reference greedy, recording every iteration; fails on infeasible
 /// instances.

@@ -42,15 +42,16 @@
 //! ([`crate::multi_task::reference::critical_contribution`]); the proptest
 //! suite in `tests/engine_equivalence.rs` enforces it.
 //!
-//! For whole-round payments, [`crate::multi_task::MultiTaskMechanism::critical_pos_all`]
+//! For whole-round payments, [`crate::multi_task::AllocatedRound::criticals`]
 //! computes every winner's critical bid in parallel; per-winner
 //! computations are independent, so the merge is deterministic for any
 //! thread count.
 
 use crate::error::{McsError, Result};
-use crate::indexed::{HeapSeeds, IndexedProfile, Record, RunOptions, Workspace, WorkspacePool};
-use crate::mechanism::{Allocation, WinnerDetermination};
-use crate::multi_task::reference::BISECTION_STEPS;
+use crate::indexed::{
+    ClearContext, HeapSeeds, IndexedProfile, Record, RunOptions, Workspace, WorkspacePool,
+};
+use crate::mechanism::{Allocation, BISECTION_STEPS};
 use crate::multi_task::GreedyWinnerDetermination;
 use crate::types::{Contribution, Pos, TypeProfile, UserId, CONTRIBUTION_TOLERANCE};
 
@@ -81,19 +82,23 @@ pub fn critical_contribution(
     profile: &TypeProfile,
     user: UserId,
 ) -> Result<Contribution> {
-    let current = winner_determination.select_winners(profile)?;
+    let mut context = ClearContext::new();
+    let (prepared, current) = winner_determination.prepare_and_run(&mut context, profile)?;
     if !current.contains(user) {
         return Err(McsError::NotAWinner { user });
     }
-    let indexed = IndexedProfile::from_profile(profile);
-    let seeds = indexed.heap_seeds();
-    critical_of_winner(&indexed, Some(&seeds), &mut Workspace::new(), user)
+    critical_of_winner(
+        prepared.index,
+        Some(prepared.seeds),
+        &mut Workspace::new(),
+        user,
+    )
 }
 
 /// The fast critical-bid search for a user already verified to win the
 /// (feasible) instance. Shared by [`critical_contribution`] and the
 /// parallel batch path in
-/// [`crate::multi_task::MultiTaskMechanism::critical_pos_all`].
+/// [`crate::multi_task::AllocatedRound::criticals`].
 ///
 /// `seeds`, when provided, must match `indexed` exactly; every one of the
 /// ~60 bisection probes then skips the full candidate rescan.
@@ -283,35 +288,33 @@ pub fn algorithm5_critical_contribution(
     profile: &TypeProfile,
     user: UserId,
 ) -> Result<Contribution> {
-    let current = winner_determination.select_winners(profile)?;
+    let mut context = ClearContext::new();
+    let (prepared, current) = winner_determination.prepare_and_run(&mut context, profile)?;
     if !current.contains(user) {
         return Err(McsError::NotAWinner { user });
     }
-    let indexed = IndexedProfile::from_profile(profile);
+    let indexed = prepared.index;
     let position = indexed
         .position_of(user)
         .ok_or(McsError::NotAWinner { user })?;
     let cost_i = indexed.cost(position);
 
     let mut workspace = Workspace::new();
-    let (without, monopoly) = if indexed.user_count() == 1 {
-        (None, true)
-    } else {
-        let run = indexed.run(
+    let without = (indexed.user_count() > 1).then(|| {
+        indexed.run_in(
             &mut workspace,
             RunOptions {
                 excluded: Some(position),
                 ..RunOptions::default()
             },
             Record::Iterations,
-        );
-        let monopoly = !run.is_complete();
-        (Some(run), monopoly)
-    };
+        )
+    });
+    let monopoly = without.is_none_or(|run| !run.is_complete());
 
     let mut critical: Option<Contribution> = monopoly.then_some(Contribution::ZERO);
-    if let Some(run) = &without {
-        for (&rival, &capped) in run.selection.iter().zip(&run.capped) {
+    if let Some(run) = without {
+        for (&rival, &capped) in run.selection.iter().zip(run.capped) {
             // To be selected instead of user k, i's capped contribution must
             // reach (c_i / c_k) · f̄_k. Free rivals (c_k = 0) are unbeatable
             // unless i is free too.

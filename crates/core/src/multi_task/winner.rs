@@ -20,7 +20,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{McsError, Result};
-use crate::indexed::{EngineRun, IndexedProfile, Record, RunOptions, Workspace};
+use crate::indexed::{
+    ClearContext, IndexedProfile, PreparedRound, Record, RunOptions, RunView, Workspace,
+};
 use crate::mechanism::{Allocation, WinnerDetermination};
 use crate::types::{Contribution, Cost, TaskId, TypeProfile, UserId};
 
@@ -88,37 +90,62 @@ impl GreedyWinnerDetermination {
     /// without user `i`.
     pub fn run_to_exhaustion(&self, profile: &TypeProfile) -> GreedyRun {
         let indexed = IndexedProfile::from_profile(profile);
-        let run = indexed.run(&mut Workspace::new(), RunOptions::default(), Record::Full);
+        let mut workspace = Workspace::new();
+        let run = indexed.run_in(&mut workspace, RunOptions::default(), Record::Full);
         materialize(profile, &indexed, run)
+    }
+
+    /// Syncs `context` to `profile` and runs the base greedy on it once,
+    /// in selection-only mode — the one prepare-and-run body behind
+    /// [`WinnerDetermination::select_winners`], the per-user critical-bid
+    /// searches, and
+    /// [`crate::multi_task::MultiTaskMechanism::allocate_with`]. The
+    /// prepared borrows come back with the winners so a caller can price
+    /// them on the same index.
+    ///
+    /// # Errors
+    ///
+    /// [`McsError::Infeasible`] if the users cannot cover some task.
+    pub(crate) fn prepare_and_run<'c>(
+        &self,
+        context: &'c mut ClearContext,
+        profile: &TypeProfile,
+    ) -> Result<(PreparedRound<'c>, Allocation)> {
+        let prepared = context.prepare(profile);
+        let mut workspace = prepared.workspaces.checkout();
+        let run = prepared.index.run_in(
+            &mut workspace,
+            RunOptions {
+                seeds: Some(prepared.seeds),
+                ..RunOptions::default()
+            },
+            Record::Selection,
+        );
+        let outcome = match run.uncovered {
+            Some(task) => Err(McsError::Infeasible {
+                task: prepared.index.task_id(task),
+            }),
+            None => Ok(run
+                .selection
+                .iter()
+                .map(|&position| prepared.index.user_id(position))
+                .collect()),
+        };
+        prepared.workspaces.give_back(workspace);
+        Ok((prepared, outcome?))
     }
 }
 
 impl WinnerDetermination for GreedyWinnerDetermination {
     fn select_winners(&self, profile: &TypeProfile) -> Result<Allocation> {
-        // Selection-only mode: no capped-contribution log, no residual
-        // snapshots — callers that want those go through `run`.
-        let indexed = IndexedProfile::from_profile(profile);
-        let run = indexed.run(
-            &mut Workspace::new(),
-            RunOptions::default(),
-            Record::Selection,
-        );
-        match run.uncovered {
-            Some(task) => Err(McsError::Infeasible {
-                task: indexed.task_id(task),
-            }),
-            None => Ok(run
-                .selection
-                .iter()
-                .map(|&position| indexed.user_id(position))
-                .collect()),
-        }
+        let (_, allocation) = self.prepare_and_run(&mut ClearContext::new(), profile)?;
+        Ok(allocation)
     }
 }
 
-/// Converts a dense [`EngineRun`] (recorded in [`Record::Full`] mode) back
-/// into the id-keyed [`GreedyRun`] the public API exposes.
-fn materialize(profile: &TypeProfile, indexed: &IndexedProfile, run: EngineRun) -> GreedyRun {
+/// Converts a dense run (recorded in [`Record::Full`] mode) back into the
+/// id-keyed [`GreedyRun`] the public API exposes.
+fn materialize(profile: &TypeProfile, indexed: &IndexedProfile, run: RunView<'_>) -> GreedyRun {
     let iterations = run
         .selection
         .iter()
@@ -130,7 +157,8 @@ fn materialize(profile: &TypeProfile, indexed: &IndexedProfile, run: EngineRun) 
                 cost: user.cost(),
                 capped_contribution: Contribution::new(run.capped[iteration])
                     .expect("capped contribution is a finite non-negative sum"),
-                residual_before: run.snapshots[iteration]
+                residual_before: run
+                    .snapshot(iteration)
                     .iter()
                     .enumerate()
                     .map(|(task, &residual)| {

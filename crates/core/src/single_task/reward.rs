@@ -9,12 +9,8 @@
 //! above `Q` yields the identical allocation.
 
 use crate::error::{McsError, Result};
-use crate::mechanism::{Allocation, WinnerDetermination};
+use crate::mechanism::{Allocation, WinnerDetermination, BISECTION_STEPS};
 use crate::types::{Contribution, Pos, TypeProfile, UserId};
-
-/// Number of bisection steps; halves the interval to ~`Q/2^60`, far below
-/// any economically meaningful difference.
-const BISECTION_STEPS: u32 = 60;
 
 /// Finds the critical contribution `q̄_i` of a winning user by binary
 /// search against an arbitrary (monotone) winner-determination algorithm.

@@ -5,6 +5,7 @@
 //! divergence breaks the platform's determinism contract (payments must
 //! not depend on thread counts or on which code path served a round).
 
+use mcs_core::indexed::ClearContext;
 use mcs_core::mechanism::{RewardScheme, WinnerDetermination};
 use mcs_core::multi_task::{
     critical_contribution, reference, GreedyWinnerDetermination, MultiTaskMechanism,
@@ -85,9 +86,11 @@ proptest! {
         }
     }
 
-    /// Tentpole equivalence #3: batch payments are identical for 1, 2, 4,
-    /// and 8 threads, and identical to the per-user sequential path —
-    /// the platform's determinism contract for the payment fan-out knob.
+    /// Tentpole equivalence #3: batch payments through the allocated-round
+    /// handle are identical for 1, 2, 4, and 8 threads, and identical to
+    /// the per-user sequential path — the platform's determinism contract
+    /// for the payment fan-out knob. The handle's winners are the
+    /// context-free allocation.
     #[test]
     fn parallel_payments_equal_sequential_for_any_thread_count(profile in multi_task_profile()) {
         let mechanism = MultiTaskMechanism::new(10.0).unwrap();
@@ -96,19 +99,20 @@ proptest! {
             Err(McsError::Infeasible { .. }) => return Ok(()),
             Err(other) => return Err(TestCaseError::fail(format!("unexpected error {other}"))),
         };
-        let sequential = mechanism.critical_pos_all(&profile, &allocation).unwrap();
+        let mut context = ClearContext::new();
+        let round = mechanism.allocate_with(&mut context, &profile).unwrap();
+        prop_assert_eq!(round.allocation(), &allocation);
+        let sequential = round.criticals().unwrap();
         prop_assert_eq!(sequential.len(), allocation.winner_count());
         for (&winner, critical) in &sequential {
             let single = mechanism.critical_pos(&profile, &allocation, winner).unwrap();
             prop_assert_eq!(critical.value().to_bits(), single.value().to_bits());
         }
         for threads in [2usize, 4, 8] {
-            let parallel = mechanism
-                .clone()
-                .with_payment_threads(threads)
-                .critical_pos_all(&profile, &allocation)
-                .unwrap();
-            prop_assert_eq!(&parallel, &sequential);
+            let parallel = mechanism.clone().with_payment_threads(threads);
+            let mut context = ClearContext::new();
+            let round = parallel.allocate_with(&mut context, &profile).unwrap();
+            prop_assert_eq!(&round.criticals().unwrap(), &sequential);
         }
     }
 }

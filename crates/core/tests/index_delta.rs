@@ -122,11 +122,12 @@ fn churn_ops() -> impl Strategy<Value = Vec<(u8, usize, u32, f64)>> {
 /// Runs the default greedy on `indexed` both with freshly built seeds and
 /// with a plain scan, returning the capped log as bits for comparison.
 fn fingerprint_runs(indexed: &IndexedProfile) -> (Vec<usize>, Vec<u64>, Option<usize>) {
-    let mut workspace = Workspace::new();
+    // One workspace per run, so both views stay alive for the comparison.
+    let (mut scan_ws, mut seed_ws) = (Workspace::new(), Workspace::new());
     let seeds = indexed.heap_seeds();
-    let scanned = indexed.run(&mut workspace, RunOptions::default(), Record::Full);
-    let seeded = indexed.run(
-        &mut workspace,
+    let scanned = indexed.run_in(&mut scan_ws, RunOptions::default(), Record::Full);
+    let seeded = indexed.run_in(
+        &mut seed_ws,
         RunOptions {
             seeds: Some(&seeds),
             ..RunOptions::default()
@@ -135,7 +136,7 @@ fn fingerprint_runs(indexed: &IndexedProfile) -> (Vec<usize>, Vec<u64>, Option<u
     );
     assert_eq!(scanned, seeded, "seeded run diverged from scanned run");
     (
-        scanned.selection.clone(),
+        scanned.selection.to_vec(),
         scanned.capped.iter().map(|c| c.to_bits()).collect(),
         scanned.uncovered,
     )

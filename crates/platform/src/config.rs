@@ -147,15 +147,6 @@ pub struct EngineConfig {
     pub trace: TraceConfig,
     /// Bounded-admission / load-shedding settings (disabled by default).
     pub admission: AdmissionConfig,
-    /// Reuse each shard worker's clearing arena (persistent CSR index,
-    /// heap seeds, workspace buffers) across rounds, delta-patching the
-    /// index instead of re-flattening the profile. Outcomes are bitwise
-    /// identical either way (see `mcs_core::indexed::sync_with`); this
-    /// knob exists so the reuse path can be disabled for A/B timing and
-    /// bisection. Defaults to `true`; absent in older serialized configs,
-    /// where it also deserializes to `true`.
-    #[serde(default = "default_reuse_index")]
-    pub reuse_index: bool,
     /// Drain each shard worker's kernel profiling counters (heap pops,
     /// bisection probes saved, sync modes, arena bytes — see
     /// `mcs_core::indexed::ProfCounters`) into the engine metrics after
@@ -165,12 +156,6 @@ pub struct EngineConfig {
     /// `false` and deserializes to `false` when absent.
     #[serde(default)]
     pub profiling: bool,
-}
-
-/// Serde default for [`EngineConfig::reuse_index`]: configs written
-/// before the knob existed get the reuse path.
-fn default_reuse_index() -> bool {
-    true
 }
 
 impl Default for EngineConfig {
@@ -184,7 +169,6 @@ impl Default for EngineConfig {
             payment_threads: 1,
             trace: TraceConfig::default(),
             admission: AdmissionConfig::default(),
-            reuse_index: true,
             profiling: false,
         }
     }
@@ -219,12 +203,6 @@ impl EngineConfig {
     /// This configuration with different admission-control settings.
     pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
         self.admission = admission;
-        self
-    }
-
-    /// This configuration with cross-round index reuse toggled.
-    pub fn with_reuse_index(mut self, reuse: bool) -> Self {
-        self.reuse_index = reuse;
         self
     }
 
@@ -290,17 +268,16 @@ mod tests {
     }
 
     #[test]
-    fn reuse_index_defaults_on_and_legacy_json_still_parses() {
-        let config = EngineConfig::default();
-        assert!(config.reuse_index);
-        assert!(!config.with_reuse_index(false).reuse_index);
-        // A config serialized before the knob existed deserializes with
-        // reuse enabled.
-        let json = serde_json::to_string(&EngineConfig::default()).unwrap();
-        let legacy = json.replace(",\"reuse_index\":true", "");
-        assert!(!legacy.contains("reuse_index"), "{legacy}");
-        let back: EngineConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(back.reuse_index);
+    fn legacy_reuse_index_json_still_parses() {
+        // Serialized configs may still carry the retired `reuse_index`
+        // key; it is ignored whichever value it holds.
+        let json = serde_json::to_string(&EngineConfig::default().with_seed(3)).unwrap();
+        assert!(!json.contains("reuse_index"), "{json}");
+        for value in ["true", "false"] {
+            let legacy = json.replacen('{', &format!("{{\"reuse_index\":{value},"), 1);
+            let back: EngineConfig = serde_json::from_str(&legacy).unwrap();
+            assert_eq!(back, EngineConfig::default().with_seed(3), "{legacy}");
+        }
     }
 
     #[test]

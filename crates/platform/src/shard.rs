@@ -21,8 +21,7 @@
 //! syncing an arena to a round's profile is bitwise identical to
 //! building it fresh (`mcs_core::indexed::sync_with`'s tested
 //! invariant), so which worker — with whatever arena history — clears a
-//! round is unobservable. `EngineConfig::reuse_index = false` switches
-//! to a throwaway context per round for A/B timing.
+//! round is unobservable.
 //!
 //! Workers wrap each round in `catch_unwind`: a panicking round becomes a
 //! [`RoundError::Panicked`] and the pool keeps serving (see
@@ -35,10 +34,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mcs_core::indexed::{ClearContext, ContextPool};
-use mcs_core::mechanism::{contingent_reward, Allocation, Mechanism, RewardScheme};
+use mcs_core::mechanism::{contingent_reward, Allocation, RewardScheme, WinnerDetermination};
 use mcs_core::multi_task::MultiTaskMechanism;
 use mcs_core::single_task::SingleTaskMechanism;
-use mcs_core::types::{TypeProfile, UserId};
+use mcs_core::types::UserId;
+use mcs_core::McsError;
 use mcs_obs::{FlightRecorder, RawEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,12 +78,25 @@ fn round_seed(engine_seed: u64, id: RoundId) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Records `elapsed` against `stage` when metrics are attached (probes
-/// from `clear_round`'s public, unmetered entry point pass `None`).
-fn record_stage(metrics: Option<&Metrics>, stage: Stage, elapsed: std::time::Duration) {
+/// Runs `f` as one `stage` of round `id`: an enter/exit span pair when a
+/// recorder is attached, one histogram sample when metrics are (probes
+/// from `clear_round`'s public, unmetered entry point pass neither).
+fn timed<T>(
+    stage: Stage,
+    id: RoundId,
+    metrics: Option<&Metrics>,
+    trace: Option<&FlightRecorder>,
+    f: impl FnOnce() -> T,
+) -> T {
+    span_enter(trace, stage, id);
+    let start = Instant::now();
+    let out = f();
+    let elapsed = start.elapsed();
     if let Some(metrics) = metrics {
         metrics.record(stage, elapsed);
     }
+    span_exit(trace, stage, id, elapsed);
+    out
 }
 
 /// Emits a [`Stage`] enter event when a recorder is attached.
@@ -112,79 +125,68 @@ fn span_exit(
     }
 }
 
-fn quote_all<M: Mechanism>(
-    mechanism: &M,
-    profile: &TypeProfile,
-    id: RoundId,
-    metrics: Option<&Metrics>,
-    trace: Option<&FlightRecorder>,
-) -> Result<(Allocation, BTreeMap<UserId, RewardQuote>), mcs_core::McsError> {
-    span_enter(trace, Stage::Allocate, id);
-    let start = Instant::now();
-    let allocation = mechanism.select_winners(profile)?;
-    record_stage(metrics, Stage::Allocate, start.elapsed());
-    span_exit(trace, Stage::Allocate, id, start.elapsed());
-    span_enter(trace, Stage::Pay, id);
-    let start = Instant::now();
-    let mut quotes = BTreeMap::new();
-    for winner in allocation.winners() {
-        let success = mechanism.reward(profile, &allocation, winner, true)?;
-        let failure = mechanism.reward(profile, &allocation, winner, false)?;
-        quotes.insert(winner, RewardQuote { success, failure });
-    }
-    record_stage(metrics, Stage::Pay, start.elapsed());
-    span_exit(trace, Stage::Pay, id, start.elapsed());
-    Ok((allocation, quotes))
-}
-
-/// The multi-task fast path: one shared winner determination, then every
-/// winner's critical bid in one (optionally parallel) batch. Quotes go
-/// through [`contingent_reward`], the same formula as the per-user
-/// [`RewardScheme::reward`] default, so they are bitwise identical to
-/// [`quote_all`]'s for every `payment_threads` value.
+/// Prices one round for either mechanism: the [`Stage::Allocate`] span
+/// yields the winners, the [`Stage::Pay`] span one critical PoS `p̄_i`
+/// per winner, and both [`RewardQuote`] branches come from that one value
+/// via [`contingent_reward`] — bitwise what [`RewardScheme::reward`]
+/// quotes for each branch, at one critical-bid search per winner.
 ///
-/// Both stages run through `context`: the allocate span syncs the
-/// context's persistent index to this round's profile (delta-patching
-/// when the population carried over) and the pay span reuses that index,
-/// its heap seeds, and its pooled workspaces for every bisection probe.
-fn quote_all_multi_task(
-    mechanism: &MultiTaskMechanism,
-    profile: &TypeProfile,
-    id: RoundId,
+/// Single-task rounds use the FPTAS mechanism (`ε` from the config).
+/// Multi-task rounds use the greedy mechanism on `context`: the allocate
+/// span syncs the context's persistent index to this round's profile
+/// (delta-patching when the population carried over) and runs the greedy
+/// once; the pay span prices exactly those winners on the same index,
+/// heap seeds, and pooled workspaces, over
+/// [`EngineConfig::payment_threads`] threads.
+fn price_round(
+    round: &Round,
+    config: &EngineConfig,
     context: &mut ClearContext,
     metrics: Option<&Metrics>,
     trace: Option<&FlightRecorder>,
-) -> Result<(Allocation, BTreeMap<UserId, RewardQuote>), mcs_core::McsError> {
-    span_enter(trace, Stage::Allocate, id);
-    let start = Instant::now();
-    let allocation = mechanism.allocate_with(context, profile)?;
-    record_stage(metrics, Stage::Allocate, start.elapsed());
-    span_exit(trace, Stage::Allocate, id, start.elapsed());
-    span_enter(trace, Stage::Pay, id);
-    let start = Instant::now();
-    let criticals = mechanism.critical_pos_all_with(context, profile, &allocation)?;
+) -> Result<(Allocation, BTreeMap<UserId, RewardQuote>), McsError> {
+    let (profile, id) = (&round.profile, round.id);
+    let (allocation, criticals) = if profile.is_single_task() {
+        let mechanism = SingleTaskMechanism::new(config.epsilon, config.alpha)?;
+        let allocation = timed(Stage::Allocate, id, metrics, trace, || {
+            mechanism.select_winners(profile)
+        })?;
+        let criticals = timed(Stage::Pay, id, metrics, trace, || {
+            allocation
+                .winners()
+                .map(|winner| {
+                    let critical = mechanism.critical_pos(profile, &allocation, winner)?;
+                    Ok((winner, critical))
+                })
+                .collect::<Result<BTreeMap<_, _>, McsError>>()
+        })?;
+        (allocation, criticals)
+    } else {
+        let mechanism =
+            MultiTaskMechanism::new(config.alpha)?.with_payment_threads(config.payment_threads);
+        let allocated = timed(Stage::Allocate, id, metrics, trace, || {
+            mechanism.allocate_with(context, profile)
+        })?;
+        let criticals = timed(Stage::Pay, id, metrics, trace, || allocated.criticals())?;
+        (allocated.into_allocation(), criticals)
+    };
     let mut quotes = BTreeMap::new();
     for (winner, critical) in criticals {
         let cost = profile.user(winner)?.cost();
         quotes.insert(
             winner,
             RewardQuote {
-                success: contingent_reward(mechanism.alpha(), critical, cost, true),
-                failure: contingent_reward(mechanism.alpha(), critical, cost, false),
+                success: contingent_reward(config.alpha, critical, cost, true),
+                failure: contingent_reward(config.alpha, critical, cost, false),
             },
         );
     }
-    record_stage(metrics, Stage::Pay, start.elapsed());
-    span_exit(trace, Stage::Pay, id, start.elapsed());
     Ok((allocation, quotes))
 }
 
 /// Clears one round: winner determination, reward quotes for both
-/// outcomes, and one set of execution draws.
-///
-/// Single-task rounds use the FPTAS mechanism (`ε` from the config);
-/// multi-task rounds use the greedy mechanism with
-/// [`EngineConfig::payment_threads`]-wide parallel payments.
+/// outcomes from one critical-bid search per winner, and one set of
+/// execution draws.
 ///
 /// # Errors
 ///
@@ -211,15 +213,8 @@ fn clear_round_metered(
     metrics: Option<&Metrics>,
     trace: Option<&FlightRecorder>,
 ) -> Result<ClearedRound, RoundError> {
+    let (allocation, quotes) = price_round(round, config, context, metrics, trace)?;
     let profile = &round.profile;
-    let (allocation, quotes) = if profile.is_single_task() {
-        let mechanism = SingleTaskMechanism::new(config.epsilon, config.alpha)?;
-        quote_all(&mechanism, profile, round.id, metrics, trace)?
-    } else {
-        let mechanism =
-            MultiTaskMechanism::new(config.alpha)?.with_payment_threads(config.payment_threads);
-        quote_all_multi_task(&mechanism, profile, round.id, context, metrics, trace)?
-    };
 
     let mut rng = StdRng::seed_from_u64(round_seed(config.seed, round.id));
     let mut reports = BTreeMap::new();
@@ -339,9 +334,8 @@ impl ShardPool {
                 scope.spawn(move || {
                     // One clearing arena per worker for the whole drain:
                     // consecutive rounds on this worker delta-patch its
-                    // persistent index. With reuse disabled every round
-                    // clears on a throwaway context instead.
-                    let mut pooled = config.reuse_index.then(|| contexts.checkout());
+                    // persistent index.
+                    let mut context = contexts.checkout();
                     loop {
                         // Take the lock only to pop; clearing runs unlocked.
                         let next = round_rx.lock().expect("queue lock").recv();
@@ -349,8 +343,6 @@ impl ShardPool {
                         let bidders = round.profile.user_count();
                         span_enter(Some(recorder), Stage::Shard, round.id);
                         let start = Instant::now();
-                        let mut fresh = ClearContext::new();
-                        let context = pooled.as_mut().unwrap_or(&mut fresh);
                         let caught = catch_unwind(AssertUnwindSafe(|| {
                             if let Some(message) = injector.shard_panic(round.id) {
                                 panic!("{message}");
@@ -358,7 +350,7 @@ impl ShardPool {
                             clear_round_metered(
                                 &round,
                                 config,
-                                context,
+                                &mut context,
                                 Some(metrics),
                                 Some(recorder),
                             )
@@ -369,16 +361,13 @@ impl ShardPool {
                         // did). Gated: draining is the only profiling
                         // cost that leaves the worker's cache lines.
                         if config.profiling {
-                            let context = pooled.as_mut().unwrap_or(&mut fresh);
                             metrics.record_kernel(&context.take_prof());
                         }
                         if caught.is_err() {
                             // A panic can leave the arena half-patched
                             // (e.g. mid seed rebuild); discard it rather
                             // than reason about its state.
-                            if let Some(context) = pooled.as_mut() {
-                                *context = ClearContext::new();
-                            }
+                            context = ClearContext::new();
                         }
                         let outcome = caught.unwrap_or_else(|payload| {
                             Err(RoundError::Panicked {
@@ -391,9 +380,7 @@ impl ShardPool {
                             break;
                         }
                     }
-                    if let Some(context) = pooled {
-                        contexts.give_back(context);
-                    }
+                    contexts.give_back(context);
                 });
             }
         });
@@ -410,7 +397,7 @@ impl ShardPool {
 mod tests {
     use super::*;
     use crate::fault::NoFaults;
-    use mcs_core::types::{Cost, Pos, UserType};
+    use mcs_core::types::{Cost, Pos, TypeProfile, UserType};
     use mcs_core::types::{Task, TaskId};
 
     fn round(id: u64, costs_and_pos: &[(f64, f64)]) -> Round {
@@ -589,32 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_index_reuse_changes_nothing_but_the_arena_pool() {
-        let reuse = EngineConfig::default().with_seed(11);
-        let rounds: Vec<Round> = (0..4)
-            .map(|i| multi_task_round_scaled(i, 1.0 - 0.03 * i as f64))
-            .collect();
-        let pooled = ShardPool::new(2).clear_all(
-            rounds.clone(),
-            &reuse,
-            &NoFaults,
-            &Metrics::new(),
-            &FlightRecorder::disabled(),
-        );
-        let throwaway_pool = ShardPool::new(2);
-        let throwaway = throwaway_pool.clear_all(
-            rounds,
-            &reuse.with_reuse_index(false),
-            &NoFaults,
-            &Metrics::new(),
-            &FlightRecorder::disabled(),
-        );
-        assert_eq!(pooled, throwaway);
-        // With reuse off no arena is ever checked out or parked.
-        assert_eq!(throwaway_pool.contexts().idle(), 0);
-    }
-
-    #[test]
     fn adopted_contexts_are_shared_handles() {
         let config = EngineConfig::default().with_seed(2);
         let first = ShardPool::new(1);
@@ -686,7 +647,7 @@ mod tests {
         );
         let prof_metrics = Metrics::new();
         let profiled = ShardPool::new(2).clear_all(
-            rounds.clone(),
+            rounds,
             &config.with_profiling(true),
             &NoFaults,
             &prof_metrics,
@@ -697,11 +658,10 @@ mod tests {
         assert_eq!(plain_metrics.snapshot().kernel.prepares, 0);
         // Profiling on: every round prepared an arena, payments probed,
         // and the conservation laws hold over the drained sums.
-        // Two prepares per multi-task round: the allocate phase syncs the
-        // arena and the pay phase re-prepares (a reuse hit on an
-        // unchanged profile).
+        // One prepare per multi-task round: the allocate phase syncs the
+        // arena and the pay phase prices on that same index.
         let k = prof_metrics.snapshot().kernel;
-        assert_eq!(k.prepares, 8);
+        assert_eq!(k.prepares, 4);
         assert_eq!(
             k.reuse_hits + k.sync_patched + k.sync_reflattened,
             k.prepares
@@ -710,24 +670,41 @@ mod tests {
         assert!(k.probes_requested > 0);
         assert_eq!(k.probes_saved() + k.probes_run, k.probes_requested);
         assert!(k.arena_resident_bytes > 0);
-        // Identical rounds on a persistent arena: later prepares are
-        // reuse hits.
-        assert!(k.reuse_hits > 0, "{k:?}");
-        // Throwaway contexts (reuse off) drain too.
-        let throwaway_metrics = Metrics::new();
-        ShardPool::new(1).clear_all(
-            rounds,
-            &config.with_profiling(true).with_reuse_index(false),
-            &NoFaults,
-            &throwaway_metrics,
-            &FlightRecorder::disabled(),
-        );
-        let t = throwaway_metrics.snapshot().kernel;
-        assert_eq!(t.prepares, 8);
-        // A throwaway context reflattens once per round; the pay-phase
-        // re-prepare within the round still hits the fresh index.
-        assert_eq!(t.sync_reflattened, 4);
-        assert_eq!(t.reuse_hits, 4);
+        // Identical rounds on a persistent arena: each worker's first
+        // round flattens its fresh arena, later rounds are reuse hits.
+        assert!(k.sync_reflattened <= 2, "{k:?}");
+        assert_eq!(k.reuse_hits, 4 - k.sync_reflattened, "{k:?}");
+    }
+
+    #[test]
+    fn quotes_equal_reward_scheme_branches_bitwise() {
+        // One critical search per winner yields both quote branches; each
+        // must equal the per-branch `RewardScheme::reward` bit for bit.
+        use mcs_core::mechanism::Mechanism;
+        let config = EngineConfig::default().with_seed(4);
+        let single = SingleTaskMechanism::new(config.epsilon, config.alpha).unwrap();
+        let multi = MultiTaskMechanism::new(config.alpha).unwrap();
+        let cases: [(Round, &dyn Mechanism); 2] =
+            [(feasible_round(0), &single), (multi_task_round(1), &multi)];
+        for (round, mechanism) in cases {
+            let cleared = clear_round(&round, &config).unwrap();
+            let profile = &round.profile;
+            assert_eq!(
+                cleared.allocation,
+                mechanism.select_winners(profile).unwrap()
+            );
+            assert!(!cleared.quotes.is_empty());
+            assert_eq!(cleared.quotes.len(), cleared.allocation.winner_count());
+            for (&winner, quote) in &cleared.quotes {
+                let allocation = &cleared.allocation;
+                let success = mechanism.reward(profile, allocation, winner, true).unwrap();
+                let failure = mechanism
+                    .reward(profile, allocation, winner, false)
+                    .unwrap();
+                assert_eq!(quote.success.to_bits(), success.to_bits(), "{winner}");
+                assert_eq!(quote.failure.to_bits(), failure.to_bits(), "{winner}");
+            }
+        }
     }
 
     #[test]
