@@ -21,8 +21,9 @@
 //! hit rate, resident arena bytes — so a perf regression can be read
 //! next to the counter that moved. The n=10k tier additionally times
 //! profiled (per-clear [`ClearContext::take_prof`], the shard-worker
-//! shape under `EngineConfig::profiling`) against unprofiled clears and
-//! records the overhead, which must stay ≤ 5%.
+//! shape under `EngineConfig::profiling`) against unprofiled clears in
+//! alternating pairs and records the median per-pair overhead, which
+//! must stay ≤ 5%.
 //!
 //! Modes: `--test` asserts fast/reference bitwise equivalence on a small
 //! instance; `--smoke` adds a warm-vs-cold bitwise check plus a timed
@@ -50,6 +51,11 @@ const SIZES: [usize; 3] = [100, 500, 1000];
 const LARGE_SIZES: [usize; 2] = [10_000, 100_000];
 /// Allocation-only smoke size.
 const ALLOC_SMOKE: usize = 1_000_000;
+/// Plain/profiled pairs behind the profiling-overhead bound. On a
+/// shared 2-vCPU guest one n=10k clear varies by ~8 % from the next, so
+/// the median per-pair ratio needs this many pairs before host noise
+/// alone rarely crosses the 5 % bound.
+const OVERHEAD_PAIRS: usize = 15;
 
 /// One cleared round's quotes: `(success, failure)` per winner.
 type Quotes = BTreeMap<UserId, (f64, f64)>;
@@ -125,20 +131,43 @@ fn allocate_fast(profile: &TypeProfile, context: &mut ClearContext) -> usize {
 /// overhead_pct)`. The counters themselves are always accumulated by
 /// the kernel; the drain is the only thing the profiling flag adds, so
 /// this is exactly the marginal cost of `EngineConfig::profiling`.
-fn profiling_overhead(n: usize, runs: usize) -> (u128, u128, f64) {
+///
+/// The clears run as `pairs` back-to-back plain/profiled pairs, flipping
+/// which half runs first each pair, and the overhead is the median
+/// per-pair ratio. Host drift over the measurement then moves both
+/// halves of a pair together instead of reading as overhead, as it did
+/// when two sequential medians were compared.
+fn profiling_overhead(n: usize, pairs: usize) -> (u128, u128, f64) {
     let profile = synthetic_multi_task(n, TASKS, REQUIREMENT, 1000 + n as u64);
     let mut context = ClearContext::new();
     // Warm the arena so both measurements see the steady state.
     black_box(clear_fast_warm(&profile, 1, &mut context));
-    let plain = median_ns(runs, || {
+    let mut clear = |profiled: bool| {
+        let start = Instant::now();
         black_box(clear_fast_warm(black_box(&profile), 1, &mut context));
-    });
-    let profiled = median_ns(runs, || {
-        black_box(clear_fast_warm(black_box(&profile), 1, &mut context));
-        black_box(context.take_prof());
-    });
-    let overhead_pct = (profiled as f64 / plain as f64 - 1.0).max(0.0) * 100.0;
-    (plain, profiled, overhead_pct)
+        if profiled {
+            black_box(context.take_prof());
+        }
+        start.elapsed().as_nanos()
+    };
+    let (mut plain, mut profiled, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (plain_ns, profiled_ns) = if pair % 2 == 0 {
+            let plain_ns = clear(false);
+            (plain_ns, clear(true))
+        } else {
+            let profiled_ns = clear(true);
+            (clear(false), profiled_ns)
+        };
+        plain.push(plain_ns);
+        profiled.push(profiled_ns);
+        ratios.push(profiled_ns as f64 / plain_ns as f64);
+    }
+    plain.sort_unstable();
+    profiled.sort_unstable();
+    ratios.sort_by(f64::total_cmp);
+    let overhead_pct = (ratios[pairs / 2] - 1.0).max(0.0) * 100.0;
+    (plain[pairs / 2], profiled[pairs / 2], overhead_pct)
 }
 
 /// Median wall-clock nanoseconds of `runs` timed executions.
@@ -281,7 +310,7 @@ fn ci_smoke() {
         elapsed.as_secs_f64() * 1e3,
         quotes.len()
     );
-    let (plain, profiled, overhead_pct) = profiling_overhead(n, 5);
+    let (plain, profiled, overhead_pct) = profiling_overhead(n, OVERHEAD_PAIRS);
     println!(
         "payment_scaling ci-smoke: profiling overhead at n={n}: \
          plain {:.2} ms, profiled {:.2} ms ({overhead_pct:.2}%). ok",
@@ -458,7 +487,7 @@ fn main() {
     // size: per-clear counter drain vs none, on one warm context.
     {
         let n = 10_000;
-        let (plain, profiled, overhead_pct) = profiling_overhead(n, 7);
+        let (plain, profiled, overhead_pct) = profiling_overhead(n, OVERHEAD_PAIRS);
         println!(
             "n={n} profiling overhead: plain {:.2} ms, profiled {:.2} ms ({overhead_pct:.2}%)",
             plain as f64 / 1e6,

@@ -9,22 +9,19 @@ use mcs_bench::synthetic_multi_task;
 use mcs_core::indexed::ClearContext;
 use mcs_core::multi_task::MultiTaskMechanism;
 use mcs_core::types::TypeProfile;
+use mcs_obs::digest::Fnv1a;
 
 const N: usize = 10_000;
 const TASKS: usize = 50;
 const SEED: u64 = 4242;
 
-/// FNV-1a over a word stream — the digest idiom the campaign harness
-/// pins its fingerprints with.
+/// FNV-1a over a word stream, each word as its little-endian bytes.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hasher = Fnv1a::new();
     for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        hasher.write_u64(word);
     }
-    hash
+    hasher.finish()
 }
 
 /// Clears `profile` on `context` and digests `(winner id, critical PoS

@@ -34,6 +34,7 @@ use std::sync::Arc;
 
 use mcs_core::indexed::ContextPool;
 use mcs_core::types::{Pos, Task, TaskId, UserId};
+use mcs_obs::digest::Fnv1a;
 use mcs_obs::{EventKind, RawEvent};
 use mcs_platform::prelude::{Engine, EngineCheckpoint, EngineConfig, FaultInjector};
 
@@ -177,7 +178,7 @@ impl CampaignReport {
     /// ids, residuals, winners, payouts, outcomes, and final balances.
     /// Bitwise-identical across worker/payment-thread counts.
     pub fn fingerprint(&self) -> u64 {
-        let mut fnv = Fnv::new();
+        let mut fnv = Fnv1a::new();
         for round in &self.rounds {
             fnv.write_u64(round.index);
             fnv.write_u64(round.engine_round);
@@ -219,26 +220,6 @@ impl CampaignReport {
             fnv.write_u64(record.attempts);
         }
         fnv.finish()
-    }
-}
-
-/// FNV-1a, 64-bit — the same digest idiom the chaos harness uses.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

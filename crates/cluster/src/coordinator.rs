@@ -23,6 +23,7 @@
 
 use std::collections::BTreeMap;
 
+use mcs_obs::digest::Fnv1a;
 use mcs_obs::TraceEvent;
 use mcs_platform::degrade::RoundError;
 use mcs_platform::ingest::Bid;
@@ -36,7 +37,7 @@ use crate::node::NodeServer;
 use crate::route::route_bids;
 use crate::topology::Topology;
 use crate::transport::{Endpoint, LoopbackTransport, NodeTransport, Role, TransportError};
-use crate::wire::{fnv1a64, Request, Response};
+use crate::wire::{Request, Response};
 
 /// Why a cluster round was quarantined.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,31 +95,31 @@ impl ClusterOutcome {
     /// failovers never enter the hash — so 1-node and N-node runs of the
     /// same profile must agree bit for bit.
     pub fn fingerprint(&self) -> u64 {
-        let mut bytes = Vec::new();
+        let mut fnv = Fnv1a::new();
         for (&(round, shard), cleared) in &self.results {
-            bytes.extend_from_slice(&round.to_le_bytes());
-            bytes.extend_from_slice(&shard.to_le_bytes());
+            fnv.write_u64(round);
+            fnv.write_u32(shard);
             for winner in cleared.allocation.winners() {
-                bytes.extend_from_slice(&(winner.index() as u32).to_le_bytes());
+                fnv.write_u32(winner.index() as u32);
             }
             for (user, quote) in &cleared.quotes {
-                bytes.extend_from_slice(&(user.index() as u32).to_le_bytes());
-                bytes.extend_from_slice(&quote.success.to_bits().to_le_bytes());
-                bytes.extend_from_slice(&quote.failure.to_bits().to_le_bytes());
+                fnv.write_u32(user.index() as u32);
+                fnv.write_u64(quote.success.to_bits());
+                fnv.write_u64(quote.failure.to_bits());
             }
             for (user, &completed) in &cleared.reports {
-                bytes.extend_from_slice(&(user.index() as u32).to_le_bytes());
-                bytes.push(completed as u8);
+                fnv.write_u32(user.index() as u32);
+                fnv.write_u8(completed as u8);
             }
-            bytes.extend_from_slice(&cleared.social_cost.to_bits().to_le_bytes());
+            fnv.write_u64(cleared.social_cost.to_bits());
         }
         for (&(round, shard), settlement) in &self.settlements {
-            bytes.extend_from_slice(&round.to_le_bytes());
-            bytes.extend_from_slice(&shard.to_le_bytes());
-            bytes.extend_from_slice(&settlement.total.to_bits().to_le_bytes());
+            fnv.write_u64(round);
+            fnv.write_u32(shard);
+            fnv.write_u64(settlement.total.to_bits());
         }
         for quarantine in &self.quarantines {
-            bytes.extend_from_slice(&quarantine.round.to_le_bytes());
+            fnv.write_u64(quarantine.round);
             let (shard, code) = match &quarantine.cause {
                 QuarantineCause::Shard { shard, error, .. } => {
                     let code = match error {
@@ -133,16 +134,16 @@ impl ClusterOutcome {
                 // hash.
                 QuarantineCause::Partition { .. } => (u32::MAX, 0xFF),
             };
-            bytes.extend_from_slice(&shard.to_le_bytes());
-            bytes.push(code);
+            fnv.write_u32(shard);
+            fnv.write_u8(code);
         }
         for (user, balance) in self.ledger.balances() {
-            bytes.extend_from_slice(&(user.index() as u32).to_le_bytes());
-            bytes.extend_from_slice(&balance.to_bits().to_le_bytes());
+            fnv.write_u32(user.index() as u32);
+            fnv.write_u64(balance.to_bits());
         }
-        bytes.extend_from_slice(&self.ledger.total_paid().to_bits().to_le_bytes());
-        bytes.extend_from_slice(&self.ledger.rounds_settled().to_le_bytes());
-        fnv1a64(&bytes)
+        fnv.write_u64(self.ledger.total_paid().to_bits());
+        fnv.write_u64(self.ledger.rounds_settled());
+        fnv.finish()
     }
 }
 

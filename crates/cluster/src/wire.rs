@@ -13,7 +13,8 @@
 //! floats would forfeit it before a single bid clears. Integers are
 //! little-endian; vectors are `u32` length-prefixed; the trailing
 //! checksum makes every single-byte corruption a typed decode error
-//! instead of a garbage outcome (property-tested below).
+//! instead of a garbage outcome (property-tested below). The checksum
+//! is the workspace's one FNV-1a, [`mcs_obs::digest`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -21,6 +22,7 @@ use std::io::{Read, Write};
 
 use mcs_core::mechanism::Allocation;
 use mcs_core::types::UserId;
+use mcs_obs::digest::fnv1a;
 use mcs_obs::TraceEvent;
 use mcs_platform::batch::RoundId;
 use mcs_platform::degrade::RoundError;
@@ -35,17 +37,6 @@ pub const MAGIC: [u8; 8] = *b"MCSCLST1";
 /// Hard cap on payload size (64 MiB): a corrupted length prefix must
 /// not become an absurd allocation.
 pub const MAX_PAYLOAD: usize = 64 << 20;
-
-/// FNV-1a over a byte slice — the same digest family the scenario
-/// corpus pins fingerprints with, reused here as the frame checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Why a frame or payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -912,7 +903,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     put_u32(&mut out, payload.len() as u32);
     out.extend_from_slice(payload);
-    put_u64(&mut out, fnv1a64(payload));
+    put_u64(&mut out, fnv1a(payload));
     out
 }
 
@@ -938,7 +929,7 @@ pub fn unframe(bytes: &[u8]) -> Result<&[u8], WireError> {
     }
     let payload = &bytes[12..12 + len];
     let checksum = u64::from_le_bytes(bytes[12 + len..].try_into().unwrap());
-    if checksum != fnv1a64(payload) {
+    if checksum != fnv1a(payload) {
         return Err(WireError::ChecksumMismatch);
     }
     Ok(payload)
@@ -974,7 +965,7 @@ pub fn read_frame<R: Read>(reader: &mut R) -> std::io::Result<Result<Vec<u8>, Wi
     reader.read_exact(&mut rest)?;
     let checksum = u64::from_le_bytes(rest[len..].try_into().unwrap());
     rest.truncate(len);
-    if checksum != fnv1a64(&rest) {
+    if checksum != fnv1a(&rest) {
         return Ok(Err(WireError::ChecksumMismatch));
     }
     Ok(Ok(rest))

@@ -60,12 +60,16 @@
 //!   widen the node matrix and run the loopback-vs-TCP transport
 //!   equivalence check over real ephemeral-port sockets.
 //! * `--nodes` cluster node count for `--cluster` (default 3)
-//! * `--bands` region bands (= shards) for `--cluster` (default 6)
+//! * `--bands` region bands (= shards) for `--cluster` (default 6, at most 8)
 //! * `--record-trace FILE` write the run's checksummed drive log
 //! * `--replay-trace FILE` replay a recorded log instead of generating
 //!   bids; the outcome must still match the pinned baseline bitwise
 //! * `--print-baseline` print the observed `[baseline]` block (for
 //!   pinning new or re-versioned scenarios) instead of enforcing one
+//!
+//! Bad input — an unknown flag, an unparsable value, `--tasks 0` or
+//! `--bids 0`, more `--bands` than the cluster grid has columns, or
+//! `--record-trace` / `--replay-trace` with `--scenario all` — exits 2.
 //!
 //! A failing campaign is reproduced by re-running with the same `--seed`,
 //! `--rounds`, `--faults`, and `--tasks`; the fingerprint printed at the
@@ -77,6 +81,7 @@ use std::time::Instant;
 
 use mcs_campaign::prelude::{CampaignRunner, SyntheticBidSource};
 use mcs_core::types::{Task, TaskId};
+use mcs_harness::cluster::GRID_WIDTH;
 use mcs_harness::prelude::*;
 use mcs_obs::replay::ReplayLog;
 use mcs_platform::batch::RoundId;
@@ -87,14 +92,10 @@ use mcs_platform::config::{AdmissionConfig, EngineConfig, ShedPolicy};
 use mcs_campaign::prelude::CampaignConfig as LoopConfig;
 
 struct Options {
-    seed: u64,
-    rounds: u64,
+    /// `--seed`, `--rounds`, `--tasks`, `--bids`, `--workers`,
+    /// `--payment-threads` and `--drain-every`.
+    campaign: CampaignConfig,
     faults: f64,
-    tasks: usize,
-    bids: usize,
-    workers: usize,
-    payment_threads: usize,
-    drain_every: u64,
     verify_determinism: bool,
     ci_smoke: bool,
     soak: bool,
@@ -111,14 +112,12 @@ struct Options {
 impl Options {
     fn parse() -> Result<Options, String> {
         let mut options = Options {
-            seed: 1,
-            rounds: 60,
+            campaign: CampaignConfig {
+                seed: 1,
+                rounds: 60,
+                ..CampaignConfig::default()
+            },
             faults: 0.35,
-            tasks: 1,
-            bids: 8,
-            workers: 4,
-            payment_threads: 1,
-            drain_every: 4,
             verify_determinism: false,
             ci_smoke: false,
             soak: false,
@@ -131,21 +130,22 @@ impl Options {
             nodes: 3,
             bands: 6,
         };
+        let campaign = &mut options.campaign;
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             let mut value =
                 |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
             match arg.as_str() {
-                "--seed" => options.seed = parse(&value("--seed")?)?,
-                "--rounds" => options.rounds = parse(&value("--rounds")?)?,
+                "--seed" => campaign.seed = parse(&value("--seed")?)?,
+                "--rounds" => campaign.rounds = parse(&value("--rounds")?)?,
                 "--faults" => options.faults = parse(&value("--faults")?)?,
-                "--tasks" => options.tasks = parse(&value("--tasks")?)?,
-                "--bids" => options.bids = parse(&value("--bids")?)?,
-                "--workers" => options.workers = parse(&value("--workers")?)?,
+                "--tasks" => campaign.task_count = parse(&value("--tasks")?)?,
+                "--bids" => campaign.bids_per_round = parse(&value("--bids")?)?,
+                "--workers" => campaign.workers = parse(&value("--workers")?)?,
                 "--payment-threads" => {
-                    options.payment_threads = parse(&value("--payment-threads")?)?
+                    campaign.payment_threads = parse(&value("--payment-threads")?)?
                 }
-                "--drain-every" => options.drain_every = parse(&value("--drain-every")?)?,
+                "--drain-every" => campaign.drain_every = parse(&value("--drain-every")?)?,
                 "--verify-determinism" => options.verify_determinism = true,
                 "--ci-smoke" => options.ci_smoke = true,
                 "--soak" => options.soak = true,
@@ -175,22 +175,24 @@ impl Options {
                 options.faults
             ));
         }
-        Ok(options)
-    }
-
-    fn campaign(&self) -> CampaignConfig {
-        CampaignConfig {
-            seed: self.seed,
-            rounds: self.rounds,
-            bids_per_round: self.bids,
-            task_count: self.tasks,
-            workers: self.workers,
-            payment_threads: self.payment_threads,
-            drain_every: self.drain_every,
-            admission: AdmissionConfig::default(),
-            trace_headroom: 1,
-            oracle: OracleConfig::default(),
+        if options.campaign.task_count == 0 || options.campaign.bids_per_round == 0 {
+            return Err("--tasks and --bids expect at least 1".to_string());
         }
+        if options.bands > GRID_WIDTH {
+            return Err(format!(
+                "--bands expects at most {GRID_WIDTH} (the cluster grid's width), got {}",
+                options.bands
+            ));
+        }
+        if options.scenario.as_deref() == Some("all")
+            && (options.record_trace.is_some() || options.replay_trace.is_some())
+        {
+            return Err(
+                "--record-trace and --replay-trace take one scenario, not --scenario all"
+                    .to_string(),
+            );
+        }
+        Ok(options)
     }
 }
 
@@ -199,8 +201,56 @@ fn parse<T: std::str::FromStr>(text: &str) -> Result<T, String> {
         .map_err(|_| format!("could not parse {text:?}"))
 }
 
-/// Runs one campaign and prints its summary. Returns the outcome.
-fn run_one(config: &CampaignConfig, plan: &FaultPlan, label: &str) -> CampaignOutcome {
+/// Prints a mode's closing line and maps its verdict to the exit code.
+fn verdict(ok: bool, mode: &str, success: &str) -> ExitCode {
+    if ok {
+        println!("{mode}: {success}");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("{mode}: FAILED");
+        ExitCode::FAILURE
+    }
+}
+
+/// Re-runs a workload at each `(workers, payment_threads)` cell. `run`
+/// returns the cell's fingerprint, or what else broke; every cell must
+/// reproduce `reference`. Returns whether all of them did.
+fn sweep(
+    cells: &[(usize, usize)],
+    reference: u64,
+    mut run: impl FnMut(usize, usize) -> Result<u64, String>,
+) -> bool {
+    let mut ok = true;
+    for &(workers, payment_threads) in cells {
+        let problem = match run(workers, payment_threads) {
+            Ok(fingerprint) if fingerprint == reference => continue,
+            Ok(fingerprint) => {
+                format!("fingerprint {fingerprint:016x} != reference {reference:016x}")
+            }
+            Err(problem) => problem,
+        };
+        eprintln!(
+            "  DETERMINISM BROKEN: workers={workers} payment_threads={payment_threads} {problem}"
+        );
+        ok = false;
+    }
+    ok
+}
+
+/// Runs one campaign, prints its summary, and checks it: clean, inside
+/// the observability contract, and (with `determinism`) bitwise
+/// identical across worker/payment-thread combinations. Returns the
+/// outcome and whether all of that held.
+///
+/// The observability contract: the flight recorder stays inside its
+/// fixed allocation and never wraps, so no round's evidence is lost.
+/// (The drive itself checks every quarantine's post-mortem complete.)
+fn run_one(
+    config: &CampaignConfig,
+    plan: &FaultPlan,
+    label: &str,
+    determinism: bool,
+) -> (CampaignOutcome, bool) {
     let start = Instant::now();
     let outcome = run_campaign(config, plan);
     println!(
@@ -228,15 +278,8 @@ fn run_one(config: &CampaignConfig, plan: &FaultPlan, label: &str) -> CampaignOu
     for violation in &outcome.violations {
         eprintln!("  VIOLATION: {violation}");
     }
-    outcome
-}
-
-/// Observability contract: the flight recorder stays inside its fixed
-/// allocation (it never wrapped, so no round's evidence was lost), and
-/// every injected shard panic produced a complete JSON post-mortem.
-fn observability_holds(config: &CampaignConfig, outcome: &CampaignOutcome) -> bool {
-    let mut ok = true;
-    let configured = config.engine_config().trace.capacity;
+    let mut ok = outcome.is_clean();
+    let configured = config.engine_config(plan).trace.capacity;
     if outcome.trace_capacity != configured {
         eprintln!(
             "  OBSERVABILITY: ring capacity {} != configured {configured}",
@@ -251,58 +294,18 @@ fn observability_holds(config: &CampaignConfig, outcome: &CampaignOutcome) -> bo
         );
         ok = false;
     }
-    for record in &outcome.quarantine {
-        let error = record.error.to_string();
-        if !error.contains("panicked") {
-            continue;
-        }
-        match outcome
-            .post_mortems
-            .iter()
-            .find(|pm| pm.round == record.id.0)
-        {
-            Some(pm) if pm.complete => {}
-            Some(pm) => {
-                eprintln!(
-                    "  OBSERVABILITY: {} post-mortem incomplete ({} of {} bids)",
-                    record.id,
-                    pm.bids.len(),
-                    record.bidders
-                );
-                ok = false;
-            }
-            None => {
-                eprintln!(
-                    "  OBSERVABILITY: injected panic on {} left no post-mortem",
-                    record.id
-                );
-                ok = false;
-            }
-        }
+    if determinism {
+        let cells = [(1, 1), (2, 3), (8, 2)];
+        ok &= sweep(&cells, outcome.fingerprint(), |workers, payment_threads| {
+            let variant = CampaignConfig {
+                workers,
+                payment_threads,
+                ..config.clone()
+            };
+            Ok(run_campaign(&variant, plan).fingerprint())
+        });
     }
-    ok
-}
-
-/// Re-runs a campaign at several worker/payment-thread combinations and
-/// checks the fingerprints agree bitwise. Returns whether they did.
-fn determinism_holds(config: &CampaignConfig, plan: &FaultPlan, reference: u64) -> bool {
-    let mut ok = true;
-    for (workers, payment_threads) in [(1, 1), (2, 3), (8, 2)] {
-        let variant = CampaignConfig {
-            workers,
-            payment_threads,
-            ..config.clone()
-        };
-        let fingerprint = run_campaign(&variant, plan).fingerprint();
-        if fingerprint != reference {
-            eprintln!(
-                "  DETERMINISM BROKEN: workers={workers} payment_threads={payment_threads} \
-                 fingerprint {fingerprint:016x} != reference {reference:016x}"
-            );
-            ok = false;
-        }
-    }
-    ok
+    (outcome, ok)
 }
 
 /// Sustained-overload soak: every logical round arrives 10×
@@ -315,7 +318,7 @@ fn determinism_holds(config: &CampaignConfig, plan: &FaultPlan, reference: u64) 
 /// shedding engaged.
 fn soak(options: &Options) -> ExitCode {
     const FACTOR: u32 = 10;
-    let mut config = options.campaign();
+    let mut config = options.campaign.clone();
     if options.ci_smoke {
         config.rounds = 16;
     }
@@ -329,9 +332,8 @@ fn soak(options: &Options) -> ExitCode {
     for round in 0..config.rounds {
         plan.schedule(round, Fault::Oversubscribe(FACTOR));
     }
-    config.trace_headroom = plan.trace_headroom(config.rounds);
 
-    let outcome = run_one(&config, &plan, "soak");
+    let (outcome, mut ok) = run_one(&config, &plan, "soak", true);
     println!(
         "  overload: {} shed, max backlog {} (watermark {}), \
          {} partial rounds deferring {} bidders",
@@ -341,10 +343,6 @@ fn soak(options: &Options) -> ExitCode {
         outcome.partial_rounds,
         outcome.deferred,
     );
-    let mut ok = outcome.is_clean();
-    if !observability_holds(&config, &outcome) {
-        ok = false;
-    }
     if outcome.sheds == 0 {
         eprintln!("  SOAK: {FACTOR}x oversubscription shed no bids");
         ok = false;
@@ -360,16 +358,11 @@ fn soak(options: &Options) -> ExitCode {
         eprintln!("  SOAK: no round exceeded the clearing budget");
         ok = false;
     }
-    if !determinism_holds(&config, &plan, outcome.fingerprint()) {
-        ok = false;
-    }
-    if ok {
-        println!("soak: overload stayed bounded, accounted, and deterministic");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("soak: FAILED");
-        ExitCode::FAILURE
-    }
+    verdict(
+        ok,
+        "soak",
+        "overload stayed bounded, accounted, and deterministic",
+    )
 }
 
 /// The published task set every closed-loop fuzz campaign pursues.
@@ -432,25 +425,20 @@ fn run_closed_loop(seed: u64, failure_rate: f64, chaos: bool) -> bool {
         eprintln!("  CAMPAIGN: residual re-auctions failed to reach coverage in {budget} rounds");
         ok = false;
     }
-    let reference = report.fingerprint();
-    for (workers, payment_threads) in [(1usize, 1usize), (2, 3), (8, 2)] {
-        let mut variant = loop_config(seed, failure_rate);
-        variant.engine = variant
-            .engine
-            .with_workers(workers)
-            .with_payment_threads(payment_threads);
-        let runner = loop_runner(variant, chaos);
-        let mut source = SyntheticBidSource::new(seed, BIDDERS);
-        let fingerprint = runner.run(&mut source).fingerprint();
-        if fingerprint != reference {
-            eprintln!(
-                "  DETERMINISM BROKEN: workers={workers} payment_threads={payment_threads} \
-                 fingerprint {fingerprint:016x} != reference {reference:016x}"
-            );
-            ok = false;
-        }
-    }
-    ok
+    let deterministic = sweep(
+        &[(1, 1), (2, 3), (8, 2)],
+        report.fingerprint(),
+        |workers, payment_threads| {
+            let mut variant = loop_config(seed, failure_rate);
+            variant.engine = variant
+                .engine
+                .with_workers(workers)
+                .with_payment_threads(payment_threads);
+            let mut source = SyntheticBidSource::new(seed, BIDDERS);
+            Ok(loop_runner(variant, chaos).run(&mut source).fingerprint())
+        },
+    );
+    ok && deterministic
 }
 
 /// Closed-loop mode: a seeds × failure-rates × chaos matrix of auction
@@ -462,23 +450,30 @@ fn closed_loop_fuzz(options: &Options) -> ExitCode {
     } else {
         &[1, 7, 42, 99, 123]
     };
-    let mut failed = false;
+    let mut ok = true;
     for &seed in seeds {
         for rate in [0.0, 0.3, 0.6] {
             for chaos in [false, true] {
-                if !run_closed_loop(seed, rate, chaos) {
-                    failed = true;
-                }
+                ok &= run_closed_loop(seed, rate, chaos);
             }
         }
     }
-    if failed {
-        eprintln!("campaign: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("campaign: every closed loop covered, clean, and deterministic");
-        ExitCode::SUCCESS
-    }
+    verdict(
+        ok,
+        "campaign",
+        "every closed loop covered, clean, and deterministic",
+    )
+}
+
+/// Runs a scenario, or replays the drive log recorded at `replay`.
+fn scenario_outcome(scenario: &Scenario, replay: Option<&str>) -> Result<ScenarioOutcome, String> {
+    let Some(path) = replay else {
+        return run_scenario(scenario).map_err(|error| format!("run failed: {error}"));
+    };
+    let bytes = std::fs::read(path).map_err(|error| format!("cannot read {path}: {error}"))?;
+    let log =
+        ReplayLog::from_bytes(&bytes).map_err(|error| format!("corrupt trace {path}: {error}"))?;
+    replay_scenario(scenario, &log).map_err(|error| format!("replay failed: {error}"))
 }
 
 /// Runs one corpus scenario end to end: drive (or replay a recorded
@@ -488,35 +483,11 @@ fn closed_loop_fuzz(options: &Options) -> ExitCode {
 /// everything held.
 fn run_scenario_cli(scenario: &Scenario, options: &Options) -> bool {
     let start = Instant::now();
-    let outcome = if let Some(path) = &options.replay_trace {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(error) => {
-                eprintln!("scenario[{}]: cannot read {path}: {error}", scenario.name);
-                return false;
-            }
-        };
-        let log = match ReplayLog::from_bytes(&bytes) {
-            Ok(log) => log,
-            Err(error) => {
-                eprintln!("scenario[{}]: corrupt trace {path}: {error}", scenario.name);
-                return false;
-            }
-        };
-        match replay_scenario(scenario, &log) {
-            Ok(outcome) => outcome,
-            Err(error) => {
-                eprintln!("scenario[{}]: replay failed: {error}", scenario.name);
-                return false;
-            }
-        }
-    } else {
-        match run_scenario(scenario) {
-            Ok(outcome) => outcome,
-            Err(error) => {
-                eprintln!("scenario[{}]: run failed: {error}", scenario.name);
-                return false;
-            }
+    let outcome = match scenario_outcome(scenario, options.replay_trace.as_deref()) {
+        Ok(outcome) => outcome,
+        Err(error) => {
+            eprintln!("scenario[{}]: {error}", scenario.name);
+            return false;
         }
     };
     println!(
@@ -577,56 +548,32 @@ fn run_scenario_cli(scenario: &Scenario, options: &Options) -> bool {
     }
 
     if options.verify_determinism {
-        let reference = outcome.fingerprint();
-        for (workers, payment_threads) in [(1usize, 1usize), (2, 4), (8, 1), (8, 4)] {
-            let run = run_scenario_with(
-                scenario,
-                &RunOptions {
-                    workers: Some(workers),
-                    payment_threads: Some(payment_threads),
-                    deviate: false,
-                    profiling: true,
-                },
-            );
-            match run {
-                Ok(variant) => {
-                    if variant.fingerprint() != reference {
-                        eprintln!(
-                            "  DETERMINISM BROKEN: workers={workers} \
-                             payment_threads={payment_threads} fingerprint {:016x} \
-                             != reference {reference:016x}",
-                            variant.fingerprint()
-                        );
-                        ok = false;
-                    }
-                    // Fingerprints alone once hid a profiled-cell gap:
-                    // every sweep cell must ALSO reproduce the pinned
-                    // totals bit for bit, profiling on or off.
-                    if variant.payment_total.to_bits() != outcome.payment_total.to_bits() {
-                        eprintln!(
-                            "  DETERMINISM BROKEN: workers={workers} \
-                             payment_threads={payment_threads} payment total \
-                             {:?} != reference {:?}",
-                            variant.payment_total, outcome.payment_total
-                        );
-                        ok = false;
-                    }
-                    if let Some(pinned) = &scenario.baseline {
-                        if let Err(error) = pinned.check(&scenario.name, &variant.baseline()) {
-                            eprintln!(
-                                "  BASELINE (workers={workers} \
-                                 payment_threads={payment_threads}): {error}"
-                            );
-                            ok = false;
-                        }
-                    }
-                }
-                Err(error) => {
-                    eprintln!("  DETERMINISM: variant run failed: {error}");
-                    ok = false;
-                }
+        let cells = [(1, 1), (2, 4), (8, 1), (8, 4)];
+        ok &= sweep(&cells, outcome.fingerprint(), |workers, payment_threads| {
+            let options = RunOptions {
+                workers: Some(workers),
+                payment_threads: Some(payment_threads),
+                deviate: false,
+                profiling: true,
+            };
+            let variant = run_scenario_with(scenario, &options)
+                .map_err(|error| format!("variant run failed: {error}"))?;
+            // Fingerprints alone once hid a profiled-cell gap: every
+            // sweep cell must ALSO reproduce the pinned totals bit for
+            // bit, profiling on or off.
+            if variant.payment_total.to_bits() != outcome.payment_total.to_bits() {
+                return Err(format!(
+                    "payment total {:?} != reference {:?}",
+                    variant.payment_total, outcome.payment_total
+                ));
             }
-        }
+            if let Some(pinned) = &scenario.baseline {
+                pinned
+                    .check(&scenario.name, &variant.baseline())
+                    .map_err(|error| format!("baseline: {error}"))?;
+            }
+            Ok(variant.fingerprint())
+        });
     }
 
     if scenario.strategy.is_some() && options.replay_trace.is_none() {
@@ -653,74 +600,51 @@ fn run_scenario_cli(scenario: &Scenario, options: &Options) -> bool {
     ok
 }
 
-/// Corpus mode: resolve `--scenario` to one file or the whole corpus
-/// and run each through [`run_scenario_cli`].
-fn scenario_fuzz(options: &Options) -> ExitCode {
-    let target = options.scenario.as_deref().expect("dispatched on Some");
-    let paths = if target == "all" {
+/// Resolves `target` — a corpus name, a `.toml` path, or `all` — and runs
+/// `each` on every scenario it names. Returns how many scenarios ran and
+/// whether every one loaded and held; an empty corpus fails.
+fn for_each_scenario(
+    mode: &str,
+    target: &str,
+    mut each: impl FnMut(&Scenario) -> bool,
+) -> (usize, bool) {
+    let targets: Vec<String> = if target == "all" {
         match mcs_harness::scenario::corpus_paths() {
-            Ok(paths) => paths,
+            Ok(paths) => paths
+                .iter()
+                .map(|path| path.display().to_string())
+                .collect(),
             Err(error) => {
-                eprintln!("scenario: {error}");
-                return ExitCode::FAILURE;
+                eprintln!("{mode}: {error}");
+                return (0, false);
             }
         }
     } else {
-        Vec::new()
+        vec![target.to_string()]
     };
-    let mut failed = false;
-    let mut ran = 0usize;
-    if target == "all" {
-        for path in &paths {
-            match mcs_harness::scenario::load(&path.display().to_string()) {
-                Ok(scenario) => {
-                    ran += 1;
-                    if !run_scenario_cli(&scenario, options) {
-                        failed = true;
-                    }
-                }
-                Err(error) => {
-                    eprintln!("scenario[{}]: {error}", path.display());
-                    failed = true;
-                }
-            }
-        }
-        if ran == 0 {
-            eprintln!("scenario: corpus is empty");
-            failed = true;
-        }
-    } else {
+    if targets.is_empty() {
+        eprintln!("{mode}: corpus is empty");
+        return (0, false);
+    }
+    let (mut ran, mut ok) = (0, true);
+    for target in &targets {
         match mcs_harness::scenario::load(target) {
             Ok(scenario) => {
-                if !run_scenario_cli(&scenario, options) {
-                    failed = true;
-                }
+                ran += 1;
+                ok &= each(&scenario);
             }
             Err(error) => {
-                eprintln!("scenario[{target}]: {error}");
-                failed = true;
+                eprintln!("{mode}[{target}]: {error}");
+                ok = false;
             }
         }
     }
-    if failed {
-        eprintln!("scenario: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("scenario: corpus clean, baselines pinned, mechanism truthful");
-        ExitCode::SUCCESS
-    }
+    (ran, ok)
 }
 
-/// The node hosting a scenario topology's first active region — a chaos
-/// target that is guaranteed to actually receive traffic.
-fn cluster_busy_node(scenario: &Scenario, nodes: u32, bands: u32) -> u32 {
-    let topology = scenario_topology(scenario, bands);
-    let region = topology
-        .active_regions()
-        .next()
-        .expect("scenario publishes tasks");
-    topology.node_of_region(region, nodes)
-}
+/// One cluster chaos campaign: the claim it upholds, its fault schedule,
+/// and the check of the claim on the run.
+type ChaosCase<'a> = (String, &'a [(u64, Fault)], &'a dyn Fn(&ClusterRun) -> bool);
 
 /// Runs one scenario through the full cluster battery: 1-node vs N-node
 /// equivalence, the mirror oracle, the three chaos campaigns, and (with
@@ -729,160 +653,103 @@ fn cluster_busy_node(scenario: &Scenario, nodes: u32, bands: u32) -> u32 {
 fn run_cluster_cli(scenario: &Scenario, options: &Options) -> bool {
     let (nodes, bands) = (options.nodes.max(1), options.bands.max(1));
     let start = Instant::now();
-    let single = match run_cluster_scenario(scenario, 1, bands, &FaultPlan::new()) {
-        Ok(run) => run,
-        Err(error) => {
-            eprintln!("cluster[{}]: 1-node run failed: {error}", scenario.name);
-            return false;
-        }
-    };
-    let deployed = match run_cluster_scenario(scenario, nodes, bands, &FaultPlan::new()) {
-        Ok(run) => run,
-        Err(error) => {
-            eprintln!(
-                "cluster[{}]: {nodes}-node run failed: {error}",
-                scenario.name
-            );
+    let run = |nodes: u32, plan: &FaultPlan| run_cluster_scenario(scenario, nodes, bands, plan);
+    let fault_free = FaultPlan::new();
+    let (single, deployed) = match (run(1, &fault_free), run(nodes, &fault_free)) {
+        (Ok(single), Ok(deployed)) => (single.fingerprint, deployed.fingerprint),
+        (Err(error), _) | (_, Err(error)) => {
+            eprintln!("cluster[{}]: fault-free run failed: {error}", scenario.name);
             return false;
         }
     };
     println!(
-        "cluster[{} v{}]: {} rounds · {} bands · 1-node {:016x} vs {nodes}-node {:016x} · {:.2?}",
+        "cluster[{} v{}]: {} rounds · {bands} bands · 1-node {single:016x} vs {nodes}-node \
+         {deployed:016x} · {:.2?}",
         scenario.name,
         scenario.version,
         scenario.rounds,
-        bands,
-        single.fingerprint,
-        deployed.fingerprint,
         start.elapsed()
     );
-    let mut ok = true;
-    if deployed.fingerprint != single.fingerprint {
-        eprintln!(
-            "  EQUIVALENCE BROKEN: {nodes}-node fingerprint {:016x} != 1-node {:016x}",
-            deployed.fingerprint, single.fingerprint
-        );
-        ok = false;
-    }
+
+    // Every other fault-free deployment, and the in-process mirror, must
+    // reproduce the 1-node run bitwise.
     let mirror = ClusterMirror::of_scenario(scenario, bands).fingerprint();
-    if mirror != single.fingerprint {
-        eprintln!(
-            "  MIRROR DISAGREES: ground truth {mirror:016x} != deployment {:016x}",
-            single.fingerprint
-        );
-        ok = false;
-    }
-
-    // Chaos: node loss must fail over with an unchanged fingerprint.
-    let target = cluster_busy_node(scenario, nodes, bands);
-    let mut plan = FaultPlan::new();
-    plan.schedule(1, Fault::NodeLoss(target));
-    match run_cluster_scenario(scenario, nodes, bands, &plan) {
-        Ok(run) => {
-            if !run.promoted_nodes().contains(&target) {
-                eprintln!("  NODE LOSS: node {target} never failed over to its follower");
-                ok = false;
-            }
-            if run.fingerprint != single.fingerprint {
-                eprintln!(
-                    "  NODE LOSS: post-failover fingerprint {:016x} != fault-free {:016x}",
-                    run.fingerprint, single.fingerprint
-                );
-                ok = false;
-            } else {
-                println!("  node loss: node {target} promoted its follower, fingerprint unchanged");
-            }
-        }
-        Err(error) => {
-            eprintln!("  NODE LOSS: campaign failed: {error}");
-            ok = false;
-        }
-    }
-
-    // Chaos: a partition must quarantine the round with a post-mortem,
-    // never silently diverge.
-    let mut plan = FaultPlan::new();
-    plan.schedule(1, Fault::NetPartition(target));
-    match run_cluster_scenario(scenario, nodes, bands, &plan) {
-        Ok(run) => {
-            let quarantine = run
-                .outcome
-                .quarantines
-                .iter()
-                .find(|q| q.round == 1 && q.post_mortem.contains("\"cause\":\"partition\""));
-            if run.quarantined_rounds() == 0 || quarantine.is_none() {
-                eprintln!(
-                    "  PARTITION: round 1 was not quarantined with a typed partition post-mortem"
-                );
-                ok = false;
-            } else {
-                println!(
-                    "  partition: {} round(s) quarantined with complete post-mortems",
-                    run.quarantined_rounds()
-                );
-            }
-        }
-        Err(error) => {
-            eprintln!("  PARTITION: campaign failed: {error}");
-            ok = false;
-        }
-    }
-
-    // Chaos: duplicate delivery must be absorbed by the idempotency
-    // cache.
-    let mut plan = FaultPlan::new();
-    plan.schedule(0, Fault::DuplicateDelivery);
-    plan.schedule(2, Fault::DuplicateDelivery);
-    match run_cluster_scenario(scenario, nodes, bands, &plan) {
-        Ok(run) if run.fingerprint == single.fingerprint => {
-            println!("  duplicate delivery: absorbed, fingerprint unchanged");
-        }
-        Ok(run) => {
-            eprintln!(
-                "  DUPLICATE DELIVERY: fingerprint drifted to {:016x} (expected {:016x})",
-                run.fingerprint, single.fingerprint
-            );
-            ok = false;
-        }
-        Err(error) => {
-            eprintln!("  DUPLICATE DELIVERY: campaign failed: {error}");
-            ok = false;
-        }
-    }
-
+    let mut equivalent = vec![
+        (format!("{nodes}-node"), Ok(deployed)),
+        ("mirror".to_string(), Ok(mirror)),
+    ];
     if options.verify_determinism {
-        for other in [2u32, 4, 8] {
-            if other == nodes {
-                continue;
-            }
-            match run_cluster_scenario(scenario, other, bands, &FaultPlan::new()) {
-                Ok(run) if run.fingerprint == single.fingerprint => {}
-                Ok(run) => {
-                    eprintln!(
-                        "  EQUIVALENCE BROKEN: {other}-node fingerprint {:016x} != {:016x}",
-                        run.fingerprint, single.fingerprint
-                    );
-                    ok = false;
-                }
-                Err(error) => {
-                    eprintln!("  EQUIVALENCE: {other}-node run failed: {error}");
-                    ok = false;
-                }
-            }
+        for other in [2u32, 4, 8].into_iter().filter(|&other| other != nodes) {
+            let fingerprint = run(other, &fault_free).map(|run| run.fingerprint);
+            equivalent.push((format!("{other}-node"), fingerprint));
         }
-        match run_cluster_scenario_tcp(scenario, nodes, bands) {
-            Ok(run) if run.fingerprint == single.fingerprint => {
-                println!("  transport: TCP deployment matches loopback bitwise");
-            }
-            Ok(run) => {
+        let tcp = run_cluster_scenario_tcp(scenario, nodes, bands).map(|run| run.fingerprint);
+        equivalent.push(("TCP".to_string(), tcp));
+    }
+    let mut ok = true;
+    for (deployment, fingerprint) in equivalent {
+        match fingerprint {
+            Ok(fingerprint) if fingerprint == single => {}
+            Ok(fingerprint) => {
                 eprintln!(
-                    "  TRANSPORT DIVERGED: TCP fingerprint {:016x} != loopback {:016x}",
-                    run.fingerprint, single.fingerprint
+                    "  EQUIVALENCE BROKEN: {deployment} fingerprint {fingerprint:016x} \
+                     != 1-node {single:016x}"
                 );
                 ok = false;
             }
             Err(error) => {
-                eprintln!("  TRANSPORT: TCP run failed: {error}");
+                eprintln!("  EQUIVALENCE: {deployment} run failed: {error}");
+                ok = false;
+            }
+        }
+    }
+
+    // Chaos: node loss must fail over with an unchanged fingerprint, a
+    // partition must quarantine its round with a typed post-mortem (never
+    // silently diverge), and duplicate delivery must be absorbed by the
+    // idempotency cache.
+    let target = busy_node(scenario, nodes, bands);
+    let battery: [ChaosCase; 3] = [
+        (
+            format!("node loss: node {target} promoted its follower, fingerprint unchanged"),
+            &[(1, Fault::NodeLoss(target))],
+            &|run| run.promoted_nodes().contains(&target) && run.fingerprint == single,
+        ),
+        (
+            "partition: round 1 quarantined with a typed post-mortem".to_string(),
+            &[(1, Fault::NetPartition(target))],
+            &|run| {
+                run.outcome
+                    .quarantines
+                    .iter()
+                    .any(|q| q.round == 1 && q.post_mortem.contains("\"cause\":\"partition\""))
+            },
+        ),
+        (
+            "duplicate delivery: absorbed, fingerprint unchanged".to_string(),
+            &[(0, Fault::DuplicateDelivery), (2, Fault::DuplicateDelivery)],
+            &|run| run.fingerprint == single,
+        ),
+    ];
+    for (claim, schedule, holds) in battery {
+        let mut plan = FaultPlan::new();
+        for &(round, fault) in schedule {
+            plan.schedule(round, fault);
+        }
+        match run(nodes, &plan) {
+            Ok(run) if holds(&run) => println!("  {claim}"),
+            Ok(run) => {
+                eprintln!(
+                    "  CHAOS BROKEN: expected {claim}; got fingerprint {:016x}, promoted {:?}, \
+                     {} round(s) quarantined",
+                    run.fingerprint,
+                    run.promoted_nodes(),
+                    run.quarantined_rounds()
+                );
+                ok = false;
+            }
+            Err(error) => {
+                eprintln!("  CHAOS: {claim}: campaign failed: {error}");
                 ok = false;
             }
         }
@@ -890,85 +757,25 @@ fn run_cluster_cli(scenario: &Scenario, options: &Options) -> bool {
     ok
 }
 
-/// Deployment mode: the whole pinned corpus through the cluster battery.
-fn cluster_fuzz(options: &Options) -> ExitCode {
-    let paths = match mcs_harness::scenario::corpus_paths() {
-        Ok(paths) => paths,
-        Err(error) => {
-            eprintln!("cluster: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut failed = false;
-    let mut ran = 0usize;
-    for path in &paths {
-        match mcs_harness::scenario::load(&path.display().to_string()) {
-            Ok(scenario) => {
-                ran += 1;
-                if !run_cluster_cli(&scenario, options) {
-                    failed = true;
-                }
-            }
-            Err(error) => {
-                eprintln!("cluster[{}]: {error}", path.display());
-                failed = true;
-            }
-        }
-    }
-    if ran == 0 {
-        eprintln!("cluster: corpus is empty");
-        failed = true;
-    }
-    if failed {
-        eprintln!("cluster: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("cluster: {ran} scenarios deployment-invariant, chaos survived, mirrors agree");
-        ExitCode::SUCCESS
-    }
-}
-
 /// The fixed CI smoke matrix: a few seeds over both mechanism families,
 /// each verified clean and bitwise identical across worker counts.
 fn ci_smoke() -> ExitCode {
-    let mut failed = false;
+    let mut ok = true;
     for seed in [1u64, 7, 42] {
         for tasks in [1usize, 3] {
             let config = CampaignConfig {
                 seed,
                 rounds: 40,
-                bids_per_round: 8,
                 task_count: tasks,
                 workers: 1,
-                payment_threads: 1,
-                drain_every: 4,
-                admission: AdmissionConfig::default(),
-                trace_headroom: 1,
-                oracle: OracleConfig::default(),
+                ..CampaignConfig::default()
             };
             let plan = FaultPlan::generate(seed, config.rounds, 0.35);
-            let mut config = config;
-            config.trace_headroom = plan.trace_headroom(config.rounds);
             let label = format!("smoke[seed={seed} tasks={tasks}]");
-            let outcome = run_one(&config, &plan, &label);
-            if !outcome.is_clean() {
-                failed = true;
-            }
-            if !observability_holds(&config, &outcome) {
-                failed = true;
-            }
-            if !determinism_holds(&config, &plan, outcome.fingerprint()) {
-                failed = true;
-            }
+            ok &= run_one(&config, &plan, &label, true).1;
         }
     }
-    if failed {
-        eprintln!("ci-smoke: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("ci-smoke: all campaigns clean and deterministic");
-        ExitCode::SUCCESS
-    }
+    verdict(ok, "ci-smoke", "all campaigns clean and deterministic")
 }
 
 fn main() -> ExitCode {
@@ -980,11 +787,22 @@ fn main() -> ExitCode {
         }
     };
 
+    // Deployment mode: the whole pinned corpus through the cluster
+    // battery. Corpus mode: every scenario `--scenario` names.
     if options.cluster {
-        return cluster_fuzz(&options);
+        let (ran, ok) = for_each_scenario("cluster", "all", |scenario| {
+            run_cluster_cli(scenario, &options)
+        });
+        let success =
+            format!("{ran} scenarios deployment-invariant, chaos survived, mirrors agree");
+        return verdict(ok, "cluster", &success);
     }
-    if options.scenario.is_some() {
-        return scenario_fuzz(&options);
+    if let Some(target) = &options.scenario {
+        let (_, ok) = for_each_scenario("scenario", target, |scenario| {
+            run_scenario_cli(scenario, &options)
+        });
+        let success = "corpus clean, baselines pinned, mechanism truthful";
+        return verdict(ok, "scenario", success);
     }
     if options.campaign_loop {
         return closed_loop_fuzz(&options);
@@ -996,18 +814,9 @@ fn main() -> ExitCode {
         return ci_smoke();
     }
 
-    let mut config = options.campaign();
-    let plan = FaultPlan::generate(options.seed, options.rounds, options.faults);
-    config.trace_headroom = plan.trace_headroom(config.rounds);
-    let outcome = run_one(&config, &plan, "campaign");
-    let mut ok = outcome.is_clean();
-    if !observability_holds(&config, &outcome) {
-        ok = false;
-    }
-    if options.verify_determinism && !determinism_holds(&config, &plan, outcome.fingerprint()) {
-        ok = false;
-    }
-    if ok {
+    let config = &options.campaign;
+    let plan = FaultPlan::generate(config.seed, config.rounds, options.faults);
+    if run_one(config, &plan, "campaign", options.verify_determinism).1 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

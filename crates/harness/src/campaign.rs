@@ -1,18 +1,7 @@
 //! Campaign execution: drive a faulted bid stream through a real
-//! [`Engine`], mirror every accepted bid, and oracle-check every
-//! surviving round.
-//!
-//! ## The mirror
-//!
-//! The engine never exposes the declared profile of a round it cleared,
-//! and batch faults (delayed ticks) can split a logical round across
-//! engine rounds — so the campaign runs a *mirror* [`Batcher`] with the
-//! same policy, fed the exact same submissions and ticks. Because batching
-//! and validation are deterministic, the mirror closes bitwise-identical
-//! rounds with identical ids, giving the campaign a per-round
-//! [`TypeProfile`] to hand the oracle and a ground truth for which bids
-//! must be rejected. Any engine/mirror disagreement is itself reported as
-//! an [`OracleViolation::StreamDesync`].
+//! [`Engine`](mcs_platform::engine::Engine) on a mirrored
+//! [`Drive`], arming each logical round's faults onto the engine rounds
+//! it closes, and oracle-check every surviving round.
 //!
 //! ## Reproducibility
 //!
@@ -22,21 +11,14 @@
 //! [`CampaignOutcome::fingerprint`] must match for any `workers` /
 //! `payment_threads` combination. The CI smoke test asserts exactly that.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Once};
 
-use mcs_core::types::{Task, TaskId, TypeProfile, UserId};
-use mcs_obs::PostMortem;
-use mcs_platform::admission::{Admission, AdmissionController};
-use mcs_platform::batch::{Batcher, Round, RoundId};
-use mcs_platform::config::{AdmissionConfig, EngineConfig, TraceConfig};
-use mcs_platform::degrade::{QuarantinedRound, RoundError};
-use mcs_platform::engine::Engine;
-use mcs_platform::settle::RoundSettlement;
-use mcs_platform::shard::ClearedRound;
+use mcs_core::types::{Task, TaskId};
+use mcs_platform::config::{AdmissionConfig, EngineConfig};
 
+use crate::drive::{logical_trace, Drive, DriveOutcome};
 use crate::inject::{PlanInjector, CHAOS_PREFIX};
-use crate::oracle::{check_round, check_round_trace, OracleConfig, OracleViolation};
+use crate::oracle::OracleViolation;
 use crate::plan::{Fault, FaultPlan};
 use crate::stream::{round_actions, Action};
 
@@ -61,18 +43,11 @@ pub struct CampaignConfig {
     /// Drain (clear + settle + oracle-check) every this many logical
     /// rounds.
     pub drain_every: u64,
-    /// Admission control for the engine under test. The campaign runs a
-    /// *mirror* [`AdmissionController`] with the same configuration, fed
-    /// the same backlog, so every shed decision is independently
-    /// predicted — a divergence is an
-    /// [`OracleViolation::ShedUnaccounted`].
+    /// Admission control for the engine under test. The drive runs a
+    /// *mirror* controller with the same configuration, fed the same
+    /// backlog, so every shed decision is independently predicted — a
+    /// divergence is an [`OracleViolation::ShedUnaccounted`].
     pub admission: AdmissionConfig,
-    /// Multiplies the computed trace-ring capacity. Leave at 1 for
-    /// normal campaigns; overload soaks push ~10× the bids per logical
-    /// round and need the headroom to keep the trace oracle armed.
-    pub trace_headroom: usize,
-    /// Oracle tuning.
-    pub oracle: OracleConfig,
 }
 
 impl Default for CampaignConfig {
@@ -86,42 +61,28 @@ impl Default for CampaignConfig {
             payment_threads: 1,
             drain_every: 4,
             admission: AdmissionConfig::default(),
-            trace_headroom: 1,
-            oracle: OracleConfig::default(),
         }
     }
 }
 
 impl CampaignConfig {
-    /// The engine configuration this campaign runs under. Tracing runs in
-    /// logical-clock mode — timestamps are sequence numbers, so traces
-    /// and post-mortems are bitwise deterministic and the campaign
-    /// fingerprint stays independent of worker count.
-    pub fn engine_config(&self) -> EngineConfig {
+    /// The engine configuration this campaign runs under `plan`. The
+    /// trace ring is sized never to wrap, with the plan's overload
+    /// headroom ([`FaultPlan::trace_headroom`]).
+    pub fn engine_config(&self, plan: &FaultPlan) -> EngineConfig {
         let mut config = EngineConfig::default()
             .with_seed(self.seed)
             .with_workers(self.workers)
             .with_payment_threads(self.payment_threads);
         config.batch.max_bids = self.bids_per_round;
         config.admission = self.admission;
-        config.trace = TraceConfig {
-            capacity: self.trace_capacity(),
-            logical_clock: true,
-        };
+        config.trace = logical_trace(
+            self.bids_per_round,
+            self.task_count,
+            self.rounds,
+            plan.trace_headroom(self.rounds),
+        );
         config
-    }
-
-    /// Ring capacity sized so the recorder never wraps mid-campaign: the
-    /// trace-completeness oracle needs every round's events to survive
-    /// until the final drain. Each logical round emits one event per
-    /// admitted bid plus one per declared task, a handful of rejections,
-    /// and a fixed budget of span/milestone events; doubled for headroom
-    /// (delayed ticks split rounds) and clamped to keep the upfront
-    /// allocation bounded.
-    fn trace_capacity(&self) -> usize {
-        let per_round = self.bids_per_round * (self.task_count + 2) + 32;
-        ((self.rounds as usize + 2) * per_round * 2 * self.trace_headroom.max(1))
-            .clamp(1024, 1 << 20)
     }
 
     /// The tasks every round publishes: requirement 0.8 for the
@@ -138,154 +99,9 @@ impl CampaignConfig {
     }
 }
 
-/// Everything a finished campaign produced, accumulated across
-/// mid-campaign engine rebuilds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignOutcome {
-    /// Every cleared round, keyed by engine round id.
-    pub results: BTreeMap<RoundId, ClearedRound>,
-    /// Every settlement, keyed by engine round id.
-    pub settlements: BTreeMap<RoundId, RoundSettlement>,
-    /// Every quarantined round, in settlement order.
-    pub quarantine: Vec<QuarantinedRound>,
-    /// One JSON-ready post-mortem per quarantined round, rebuilt from the
-    /// flight recorder's trace (deliberately excluded from
-    /// [`fingerprint`](CampaignOutcome::fingerprint): the quarantine
-    /// records above already pin the observable outcome).
-    pub post_mortems: Vec<PostMortem>,
-    /// Final per-user ledger balances (carried across rebuilds).
-    pub balances: BTreeMap<UserId, f64>,
-    /// Final ledger total.
-    pub total_paid: f64,
-    /// Every oracle violation, in detection order. Empty means the
-    /// campaign upheld all of the paper's invariants.
-    pub violations: Vec<OracleViolation>,
-    /// Bids rejected at ingest (each verified to reject identically on
-    /// the engine and the mirror).
-    pub rejections: u64,
-    /// Bids shed by admission control (each verified to shed identically
-    /// on the engine and the mirror controller).
-    pub sheds: u64,
-    /// Rounds that cleared only their admitted prefix because they
-    /// exceeded the clearing budget.
-    pub partial_rounds: u64,
-    /// Bidders deferred (quarantined) by those partial clears.
-    pub deferred: u64,
-    /// The deepest engine backlog observed after any submission — under
-    /// tail-drop admission this must never exceed the high watermark.
-    pub max_backlog: usize,
-    /// Mid-campaign checkpoint/drop/rebuild cycles executed.
-    pub rebuilds: u64,
-    /// Engine rounds closed over the whole campaign.
-    pub rounds_closed: u64,
-    /// Shard/settle/batch faults armed onto concrete engine rounds.
-    pub faults_armed: u64,
-    /// Events the final engine incarnation's flight recorder held at
-    /// campaign end (rebuilds start a fresh ring).
-    pub trace_events: u64,
-    /// The recorder's fixed ring capacity — tracing never allocates past
-    /// this, no matter how long the campaign runs.
-    pub trace_capacity: usize,
-    /// Whether the final recorder ever lapped its ring (the campaign
-    /// sizes the ring so this stays `false`).
-    pub trace_wrapped: bool,
-}
-
-impl CampaignOutcome {
-    /// Whether every invariant held.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// An FNV-1a digest over the campaign's observable outcomes: round
-    /// ids, winners, quotes, reports, payouts, balances, quarantine
-    /// records, and the rejection/shed/partial-clear/rebuild counters.
-    /// Two campaigns with the same seed and plan must fingerprint
-    /// identically for any worker or payment-thread count — with or
-    /// without admission control engaged.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fnv = Fnv::new();
-        for (id, round) in &self.results {
-            fnv.write_u64(id.0);
-            for winner in round.allocation.winners() {
-                fnv.write_u64(winner.index() as u64);
-            }
-            for (user, quote) in &round.quotes {
-                fnv.write_u64(user.index() as u64);
-                fnv.write_u64(quote.success.to_bits());
-                fnv.write_u64(quote.failure.to_bits());
-            }
-            for (user, &completed) in &round.reports {
-                fnv.write_u64(user.index() as u64);
-                fnv.write_u64(completed as u64);
-            }
-            fnv.write_u64(round.social_cost.to_bits());
-        }
-        for (id, settlement) in &self.settlements {
-            fnv.write_u64(id.0);
-            for (user, payout) in &settlement.payouts {
-                fnv.write_u64(user.index() as u64);
-                fnv.write_u64(payout.to_bits());
-            }
-            fnv.write_u64(settlement.total.to_bits());
-        }
-        for record in &self.quarantine {
-            fnv.write_u64(record.id.0);
-            fnv.write_u64(record.bidders as u64);
-            fnv.write_bytes(record.error.to_string().as_bytes());
-        }
-        for (user, balance) in &self.balances {
-            fnv.write_u64(user.index() as u64);
-            fnv.write_u64(balance.to_bits());
-        }
-        fnv.write_u64(self.total_paid.to_bits());
-        fnv.write_u64(self.rejections);
-        fnv.write_u64(self.sheds);
-        fnv.write_u64(self.partial_rounds);
-        fnv.write_u64(self.deferred);
-        fnv.write_u64(self.max_backlog as u64);
-        fnv.write_u64(self.rebuilds);
-        fnv.write_u64(self.rounds_closed);
-        fnv.finish()
-    }
-
-    /// The quarantine log as human-readable lines, one per record.
-    pub fn quarantine_log(&self) -> String {
-        self.quarantine
-            .iter()
-            .map(|q| format!("{} ({} bidders): {}", q.id, q.bidders, q.error))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-}
-
-/// FNV-1a, 64-bit — shared by every outcome fingerprint in this crate.
-pub(crate) struct Fnv {
-    hash: u64,
-}
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv {
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.hash ^= byte as u64;
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn write_u64(&mut self, value: u64) {
-        self.write_bytes(&value.to_le_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.hash
-    }
-}
+/// Everything a finished campaign produced: its drive's outcome, with
+/// the faults the campaign armed.
+pub type CampaignOutcome = DriveOutcome;
 
 /// Installs (once per process) a panic hook that swallows panics whose
 /// payload carries the [`CHAOS_PREFIX`] and delegates everything else to
@@ -313,442 +129,60 @@ pub fn silence_injected_panics() {
 /// module docs for the reproducibility contract.
 pub fn run_campaign(config: &CampaignConfig, plan: &FaultPlan) -> CampaignOutcome {
     silence_injected_panics();
-    let engine_config = config.engine_config();
-    let tasks = config.published_tasks();
     let injector = Arc::new(PlanInjector::new());
-    let mut engine = Engine::with_injector(engine_config, tasks.clone(), injector.clone());
-    let mut mirror = Batcher::new(engine_config.batch, tasks.clone());
-    // The mirror's own admission controller: same config, fed the same
-    // backlog, so it must predict every engine shed decision exactly.
-    let mut admission = AdmissionController::new(engine_config.admission);
-    // Bids in rounds the mirror closed that the engine has not drained
-    // yet — the mirror-side equivalent of `Engine::backlog_bids`.
-    let mut mirror_pending = 0usize;
-    let mut tally = ShedTally::default();
-
-    let mut profiles: BTreeMap<RoundId, TypeProfile> = BTreeMap::new();
-    let mut outcome = CampaignOutcome {
-        results: BTreeMap::new(),
-        settlements: BTreeMap::new(),
-        quarantine: Vec::new(),
-        post_mortems: Vec::new(),
-        balances: BTreeMap::new(),
-        total_paid: 0.0,
-        violations: Vec::new(),
-        rejections: 0,
-        sheds: 0,
-        partial_rounds: 0,
-        deferred: 0,
-        max_backlog: 0,
-        rebuilds: 0,
-        rounds_closed: 0,
-        faults_armed: 0,
-        trace_events: 0,
-        trace_capacity: 0,
-        trace_wrapped: false,
-    };
-    let mut absorbed_quarantine = 0usize;
-    let mut absorbed_post_mortems = 0usize;
+    let mut drive = Drive::new(
+        config.engine_config(plan),
+        config.published_tasks(),
+        injector.clone(),
+    );
+    let mut faults_armed = 0;
     let mut pending_rebuild = false;
 
     for logical in 0..config.rounds {
         let faults = plan.faults_for(logical);
-        if faults.contains(&Fault::DropAndRebuild) {
-            pending_rebuild = true;
-        }
+        pending_rebuild |= faults.contains(&Fault::DropAndRebuild);
         for action in round_actions(config, logical, faults) {
-            match action {
-                Action::Submit(bid) => {
-                    tally.submitted += 1;
-                    // The mirror controller decides first, on the
-                    // mirror-side backlog; the engine must agree.
-                    let backlog = mirror.pending_bids() + mirror_pending;
-                    let (_, predicted) = admission.admit(backlog);
-                    let engine_side = engine.submit(&bid);
-                    outcome.max_backlog = outcome.max_backlog.max(engine.backlog_bids());
-                    if let Admission::Shed(reason) = predicted {
-                        // A shed bid never reaches the mirror batcher.
-                        match engine_side {
-                            Ok(Admission::Shed(_)) => {
-                                tally.shed += 1;
-                                outcome.sheds += 1;
-                            }
-                            other => {
-                                outcome.violations.push(OracleViolation::ShedUnaccounted {
-                                    detail: format!(
-                                        "round {logical} user u{}: mirror shed ({reason}) \
-                                         but engine returned {other:?}",
-                                        bid.user
-                                    ),
-                                });
-                            }
-                        }
-                        continue;
-                    }
-                    let mirror_side = mirror.submit(&bid);
-                    match (engine_side, mirror_side) {
-                        (Ok(Admission::Admitted), Ok(closed)) => {
-                            tally.admitted += 1;
-                            if let Some(round) = closed {
-                                mirror_pending += round.profile.user_count();
-                                register(round, faults, &injector, &mut profiles, &mut outcome);
-                            }
-                        }
-                        // Compare rejections by rendered message, not
-                        // PartialEq: a NaN-cost rejection carries the NaN
-                        // in its payload, and NaN != NaN.
-                        (Err(engine_error), Err(mirror_error))
-                            if engine_error.to_string() == mirror_error.to_string() =>
-                        {
-                            tally.rejected += 1;
-                            outcome.rejections += 1;
-                        }
-                        (Ok(Admission::Shed(reason)), _) => {
-                            outcome.violations.push(OracleViolation::ShedUnaccounted {
-                                detail: format!(
-                                    "round {logical} user u{}: engine shed ({reason}) \
-                                     a bid the mirror admitted",
-                                    bid.user
-                                ),
-                            });
-                        }
-                        (engine_side, mirror_side) => {
-                            outcome.violations.push(OracleViolation::StreamDesync {
-                                detail: format!(
-                                    "round {logical} user u{}: engine {engine_side:?} \
-                                     vs mirror {:?}",
-                                    bid.user,
-                                    mirror_side.map(|r| r.map(|round| round.id))
-                                ),
-                            });
-                        }
-                    }
+            let closed = match action {
+                Action::Submit(bid) => drive.submit(&bid),
+                Action::Tick => drive.tick(),
+            };
+            let Some(id) = closed else { continue };
+            // Arm the logical round's shard/settle/batch faults onto
+            // every concrete engine round it closes.
+            for fault in faults {
+                match fault {
+                    Fault::ShardPanic => injector.arm_panic(id),
+                    Fault::FlipReports => injector.arm_flip(id),
+                    Fault::ReorderPending => injector.arm_reorder(id),
+                    _ => continue,
                 }
-                Action::Tick => {
-                    engine.tick();
-                    if let Some(round) = mirror.tick() {
-                        mirror_pending += round.profile.user_count();
-                        register(round, faults, &injector, &mut profiles, &mut outcome);
-                    }
-                }
+                faults_armed += 1;
             }
         }
 
-        let at_drain_point = (logical + 1) % config.drain_every.max(1) == 0;
-        if at_drain_point || pending_rebuild {
-            engine.drain();
-            mirror_pending = 0;
-            absorb(
-                config,
-                &engine,
-                &profiles,
-                &mut outcome,
-                &mut absorbed_quarantine,
-                &mut absorbed_post_mortems,
-            );
+        if (logical + 1) % config.drain_every.max(1) == 0 || pending_rebuild {
+            drive.drain();
         }
         if pending_rebuild {
             // A checkpoint does not capture the partially filled batch, so
             // close it identically on both sides and drain it first.
-            engine.flush();
-            if let Some(round) = mirror.flush() {
-                register(round, &[], &injector, &mut profiles, &mut outcome);
-            }
-            engine.drain();
-            mirror_pending = 0;
-            absorb(
-                config,
-                &engine,
-                &profiles,
-                &mut outcome,
-                &mut absorbed_quarantine,
-                &mut absorbed_post_mortems,
-            );
-            // This incarnation's books close here: every bid it received
-            // must be exactly one of admitted/rejected/shed.
-            check_conservation(&engine, &tally, &mut outcome);
-            let checkpoint = engine.checkpoint();
-            engine = Engine::restore(engine_config, tasks.clone(), checkpoint, injector.clone());
-            // A restored engine starts a fresh admission controller (and
-            // fresh metrics); the mirror must do the same.
-            admission = AdmissionController::new(engine_config.admission);
-            tally = ShedTally::default();
-            absorbed_quarantine = 0;
-            absorbed_post_mortems = 0;
-            outcome.rebuilds += 1;
+            drive.flush();
+            drive.drain();
+            drive.rebuild();
             pending_rebuild = false;
         }
     }
-
-    engine.flush();
-    if let Some(round) = mirror.flush() {
-        register(round, &[], &injector, &mut profiles, &mut outcome);
-    }
-    engine.drain();
-    check_conservation(&engine, &tally, &mut outcome);
-    absorb(
-        config,
-        &engine,
-        &profiles,
-        &mut outcome,
-        &mut absorbed_quarantine,
-        &mut absorbed_post_mortems,
-    );
-
-    // Stream synchronisation: after identical drive sequences the engine
-    // and the mirror must agree on the next round id.
-    let engine_next = engine.checkpoint().next_round_id;
-    if engine_next != mirror.next_round_id() {
-        outcome.violations.push(OracleViolation::StreamDesync {
-            detail: format!(
-                "engine next round id {engine_next} != mirror {}",
-                mirror.next_round_id()
-            ),
-        });
-    }
-
-    // Zero silent drops: every round the mirror closed must have been
-    // cleared or quarantined.
-    for &id in profiles.keys() {
-        let cleared = outcome.results.contains_key(&id);
-        let quarantined = outcome.quarantine.iter().any(|q| q.id == id);
-        if !cleared && !quarantined {
-            outcome
-                .violations
-                .push(OracleViolation::SilentDrop { round: id });
-        }
-    }
-
+    drive.flush();
+    drive.drain();
+    let mut out = drive.finish();
+    out.faults_armed = faults_armed;
     // The injector observed exactly the quarantines the engine recorded.
-    if injector.observed_quarantines() != outcome.quarantine {
-        outcome.violations.push(OracleViolation::StreamDesync {
+    if injector.observed_quarantines() != out.quarantine {
+        out.violations.push(OracleViolation::StreamDesync {
             detail: "quarantine observations diverge from engine records".to_string(),
         });
     }
-
-    // Ledger conservation: balances equal summed payouts, in total and
-    // per user, across every rebuild.
-    let ledger = engine.ledger();
-    let mut expected: BTreeMap<UserId, f64> = BTreeMap::new();
-    let mut expected_total = 0.0;
-    for settlement in outcome.settlements.values() {
-        for (&user, &payout) in &settlement.payouts {
-            *expected.entry(user).or_insert(0.0) += payout;
-        }
-        expected_total += settlement.total;
-    }
-    if (ledger.total_paid() - expected_total).abs() > 1e-9 {
-        outcome.violations.push(OracleViolation::LedgerDrift {
-            detail: format!(
-                "ledger total {} != summed settlements {expected_total}",
-                ledger.total_paid()
-            ),
-        });
-    }
-    if ledger.balances().keys().ne(expected.keys()) {
-        outcome.violations.push(OracleViolation::LedgerDrift {
-            detail: "ledger and settlements pay different user sets".to_string(),
-        });
-    }
-    for (&user, &sum) in &expected {
-        if (ledger.balance(user) - sum).abs() > 1e-9 {
-            outcome.violations.push(OracleViolation::LedgerDrift {
-                detail: format!(
-                    "{user}: balance {} != summed payouts {sum}",
-                    ledger.balance(user)
-                ),
-            });
-        }
-    }
-    outcome.balances = ledger.balances().clone();
-    outcome.total_paid = ledger.total_paid();
-    outcome.trace_events = engine.recorder().recorded();
-    outcome.trace_capacity = engine.recorder().capacity();
-    outcome.trace_wrapped = engine.recorder().wrapped();
-
-    outcome
-}
-
-/// Per-incarnation bid bookkeeping: what the campaign itself counted
-/// while driving the current engine incarnation. Reset on rebuild,
-/// because a restored engine starts fresh metrics.
-#[derive(Debug, Default)]
-struct ShedTally {
-    submitted: u64,
-    admitted: u64,
-    rejected: u64,
-    shed: u64,
-}
-
-/// The `ShedUnaccounted` conservation oracle: under any load (including
-/// seeded 10× oversubscription) every bid submitted to this incarnation
-/// must be exactly one of admitted / rejected / shed, and the engine's
-/// own counters must agree with the campaign's independent tally.
-fn check_conservation(engine: &Engine, tally: &ShedTally, outcome: &mut CampaignOutcome) {
-    let snapshot = engine.metrics().snapshot();
-    let checks = [
-        ("bids_received", snapshot.bids_received, tally.submitted),
-        ("bids_rejected", snapshot.bids_rejected, tally.rejected),
-        ("bids_shed", snapshot.bids_shed, tally.shed),
-        (
-            "admitted + rejected + shed",
-            tally.admitted + tally.rejected + tally.shed,
-            tally.submitted,
-        ),
-    ];
-    for (what, observed, expected) in checks {
-        if observed != expected {
-            outcome.violations.push(OracleViolation::ShedUnaccounted {
-                detail: format!("{what}: observed {observed}, expected {expected}"),
-            });
-        }
-    }
-}
-
-/// Records a round the mirror closed: stores its declared profile and
-/// arms the logical round's shard/settle/batch faults onto the concrete
-/// engine round id.
-fn register(
-    round: Round,
-    faults: &[Fault],
-    injector: &PlanInjector,
-    profiles: &mut BTreeMap<RoundId, TypeProfile>,
-    outcome: &mut CampaignOutcome,
-) {
-    for fault in faults {
-        match fault {
-            Fault::ShardPanic => {
-                injector.arm_panic(round.id);
-                outcome.faults_armed += 1;
-            }
-            Fault::FlipReports => {
-                injector.arm_flip(round.id);
-                outcome.faults_armed += 1;
-            }
-            Fault::ReorderPending => {
-                injector.arm_reorder(round.id);
-                outcome.faults_armed += 1;
-            }
-            _ => {}
-        }
-    }
-    outcome.rounds_closed += 1;
-    profiles.insert(round.id, round.profile);
-}
-
-/// Copies everything the engine produced since the last absorption into
-/// the campaign accumulators, oracle-checking each newly cleared round's
-/// results *and* its flight-recorder trace, and requiring a complete
-/// post-mortem for each newly quarantined round.
-fn absorb(
-    config: &CampaignConfig,
-    engine: &Engine,
-    profiles: &BTreeMap<RoundId, TypeProfile>,
-    outcome: &mut CampaignOutcome,
-    absorbed_quarantine: &mut usize,
-    absorbed_post_mortems: &mut usize,
-) {
-    let engine_config = engine.config();
-    let recorder = engine.recorder();
-    // A lapped ring legitimately loses old events; the campaign sizes the
-    // ring to never wrap, so a wrap here only disables the trace oracle,
-    // it is not itself a violation.
-    let trace_intact = recorder.capacity() > 0 && !recorder.wrapped();
-    for (&id, round) in engine.results() {
-        if outcome.results.contains_key(&id) {
-            continue;
-        }
-        let settlement = &engine.settlements()[&id];
-        match profiles.get(&id) {
-            Some(profile) => {
-                // A round over the clearing budget cleared only its
-                // admitted prefix; the oracle must replay exactly that
-                // prefix. The trace still documents the whole round.
-                let budget = engine_config.admission.clear_budget;
-                let full_count = profile.user_count();
-                let prefix;
-                let checked = if budget > 0 && full_count > budget {
-                    prefix = TypeProfile::new(
-                        profile.users()[..budget].to_vec(),
-                        profile.tasks().to_vec(),
-                    )
-                    .expect("a prefix of a valid profile is a valid profile");
-                    let deferred = full_count - budget;
-                    let accounted = engine.quarantine().iter().any(|q| {
-                        q.id == id
-                            && q.bidders == deferred
-                            && matches!(q.error, RoundError::DeadlineExceeded {
-                                budget: b, cleared, deferred: d,
-                            } if b == budget && cleared == budget && d == deferred)
-                    });
-                    if !accounted {
-                        outcome.violations.push(OracleViolation::ShedUnaccounted {
-                            detail: format!(
-                                "{id}: cleared {budget} of {full_count} bidders but the \
-                                 {deferred} deferred are not quarantined as DeadlineExceeded"
-                            ),
-                        });
-                    }
-                    &prefix
-                } else {
-                    profile
-                };
-                outcome.violations.extend(check_round(
-                    &config.oracle,
-                    checked,
-                    round,
-                    settlement,
-                    engine_config,
-                ));
-                if trace_intact {
-                    outcome.violations.extend(check_round_trace(
-                        id,
-                        &recorder.round_trace(id.0),
-                        full_count,
-                        round.allocation.winner_count(),
-                    ));
-                }
-            }
-            None => outcome.violations.push(OracleViolation::StreamDesync {
-                detail: format!("{id} cleared but was never mirrored"),
-            }),
-        }
-        outcome.results.insert(id, round.clone());
-        outcome.settlements.insert(id, settlement.clone());
-    }
-    for record in &engine.quarantine()[*absorbed_quarantine..] {
-        if let RoundError::DeadlineExceeded { deferred, .. } = record.error {
-            outcome.partial_rounds += 1;
-            outcome.deferred += deferred as u64;
-        }
-        let post_mortem = engine
-            .post_mortems()
-            .iter()
-            .find(|pm| pm.round == record.id.0);
-        match post_mortem {
-            Some(pm) if trace_intact && !pm.wrapped && !pm.complete => {
-                outcome.violations.push(OracleViolation::TraceIncomplete {
-                    round: record.id,
-                    detail: format!(
-                        "post-mortem rebuilt {} of {} bids",
-                        pm.bids.len(),
-                        record.bidders
-                    ),
-                });
-            }
-            Some(_) => {}
-            None => outcome.violations.push(OracleViolation::TraceIncomplete {
-                round: record.id,
-                detail: "quarantined without a post-mortem".to_string(),
-            }),
-        }
-        outcome.quarantine.push(record.clone());
-    }
-    *absorbed_quarantine = engine.quarantine().len();
-    for pm in &engine.post_mortems()[*absorbed_post_mortems..] {
-        outcome.post_mortems.push(pm.clone());
-    }
-    *absorbed_post_mortems = engine.post_mortems().len();
+    out
 }
 
 #[cfg(test)]

@@ -42,8 +42,9 @@ use crate::plan::{Fault, FaultPlan};
 use crate::scenario::{ArrivalCurve, Population, Scenario, ShockField};
 use crate::stream::splitmix64;
 
-/// Grid width (cells) of the synthetic cluster geography.
-const GRID_WIDTH: u32 = 8;
+/// Grid width (cells) of the synthetic cluster geography — also the most
+/// bands a scenario topology can be cut into.
+pub const GRID_WIDTH: u32 = 8;
 /// Grid height (cells) of the synthetic cluster geography.
 const GRID_HEIGHT: u32 = 4;
 
@@ -160,6 +161,17 @@ pub fn scenario_topology(scenario: &Scenario, bands: u32) -> Topology {
     Topology::bands(grid, bands as usize, sites).expect("band partition of the scenario grid")
 }
 
+/// The node hosting a scenario topology's first active region — a chaos
+/// target guaranteed to actually receive traffic.
+pub fn busy_node(scenario: &Scenario, nodes: u32, bands: u32) -> u32 {
+    let topology = scenario_topology(scenario, bands);
+    let region = topology
+        .active_regions()
+        .next()
+        .expect("scenario publishes tasks");
+    topology.node_of_region(region, nodes)
+}
+
 /// The shared shard parameters of a scenario's cluster runs, lifted
 /// from its engine knobs.
 pub fn scenario_params(scenario: &Scenario) -> ClusterParams {
@@ -233,7 +245,6 @@ pub fn run_cluster_scenario(
 ) -> Result<ClusterRun, ClusterError> {
     let topology = scenario_topology(scenario, bands);
     let params = scenario_params(scenario);
-    let config = ClusterConfig::new(nodes).with_params(params);
     let servers = (0..nodes)
         .map(|node| {
             (
@@ -244,18 +255,7 @@ pub fn run_cluster_scenario(
         })
         .collect();
     let transport = FaultyTransport::new(LoopbackTransport::new(servers), plan.clone());
-    let mut cluster = Cluster::new(topology, config, transport);
-
-    let mut reports = Vec::new();
-    for (round, bids) in scenario_rounds(scenario).iter().enumerate() {
-        cluster.transport().set_round(round as u64);
-        reports.push(cluster.run_round(bids)?);
-    }
-    Ok(ClusterRun {
-        fingerprint: cluster.fingerprint(),
-        reports,
-        outcome: cluster.outcome().clone(),
-    })
+    run_rounds(scenario, topology, nodes, transport)
 }
 
 /// Runs a scenario's bid stream through a *real-socket* cluster: every
@@ -277,7 +277,6 @@ pub fn run_cluster_scenario_tcp(
 ) -> Result<ClusterRun, ClusterError> {
     let topology = scenario_topology(scenario, bands);
     let params = scenario_params(scenario);
-    let config = ClusterConfig::new(nodes).with_params(params);
     let mut transport = TcpTransport::new();
     let mut listeners = Vec::new();
     for node in 0..nodes {
@@ -293,20 +292,38 @@ pub fn run_cluster_scenario_tcp(
             listeners.push(listener);
         }
     }
-    let mut cluster = Cluster::new(topology, config, transport);
-    let mut reports = Vec::new();
-    for bids in &scenario_rounds(scenario) {
-        reports.push(cluster.run_round(bids)?);
-    }
-    let run = ClusterRun {
-        fingerprint: cluster.fingerprint(),
-        reports,
-        outcome: cluster.outcome().clone(),
-    };
+    let run = run_rounds(
+        scenario,
+        topology,
+        nodes,
+        FaultyTransport::new(transport, FaultPlan::new()),
+    );
     for listener in &mut listeners {
         listener.shutdown();
     }
-    Ok(run)
+    run
+}
+
+/// The round loop every cluster run shares: each of the scenario's
+/// rounds through one coordinator, the fault injector aligned first.
+fn run_rounds<T: NodeTransport>(
+    scenario: &Scenario,
+    topology: Topology,
+    nodes: u32,
+    transport: FaultyTransport<T>,
+) -> Result<ClusterRun, ClusterError> {
+    let config = ClusterConfig::new(nodes).with_params(scenario_params(scenario));
+    let mut cluster = Cluster::new(topology, config, transport);
+    let mut reports = Vec::new();
+    for (round, bids) in scenario_rounds(scenario).iter().enumerate() {
+        cluster.transport().set_round(round as u64);
+        reports.push(cluster.run_round(bids)?);
+    }
+    Ok(ClusterRun {
+        fingerprint: cluster.fingerprint(),
+        reports,
+        outcome: cluster.outcome().clone(),
+    })
 }
 
 /// The single-process oracle for cluster runs: records the same bid
@@ -364,17 +381,6 @@ mod tests {
     fn small_scenario() -> Scenario {
         // The smallest corpus scenario keeps this suite fast.
         load("calm-baseline").expect("corpus scenario calm-baseline")
-    }
-
-    /// The node hosting the first active region — a fault target that is
-    /// guaranteed to actually receive traffic.
-    fn busy_node(scenario: &Scenario, nodes: u32, bands: u32) -> u32 {
-        let topology = scenario_topology(scenario, bands);
-        let region = topology
-            .active_regions()
-            .next()
-            .expect("scenario publishes tasks");
-        topology.node_of_region(region, nodes)
     }
 
     #[test]

@@ -20,8 +20,12 @@
 //! * [`oracle`] — the economic-invariant checks: coverage feasibility,
 //!   allocation fidelity, quote structure, ex-post IR, critical-bid
 //!   monotonicity, and settlement/ledger conservation.
-//! * [`campaign`] — the runner tying it together; a campaign is a pure
-//!   function of `(CampaignConfig, FaultPlan)` whose
+//! * [`drive`] — the one mirrored drive: a real engine plus a mirror
+//!   batcher and admission controller, running every oracle above plus
+//!   the admission, trace and ledger conservation checks. Chaos
+//!   campaigns and scenario runs are thin loops over it.
+//! * [`campaign`] — the chaos runner on top of the drive; a campaign is
+//!   a pure function of `(CampaignConfig, FaultPlan)` whose
 //!   [`fingerprint`](campaign::CampaignOutcome::fingerprint) is identical
 //!   for any worker or payment-thread count.
 //! * [`closed_loop`] — oracles over the *auction* campaigns run by
@@ -51,6 +55,7 @@
 pub mod campaign;
 pub mod closed_loop;
 pub mod cluster;
+pub mod drive;
 pub mod inject;
 pub mod oracle;
 pub mod plan;
@@ -64,11 +69,11 @@ pub mod prelude {
     };
     pub use crate::closed_loop::{check_campaign, ClosedLoopViolation};
     pub use crate::cluster::{
-        run_cluster_scenario, run_cluster_scenario_tcp, scenario_params, scenario_rounds,
-        scenario_topology, ClusterMirror, ClusterRun, FaultyTransport,
+        busy_node, run_cluster_scenario, run_cluster_scenario_tcp, scenario_params,
+        scenario_rounds, scenario_topology, ClusterMirror, ClusterRun, FaultyTransport,
     };
     pub use crate::inject::{PlanInjector, CHAOS_PREFIX};
-    pub use crate::oracle::{check_round, OracleConfig, OracleViolation};
+    pub use crate::oracle::{check_round, OracleViolation};
     pub use crate::plan::{Fault, FaultPlan};
     pub use crate::scenario::{
         check_online_sp, replay_scenario, run_scenario, run_scenario_with, RunOptions, Scenario,

@@ -25,9 +25,9 @@
 //!   correctly nested stage-span tree, and the clearing/settlement
 //!   milestones with the right payloads.
 //!
-//! Campaign-level checks (ledger conservation, zero silent round drops,
-//! stream synchronisation) live in [`crate::campaign`] and reuse the same
-//! violation type.
+//! Run-level checks (admission and ledger conservation, zero silent
+//! round drops, stream synchronisation) live in [`crate::drive`] and
+//! reuse the same violation type.
 
 use std::fmt;
 
@@ -40,34 +40,23 @@ use mcs_core::analysis::{
 use mcs_core::multi_task::MultiTaskMechanism;
 use mcs_core::single_task::SingleTaskMechanism;
 use mcs_core::types::{TypeProfile, UserId};
+use mcs_core::McsError;
 use mcs_platform::batch::RoundId;
 use mcs_platform::config::EngineConfig;
 use mcs_platform::settle::RoundSettlement;
 use mcs_platform::shard::ClearedRound;
 
-/// Oracle tuning knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OracleConfig {
-    /// Absolute tolerance for payment and utility comparisons.
-    pub tolerance: f64,
-    /// Pad fractions for the critical-bid monotonicity check: each moves
-    /// the winner's declaration this fraction of the way toward her
-    /// critical value.
-    pub pads: Vec<f64>,
-    /// How many winners per round get the (mechanism-re-running)
-    /// critical-bid check; the cheap checks always cover all of them.
-    pub max_padded_winners: usize,
-}
+/// Absolute tolerance for payment and utility comparisons.
+pub const TOLERANCE: f64 = 1e-6;
 
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            tolerance: 1e-6,
-            pads: vec![0.5, 0.9],
-            max_padded_winners: 2,
-        }
-    }
-}
+/// Pad fractions for the critical-bid monotonicity check: each moves the
+/// winner's declaration this fraction of the way toward her critical
+/// value.
+pub const PADS: [f64; 2] = [0.5, 0.9];
+
+/// How many winners per round get the (mechanism-re-running) critical-bid
+/// check; the cheap checks always cover all of them.
+pub const MAX_PADDED_WINNERS: usize = 2;
 
 /// One violated invariant, attributed to a round (and user, where it
 /// applies).
@@ -319,13 +308,16 @@ pub fn check_kernel(kernel: &mcs_platform::metrics::KernelSnapshot) -> Vec<Oracl
 /// Checks every per-round invariant; see the module docs for the list.
 /// Returns all violations found (empty = the round is clean).
 pub fn check_round(
-    oracle: &OracleConfig,
     profile: &TypeProfile,
     cleared: &ClearedRound,
     settlement: &RoundSettlement,
     engine: &EngineConfig,
 ) -> Vec<OracleViolation> {
     let round = cleared.id;
+    let oracle_error = |error: McsError| OracleViolation::OracleError {
+        round,
+        detail: error.to_string(),
+    };
     let mut violations = Vec::new();
 
     if !meets_all_requirements(profile, &cleared.allocation) {
@@ -341,43 +333,21 @@ pub fn check_round(
             });
         }
         Ok(_) => {}
-        Err(error) => violations.push(OracleViolation::OracleError {
-            round,
-            detail: error.to_string(),
-        }),
+        Err(error) => violations.push(oracle_error(error)),
     }
 
     // The engine picks the mechanism by the round's task count; rebuild
     // the same one to replay its decisions.
-    let single;
-    let multi;
-    let mechanism: &dyn ReplayMechanism = if profile.is_single_task() {
-        match SingleTaskMechanism::new(engine.epsilon, engine.alpha) {
-            Ok(m) => {
-                single = m;
-                &single
-            }
-            Err(error) => {
-                violations.push(OracleViolation::OracleError {
-                    round,
-                    detail: error.to_string(),
-                });
-                return violations;
-            }
-        }
+    let mechanism: mcs_core::Result<Box<dyn ReplayMechanism>> = if profile.is_single_task() {
+        SingleTaskMechanism::new(engine.epsilon, engine.alpha).map(|m| Box::new(m) as _)
     } else {
-        match MultiTaskMechanism::new(engine.alpha) {
-            Ok(m) => {
-                multi = m;
-                &multi
-            }
-            Err(error) => {
-                violations.push(OracleViolation::OracleError {
-                    round,
-                    detail: error.to_string(),
-                });
-                return violations;
-            }
+        MultiTaskMechanism::new(engine.alpha).map(|m| Box::new(m) as _)
+    };
+    let mechanism = match mechanism {
+        Ok(mechanism) => mechanism,
+        Err(error) => {
+            violations.push(oracle_error(error));
+            return violations;
         }
     };
 
@@ -392,15 +362,12 @@ pub fn check_round(
                 });
             }
         }
-        Err(error) => violations.push(OracleViolation::OracleError {
-            round,
-            detail: error.to_string(),
-        }),
+        Err(error) => violations.push(oracle_error(error)),
     }
 
     for (padded_so_far, (&user, quote)) in cleared.quotes.iter().enumerate() {
         let spread = quote.success - quote.failure;
-        if (spread - engine.alpha).abs() > oracle.tolerance {
+        if (spread - engine.alpha).abs() > TOLERANCE {
             violations.push(OracleViolation::QuoteSpread {
                 round,
                 user,
@@ -411,10 +378,7 @@ pub fn check_round(
         let user_type = match profile.user(user) {
             Ok(t) => t,
             Err(error) => {
-                violations.push(OracleViolation::OracleError {
-                    round,
-                    detail: error.to_string(),
-                });
+                violations.push(oracle_error(error));
                 continue;
             }
         };
@@ -425,7 +389,7 @@ pub fn check_round(
             quote.failure,
             cost,
         );
-        if utility < -oracle.tolerance {
+        if utility < -TOLERANCE {
             violations.push(OracleViolation::IrViolation {
                 round,
                 user,
@@ -442,48 +406,32 @@ pub fn check_round(
             violations.push(OracleViolation::ReportPayoutMismatch { round, user });
         }
 
-        if padded_so_far < oracle.max_padded_winners {
-            match implied_critical_pos(engine.alpha, quote.success, cost) {
-                Ok(critical) => {
-                    match mechanism.padding(
-                        profile,
-                        user,
-                        critical,
-                        quote.success,
-                        &oracle.pads,
-                        oracle.tolerance,
-                    ) {
-                        Ok(pad_violations) => {
-                            for violation in pad_violations {
-                                violations.push(match violation {
-                                    CriticalPadViolation::Demoted { user, pad } => {
-                                        OracleViolation::Demoted { round, user, pad }
-                                    }
-                                    CriticalPadViolation::PaymentChanged {
-                                        user,
-                                        pad,
-                                        reference,
-                                        padded,
-                                    } => OracleViolation::PaymentChanged {
-                                        round,
-                                        user,
-                                        pad,
-                                        reference,
-                                        padded,
-                                    },
-                                });
-                            }
+        if padded_so_far < MAX_PADDED_WINNERS {
+            let padded =
+                implied_critical_pos(engine.alpha, quote.success, cost).and_then(|critical| {
+                    mechanism.padding(profile, user, critical, quote.success, &PADS, TOLERANCE)
+                });
+            match padded {
+                Ok(pad_violations) => {
+                    violations.extend(pad_violations.into_iter().map(|violation| match violation {
+                        CriticalPadViolation::Demoted { user, pad } => {
+                            OracleViolation::Demoted { round, user, pad }
                         }
-                        Err(error) => violations.push(OracleViolation::OracleError {
+                        CriticalPadViolation::PaymentChanged {
+                            user,
+                            pad,
+                            reference,
+                            padded,
+                        } => OracleViolation::PaymentChanged {
                             round,
-                            detail: error.to_string(),
-                        }),
-                    }
+                            user,
+                            pad,
+                            reference,
+                            padded,
+                        },
+                    }))
                 }
-                Err(error) => violations.push(OracleViolation::OracleError {
-                    round,
-                    detail: error.to_string(),
-                }),
+                Err(error) => violations.push(oracle_error(error)),
             }
         }
     }
@@ -697,13 +645,7 @@ mod tests {
     #[test]
     fn a_real_round_passes_every_check() {
         let (profile, cleared, settlement, config) = cleared_round();
-        let violations = check_round(
-            &OracleConfig::default(),
-            &profile,
-            &cleared,
-            &settlement,
-            &config,
-        );
+        let violations = check_round(&profile, &cleared, &settlement, &config);
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -712,13 +654,7 @@ mod tests {
         let (profile, mut cleared, settlement, config) = cleared_round();
         let user = *cleared.quotes.keys().next().unwrap();
         cleared.quotes.get_mut(&user).unwrap().success += 3.0;
-        let violations = check_round(
-            &OracleConfig::default(),
-            &profile,
-            &cleared,
-            &settlement,
-            &config,
-        );
+        let violations = check_round(&profile, &cleared, &settlement, &config);
         assert!(violations
             .iter()
             .any(|v| matches!(v, OracleViolation::QuoteSpread { .. })));
@@ -734,13 +670,7 @@ mod tests {
         // Claim an empty allocation while keeping the quotes.
         cleared.allocation = mcs_core::mechanism::Allocation::from_winners(Vec::<UserId>::new());
         cleared.social_cost = 0.0;
-        let violations = check_round(
-            &OracleConfig::default(),
-            &profile,
-            &cleared,
-            &settlement,
-            &config,
-        );
+        let violations = check_round(&profile, &cleared, &settlement, &config);
         assert!(violations
             .iter()
             .any(|v| matches!(v, OracleViolation::CoverageShortfall { .. })));

@@ -23,20 +23,20 @@
 //! through a fresh engine under the same scenario; because truth
 //! staging is regenerated from the spec and execution redraws key on
 //! `(round, user)`, the replay reproduces the original outcome bit for
-//! bit: same fingerprint, same settlements, same economics. The run
-//! also cross-checks the log against the flight recorder's admitted-bid
-//! events, so the trace the recorder tells and the trace the driver
-//! recorded can never drift apart silently.
+//! bit: same fingerprint, same settlements, same economics.
+//!
+//! Every run goes through the mirrored [`Drive`], so it gets every
+//! round, trace, post-mortem, conservation and recorder-vs-log check
+//! the chaos campaigns get; the SP deviations are the scenario's own.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use mcs_core::types::{TypeProfile, UserId};
-use mcs_obs::replay::{admitted_bids, ReplayBid, ReplayLog, ReplayOp};
-use mcs_platform::admission::{Admission, AdmissionController};
-use mcs_platform::batch::{Batcher, RoundId};
-use mcs_platform::degrade::RoundError;
-use mcs_platform::engine::Engine;
+use mcs_core::types::UserId;
+use mcs_obs::digest::Fnv1a;
+use mcs_obs::replay::{ReplayLog, ReplayOp};
+use mcs_platform::batch::RoundId;
+use mcs_platform::config::EngineConfig;
 use mcs_platform::fault::FaultInjector;
 use mcs_platform::ingest::Bid;
 use mcs_platform::prelude::EconSnapshot;
@@ -46,9 +46,9 @@ use mcs_platform::shard::ClearedRound;
 use mcs_campaign::prelude::FnBidSource;
 use mcs_campaign::runner::{CampaignConfig as LoopConfig, CampaignRunner};
 
-use crate::campaign::Fnv;
 use crate::closed_loop::{check_campaign, ClosedLoopViolation};
-use crate::oracle::{check_kernel, check_round, OracleConfig, OracleViolation};
+use crate::drive::{fold_rounds, replay_bid, Drive};
+use crate::oracle::OracleViolation;
 
 use super::arrival::ArrivalCurve;
 use super::population::{Deviation, Population, TrueType};
@@ -70,13 +70,24 @@ pub struct RunOptions {
     pub deviate: bool,
     /// Drain kernel profiling counters into metrics during the run. The
     /// counters are pure telemetry, so the fingerprint is unchanged;
-    /// the driver additionally holds them to their conservation laws
+    /// the drive additionally holds them to their conservation laws
     /// (see [`crate::oracle::check_kernel`]).
     pub profiling: bool,
 }
 
+impl RunOptions {
+    /// The scenario's engine configuration with these overrides applied.
+    fn engine_config(&self, scenario: &Scenario) -> EngineConfig {
+        let config = scenario.engine_config();
+        config
+            .with_workers(self.workers.unwrap_or(config.workers))
+            .with_payment_threads(self.payment_threads.unwrap_or(config.payment_threads))
+            .with_profiling(self.profiling)
+    }
+}
+
 /// Everything one scenario run produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioOutcome {
     /// Scenario name.
     pub name: String,
@@ -129,33 +140,10 @@ impl ScenarioOutcome {
     /// Bitwise identical for any worker / payment-thread count; pinned
     /// by the corpus baselines.
     pub fn fingerprint(&self) -> u64 {
-        let mut fnv = Fnv::new();
+        let mut fnv = Fnv1a::new();
         fnv.write_bytes(self.name.as_bytes());
         fnv.write_u64(self.version as u64);
-        for (id, round) in &self.results {
-            fnv.write_u64(id.0);
-            for winner in round.allocation.winners() {
-                fnv.write_u64(winner.index() as u64);
-            }
-            for (user, quote) in &round.quotes {
-                fnv.write_u64(user.index() as u64);
-                fnv.write_u64(quote.success.to_bits());
-                fnv.write_u64(quote.failure.to_bits());
-            }
-            for (user, &completed) in &round.reports {
-                fnv.write_u64(user.index() as u64);
-                fnv.write_u64(completed as u64);
-            }
-            fnv.write_u64(round.social_cost.to_bits());
-        }
-        for (id, settlement) in &self.settlements {
-            fnv.write_u64(id.0);
-            for (user, payout) in &settlement.payouts {
-                fnv.write_u64(user.index() as u64);
-                fnv.write_u64(payout.to_bits());
-            }
-            fnv.write_u64(settlement.total.to_bits());
-        }
+        fold_rounds(&mut fnv, &self.results, &self.settlements);
         for (user, balance) in &self.balances {
             fnv.write_u64(user.index() as u64);
             fnv.write_u64(balance.to_bits());
@@ -194,23 +182,8 @@ impl ScenarioOutcome {
         ScenarioOutcome {
             name: scenario.name.clone(),
             version: scenario.version,
-            results: BTreeMap::new(),
-            settlements: BTreeMap::new(),
-            balances: BTreeMap::new(),
-            violations: Vec::new(),
-            campaign_violations: Vec::new(),
-            deviations: Vec::new(),
             log: ReplayLog::new(scenario.seed, &scenario.name),
-            bids_submitted: 0,
-            admitted: 0,
-            sheds: 0,
-            rejections: 0,
-            quarantined: 0,
-            rounds_cleared: 0,
-            payment_total: 0.0,
-            social_cost_total: 0.0,
-            economics: None,
-            campaign_fingerprint: None,
+            ..ScenarioOutcome::default()
         }
     }
 }
@@ -367,41 +340,26 @@ pub fn replay_scenario(
 }
 
 /// The platform-mode driver: generate (or replay) each round's bids,
-/// stage truths, submit through a mirrored admission/batch pair, flush,
-/// drain, and oracle-check everything.
+/// stage truths, and submit, flush and drain them through a [`Drive`],
+/// recording the drive log as it goes.
 fn run_platform(
     scenario: &Scenario,
     options: &RunOptions,
     replay_rounds: Option<Vec<Vec<Bid>>>,
 ) -> Result<ScenarioOutcome, ScenarioError> {
-    let mut engine_config = scenario.engine_config();
-    if let Some(workers) = options.workers {
-        engine_config = engine_config.with_workers(workers);
-    }
-    if let Some(payment_threads) = options.payment_threads {
-        engine_config = engine_config.with_payment_threads(payment_threads);
-    }
-    if options.profiling {
-        engine_config = engine_config.with_profiling(true);
-    }
-    let tasks = scenario.published_tasks();
     let curve = ArrivalCurve::generate(&scenario.arrival, scenario.seed, scenario.rounds);
     let field = scenario
         .shocks
         .as_ref()
         .map(|spec| ShockField::generate(spec, scenario.seed, scenario.rounds));
     let population = Population::new(scenario, &curve, field.as_ref());
-    let oracle = OracleConfig::default();
-
     let injector = Arc::new(ScenarioInjector::new(mix(scenario.seed, SALT_EXEC, 0)));
-    let mut engine = Engine::with_injector(engine_config, tasks.clone(), injector.clone());
-    let mut mirror = Batcher::new(engine_config.batch, tasks);
-    let mut admission = AdmissionController::new(engine_config.admission);
-    let mut mirror_pending = 0usize;
-    let mut profiles: BTreeMap<RoundId, TypeProfile> = BTreeMap::new();
-    let mut admitted_log: Vec<ReplayBid> = Vec::new();
+    let mut drive = Drive::new(
+        options.engine_config(scenario),
+        scenario.published_tasks(),
+        injector.clone(),
+    );
     let mut outcome = ScenarioOutcome::empty(scenario);
-    let mut absorbed_quarantine = 0usize;
     let replaying = replay_rounds.is_some();
 
     for round in 0..scenario.rounds {
@@ -411,231 +369,40 @@ fn run_platform(
             Some(rounds) => &rounds[round as usize],
             None => &generated.bids,
         };
-        let mut pending_deviation = generated.deviation.filter(|_| !replaying);
-
         for bid in bids {
             outcome.log.push(ReplayOp::Submit(replay_bid(bid)));
-            outcome.bids_submitted += 1;
-            let backlog = mirror.pending_bids() + mirror_pending;
-            let (_, predicted) = admission.admit(backlog);
-            let engine_side = engine.submit(bid);
-            if let Admission::Shed(reason) = predicted {
-                match engine_side {
-                    Ok(Admission::Shed(_)) => outcome.sheds += 1,
-                    other => outcome.violations.push(OracleViolation::ShedUnaccounted {
-                        detail: format!(
-                            "round {round} user u{}: mirror shed ({reason}) \
-                             but engine returned {other:?}",
-                            bid.user
-                        ),
-                    }),
-                }
-                continue;
-            }
-            let mirror_side = mirror.submit(bid);
-            match (engine_side, mirror_side) {
-                (Ok(Admission::Admitted), Ok(closed)) => {
-                    outcome.admitted += 1;
-                    admitted_log.push(replay_bid(bid));
-                    if let Some(closed_round) = closed {
-                        mirror_pending += closed_round.profile.user_count();
-                        profiles.insert(closed_round.id, closed_round.profile);
-                    }
-                }
-                (Err(engine_error), Err(mirror_error))
-                    if engine_error.to_string() == mirror_error.to_string() =>
-                {
-                    outcome.rejections += 1;
-                }
-                (engine_side, mirror_side) => {
-                    outcome.violations.push(OracleViolation::StreamDesync {
-                        detail: format!(
-                            "round {round} user u{}: engine {engine_side:?} vs mirror {:?}",
-                            bid.user,
-                            mirror_side.map(|r| r.map(|closed_round| closed_round.id))
-                        ),
-                    });
-                }
-            }
+            drive.submit(bid);
         }
-
         outcome.log.push(ReplayOp::Flush);
-        engine.flush();
-        if let Some(closed_round) = mirror.flush() {
+        if let Some(id) = drive.flush() {
             // Pin the played deviation to the engine round it actually
             // ran in, so the SP oracle looks up the right quotes even
             // if shedding ever desynchronised logical and engine
             // rounds.
-            if let Some(mut deviation) = pending_deviation.take() {
-                deviation.round = closed_round.id.0;
+            if let Some(mut deviation) = generated.deviation.filter(|_| !replaying) {
+                deviation.round = id.0;
                 outcome.deviations.push(deviation);
             }
-            profiles.insert(closed_round.id, closed_round.profile);
         }
         outcome.log.push(ReplayOp::Drain);
-        engine.drain();
-        mirror_pending = 0;
-        absorb(
-            &oracle,
-            &engine,
-            &profiles,
-            &mut outcome,
-            &mut absorbed_quarantine,
-        );
+        drive.drain();
     }
 
-    // Stream synchronisation: identical drive sequences must leave the
-    // engine and the mirror agreeing on the next round id.
-    let engine_next = engine.checkpoint().next_round_id;
-    if engine_next != mirror.next_round_id() {
-        outcome.violations.push(OracleViolation::StreamDesync {
-            detail: format!(
-                "engine next round id {engine_next} != mirror {}",
-                mirror.next_round_id()
-            ),
-        });
-    }
-
-    // Zero silent drops: every mirrored round cleared or quarantined.
-    for &id in profiles.keys() {
-        let cleared = outcome.results.contains_key(&id);
-        let quarantined = engine.quarantine().iter().any(|q| q.id == id);
-        if !cleared && !quarantined {
-            outcome
-                .violations
-                .push(OracleViolation::SilentDrop { round: id });
-        }
-    }
-
-    // The recorder's story must match the driver's: every admitted bid
-    // reconstructs from the trace, in order, bit for bit.
-    let recorder = engine.recorder();
-    if recorder.capacity() > 0 && !recorder.wrapped() {
-        let traced = admitted_bids(&recorder.snapshot());
-        if traced != admitted_log {
-            outcome.violations.push(OracleViolation::StreamDesync {
-                detail: format!(
-                    "flight recorder reconstructs {} admitted bids, driver recorded {}",
-                    traced.len(),
-                    admitted_log.len()
-                ),
-            });
-        }
-    }
-
-    // Ledger conservation: balances equal summed payouts.
-    let ledger = engine.ledger();
-    let mut expected_total = 0.0;
-    for settlement in outcome.settlements.values() {
-        expected_total += settlement.total;
-    }
-    if (ledger.total_paid() - expected_total).abs() > 1e-9 {
-        outcome.violations.push(OracleViolation::LedgerDrift {
-            detail: format!(
-                "ledger total {} != summed settlements {expected_total}",
-                ledger.total_paid()
-            ),
-        });
-    }
-
-    let snapshot = engine.metrics().snapshot();
-    // With profiling on, the drained kernel counters must satisfy their
-    // conservation laws; with it off they must all be zero (nothing may
-    // leak into metrics without the flag).
-    if engine_config.profiling {
-        outcome.violations.extend(check_kernel(&snapshot.kernel));
-    } else if snapshot.kernel != Default::default() {
-        outcome.violations.push(OracleViolation::KernelUnbalanced {
-            detail: format!(
-                "profiling is off but kernel counters drained anyway: {:?}",
-                snapshot.kernel
-            ),
-        });
-    }
-    outcome.balances = ledger.balances().clone();
-    outcome.payment_total = ledger.total_paid();
-    outcome.social_cost_total = snapshot.economics.social_cost_total;
-    outcome.rounds_cleared = outcome.results.len() as u64;
-    outcome.economics = Some(snapshot.economics);
+    let out = drive.finish();
+    outcome.rounds_cleared = out.results.len() as u64;
+    outcome.results = out.results;
+    outcome.settlements = out.settlements;
+    outcome.balances = out.balances;
+    outcome.violations = out.violations;
+    outcome.bids_submitted = out.submitted;
+    outcome.admitted = out.admitted;
+    outcome.sheds = out.sheds;
+    outcome.rejections = out.rejections;
+    outcome.quarantined = out.quarantine.len() as u64;
+    outcome.payment_total = out.total_paid;
+    outcome.social_cost_total = out.economics.as_ref().map_or(0.0, |e| e.social_cost_total);
+    outcome.economics = out.economics;
     Ok(outcome)
-}
-
-fn replay_bid(bid: &Bid) -> ReplayBid {
-    ReplayBid {
-        user: bid.user,
-        cost_bits: bid.cost.to_bits(),
-        tasks: bid
-            .tasks
-            .iter()
-            .map(|&(task, pos)| (task, pos.to_bits()))
-            .collect(),
-    }
-}
-
-/// Copies newly produced engine results into the outcome, oracle-checking
-/// each cleared round against its mirrored profile (partial clears check
-/// the admitted prefix, as in [`crate::campaign`]).
-fn absorb(
-    oracle: &OracleConfig,
-    engine: &Engine,
-    profiles: &BTreeMap<RoundId, TypeProfile>,
-    outcome: &mut ScenarioOutcome,
-    absorbed_quarantine: &mut usize,
-) {
-    let engine_config = engine.config();
-    for (&id, round) in engine.results() {
-        if outcome.results.contains_key(&id) {
-            continue;
-        }
-        let settlement = &engine.settlements()[&id];
-        match profiles.get(&id) {
-            Some(profile) => {
-                let budget = engine_config.admission.clear_budget;
-                let full_count = profile.user_count();
-                let prefix;
-                let checked = if budget > 0 && full_count > budget {
-                    prefix = TypeProfile::new(
-                        profile.users()[..budget].to_vec(),
-                        profile.tasks().to_vec(),
-                    )
-                    .expect("a prefix of a valid profile is a valid profile");
-                    let deferred = full_count - budget;
-                    let accounted = engine.quarantine().iter().any(|q| {
-                        q.id == id
-                            && q.bidders == deferred
-                            && matches!(q.error, RoundError::DeadlineExceeded {
-                                budget: b, cleared, deferred: d,
-                            } if b == budget && cleared == budget && d == deferred)
-                    });
-                    if !accounted {
-                        outcome.violations.push(OracleViolation::ShedUnaccounted {
-                            detail: format!(
-                                "{id}: cleared {budget} of {full_count} bidders but the \
-                                 {deferred} deferred are not quarantined as DeadlineExceeded"
-                            ),
-                        });
-                    }
-                    &prefix
-                } else {
-                    profile
-                };
-                outcome.violations.extend(check_round(
-                    oracle,
-                    checked,
-                    round,
-                    settlement,
-                    engine_config,
-                ));
-            }
-            None => outcome.violations.push(OracleViolation::StreamDesync {
-                detail: format!("{id} cleared but was never mirrored"),
-            }),
-        }
-        outcome.results.insert(id, round.clone());
-        outcome.settlements.insert(id, settlement.clone());
-    }
-    outcome.quarantined += (engine.quarantine().len() - *absorbed_quarantine) as u64;
-    *absorbed_quarantine = engine.quarantine().len();
 }
 
 /// The campaign-mode driver: the scenario population becomes the bid
@@ -649,16 +416,6 @@ fn run_campaign_mode(
         .campaign
         .as_ref()
         .expect("validated: campaign mode carries a [campaign] section");
-    let mut engine_config = scenario.engine_config();
-    if let Some(workers) = options.workers {
-        engine_config = engine_config.with_workers(workers);
-    }
-    if let Some(payment_threads) = options.payment_threads {
-        engine_config = engine_config.with_payment_threads(payment_threads);
-    }
-    if options.profiling {
-        engine_config = engine_config.with_profiling(true);
-    }
     // The population must cover every campaign round (initial +
     // residual re-auctions), whatever the scenario horizon says.
     let horizon = scenario.rounds.max(campaign_spec.max_rounds);
@@ -670,7 +427,7 @@ fn run_campaign_mode(
     let population = Population::new(scenario, &curve, field.as_ref());
 
     let mut config = LoopConfig::new(
-        engine_config,
+        options.engine_config(scenario),
         scenario.published_tasks(),
         campaign_spec.max_rounds,
     );

@@ -19,7 +19,9 @@ use std::path::Path;
 
 use serde::Value;
 
-use mcs_platform::config::{AdmissionConfig, EngineConfig, SeededUniform, ShedPolicy, TraceConfig};
+use mcs_platform::config::{AdmissionConfig, EngineConfig, SeededUniform, ShedPolicy};
+
+use crate::drive::logical_trace;
 
 use super::{toml, ScenarioError};
 
@@ -525,11 +527,7 @@ impl Scenario {
         if let Some(admission) = self.admission {
             config.admission = admission;
         }
-        let per_round = self.max_round_bids() * (self.tasks.count + 2) + 32;
-        config.trace = TraceConfig {
-            capacity: ((self.rounds as usize + 2) * per_round * 2).clamp(1024, 1 << 20),
-            logical_clock: true,
-        };
+        config.trace = logical_trace(self.max_round_bids(), self.tasks.count, self.rounds, 1);
         config
     }
 

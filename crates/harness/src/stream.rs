@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use mcs_platform::ingest::Bid;
 
 use crate::campaign::CampaignConfig;
-use crate::plan::Fault;
+use crate::plan::{Fault, FaultPlan};
 
 /// One step of the campaign's drive sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +70,7 @@ pub fn round_actions(config: &CampaignConfig, round: u64, faults: &[Fault]) -> V
             cost: 1.0,
             tasks: task_ids.iter().map(|&t| (t, 0.05)).collect(),
         })];
-        for _ in 0..config.engine_config().batch.max_ticks {
+        for _ in 0..config.engine_config(&FaultPlan::new()).batch.max_ticks {
             actions.push(Action::Tick);
         }
         return actions;
@@ -308,7 +308,7 @@ mod tests {
     fn infeasible_round_is_one_weak_bid_plus_forced_close() {
         let cfg = config();
         let actions = round_actions(&cfg, 0, &[Fault::InfeasibleRound]);
-        let ticks = cfg.engine_config().batch.max_ticks as usize;
+        let ticks = cfg.engine_config(&FaultPlan::new()).batch.max_ticks as usize;
         assert_eq!(actions.len(), 1 + ticks);
         let Action::Submit(weak) = &actions[0] else {
             panic!("expected the weak bid first");

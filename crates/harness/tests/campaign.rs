@@ -19,10 +19,7 @@ fn config(seed: u64, rounds: u64, tasks: usize) -> CampaignConfig {
 fn campaigns_are_bitwise_identical_across_worker_and_payment_thread_counts() {
     for tasks in [1, 3] {
         let plan = FaultPlan::generate(11, 24, 0.5);
-        let mut base = config(11, 24, tasks);
-        // Generated plans may schedule overload faults; keep the trace
-        // ring large enough that the trace oracle stays armed.
-        base.trace_headroom = plan.trace_headroom(base.rounds);
+        let base = config(11, 24, tasks);
         let reference = run_campaign(&base, &plan);
         for (workers, payment_threads) in [(1, 1), (4, 2), (3, 5)] {
             let variant = CampaignConfig {
@@ -214,7 +211,6 @@ fn shedding_campaigns_are_bitwise_identical_across_thread_counts() {
             policy,
             clear_budget: 5,
         };
-        base.trace_headroom = plan.trace_headroom(base.rounds);
         let reference = run_campaign(&base, &plan);
         assert!(
             reference.is_clean(),
@@ -245,4 +241,77 @@ fn shedding_campaigns_are_bitwise_identical_across_thread_counts() {
             }
         }
     }
+}
+
+/// The `mcs-fuzz --ci-smoke` matrix, built exactly as the binary builds
+/// it, pinned to the fingerprints it has always printed. Nothing else
+/// pins a chaos campaign to a value: every other check compares runs
+/// against each other.
+#[test]
+fn ci_smoke_matrix_fingerprints_are_pinned() {
+    let pinned = [
+        (1u64, 1usize, 0x6f90_f438_c407_d652u64),
+        (1, 3, 0xf3bd_b7d4_55e5_1d1c),
+        (7, 1, 0xec32_69cb_aa7a_955b),
+        (7, 3, 0xa52b_3494_259d_70d8),
+        (42, 1, 0x0b5f_3991_498b_1330),
+        (42, 3, 0x31a9_5559_6358_d6ed),
+    ];
+    for (seed, tasks, expected) in pinned {
+        let config = CampaignConfig {
+            seed,
+            rounds: 40,
+            bids_per_round: 8,
+            task_count: tasks,
+            workers: 1,
+            payment_threads: 1,
+            drain_every: 4,
+            ..CampaignConfig::default()
+        };
+        let plan = FaultPlan::generate(seed, config.rounds, 0.35);
+        let outcome = run_campaign(&config, &plan);
+        assert!(
+            outcome.is_clean(),
+            "seed={seed} tasks={tasks}: {:?}",
+            outcome.violations
+        );
+        assert_eq!(
+            outcome.fingerprint(),
+            expected,
+            "seed={seed} tasks={tasks}: {:016x}",
+            outcome.fingerprint()
+        );
+    }
+}
+
+/// The `mcs-fuzz --soak --ci-smoke` campaign, built exactly as the
+/// binary builds it: 16 rounds each 10× oversubscribed against
+/// tail-drop admission with a clearing budget of 6.
+#[test]
+fn ci_smoke_soak_fingerprint_is_pinned() {
+    use mcs_platform::config::{AdmissionConfig, ShedPolicy};
+
+    let mut config = CampaignConfig {
+        seed: 1,
+        rounds: 16,
+        ..CampaignConfig::default()
+    };
+    config.admission = AdmissionConfig {
+        high_watermark: 4 * config.bids_per_round,
+        low_watermark: 2 * config.bids_per_round,
+        policy: ShedPolicy::TailDrop,
+        clear_budget: config.bids_per_round.saturating_sub(2).max(2),
+    };
+    let mut plan = FaultPlan::new();
+    for round in 0..config.rounds {
+        plan.schedule(round, Fault::Oversubscribe(10));
+    }
+    let outcome = run_campaign(&config, &plan);
+    assert!(outcome.is_clean(), "{:?}", outcome.violations);
+    assert_eq!(
+        outcome.fingerprint(),
+        0x9ccf_8e96_9f26_a2d2,
+        "{:016x}",
+        outcome.fingerprint()
+    );
 }

@@ -19,17 +19,6 @@ fn scenario(name: &str) -> Scenario {
     load(name).unwrap_or_else(|error| panic!("corpus scenario {name}: {error}"))
 }
 
-/// The node hosting the scenario's first active region — a fault
-/// target guaranteed to carry traffic.
-fn busy_node(scenario: &Scenario, nodes: u32, bands: u32) -> u32 {
-    let topology = scenario_topology(scenario, bands);
-    let region = topology
-        .active_regions()
-        .next()
-        .expect("scenario publishes tasks");
-    topology.node_of_region(region, nodes)
-}
-
 /// A `(nodes, bands, node)` deployment where some node hosts at least
 /// two active regions, so losing its primary mid-round forces the
 /// failover to happen *within* the round, between two Clear calls.
@@ -221,6 +210,29 @@ fn every_corpus_scenario_survives_the_pinned_chaos_battery() {
             run.fingerprint, baseline.fingerprint,
             "{}: duplicate",
             scenario.name
+        );
+    }
+}
+
+/// The 1-node, 6-band fault-free fingerprint of every corpus scenario,
+/// pinned. Every other cluster check compares deployments against each
+/// other; this one holds them all to a value.
+#[test]
+fn corpus_cluster_fingerprints_are_pinned() {
+    let pinned = [
+        ("calm-baseline", 0x26b4_1fe5_5a97_3caau64),
+        ("campaign-monsoon", 0x4be3_7e7d_9df6_dbef),
+        ("diurnal-weather", 0x0069_76d5_e09c_746e),
+        ("flash-crowd", 0x26ec_bda0_ba58_5b8a),
+        ("strategic-siege", 0x27c3_2405_14e7_ddff),
+    ];
+    for (name, expected) in pinned {
+        let run = run_cluster_scenario(&scenario(name), 1, BANDS, &FaultPlan::new())
+            .unwrap_or_else(|error| panic!("{name}: {error}"));
+        assert_eq!(
+            run.fingerprint, expected,
+            "{name}: {:016x}",
+            run.fingerprint
         );
     }
 }

@@ -5,6 +5,8 @@
 //!
 //! * [`event`] — the shared trace vocabulary: pipeline [`Stage`]s,
 //!   [`EventKind`]s, and the fixed-width [`TraceEvent`].
+//! * [`digest`] — FNV-1a, the one digest behind every fingerprint and
+//!   checksum in the workspace.
 //! * [`ring`] — the [`FlightRecorder`]: a lock-free, fixed-capacity,
 //!   allocation-free ring buffer of trace events, with a wall clock for
 //!   operators and a logical clock for deterministic harnesses.
@@ -37,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod digest;
 pub mod event;
 pub mod export;
 pub mod merge;

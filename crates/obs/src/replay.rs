@@ -38,6 +38,7 @@
 
 use std::fmt;
 
+use crate::digest::fnv1a;
 use crate::event::{EventKind, TraceEvent};
 
 /// Magic bytes opening every replay log.
@@ -154,7 +155,7 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 /// A recorded drive sequence, replayable through a fresh engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplayLog {
     /// Engine seed the log was recorded under; a replayer must build its
     /// engine with the same seed for outcomes to match.
@@ -309,16 +310,6 @@ pub fn admitted_bids(events: &[TraceEvent]) -> Vec<ReplayBid> {
         }
     }
     bids
-}
-
-/// FNV-1a over a byte slice — the workspace's standard digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Byte-wise reader with typed truncation errors.

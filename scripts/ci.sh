@@ -9,6 +9,17 @@ echo "==> cargo fmt --check"
 # vendor/, which are path dependencies rather than workspace members.
 cargo fmt -- --check
 
+echo "==> one digest (FNV-1a written once under crates/)"
+# Every fingerprint and checksum hashes through mcs_obs::digest. A second
+# copy of the algorithm could drift from the first, so the FNV-1a offset
+# basis may appear in one file only.
+FNV_FILES="$(grep -rliE 'cbf2_?9ce4_?8422_?2325' crates || true)"
+if [ "$(printf '%s' "${FNV_FILES}" | grep -c .)" -gt 1 ]; then
+  echo "FNV-1a offset basis found in more than one file under crates/:"
+  echo "${FNV_FILES}"
+  exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
