@@ -4,9 +4,10 @@
 //! [`TypeProfile`] is the validated boundary type: `BTreeMap`-backed,
 //! id-keyed, convenient to build and to mutate one declaration at a time.
 //! The multi-task mechanism, however, replays winner determination
-//! hundreds of times per round — every critical bid is a bisection whose
-//! each probe re-runs the full greedy — and at that call rate the map
-//! probes and profile clones dominate the runtime. [`IndexedProfile`]
+//! many times per round — every critical bid reruns the greedy without
+//! its winner, and every bisection probe that rerun cannot decide reruns
+//! it again — and at that call rate the map probes and profile clones
+//! dominate the runtime. [`IndexedProfile`]
 //! flattens the instance **once** into contiguous arrays (CSR-style
 //! per-user `(task index, contribution)` entries plus per-task
 //! requirements), so every re-run touches nothing but dense `f64` slices
@@ -69,6 +70,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use crate::multi_task::COVERAGE_MARGIN;
 use crate::types::{TaskId, TypeProfile, UserId, UserType, CONTRIBUTION_TOLERANCE};
 
 /// A fixed-capacity bit mask over dense positions, packed into `u64`
@@ -166,12 +168,13 @@ pub struct ProfCounters {
     pub stale_reevals: u64,
     /// Bisection steps requested across all critical-bid searches.
     pub probes_requested: u64,
-    /// Steps that ran the real greedy probe.
+    /// Steps that ran the real greedy probe: the coverage certificate
+    /// declined, or the θ₋ᵢ base run was itself infeasible.
     pub probes_run: u64,
     /// Steps skipped by the Algorithm-5 warm-start certificate.
     pub probes_saved_warm_start: u64,
-    /// Steps skipped by the θ₋ᵢ base-run loss scan
-    /// ([`IndexedProfile::probe_loses`]).
+    /// Steps decided from the θ₋ᵢ base run: certain losses and certified
+    /// wins (`IndexedProfile::probe_verdict`).
     pub probes_saved_loss_scan: u64,
 }
 
@@ -724,37 +727,110 @@ impl IndexedProfile {
         }
     }
 
-    /// Decides a bisection probe **loss** without running the greedy.
+    /// Records `run` — the greedy without the winner being priced — as
+    /// the base her payment probes are decided from
+    /// ([`IndexedProfile::probe_verdict`]), reusing `base`'s buffers.
     ///
-    /// With `scaled` substituted at `position`, the probe's selection
-    /// sequence equals the θ₋ᵢ `base` run's for as long as the probed user
-    /// never beats the base's pick: at each step the base pick is the
+    /// Besides the selections, capped values and residual snapshots
+    /// ([`Record::Full`] runs only), it derives the coverage suffix sums:
+    /// row `t` holds, for each task, the sum of the entries above
+    /// [`CONTRIBUTION_TOLERANCE`] of picks `t, t+1, …`.
+    pub(crate) fn store_base(&self, run: &RunView<'_>, base: &mut BaseRun) {
+        let stride = run.stride;
+        base.selection.clear();
+        base.selection.extend_from_slice(run.selection);
+        base.capped.clear();
+        base.capped.extend_from_slice(run.capped);
+        base.snapshots.clear();
+        base.snapshots.extend_from_slice(run.snapshots);
+        base.stride = stride;
+        base.complete = run.is_complete();
+        base.suffix.clear();
+        base.suffix.resize(run.selection.len() * stride, 0.0);
+        for (step, &pick) in run.selection.iter().enumerate().rev() {
+            let (row, later) = base.suffix[step * stride..].split_at_mut(stride);
+            if !later.is_empty() {
+                row.copy_from_slice(&later[..stride]);
+            }
+            let span = self.offsets[pick]..self.offsets[pick + 1];
+            let entries = self.entry_task[span.clone()]
+                .iter()
+                .zip(&self.entry_q[span]);
+            for (&task, &q) in entries {
+                if q > CONTRIBUTION_TOLERANCE {
+                    row[task as usize] += q;
+                }
+            }
+        }
+    }
+
+    /// Decides a bisection probe from the θ₋ᵢ `base` run where that is
+    /// exact: `Some(false)` is a certain loss, `Some(true)` a certain win,
+    /// and `None` means the caller must run the real greedy probe.
+    ///
+    /// **Loss.** With `scaled` substituted at `position`, the probe's
+    /// selection sequence equals the base run's for as long as the probed
+    /// user never beats the base's pick: at each step the base pick is the
     /// argmax over every *other* candidate, so the probe argmax is simply
-    /// `max(base pick, probed user)` under the same strict [`beats`]
-    /// order the heap maximizes, evaluated at the recorded residual
-    /// snapshot. If she never wins a comparison (or her capped
-    /// contribution falls to the tolerance, which is monotone in the
-    /// shrinking residuals and drops her from candidacy for good), the
-    /// probe replays the base run verbatim and she is never selected —
-    /// the probe verdict is a loss, *exactly*, without assuming anything
-    /// about the probe run's completeness. If she does win a comparison
-    /// the caller must run the real probe: she would be selected there,
-    /// and the runs diverge from that point on.
+    /// `max(base pick, probed user)` under the same strict [`beats`] order
+    /// the heap maximizes, evaluated at the recorded residual snapshot. If
+    /// she never wins a comparison (or her capped contribution falls to
+    /// the tolerance, which is monotone in the shrinking residuals and
+    /// drops her from candidacy for good), the probe replays the base run
+    /// verbatim and she is never selected.
     ///
-    /// Requires `base.is_complete()`: against an incomplete base the
-    /// greedy would select her as a last resort once every rival is
-    /// exhausted, which no prefix comparison can rule out.
-    pub fn probe_loses(&self, position: usize, scaled: &[f64], base: &BaseRun) -> bool {
-        debug_assert!(base.complete, "loss scan requires a complete base run");
+    /// **Win.** If she first beats the pick at step `t`, the probe has
+    /// replayed the base up to `t`; the base was still running there, so
+    /// the probe selects her at `t`. She then wins iff the probe covers
+    /// every task. Let `r'_j = max(0, Q̄_j − s·q_i^j)` be the probe's
+    /// residual right after her selection (the greedy's own saturating
+    /// subtraction on snapshot `t`). Suppose task `j` were left unmet
+    /// (`r_j > tol` when the candidates ran out). Every base pick from
+    /// step `t` on with an entry `q_k^j > tol` keeps a capped contribution
+    /// `≥ min(q_k^j, r_j) > tol`, so it is still a candidate; hence all of
+    /// them were selected, and their entries sum to at least `r'_j`
+    /// whenever the base's suffix sum `S_t[j]` does. So the probe is a
+    /// certain win when every task with `r'_j > tol` has
+    /// `S_t[j] · (1 − COVERAGE_MARGIN) ≥ r'_j`.
+    ///
+    /// **Rounding.** The probe applies at most `n` saturating
+    /// subtractions to `r'_j`, each off by at most `u·r'_j` (`u = 2⁻⁵³`),
+    /// and `S_t[j]` sums at most `n` terms, off by at most a factor
+    /// `1 + γ_n`, `γ_n = n·u / (1 − n·u)`. For every `n ≤ 2³²` the
+    /// u32-indexed arena can hold, `γ_n < 4.8·10⁻⁷` and
+    /// `(1 + γ_n)² · (1 − 10⁻⁶) < 1`, so the certified sum covers `r'_j`
+    /// with all rounding on the wrong side. The margin only decides when
+    /// to fall back to the real probe; it never changes a verdict.
+    ///
+    /// **Dust.** "Selected ⇒ wins" alone is false when the covering
+    /// entries are at or below the tolerance: with requirements of
+    /// 2.5·10⁻⁹ and rivals holding 0.9·10⁻⁹ per task, each rival's capped
+    /// sum drops to ≤ 10⁻⁹ once she is selected and the probe ends
+    /// infeasible. Such entries are left out of `S_t`, so the certificate
+    /// declines and the real probe decides.
+    ///
+    /// An incomplete base (the rivals alone cannot cover every task)
+    /// decides nothing: the greedy would select her as a last resort once
+    /// every rival is exhausted, which no prefix comparison can rule out.
+    pub(crate) fn probe_verdict(
+        &self,
+        position: usize,
+        scaled: &[f64],
+        base: &BaseRun,
+    ) -> Option<bool> {
+        if !base.complete {
+            return None;
+        }
         let span = self.offsets[position]..self.offsets[position + 1];
         let tasks = &self.entry_task[span];
         let cost = self.costs[position];
         let id = self.user_ids[position];
         for (step, (&rival, &rival_capped)) in base.selection.iter().zip(&base.capped).enumerate() {
-            let residual = &base.snapshots[step * base.stride..(step + 1) * base.stride];
+            let row = step * base.stride..(step + 1) * base.stride;
+            let residual = &base.snapshots[row.clone()];
             let capped = capped_span(tasks, scaled, residual);
             if capped <= CONTRIBUTION_TOLERANCE {
-                return true;
+                return Some(false);
             }
             let probed = HeapEntry {
                 capped,
@@ -771,11 +847,31 @@ impl IndexedProfile {
                 version: 0,
             };
             if beats(&probed, &pick) {
-                return false;
+                return certainly_covers(tasks, scaled, residual, &base.suffix[row])
+                    .then_some(true);
             }
         }
-        true
+        Some(false)
     }
+}
+
+/// The coverage certificate of [`IndexedProfile::probe_verdict`]: whether
+/// the base picks' suffix sums `suffix` certainly cover every task's
+/// residual once the probed user's entries (`tasks`, `qs`) are subtracted
+/// from `residual`, with the [`COVERAGE_MARGIN`] left for rounding.
+fn certainly_covers(tasks: &[u32], qs: &[f64], residual: &[f64], suffix: &[f64]) -> bool {
+    let mut own = tasks.iter().zip(qs).peekable();
+    residual
+        .iter()
+        .zip(suffix)
+        .enumerate()
+        .all(|(task, (&before, &cover))| {
+            let left = match own.next_if(|&(&t, _)| t as usize == task) {
+                Some((_, &q)) => (before - q).max(0.0),
+                None => before,
+            };
+            left <= CONTRIBUTION_TOLERANCE || cover * (1.0 - COVERAGE_MARGIN) >= left
+        })
 }
 
 /// Flattens one user's `(task position, contribution)` row into `scratch`
@@ -898,44 +994,30 @@ impl RunView<'_> {
     pub fn snapshot(&self, iteration: usize) -> &[f64] {
         &self.snapshots[iteration * self.stride..(iteration + 1) * self.stride]
     }
-
-    /// Copies the view into `base` (reusing its buffers) so a later run in
-    /// the same workspace can compare against it — [`Record::Full`] runs
-    /// only, since the loss scan needs every residual snapshot.
-    pub fn store_into(&self, base: &mut BaseRun) {
-        base.selection.clear();
-        base.selection.extend_from_slice(self.selection);
-        base.capped.clear();
-        base.capped.extend_from_slice(self.capped);
-        base.snapshots.clear();
-        base.snapshots.extend_from_slice(self.snapshots);
-        base.stride = self.stride;
-        base.complete = self.is_complete();
-    }
 }
 
 /// A completed greedy run copied out of its workspace — the θ₋ᵢ base run
-/// that bisection probes compare against via
-/// [`IndexedProfile::probe_loses`]. Buffers are reused across winners, so
-/// the steady state stays allocation-free.
+/// that bisection probes are decided from via
+/// [`IndexedProfile::probe_verdict`]. Buffers are reused across winners,
+/// so the steady state stays allocation-free.
 #[derive(Debug, Default)]
-pub struct BaseRun {
+pub(crate) struct BaseRun {
     selection: Vec<usize>,
     capped: Vec<f64>,
     snapshots: Vec<f64>,
+    /// Coverage suffix sums, row-major at `stride` floats per step: row
+    /// `t` sums the above-tolerance entries of picks `t, t+1, …` per task.
+    suffix: Vec<f64>,
     stride: usize,
     complete: bool,
 }
 
 impl BaseRun {
-    /// Marks the base unusable until the next [`RunView::store_into`].
-    pub fn invalidate(&mut self) {
+    /// Marks the base unusable until the next
+    /// [`IndexedProfile::store_base`]: every probe verdict against it is
+    /// then "run the probe".
+    pub(crate) fn invalidate(&mut self) {
         self.complete = false;
-    }
-
-    /// Whether a complete run is stored — the loss scan's precondition.
-    pub fn is_complete(&self) -> bool {
-        self.complete
     }
 }
 
@@ -952,7 +1034,7 @@ pub struct Workspace {
     winner_mask: BitSet,
     /// Scratch for bisection probes' scaled contribution rows.
     pub(crate) scaled: Vec<f64>,
-    /// The θ₋ᵢ base run the payment probes' loss scan compares against.
+    /// The θ₋ᵢ base run the payment probes are decided from.
     pub(crate) base: BaseRun,
     /// Kernel profiling counters accumulated by runs in this workspace;
     /// [`WorkspacePool::give_back`] folds them into the pool accumulator.

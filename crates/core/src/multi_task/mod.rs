@@ -13,5 +13,6 @@ mod reward;
 mod winner;
 
 pub use self::mechanism::{AllocatedRound, MultiTaskMechanism};
+pub(crate) use self::reward::COVERAGE_MARGIN;
 pub use self::reward::{algorithm5_critical_contribution, critical_contribution, critical_pos};
 pub use self::winner::{GreedyIteration, GreedyRun, GreedyWinnerDetermination};

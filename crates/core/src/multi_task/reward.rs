@@ -26,21 +26,34 @@
 //! tests); [`algorithm5_critical_contribution`] preserves the paper's
 //! original rule for comparison and ablation.
 //!
-//! # Performance: warm-started bisection on the indexed engine
+//! # Performance: bisection probes decided from the base run
 //!
 //! The bisection here runs on [`crate::indexed`]: probes never clone the
 //! profile (a [`RunOptions::substitute`] override expresses the scaled
-//! declaration) and never record iteration bookkeeping. On top of that,
-//! Algorithm 5's estimate is recycled as a *certificate*: if user `i` wins
-//! at scale `s`, the greedy run before her first selection coincides with
-//! the `θ_{-i}` rerun, so she must have beaten some selected rival `k` at
-//! ratio `f̄_k / c_k` — hence `s · Σ_j q_i^j ≥ min_k (c_i / c_k) · f̄_k`.
-//! Any probe strictly below that bound (with a relative float-safety
-//! margin) is declared lost without running the greedy at all, which
-//! typically skips the bottom half of the bisection. The answer is
-//! **bitwise identical** to the reference search
+//! declaration) and never record iteration bookkeeping. Most probes do not
+//! run the greedy at all. Each winner's search first reruns the greedy
+//! without her (the θ₋ᵢ *base run*) and decides probes from it:
+//!
+//! * **Warm start.** Algorithm 5's estimate is a certificate: if user `i`
+//!   wins at scale `s`, the greedy run before her first selection
+//!   coincides with the base run, so she must have beaten some selected
+//!   rival `k` at ratio `f̄_k / c_k` — hence
+//!   `s · Σ_j q_i^j ≥ min_k (c_i / c_k) · f̄_k`. Any probe strictly below
+//!   that bound (with a relative float-safety margin) is a certain loss,
+//!   which typically skips the bottom half of the bisection.
+//! * **Base-run verdict.** Every other probe is compared step by step with
+//!   the base run ([`IndexedProfile::probe_verdict`]): a probed user who
+//!   never beats a base pick is a certain loss; one who does is selected
+//!   there, and a coverage certificate over the remaining base picks
+//!   proves the probe completes — a certain win.
+//! * **Fallback.** Only when the certificate declines (near-exact
+//!   coverage, or covering entries at or below the tolerance) or the base
+//!   run is itself infeasible does the probe run the full greedy.
+//!
+//! The answer is **bitwise identical** to the reference search
 //! ([`crate::multi_task::reference::critical_contribution`]); the proptest
-//! suite in `tests/engine_equivalence.rs` enforces it.
+//! suites in `tests/engine_equivalence.rs` enforce it, including one
+//! drawn from dust-sized contributions where the certificate must decline.
 //!
 //! For whole-round payments, [`crate::multi_task::AllocatedRound::criticals`]
 //! computes every winner's critical bid in parallel; per-winner
@@ -61,6 +74,13 @@ use crate::types::{Contribution, Pos, TypeProfile, UserId, CONTRIBUTION_TOLERANC
 /// account for (the certificate's own error is ~1e-13 relative), so
 /// skipping never changes a probe outcome.
 const WARM_START_MARGIN: f64 = 1e-9;
+
+/// Relative safety margin for the coverage certificate behind a certified
+/// probe win ([`IndexedProfile::probe_verdict`]): the base picks' summed
+/// entries must exceed the probe's residual by this fraction, more than
+/// the at most ~4.8e-7 relative rounding of a u32-indexed arena's sums and
+/// subtractions, so certifying never changes a probe outcome.
+pub(crate) const COVERAGE_MARGIN: f64 = 1e-6;
 
 /// Computes the critical contribution `q̄_i` of winning user `user` as
 /// `s̄ · Σ_j q_i^j`, where `s̄` is the smallest uniform scaling of her
@@ -100,8 +120,8 @@ pub fn critical_contribution(
 /// parallel batch path in
 /// [`crate::multi_task::AllocatedRound::criticals`].
 ///
-/// `seeds`, when provided, must match `indexed` exactly; every one of the
-/// ~60 bisection probes then skips the full candidate rescan.
+/// `seeds`, when provided, must match `indexed` exactly; the base run and
+/// every probe that runs the greedy then skip the full candidate rescan.
 pub(crate) fn critical_of_winner(
     indexed: &IndexedProfile,
     seeds: Option<&HeapSeeds>,
@@ -118,17 +138,18 @@ pub(crate) fn critical_of_winner(
         return Ok(Contribution::ZERO);
     }
 
-    // Warm start: certify a loss region from the Algorithm-5 estimate on
-    // the θ_{-i} rerun. Winning at scale s implies beating some selected
-    // rival k with c_k > 0 at her recorded ratio (a free rival is
-    // unbeatable for c_i > 0, and a stalled rerun makes i a monopolist),
-    // so s · Σ_j q_i^j ≥ min_k (c_i / c_k) · f̄_k. Below that, probes
-    // cannot win and are skipped.
+    // The θ₋ᵢ base run decides most probes. Warm start: certify a loss
+    // region from the Algorithm-5 estimate on it. Winning at scale s
+    // implies beating some selected rival k with c_k > 0 at her recorded
+    // ratio (a free rival is unbeatable for c_i > 0, and a stalled rerun
+    // makes i a monopolist), so s · Σ_j q_i^j ≥ min_k (c_i / c_k) · f̄_k.
+    // Below that, probes cannot win and are skipped. A free winner's bound
+    // is 0 and skips nothing, but her probes still go to the verdict.
     let cost_i = indexed.cost(position);
     let mut certified = 0.0f64;
     let mut base = std::mem::take(&mut workspace.base);
     base.invalidate();
-    if cost_i > 0.0 && indexed.user_count() > 1 {
+    if indexed.user_count() > 1 {
         let without = indexed.run_in(
             workspace,
             RunOptions {
@@ -149,10 +170,7 @@ pub(crate) fn critical_of_winner(
             if bound.is_finite() {
                 certified = bound;
             }
-            // Keep the full run around: probes whose scaled declaration
-            // never beats a base pick are certain losses and skip the
-            // greedy entirely (see `IndexedProfile::probe_loses`).
-            without.store_into(&mut base);
+            indexed.store_base(&without, &mut base);
         }
     }
     let skip_below = (certified / declared_total) * (1.0 - WARM_START_MARGIN);
@@ -180,23 +198,26 @@ pub(crate) fn critical_of_winner(
                     .iter()
                     .map(|&q| scaled_entry(q, mid)),
             );
-            if base.is_complete() && indexed.probe_loses(position, &scaled, &base) {
-                workspace.prof.probes_saved_loss_scan += 1;
-                false
-            } else {
-                workspace.prof.probes_run += 1;
-                let probe = indexed.run_in(
-                    workspace,
-                    RunOptions {
-                        substitute: Some((position, scaled.as_slice())),
-                        seeds,
-                        ..RunOptions::default()
-                    },
-                    Record::Selection,
-                );
-                // Scaling down so far that the instance becomes infeasible
-                // certainly does not win.
-                probe.is_complete() && probe.selected(position)
+            match indexed.probe_verdict(position, &scaled, &base) {
+                Some(wins) => {
+                    workspace.prof.probes_saved_loss_scan += 1;
+                    wins
+                }
+                None => {
+                    workspace.prof.probes_run += 1;
+                    let probe = indexed.run_in(
+                        workspace,
+                        RunOptions {
+                            substitute: Some((position, scaled.as_slice())),
+                            seeds,
+                            ..RunOptions::default()
+                        },
+                        Record::Selection,
+                    );
+                    // Scaling down so far that the instance becomes
+                    // infeasible certainly does not win.
+                    probe.is_complete() && probe.selected(position)
+                }
             }
         };
         if wins {

@@ -5,7 +5,7 @@
 //! divergence breaks the platform's determinism contract (payments must
 //! not depend on thread counts or on which code path served a round).
 
-use mcs_core::indexed::ClearContext;
+use mcs_core::indexed::{ClearContext, ProfCounters};
 use mcs_core::mechanism::{RewardScheme, WinnerDetermination};
 use mcs_core::multi_task::{
     critical_contribution, reference, GreedyWinnerDetermination, MultiTaskMechanism,
@@ -13,6 +13,30 @@ use mcs_core::multi_task::{
 use mcs_core::types::{Cost, Pos, Task, TaskId, TypeProfile, UserId, UserType};
 use mcs_core::McsError;
 use proptest::prelude::*;
+
+/// Builds a profile from per-task PoS requirements and
+/// `(cost, [(task, PoS)])` users; task indices wrap modulo the task
+/// count, and duplicate task declarations fold in the builder.
+fn build_profile(reqs: Vec<f64>, users: Vec<(f64, Vec<(u32, f64)>)>) -> TypeProfile {
+    let t = reqs.len() as u32;
+    let tasks: Vec<Task> = reqs
+        .into_iter()
+        .enumerate()
+        .map(|(j, r)| Task::with_requirement(TaskId::new(j as u32), r).unwrap())
+        .collect();
+    let users: Vec<UserType> = users
+        .into_iter()
+        .enumerate()
+        .map(|(i, (cost, entries))| {
+            let mut b = UserType::builder(UserId::new(i as u32)).cost(Cost::new(cost).unwrap());
+            for (task, pos) in entries {
+                b = b.task(TaskId::new(task % t), Pos::new(pos).unwrap());
+            }
+            b.build().unwrap()
+        })
+        .collect();
+    TypeProfile::new(users, tasks).unwrap()
+}
 
 /// Random multi-task profiles: 2–4 tasks, 3–12 single-minded users, with
 /// duplicate task declarations folded by the builder. Roughly half the
@@ -27,27 +51,49 @@ fn multi_task_profile() -> impl Strategy<Value = TypeProfile> {
         proptest::collection::vec(task_req, 2..4),
         proptest::collection::vec(user, 3..13),
     )
-        .prop_map(|(reqs, users)| {
-            let t = reqs.len() as u32;
-            let tasks: Vec<Task> = reqs
-                .into_iter()
-                .enumerate()
-                .map(|(j, r)| Task::with_requirement(TaskId::new(j as u32), r).unwrap())
-                .collect();
-            let users: Vec<UserType> = users
-                .into_iter()
-                .enumerate()
-                .map(|(i, (cost, entries))| {
-                    let mut b =
-                        UserType::builder(UserId::new(i as u32)).cost(Cost::new(cost).unwrap());
-                    for (task, pos) in entries {
-                        b = b.task(TaskId::new(task % t), Pos::new(pos).unwrap());
-                    }
-                    b.build().unwrap()
-                })
-                .collect();
-            TypeProfile::new(users, tasks).unwrap()
-        })
+        .prop_map(|(reqs, users)| build_profile(reqs, users))
+}
+
+/// Dust-heavy profiles: requirements of 1.5–4 ×1e-9 and three quarters of
+/// the entries at 0.3–1.0 ×1e-9 PoS, at or below the contribution
+/// tolerance, the rest 0.05–0.6. Selecting a probed winner here often
+/// leaves rivals whose capped sums fall to the tolerance, so "selected"
+/// does not imply "wins" and the base-run certificate must decline.
+fn dust_profile() -> impl Strategy<Value = TypeProfile> {
+    let entry = (0u32..4, 0u32..4, 0.0..1.0f64).prop_map(|(task, kind, u)| {
+        let pos = if kind < 3 {
+            (0.3 + 0.7 * u) * 1e-9
+        } else {
+            0.05 + 0.55 * u
+        };
+        (task, pos)
+    });
+    let user = (0.0..20.0f64, proptest::collection::vec(entry, 1..4));
+    (
+        proptest::collection::vec(1.5e-9..4e-9f64, 2..4),
+        proptest::collection::vec(user, 3..13),
+    )
+        .prop_map(|(reqs, users)| build_profile(reqs, users))
+}
+
+/// Every user's fast critical bid equals the reference bisection's,
+/// bitwise, and the two fail with the same error for the same users.
+fn assert_critical_bids_match_reference(profile: &TypeProfile) -> Result<(), TestCaseError> {
+    let wd = GreedyWinnerDetermination::new();
+    for user in profile.user_ids() {
+        let fast = critical_contribution(&wd, profile, user);
+        let slow = reference::critical_contribution(profile, user);
+        match (fast, slow) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a.value().to_bits(), b.value().to_bits()),
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (fast, slow) => {
+                return Err(TestCaseError::fail(format!(
+                    "outcome shape diverges for {user}: fast {fast:?}, reference {slow:?}"
+                )))
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -65,25 +111,12 @@ proptest! {
     }
 
     /// Tentpole equivalence #2: the warm-started, substitution-based
-    /// bisection returns the same critical contribution as the cloning
-    /// reference bisection — bitwise — and fails with the same error for
-    /// the same users.
+    /// bisection, with most probes decided from the base run, returns the
+    /// same critical contribution as the cloning reference bisection —
+    /// bitwise — and fails with the same error for the same users.
     #[test]
     fn fast_critical_bid_is_bitwise_equal_to_reference(profile in multi_task_profile()) {
-        let wd = GreedyWinnerDetermination::new();
-        for user in profile.user_ids() {
-            let fast = critical_contribution(&wd, &profile, user);
-            let slow = reference::critical_contribution(&profile, user);
-            match (fast, slow) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a.value().to_bits(), b.value().to_bits()),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (fast, slow) => {
-                    return Err(TestCaseError::fail(format!(
-                        "outcome shape diverges for {user}: fast {fast:?}, reference {slow:?}"
-                    )))
-                }
-            }
-        }
+        assert_critical_bids_match_reference(&profile)?;
     }
 
     /// Tentpole equivalence #3: batch payments through the allocated-round
@@ -115,6 +148,93 @@ proptest! {
             prop_assert_eq!(&round.criticals().unwrap(), &sequential);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Equivalence #2 on dust: the coverage certificate must decline
+    /// whenever the covering entries are at or below the tolerance, or a
+    /// certified win would shift the critical bid.
+    #[test]
+    fn fast_critical_bid_is_bitwise_equal_to_reference_on_dust(profile in dust_profile()) {
+        assert_critical_bids_match_reference(&profile)?;
+    }
+}
+
+/// The probes of `winner`, the only winner of `profile`, cleared through
+/// an allocated round: her critical PoS bits and the round's drained
+/// kernel counters.
+fn sole_winner_probes(profile: &TypeProfile, winner: UserId) -> (u64, ProfCounters) {
+    let mechanism = MultiTaskMechanism::new(10.0).unwrap();
+    let mut context = ClearContext::new();
+    let criticals = mechanism
+        .allocate_with(&mut context, profile)
+        .unwrap()
+        .criticals()
+        .unwrap();
+    assert_eq!(criticals.keys().copied().collect::<Vec<_>>(), [winner]);
+    (criticals[&winner].value().to_bits(), context.take_prof())
+}
+
+/// Asserts `winner`'s fast critical bid, alone and through the round,
+/// equals the reference bitwise.
+fn assert_matches_reference(profile: &TypeProfile, winner: UserId, round_bits: u64) {
+    let slow = reference::critical_contribution(profile, winner).unwrap();
+    let fast = critical_contribution(&GreedyWinnerDetermination::new(), profile, winner).unwrap();
+    assert_eq!(fast.value().to_bits(), slow.value().to_bits());
+    assert_eq!(round_bits, slow.pos().value().to_bits());
+}
+
+#[test]
+fn free_winner_probes_are_all_decided_from_the_base_run() {
+    // A free winner beats every costly rival, so each probe either
+    // selects her at the first base step (and the rivals' overshooting
+    // entries certify the win) or drops her below the tolerance (a loss).
+    // Her Algorithm-5 bound is 0 and skips nothing, so the base run must
+    // be built for her all the same.
+    let profile = build_profile(
+        vec![0.6, 0.7],
+        vec![
+            (3.0, vec![(0, 0.45), (1, 0.35)]),
+            (0.0, vec![(0, 0.75), (1, 0.8)]),
+            (2.0, vec![(0, 0.55), (1, 0.3)]),
+            (4.0, vec![(1, 0.65)]),
+            (1.5, vec![(0, 0.25), (1, 0.4)]),
+            (5.0, vec![(0, 0.7), (1, 0.6)]),
+        ],
+    );
+    let free = UserId::new(1);
+    let (bits, prof) = sole_winner_probes(&profile, free);
+    assert_matches_reference(&profile, free, bits);
+    assert_eq!(prof.probes_requested, 60, "one bisection: {prof:?}");
+    assert_eq!(prof.probes_run, 0, "{prof:?}");
+    assert!(prof.is_conserved(), "{prof:?}");
+}
+
+#[test]
+fn dust_rivals_make_the_certificate_fall_back_to_the_real_probe() {
+    // Requirements of 2.5e-9 per task; u0 covers both alone, u1–u3 hold
+    // 0.9e-9 on each. Once a scaled-down u0 is selected, every rival's
+    // capped sum drops to ≤ 1e-9 and the probe ends infeasible, so
+    // "selected" is not "wins": the certificate must decline and the
+    // real probe must run. Certifying anyway prices u0 at ~1.8e-9
+    // instead of the true ~1.649e-8.
+    let pos = |contribution: f64| -(-contribution).exp_m1();
+    let profile = build_profile(
+        vec![pos(2.5e-9), pos(2.5e-9)],
+        vec![
+            (1.0, vec![(0, 0.067), (1, 0.5)]),
+            (1.0, vec![(0, pos(0.9e-9)), (1, pos(0.9e-9))]),
+            (1.0, vec![(0, pos(0.9e-9)), (1, pos(0.9e-9))]),
+            (1.0, vec![(0, pos(0.9e-9)), (1, pos(0.9e-9))]),
+        ],
+    );
+    let winner = UserId::new(0);
+    let (bits, prof) = sole_winner_probes(&profile, winner);
+    assert_matches_reference(&profile, winner, bits);
+    assert!(prof.probes_run > 0, "{prof:?}");
+    assert!(prof.is_conserved(), "{prof:?}");
 }
 
 #[test]

@@ -258,7 +258,8 @@ impl fmt::Display for OracleViolation {
 ///
 /// * every bisection probe is accounted for exactly once —
 ///   `probes_saved_warm_start + probes_saved_loss_scan + probes_run ==
-///   probes_requested`;
+///   probes_requested`, where `probes_saved_loss_scan` counts the probes
+///   decided from the base run: certain losses and certified wins;
 /// * every prepare resolved to exactly one sync mode —
 ///   `reuse_hits + sync_patched + sync_reflattened == prepares`
 ///   (which also gives `reuse_hits ≤ prepares`, the checkout bound);

@@ -462,7 +462,7 @@ pub struct KernelSnapshot {
     pub probes_run: u64,
     /// Steps skipped by the warm-start certificate.
     pub probes_saved_warm_start: u64,
-    /// Steps skipped by the base-run loss scan.
+    /// Steps decided from the base run: certain losses and certified wins.
     pub probes_saved_loss_scan: u64,
     /// Largest clearing-arena footprint any worker reported, bytes.
     pub arena_resident_bytes: u64,
@@ -730,7 +730,7 @@ impl MetricsSnapshot {
             (
                 "mcs_kernel_probes_saved_loss_scan_total",
                 k.probes_saved_loss_scan,
-                "Bisection steps skipped by the base-run loss scan.",
+                "Bisection steps decided from the base run: certain losses and certified wins.",
             ),
         ];
         for (name, value, help) in kernel_counters {

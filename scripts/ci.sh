@@ -34,12 +34,16 @@ echo "==> payment_scaling bench smoke (scripts/bench.sh --smoke)"
 # end-to-end clear on the arena path.
 bash scripts/bench.sh --smoke
 
-echo "==> perfbench outcome gate (perfbench/run.py --workload all --seed 1)"
-# Every serving-path workload, briefly, at seed 1: each run folds the
-# winners, quote and payout bits of a fixed round prefix into a digest
-# and exits 1 when it differs from perfbench/digests.json, so a change
-# that moves any outcome bit on the served path fails here.
-python3 perfbench/run.py --workload all --seed 1 --seconds 2 --trace 0
+echo "==> perfbench outcome gate (perfbench/run.py --workload all, seeds 1-10)"
+# Every serving-path workload, briefly, at every recorded seed: each run
+# folds the winners, quote and payout bits of a fixed round prefix into a
+# digest and exits 1 when it differs from perfbench/digests.json, so a
+# change that moves any outcome bit on the served path fails here. A run
+# keeps going until its prefix is folded, so the short --seconds does
+# not shrink what is checked.
+for seed in 1 2 3 4 5 6 7 8 9 10; do
+  python3 perfbench/run.py --workload all --seed "${seed}" --seconds 0.5 --trace 0
+done
 
 echo "==> chaos smoke (mcs-fuzz --ci-smoke)"
 cargo run --release -p mcs-harness --bin mcs-fuzz -- --ci-smoke
