@@ -14,7 +14,12 @@
 //! * `fast_warm` — the same clear on a persistent [`ClearContext`]:
 //!   steady-state campaign shape, where the CSR index, heap seeds, and
 //!   workspaces carry over and syncing is a delta patch;
-//! * `fast_alloc` — allocation only (no payments), the 1M smoke tier.
+//! * `fast_alloc` — allocation only (no payments), the 1M smoke tier;
+//! * `st_reference` / `st_fast` — a single-task round (`tasks: 1`) at
+//!   n ∈ {24, 96}: the FPTAS plus one clone-and-rerun bisection per
+//!   winner (the generic `critical_contribution`), against the prepared
+//!   round whose probes rerun in place. Both run the same flat DP table,
+//!   so the ratio is what cloning and re-preparing at every probe cost.
 //!
 //! Warm-context rows also carry the kernel's drained
 //! [`ProfCounters`] — heap pops, bisection probes saved, index-reuse
@@ -26,7 +31,7 @@
 //! must stay ≤ 5%.
 //!
 //! Modes: `--test` asserts fast/reference bitwise equivalence on a small
-//! instance; `--smoke` adds a warm-vs-cold bitwise check plus a timed
+//! multi-task instance and on the single-task sizes; `--smoke` adds a warm-vs-cold bitwise check plus a timed
 //! n=10k clear and the profiling-overhead bound (the CI tier);
 //! `--profile [n]` pins a hot clear loop for `scripts/profile.sh` to
 //! hang perf on.
@@ -35,11 +40,12 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use criterion::{BenchmarkId, Criterion};
-use mcs_bench::synthetic_multi_task;
+use mcs_bench::{synthetic_multi_task, synthetic_single_task};
 use mcs_core::indexed::{ClearContext, ProfCounters};
-use mcs_core::mechanism::contingent_reward;
+use mcs_core::mechanism::{contingent_reward, Allocation, WinnerDetermination};
 use mcs_core::multi_task::{reference, MultiTaskMechanism};
-use mcs_core::types::{TypeProfile, UserId};
+use mcs_core::single_task::{critical_contribution, FptasWinnerDetermination, SingleTaskMechanism};
+use mcs_core::types::{Pos, TypeProfile, UserId};
 use std::hint::black_box;
 
 const TASKS: usize = 50;
@@ -51,6 +57,10 @@ const SIZES: [usize; 3] = [100, 500, 1000];
 const LARGE_SIZES: [usize; 2] = [10_000, 100_000];
 /// Allocation-only smoke size.
 const ALLOC_SMOKE: usize = 1_000_000;
+/// Single-task round sizes: the perfbench round and four times it.
+const SINGLE_TASK_SIZES: [usize; 2] = [24, 96];
+/// The engine's default FPTAS parameter.
+const EPSILON: f64 = 0.5;
 /// Plain/profiled pairs behind the profiling-overhead bound. On a
 /// shared 2-vCPU guest one n=10k clear varies by ~8 % from the next, so
 /// the median per-pair ratio needs this many pairs before host noise
@@ -60,16 +70,11 @@ const OVERHEAD_PAIRS: usize = 15;
 /// One cleared round's quotes: `(success, failure)` per winner.
 type Quotes = BTreeMap<UserId, (f64, f64)>;
 
-/// The pre-PR path: reference scan greedy, then one cloning bisection per
-/// winner.
-fn clear_reference(profile: &TypeProfile) -> Quotes {
-    let allocation = reference::select_winners(profile).expect("bench instance is feasible");
-    allocation
-        .winners()
-        .map(|winner| {
-            let critical = reference::critical_contribution(profile, winner)
-                .expect("winner has a critical bid")
-                .pos();
+/// Both contingent quotes for each `(winner, critical PoS)`.
+fn quotes(profile: &TypeProfile, criticals: impl IntoIterator<Item = (UserId, Pos)>) -> Quotes {
+    criticals
+        .into_iter()
+        .map(|(winner, critical)| {
             let cost = profile.user(winner).expect("winner exists").cost();
             (
                 winner,
@@ -80,6 +85,53 @@ fn clear_reference(profile: &TypeProfile) -> Quotes {
             )
         })
         .collect()
+}
+
+/// The pre-PR path: reference scan greedy, then one cloning bisection per
+/// winner.
+fn clear_reference(profile: &TypeProfile) -> Quotes {
+    let allocation = reference::select_winners(profile).expect("bench instance is feasible");
+    let criticals = allocation.winners().map(|winner| {
+        let critical = reference::critical_contribution(profile, winner)
+            .expect("winner has a critical bid")
+            .pos();
+        (winner, critical)
+    });
+    quotes(profile, criticals)
+}
+
+/// A single-task round the clone-and-rerun way: the FPTAS, then one
+/// bisection per winner whose every probe clones the profile and reruns
+/// the FPTAS.
+fn clear_single_reference(profile: &TypeProfile) -> Quotes {
+    let fptas = FptasWinnerDetermination::new(EPSILON).expect("valid epsilon");
+    let allocation: Allocation = fptas
+        .select_winners(profile)
+        .expect("bench instance is feasible");
+    let criticals = allocation.winners().map(|winner| {
+        let critical = critical_contribution(&fptas, profile, winner)
+            .expect("winner has a critical bid")
+            .pos();
+        (winner, critical)
+    });
+    quotes(profile, criticals)
+}
+
+/// A single-task round on one prepared FPTAS: the base run allocates,
+/// and every probe reruns in place on the same DP table.
+fn clear_single_fast(profile: &TypeProfile) -> Quotes {
+    let mechanism = SingleTaskMechanism::new(EPSILON, ALPHA).expect("valid parameters");
+    let criticals = mechanism
+        .allocate(profile)
+        .expect("bench instance is feasible")
+        .criticals()
+        .expect("winners have critical bids");
+    quotes(profile, criticals)
+}
+
+/// The single-task bench profile for `n` users.
+fn single_task_profile(n: usize) -> TypeProfile {
+    synthetic_single_task(n, REQUIREMENT, 2000 + n as u64)
 }
 
 /// The fast engine on a fresh (cold) context: every call builds a new
@@ -96,23 +148,12 @@ fn clear_fast_warm(profile: &TypeProfile, threads: usize, context: &mut ClearCon
     let mechanism = MultiTaskMechanism::new(ALPHA)
         .expect("valid alpha")
         .with_payment_threads(threads);
-    mechanism
+    let criticals = mechanism
         .allocate_with(context, profile)
         .expect("bench instance is feasible")
         .criticals()
-        .expect("winners have critical bids")
-        .into_iter()
-        .map(|(winner, critical)| {
-            let cost = profile.user(winner).expect("winner exists").cost();
-            (
-                winner,
-                (
-                    contingent_reward(ALPHA, critical, cost, true),
-                    contingent_reward(ALPHA, critical, cost, false),
-                ),
-            )
-        })
-        .collect()
+        .expect("winners have critical bids");
+    quotes(profile, criticals)
 }
 
 /// Allocation only — the piece that has to survive 10^6 bidders.
@@ -189,6 +230,7 @@ fn median_ns(runs: usize, mut f: impl FnMut()) -> u128 {
 struct Row {
     mechanism: &'static str,
     n: usize,
+    tasks: usize,
     median_ns: u128,
     kernel: Option<(ProfCounters, usize)>,
     profiling_overhead_pct: Option<f64>,
@@ -199,9 +241,18 @@ impl Row {
         Row {
             mechanism,
             n,
+            tasks: TASKS,
             median_ns,
             kernel: None,
             profiling_overhead_pct: None,
+        }
+    }
+
+    /// A single-task round's row.
+    fn single_task(mechanism: &'static str, n: usize, median_ns: u128) -> Row {
+        Row {
+            tasks: 1,
+            ..Row::plain(mechanism, n, median_ns)
         }
     }
 }
@@ -240,9 +291,10 @@ fn write_json(rows: &[Row]) {
             extra.push_str(&format!(", \"profiling_overhead_pct\": {pct:.2}"));
         }
         json.push_str(&format!(
-            "  {{\"mechanism\": \"{}\", \"n\": {}, \"tasks\": {TASKS}, \"median_ns\": {}, \"ns_per_bid\": {ns_per_bid}{extra}}}{}\n",
+            "  {{\"mechanism\": \"{}\", \"n\": {}, \"tasks\": {}, \"median_ns\": {}, \"ns_per_bid\": {ns_per_bid}{extra}}}{}\n",
             row.mechanism,
             row.n,
+            row.tasks,
             row.median_ns,
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -263,24 +315,7 @@ fn smoke() {
     assert!(!reference_quotes.is_empty(), "smoke instance has winners");
     for threads in [1usize, 4] {
         let fast = clear_fast(&profile, threads);
-        assert_eq!(
-            fast.len(),
-            reference_quotes.len(),
-            "winner sets diverge at {threads} threads"
-        );
-        for (winner, &(success, failure)) in &reference_quotes {
-            let &(fast_success, fast_failure) = fast.get(winner).expect("same winners");
-            assert_eq!(
-                fast_success.to_bits(),
-                success.to_bits(),
-                "success quote diverges for {winner} at {threads} threads"
-            );
-            assert_eq!(
-                fast_failure.to_bits(),
-                failure.to_bits(),
-                "failure quote diverges for {winner} at {threads} threads"
-            );
-        }
+        assert_quotes_bitwise_equal(&fast, &reference_quotes, &format!("{threads} threads"));
         // The persistent-arena path, twice on one context: the second
         // clear exercises the sync path and must stay bitwise put.
         let mut context = ClearContext::new();
@@ -292,7 +327,30 @@ fn smoke() {
             );
         }
     }
+    for n in SINGLE_TASK_SIZES {
+        let profile = single_task_profile(n);
+        let reference_quotes = clear_single_reference(&profile);
+        assert!(
+            !reference_quotes.is_empty(),
+            "single-task n={n} has winners"
+        );
+        let fast = clear_single_fast(&profile);
+        assert_quotes_bitwise_equal(&fast, &reference_quotes, &format!("single task n={n}"));
+    }
     println!("payment_scaling smoke: fast engine matches reference bitwise. ok");
+}
+
+/// Same winners, and every quote's success and failure bits equal.
+fn assert_quotes_bitwise_equal(fast: &Quotes, reference: &Quotes, at: &str) {
+    assert_eq!(fast.len(), reference.len(), "winner sets diverge at {at}");
+    for (winner, &(success, failure)) in reference {
+        let &(fast_success, fast_failure) = fast.get(winner).expect("same winners");
+        assert_eq!(
+            (fast_success.to_bits(), fast_failure.to_bits()),
+            (success.to_bits(), failure.to_bits()),
+            "quotes diverge for {winner} at {at}"
+        );
+    }
 }
 
 /// `--smoke`: the CI tier — the `--test` equivalence check plus a timed
@@ -405,6 +463,34 @@ fn main() {
         rows.push(Row::plain("fast", n, fast));
     }
 
+    // Single-task rounds: the clone-and-rerun bisections against the
+    // prepared round, after a bitwise check of their quotes.
+    for n in SINGLE_TASK_SIZES {
+        let profile = single_task_profile(n);
+        let reference_quotes = clear_single_reference(&profile);
+        let fast_quotes = clear_single_fast(&profile);
+        assert_quotes_bitwise_equal(
+            &fast_quotes,
+            &reference_quotes,
+            &format!("single task n={n}"),
+        );
+        let slow = median_ns(5, || {
+            black_box(clear_single_reference(black_box(&profile)));
+        });
+        let fast = median_ns(9, || {
+            black_box(clear_single_fast(black_box(&profile)));
+        });
+        println!(
+            "single task n={n} winners={}: reference {:.2} ms, fast {:.2} ms ({:.1}x)",
+            reference_quotes.len(),
+            slow as f64 / 1e6,
+            fast as f64 / 1e6,
+            slow as f64 / fast as f64
+        );
+        rows.push(Row::single_task("st_reference", n, slow));
+        rows.push(Row::single_task("st_fast", n, fast));
+    }
+
     // Fast-engine-only tier: full clear + whole-round payments, cold and
     // warm-context, with the cold/warm bitwise check standing in for the
     // (unaffordable) reference oracle.
@@ -448,6 +534,7 @@ fn main() {
         rows.push(Row {
             mechanism: "fast_warm",
             n,
+            tasks: TASKS,
             median_ns: warm,
             kernel: Some((kernel, runs)),
             profiling_overhead_pct: None,
@@ -477,6 +564,7 @@ fn main() {
         rows.push(Row {
             mechanism: "fast_alloc",
             n,
+            tasks: TASKS,
             median_ns: alloc,
             kernel: Some((kernel, 1)),
             profiling_overhead_pct: None,
@@ -500,6 +588,7 @@ fn main() {
         rows.push(Row {
             mechanism: "fast_warm_profiled",
             n,
+            tasks: TASKS,
             median_ns: profiled,
             kernel: None,
             profiling_overhead_pct: Some(overhead_pct),

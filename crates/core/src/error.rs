@@ -95,6 +95,14 @@ pub enum McsError {
         /// The budget that was exhausted.
         budget: u64,
     },
+    /// An FPTAS subproblem's scaled cost levels exceed
+    /// [`MAX_DP_LEVELS`](crate::single_task::MAX_DP_LEVELS): `ε` is too
+    /// fine for the round's costs to be solved in bounded memory.
+    DpLevelsExceeded {
+        /// The subproblem's level total, saturated at `u64::MAX` when it
+        /// overflows.
+        levels: u64,
+    },
     /// A reward scaling factor `α` was not a finite non-negative number.
     InvalidAlpha {
         /// The offending value.
@@ -159,6 +167,13 @@ impl fmt::Display for McsError {
             }
             McsError::SearchBudgetExhausted { budget } => {
                 write!(f, "exact solver exhausted its node budget of {budget}")
+            }
+            McsError::DpLevelsExceeded { levels } => {
+                write!(
+                    f,
+                    "an FPTAS subproblem spans {levels} DP levels, above the limit of {}; use a coarser ε",
+                    crate::single_task::MAX_DP_LEVELS
+                )
             }
             McsError::InvalidAlpha { value } => {
                 write!(

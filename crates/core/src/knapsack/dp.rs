@@ -4,7 +4,7 @@
 //! best user set whose scaled costs sum to exactly `L`. "Best" is decided by
 //! a deterministic three-level rule — higher (requirement-saturated)
 //! contribution, then lower actual cost, then lexicographically smaller
-//! member set — chosen so that the winner-determination built on top is
+//! member list — chosen so that the winner-determination built on top is
 //! *monotone* in any single user's declared contribution (the property
 //! Lemma 1 needs):
 //!
@@ -15,11 +15,20 @@
 //!   cheaper, never more expensive — which keeps the *cross-subproblem*
 //!   minimum (Algorithm 2 line 9) from abandoning her.
 //!
+//! The table is flat: one `(contribution, actual cost)` pair per level and
+//! the level's member set inline as `⌈n/64⌉` bit words, so a candidate
+//! state is compared and stored without allocating, and
+//! [`DpTable::solve_into`] reuses the buffers from one solve to the next.
+//! A bitmap of reached levels lets each item's pass visit only levels
+//! some subset reaches, in the same downward order as a full sweep.
+//!
 //! Complexity: `O(items × levels)` time and `O(levels)` states, where
 //! `levels ≤ Σ scaled costs` — the `O(n · C_s)` of the paper's Algorithm 1.
 
+use std::fmt;
+
 use crate::knapsack::UserSet;
-use crate::types::{Contribution, Cost};
+use crate::types::{Contribution, Cost, CONTRIBUTION_TOLERANCE};
 
 /// An item of the (scaled) minimum-knapsack instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,34 +46,108 @@ pub struct KnapsackItem {
     pub actual_cost: Cost,
 }
 
+/// The contribution an unreached level holds; real states are `≥ 0`.
+const EMPTY: f64 = -1.0;
+
+/// A member set stored inline as bit words: item index `i` is bit
+/// `i % 64` of word `i / 64`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct MemberSet<'a> {
+    words: &'a [u64],
+}
+
+impl<'a> MemberSet<'a> {
+    /// The set whose bit `i % 64` of word `i / 64` marks member `i`.
+    pub fn new(words: &'a [u64]) -> Self {
+        MemberSet { words }
+    }
+
+    /// Iterates over member indices in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = usize> + 'a {
+        self.words.iter().enumerate().flat_map(|(at, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    at * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Whether `index` is a member.
+    pub fn contains(self, index: usize) -> bool {
+        self.words
+            .get(index / 64)
+            .is_some_and(|word| word & (1u64 << (index % 64)) != 0)
+    }
+
+    /// The number of members.
+    pub fn len(self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The backing bit words.
+    pub fn words(self) -> &'a [u64] {
+        self.words
+    }
+}
+
+impl fmt::Debug for MemberSet<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// The best state found at one exact scaled-cost level.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DpCell {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DpCell<'a> {
     /// The member set (indices into the item slice's `index` space).
-    pub members: UserSet,
+    pub members: MemberSet<'a>,
     /// Total contribution, saturated at the requirement.
     pub contribution: Contribution,
     /// Total actual cost of the members.
     pub actual_cost: Cost,
 }
 
-impl DpCell {
+impl DpCell<'_> {
     /// Whether this cell's (saturated) contribution meets `requirement`.
     pub fn is_feasible(&self, requirement: Contribution) -> bool {
         self.contribution.meets(requirement)
     }
+}
 
-    /// The deterministic preference order described in the module docs:
-    /// `true` if `self` should replace `incumbent`.
-    fn beats(&self, incumbent: &DpCell) -> bool {
-        if self.contribution != incumbent.contribution {
-            return self.contribution > incumbent.contribution;
+/// Whether the member list of `from ∪ {index}` (`index` given as its word
+/// and bit) is lexicographically smaller than `incumbent`'s — the third
+/// level of the preference order, exactly the `Ord` of [`UserSet`].
+///
+/// Let `d` be the smallest index in exactly one of the two sets; below it
+/// the lists agree. If `d` is the candidate's, the candidate is smaller
+/// unless the incumbent's list ends before `d`; if it is the incumbent's,
+/// the candidate is smaller only if its own list ends before `d`.
+fn precedes(from: &[u64], (word, bit): (usize, u64), incumbent: &[u64]) -> bool {
+    let candidate = |at: usize| from[at] | if at == word { bit } else { 0 };
+    for at in 0..incumbent.len() {
+        let (a, b) = (candidate(at), incumbent[at]);
+        if a == b {
+            continue;
         }
-        if self.actual_cost != incumbent.actual_cost {
-            return self.actual_cost < incumbent.actual_cost;
-        }
-        self.members < incumbent.members
+        let diff = a ^ b;
+        let lowest = diff & diff.wrapping_neg();
+        let above = !(lowest | (lowest - 1));
+        return if a & lowest != 0 {
+            b & above != 0 || incumbent[at + 1..].iter().any(|&w| w != 0)
+        } else {
+            a & above == 0 && (at + 1..incumbent.len()).all(|later| candidate(later) == 0)
+        };
     }
+    false
 }
 
 /// The solved DP table.
@@ -97,57 +180,153 @@ impl DpCell {
 /// assert_eq!(cell.members.len(), 2);
 /// # Ok::<(), mcs_core::McsError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DpTable {
-    cells: Vec<Option<DpCell>>,
+    /// `(contribution, actual cost)` per level; [`EMPTY`] contribution
+    /// marks a level no subset reaches.
+    sums: Vec<(f64, f64)>,
+    /// `words` bit words per level.
+    members: Vec<u64>,
+    /// Bit `L` is set once some subset reaches level `L`.
+    reached: Vec<u64>,
+    words: usize,
+    len: usize,
     requirement: Contribution,
 }
 
 impl DpTable {
+    /// An empty table, to be filled by [`DpTable::solve_into`].
+    pub fn new() -> Self {
+        DpTable::default()
+    }
+
     /// Runs the dynamic program over `items` with the given contribution
-    /// `requirement`.
+    /// `requirement` into a fresh table.
     ///
     /// `level_cap` optionally truncates the table: levels above the cap are
     /// discarded. Passing the scaled cost of any known-feasible solution is
     /// safe (the optimum costs no more) and keeps the table small.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the items' scaled costs sum past `u64::MAX`.
     pub fn solve(
         items: &[KnapsackItem],
         requirement: Contribution,
         level_cap: Option<u64>,
     ) -> Self {
-        let total: u64 = items.iter().map(|i| i.scaled_cost).sum();
-        let cap = level_cap.map_or(total, |c| c.min(total));
-        let len = usize::try_from(cap).expect("scaled cost cap fits in usize") + 1;
-        let mut cells: Vec<Option<DpCell>> = vec![None; len];
-        cells[0] = Some(DpCell {
-            members: UserSet::new(),
-            contribution: Contribution::ZERO,
-            actual_cost: Cost::ZERO,
-        });
+        let mut table = DpTable::new();
+        table.solve_into(items, requirement, level_cap);
+        table
+    }
+
+    /// [`DpTable::solve`] into this table's buffers, which only ever
+    /// grow: a table reused across solves allocates nothing once it has
+    /// met its largest instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the items' scaled costs sum past `u64::MAX`.
+    pub fn solve_into(
+        &mut self,
+        items: &[KnapsackItem],
+        requirement: Contribution,
+        level_cap: Option<u64>,
+    ) {
+        let (mut total, mut words) = (0u64, 0);
         for item in items {
-            let step = usize::try_from(item.scaled_cost).expect("scaled cost fits in usize");
-            if step >= len {
-                continue;
+            total = total
+                .checked_add(item.scaled_cost)
+                .expect("scaled level total fits in u64");
+            words = words.max(item.index / 64 + 1);
+        }
+        let cap = level_cap.map_or(total, |c| c.min(total));
+        let len = usize::try_from(cap)
+            .ok()
+            .and_then(|cap| cap.checked_add(1))
+            .expect("scaled cost cap fits in usize");
+        self.reset(len, words, requirement);
+        for item in items {
+            self.add(item);
+        }
+    }
+
+    /// Clears the first `len` levels to the empty-set base state.
+    fn reset(&mut self, len: usize, words: usize, requirement: Contribution) {
+        self.sums.clear();
+        self.sums.resize(len, (EMPTY, 0.0));
+        self.sums[0] = (0.0, 0.0);
+        self.members.clear();
+        self.members.resize(len * words, 0);
+        self.reached.clear();
+        self.reached.resize(len.div_ceil(64), 0);
+        self.reached[0] = 1;
+        self.words = words;
+        self.len = len;
+        self.requirement = requirement;
+    }
+
+    /// One item's pass: every reached level `from` offers `from ∪ {item}`
+    /// to level `from + scaled cost`, which keeps the better of the two.
+    fn add(&mut self, item: &KnapsackItem) {
+        let Ok(step) = usize::try_from(item.scaled_cost) else {
+            return;
+        };
+        if step >= self.len {
+            return;
+        }
+        let (q, cost) = (item.contribution.value(), item.actual_cost.value());
+        let (word, bit) = (item.index / 64, 1u64 << (item.index % 64));
+        let (req, words, limit) = (self.requirement.value(), self.words, self.len - step);
+        let DpTable {
+            sums,
+            members,
+            reached,
+            ..
+        } = self;
+        // Walk the reached sources `from < len - step` downwards, so each
+        // item is used at most once (classic 0/1 knapsack order): every
+        // level this pass writes lies above the sources still to come,
+        // and unreached levels are never visited.
+        for at in (0..limit.div_ceil(64)).rev() {
+            let mut sources = reached[at];
+            if at == limit / 64 {
+                sources &= (1u64 << (limit % 64)) - 1;
             }
-            // Walk destination levels downwards so each item is used at most
-            // once (classic 0/1 knapsack order).
-            for to in (step..len).rev() {
-                let from = to - step;
-                let Some(base) = cells[from].as_ref() else {
+            while sources != 0 {
+                let high = 63 - sources.leading_zeros() as usize;
+                sources ^= 1u64 << high;
+                let from = at * 64 + high;
+                let to = from + step;
+                let (from_q, from_cost) = sums[from];
+                // Saturate at the requirement, as `Contribution::min` does.
+                let sum = from_q + q;
+                let candidate_q = if sum <= req { sum } else { req };
+                let candidate_cost = from_cost + cost;
+                let (to_q, to_cost) = sums[to];
+                // An unreached `to` holds EMPTY, below every candidate.
+                let beats = if candidate_q != to_q {
+                    candidate_q > to_q
+                } else if candidate_cost != to_cost {
+                    candidate_cost < to_cost
+                } else {
+                    precedes(
+                        &members[from * words..(from + 1) * words],
+                        (word, bit),
+                        &members[to * words..(to + 1) * words],
+                    )
+                };
+                if !beats {
                     continue;
-                };
-                let candidate = DpCell {
-                    members: base.members.with(item.index),
-                    contribution: (base.contribution + item.contribution).min(requirement),
-                    actual_cost: base.actual_cost + item.actual_cost,
-                };
-                match &cells[to] {
-                    Some(incumbent) if !candidate.beats(incumbent) => {}
-                    _ => cells[to] = Some(candidate),
                 }
+                sums[to] = (candidate_q, candidate_cost);
+                reached[to / 64] |= 1u64 << (to % 64);
+                if from != to {
+                    members.copy_within(from * words..(from + 1) * words, to * words);
+                }
+                members[to * words + word] |= bit;
             }
         }
-        DpTable { cells, requirement }
     }
 
     /// The contribution requirement the table was solved against.
@@ -161,25 +340,23 @@ impl DpTable {
     /// `requirement` may be at most the requirement passed to
     /// [`DpTable::solve`]; contributions were saturated there, so asking
     /// about a larger one would spuriously report infeasibility.
-    pub fn min_feasible(&self, requirement: Contribution) -> Option<(u64, &DpCell)> {
+    pub fn min_feasible(&self, requirement: Contribution) -> Option<(u64, DpCell<'_>)> {
         debug_assert!(
             requirement <= self.requirement,
             "cannot query above the saturation requirement"
         );
-        self.cells.iter().enumerate().find_map(|(level, cell)| {
-            cell.as_ref()
-                .filter(|c| c.is_feasible(requirement))
-                .map(|c| (level as u64, c))
-        })
-    }
-
-    /// All populated cells, as `(level, cell)` pairs in ascending level
-    /// order. Exposed for analysis and tests.
-    pub fn cells(&self) -> impl Iterator<Item = (u64, &DpCell)> + '_ {
-        self.cells
+        // `Contribution::meets` on the raw sums, skipping unreached levels.
+        let level = self.sums[..self.len]
             .iter()
-            .enumerate()
-            .filter_map(|(level, cell)| cell.as_ref().map(|c| (level as u64, c)))
+            .position(|&(q, _)| q != EMPTY && q + CONTRIBUTION_TOLERANCE >= requirement.value())?;
+        let (q, cost) = self.sums[level];
+        let members = &self.members[level * self.words..(level + 1) * self.words];
+        let cell = DpCell {
+            members: MemberSet::new(members),
+            contribution: Contribution::new(q).expect("a reached level's contribution"),
+            actual_cost: Cost::new(cost).expect("a reached level's cost"),
+        };
+        Some((level as u64, cell))
     }
 }
 

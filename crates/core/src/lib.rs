@@ -26,10 +26,12 @@
 //!   [`Contribution`](types::Contribution), [`Cost`](types::Cost),
 //!   [`UserType`](types::UserType), [`TypeProfile`](types::TypeProfile), …).
 //! * [`knapsack`] — the dominance-pruned dynamic program (paper
-//!   Algorithm 1) shared by the FPTAS and the exact solver.
+//!   Algorithm 1) behind the FPTAS, on one flat table reused across
+//!   solves.
 //! * [`single_task`] — the single-task mechanism: FPTAS winner
 //!   determination (Algorithm 2, `(1+ε)`-approximation) and the
-//!   critical-bid, execution-contingent reward scheme (Algorithm 3).
+//!   critical-bid, execution-contingent reward scheme (Algorithm 3), on
+//!   one prepared round whose probes rerun the FPTAS in place.
 //! * [`multi_task`] — the multi-task single-minded mechanism: greedy
 //!   submodular set cover (Algorithm 4, `H(γ)`-approximation) and its
 //!   per-iteration critical-bid reward scheme (Algorithm 5).

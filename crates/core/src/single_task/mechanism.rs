@@ -1,9 +1,9 @@
 //! The complete single-task mechanism: FPTAS winner determination plus the
 //! critical-bid, execution-contingent reward scheme.
 
-use crate::error::Result;
+use crate::error::{McsError, Result};
 use crate::mechanism::{validate_alpha, Allocation, RewardScheme, WinnerDetermination};
-use crate::single_task::{critical_pos, FptasWinnerDetermination};
+use crate::single_task::{AllocatedRound, FptasWinnerDetermination};
 use crate::types::{Pos, TypeProfile, UserId};
 
 /// The paper's single-task mechanism (Algorithms 2 + 3).
@@ -66,6 +66,21 @@ impl SingleTaskMechanism {
     pub fn winner_determination(&self) -> &FptasWinnerDetermination {
         &self.winner_determination
     }
+
+    /// Prepares `profile`'s round once and runs the FPTAS on it. The
+    /// winners are bitwise those of
+    /// [`WinnerDetermination::select_winners`]; the returned handle prices
+    /// exactly those winners on the same prepared round via
+    /// [`AllocatedRound::criticals`].
+    ///
+    /// # Errors
+    ///
+    /// [`McsError::Infeasible`] if the users cannot cover the task,
+    /// [`McsError::DpLevelsExceeded`] if `ε` is too fine for the round's
+    /// costs, and [`McsError::NotSingleTask`] for a multi-task profile.
+    pub fn allocate(&self, profile: &TypeProfile) -> Result<AllocatedRound> {
+        AllocatedRound::new(self.epsilon(), profile)
+    }
 }
 
 impl WinnerDetermination for SingleTaskMechanism {
@@ -85,7 +100,10 @@ impl RewardScheme for SingleTaskMechanism {
         allocation: &Allocation,
         user: UserId,
     ) -> Result<Pos> {
-        critical_pos(&self.winner_determination, profile, allocation, user)
+        if !allocation.contains(user) {
+            return Err(McsError::NotAWinner { user });
+        }
+        Ok(self.allocate(profile)?.critical_contribution(user)?.pos())
     }
 }
 

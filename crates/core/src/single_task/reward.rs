@@ -1,5 +1,5 @@
-//! Critical-bid search and execution-contingent rewards for the single-task
-//! mechanism (paper Algorithm 3).
+//! The clone-and-rerun critical-bid search of the single-task mechanism
+//! (paper Algorithm 3).
 //!
 //! Because the winner determination is monotone in a user's declared
 //! contribution (Lemma 1), each winner has a *critical contribution*
@@ -7,10 +7,18 @@
 //! binary search over `[0, Q]` — `Q` suffices because contributions are
 //! saturated at the requirement inside the DP, so any declaration at or
 //! above `Q` yields the identical allocation.
+//!
+//! [`critical_contribution`] clones the profile and reruns the winner
+//! determination at every probe, so it works for any monotone rule. The
+//! mechanism prices winners on a prepared round instead
+//! ([`AllocatedRound::critical_contribution`]), which returns the same
+//! bits; this search is the reference it is tested against.
+//!
+//! [`AllocatedRound::critical_contribution`]: crate::single_task::AllocatedRound::critical_contribution
 
 use crate::error::{McsError, Result};
-use crate::mechanism::{Allocation, WinnerDetermination, BISECTION_STEPS};
-use crate::types::{Contribution, Pos, TypeProfile, UserId};
+use crate::mechanism::{WinnerDetermination, BISECTION_STEPS};
+use crate::types::{Contribution, TypeProfile, UserId};
 
 /// Finds the critical contribution `q̄_i` of a winning user by binary
 /// search against an arbitrary (monotone) winner-determination algorithm.
@@ -70,23 +78,6 @@ pub fn critical_contribution<W: WinnerDetermination>(
         }
     }
     Contribution::new(hi)
-}
-
-/// Convenience wrapper: the critical PoS `p̄_i = 1 - e^{-q̄_i}`.
-///
-/// # Errors
-///
-/// Same as [`critical_contribution`].
-pub fn critical_pos<W: WinnerDetermination>(
-    winner_determination: &W,
-    profile: &TypeProfile,
-    allocation: &Allocation,
-    user: UserId,
-) -> Result<Pos> {
-    if !allocation.contains(user) {
-        return Err(McsError::NotAWinner { user });
-    }
-    Ok(critical_contribution(winner_determination, profile, user)?.pos())
 }
 
 #[cfg(test)]

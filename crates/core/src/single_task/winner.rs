@@ -16,15 +16,19 @@
 //!   huge; the approximation proof (Theorem 2) itself assumes the
 //!   actual-cost comparison (`c(I*) ≤ c(Ī^k)` for every `k`).
 //! * **Per-level tie-breaking favours lower actual cost** (see
-//!   [`DpTable`]); together with contribution saturation this makes every
-//!   subproblem's answer cost weakly *decrease* when a selected user raises
-//!   her declared PoS, which is what makes the whole algorithm monotone
-//!   (Lemma 1) and the critical bid well defined.
+//!   [`DpTable`](crate::knapsack::DpTable)); together with contribution
+//!   saturation this makes every subproblem's answer cost weakly
+//!   *decrease* when a selected user raises her declared PoS, which is
+//!   what makes the whole algorithm monotone (Lemma 1) and the critical
+//!   bid well defined.
+//!
+//! The algorithm itself lives in [`AllocatedRound`], which prepares a
+//! round once so that the critical-bid probes can rerun it in place.
 
 use crate::error::{McsError, Result};
-use crate::knapsack::{DpTable, KnapsackItem, Scaling};
 use crate::mechanism::{Allocation, WinnerDetermination};
-use crate::types::{Contribution, Cost, TypeProfile, UserId};
+use crate::single_task::AllocatedRound;
+use crate::types::TypeProfile;
 
 /// The `(1+ε)`-approximate single-task winner-determination algorithm.
 ///
@@ -78,80 +82,14 @@ impl FptasWinnerDetermination {
 
 impl WinnerDetermination for FptasWinnerDetermination {
     fn select_winners(&self, profile: &TypeProfile) -> Result<Allocation> {
-        let task = profile.the_task()?;
-        let requirement = task.requirement_contribution();
-        if requirement.is_zero() {
-            return Ok(Allocation::empty());
-        }
-        profile.check_feasible()?;
-
-        let task_id = task.id();
-        // Only users that actually contribute can win; sort by cost
-        // ascending (ties by id, which keeps the subproblem structure
-        // independent of declared PoS — costs are verifiable).
-        let mut entries: Vec<(UserId, Contribution, Cost)> = profile
-            .users()
-            .iter()
-            .filter_map(|user| {
-                let q = user.contribution_for(task_id);
-                (!q.is_zero()).then(|| (user.id(), q, user.cost()))
-            })
-            .collect();
-        entries.sort_by(|a, b| a.2.cmp(&b.2).then(a.0.cmp(&b.0)));
-
-        // Incumbent best answer across subproblems. Later subproblems use
-        // it to prune DP levels that cannot beat it — a pure optimization:
-        // a pruned level `L` has actual cost ≥ μ·L > incumbent, so its
-        // subproblem answer would lose the cross-subproblem minimum anyway,
-        // and levels at or below the cap are computed exactly. The reported
-        // sequence of answers is therefore identical to the unpruned run,
-        // which keeps the monotonicity argument intact.
-        let mut best: Option<(Cost, Allocation)> = None;
-
-        for k in 1..=entries.len() {
-            let scaling = Scaling::fptas(self.epsilon, entries[k - 1].2, k)?;
-            let items: Vec<KnapsackItem> = entries[..k]
-                .iter()
-                .enumerate()
-                .map(|(index, &(_, q, c))| KnapsackItem {
-                    index,
-                    contribution: q,
-                    scaled_cost: scaling.scale(c),
-                    actual_cost: c,
-                })
-                .collect();
-            let level_cap = best.as_ref().map(|(cost, _)| {
-                if scaling.mu() == 0.0 {
-                    u64::MAX
-                } else {
-                    // Levels L with μ·L > incumbent cost are hopeless.
-                    (cost.value() / scaling.mu()).floor() as u64
-                }
-            });
-            let table = DpTable::solve(&items, requirement, level_cap);
-            if let Some((_, cell)) = table.min_feasible(requirement) {
-                let winners: Allocation = cell.members.iter().map(|idx| entries[idx].0).collect();
-                let cost = cell.actual_cost;
-                // `<=` so later (larger-k) subproblems win ties — the
-                // deterministic rule the monotonicity argument fixes.
-                let improves = best
-                    .as_ref()
-                    .is_none_or(|(incumbent, _)| cost <= *incumbent);
-                if improves {
-                    best = Some((cost, winners));
-                }
-            }
-        }
-
-        best.map(|(_, allocation)| allocation)
-            .ok_or(McsError::Infeasible { task: task_id })
+        Ok(AllocatedRound::new(self.epsilon, profile)?.into_allocation())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Pos, UserType};
+    use crate::types::{Contribution, Cost, Pos, UserId, UserType};
 
     fn profile(requirement: f64, users: &[(f64, f64)]) -> TypeProfile {
         let users = users

@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mcs_core::indexed::{ClearContext, ContextPool};
-use mcs_core::mechanism::{contingent_reward, Allocation, RewardScheme, WinnerDetermination};
+use mcs_core::mechanism::{contingent_reward, Allocation};
 use mcs_core::multi_task::MultiTaskMechanism;
 use mcs_core::single_task::SingleTaskMechanism;
 use mcs_core::types::UserId;
@@ -128,10 +128,14 @@ fn span_exit(
 /// Prices one round for either mechanism: the [`Stage::Allocate`] span
 /// yields the winners, the [`Stage::Pay`] span one critical PoS `p̄_i`
 /// per winner, and both [`RewardQuote`] branches come from that one value
-/// via [`contingent_reward`] — bitwise what [`RewardScheme::reward`]
+/// via [`contingent_reward`] — bitwise what
+/// [`RewardScheme::reward`](mcs_core::mechanism::RewardScheme::reward)
 /// quotes for each branch, at one critical-bid search per winner.
 ///
-/// Single-task rounds use the FPTAS mechanism (`ε` from the config).
+/// Single-task rounds use the FPTAS mechanism (`ε` from the config): the
+/// allocate span prepares the round and runs the FPTAS once; the pay
+/// span bisects each winner's critical bid on that prepared round,
+/// every probe an in-place rerun on its one DP table.
 /// Multi-task rounds use the greedy mechanism on `context`: the allocate
 /// span syncs the context's persistent index to this round's profile
 /// (delta-patching when the population carried over) and runs the greedy
@@ -148,19 +152,11 @@ fn price_round(
     let (profile, id) = (&round.profile, round.id);
     let (allocation, criticals) = if profile.is_single_task() {
         let mechanism = SingleTaskMechanism::new(config.epsilon, config.alpha)?;
-        let allocation = timed(Stage::Allocate, id, metrics, trace, || {
-            mechanism.select_winners(profile)
+        let mut allocated = timed(Stage::Allocate, id, metrics, trace, || {
+            mechanism.allocate(profile)
         })?;
-        let criticals = timed(Stage::Pay, id, metrics, trace, || {
-            allocation
-                .winners()
-                .map(|winner| {
-                    let critical = mechanism.critical_pos(profile, &allocation, winner)?;
-                    Ok((winner, critical))
-                })
-                .collect::<Result<BTreeMap<_, _>, McsError>>()
-        })?;
-        (allocation, criticals)
+        let criticals = timed(Stage::Pay, id, metrics, trace, || allocated.criticals())?;
+        (allocated.into_allocation(), criticals)
     } else {
         let mechanism =
             MultiTaskMechanism::new(config.alpha)?.with_payment_threads(config.payment_threads);

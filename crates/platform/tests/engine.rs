@@ -269,3 +269,45 @@ fn multi_task_rounds_clear_end_to_end() {
         }
     }
 }
+
+#[test]
+fn too_fine_an_epsilon_quarantines_rounds_as_typed_errors() {
+    // ε = 1e-9 asked the single-task FPTAS for a 40 GB table and aborted
+    // the process; ε = 1e-100 overflowed its level arithmetic and
+    // panicked. Both are now typed mechanism errors, refused before any
+    // DP runs, and the engine quarantines the rounds and keeps serving.
+    let mut rng = StdRng::seed_from_u64(5);
+    let rounds: Vec<Vec<Bid>> = (0..2)
+        .map(|_| {
+            (0..24)
+                .map(|user| Bid {
+                    user,
+                    cost: rng.gen_range(1.0..5.0),
+                    tasks: vec![(0, rng.gen_range(0.3..0.8))],
+                })
+                .collect()
+        })
+        .collect();
+    for epsilon in [1e-9, 1e-100] {
+        let mut config = EngineConfig::default().with_workers(2).with_seed(3);
+        config.batch.max_bids = 24;
+        config.epsilon = epsilon;
+        let engine = run(
+            Engine::new(
+                config,
+                vec![Task::with_requirement(TaskId::new(0), 0.8).unwrap()],
+            ),
+            &rounds,
+        );
+        assert!(engine.results().is_empty(), "ε = {epsilon}");
+        assert_eq!(engine.quarantine().len(), 2, "ε = {epsilon}");
+        for quarantined in engine.quarantine() {
+            assert!(
+                matches!(&quarantined.error, RoundError::Mechanism { message }
+                    if message.contains("DP levels")),
+                "ε = {epsilon}: {:?}",
+                quarantined.error
+            );
+        }
+    }
+}

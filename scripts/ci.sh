@@ -29,9 +29,19 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> paper claims (repro --quick verify)"
+# Figures 5(a), 6, 8 and 9 run the FPTAS and the single-task critical
+# bids end to end; every claim the reproduction checks must still hold.
+# The exit status is the verdict; the grep pins the summary line.
+REPRO_OUT="$(cargo run --release -p mcs-sim --bin repro -- --quick verify)"
+echo "${REPRO_OUT}" | tail -1
+echo "${REPRO_OUT}" | grep -q '^9/9 claims reproduced$' || {
+  echo "repro verify: expected 9/9 claims reproduced"; exit 1; }
+
 echo "==> payment_scaling bench smoke (scripts/bench.sh --smoke)"
-# Bitwise fast/reference/warm-arena equivalence plus a timed n=10k
-# end-to-end clear on the arena path.
+# Bitwise fast/reference/warm-arena equivalence (multi-task, and the
+# single-task prepared round against clone-and-rerun at n = 24 and 96)
+# plus a timed n=10k end-to-end clear on the arena path.
 bash scripts/bench.sh --smoke
 
 echo "==> perfbench outcome gate (perfbench/run.py --workload all, seeds 1-10)"
