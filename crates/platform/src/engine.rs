@@ -135,11 +135,18 @@ impl Engine {
         } else {
             ClockMode::Wall
         };
+        let metrics = Arc::new(Metrics::new());
+        let recorder = Arc::new(FlightRecorder::new(config.trace.capacity, mode));
         Engine {
             config,
             batcher: Batcher::new(config.batch, tasks),
             admission: AdmissionController::new(config.admission),
-            pool: ShardPool::new(config.workers),
+            pool: ShardPool::new(
+                config,
+                Arc::clone(&injector),
+                Arc::clone(&metrics),
+                Arc::clone(&recorder),
+            ),
             pending: Vec::new(),
             pending_backlog: 0,
             results: BTreeMap::new(),
@@ -147,8 +154,8 @@ impl Engine {
             quarantine: Vec::new(),
             post_mortems: Vec::new(),
             ledger: Ledger::new(),
-            metrics: Arc::new(Metrics::new()),
-            recorder: Arc::new(FlightRecorder::new(config.trace.capacity, mode)),
+            metrics,
+            recorder,
             injector,
         }
     }
@@ -390,9 +397,13 @@ impl Engine {
         self.enqueue(closed);
     }
 
-    /// Force-closes the partially filled round, if any.
+    /// Force-closes the partially filled round, if any. Timed as
+    /// [`Stage::Batch`], like [`Engine::tick`]: closing builds the
+    /// round's type profile either way.
     pub fn flush(&mut self) {
+        let start = Instant::now();
         let closed = self.batcher.flush();
+        self.metrics.record(Stage::Batch, start.elapsed());
         self.enqueue(closed);
     }
 
@@ -404,6 +415,10 @@ impl Engine {
     /// Clears every pending round across the worker pool and settles the
     /// results in round-id order. Returns how many rounds cleared
     /// successfully this drain.
+    ///
+    /// The calling thread is one of the pool's workers; the others are
+    /// helper threads parked between drains (see [`crate::shard`]). A
+    /// one-round drain, or an engine with one worker, starts no thread.
     ///
     /// When a round holds more bids than the configured clearing budget
     /// (`admission.clear_budget`, 0 = unlimited), it is *partially*
@@ -422,13 +437,7 @@ impl Engine {
         for round in &mut rounds {
             self.enforce_clear_budget(round);
         }
-        let outcomes = self.pool.clear_all(
-            rounds,
-            &self.config,
-            self.injector.as_ref(),
-            &self.metrics,
-            &self.recorder,
-        );
+        let outcomes = self.pool.clear_all(rounds);
         let mut cleared = 0;
         // BTreeMap iteration settles in round-id order no matter which
         // worker finished first, keeping the ledger deterministic.
@@ -1032,6 +1041,71 @@ mod tests {
             budgeted.settlements()[&RoundId(0)],
             prefix.settlements()[&RoundId(0)]
         );
+    }
+
+    #[test]
+    fn dropping_an_engine_joins_its_shard_helpers() {
+        let mut e = engine(4);
+        submit_feasible_round(&mut e, 0);
+        submit_feasible_round(&mut e, 4);
+        assert_eq!(e.drain(), 2);
+        // Each shard helper holds the engine's metrics; once the engine
+        // is gone, nothing may.
+        let metrics = Arc::downgrade(&e.metrics_handle());
+        drop(e);
+        assert!(
+            metrics.upgrade().is_none(),
+            "a shard helper outlived its engine"
+        );
+    }
+
+    #[test]
+    fn adopted_contexts_reach_existing_helpers() {
+        use mcs_core::indexed::ContextPool;
+        let mut e = engine(4);
+        let drain_two = |e: &mut Engine, offset: u32| {
+            submit_feasible_round(e, offset);
+            submit_feasible_round(e, offset + 4);
+            assert_eq!(e.drain(), 2);
+        };
+        // Two rounds wake one helper beside the caller.
+        drain_two(&mut e, 0);
+        // Empty the engine's own arena pool, so any worker still using
+        // it would leave a context behind there.
+        let own = e.clear_contexts();
+        let _held: Vec<_> = (0..own.idle()).map(|_| own.checkout()).collect();
+        assert_eq!(own.idle(), 0);
+        // Adopted after the helper exists, the new pool serves both
+        // workers of the next drain; the old one is never touched.
+        let adopted = ContextPool::new();
+        e.adopt_clear_contexts(adopted.clone());
+        drain_two(&mut e, 8);
+        assert_eq!(own.idle(), 0);
+        assert!(adopted.idle() >= 1);
+        assert_eq!(e.clear_contexts().idle(), adopted.idle());
+    }
+
+    #[test]
+    fn each_flush_adds_one_batch_sample() {
+        let mut e = engine(4);
+        let batch = |e: &Engine| {
+            let snap = e.metrics().snapshot();
+            snap.stages
+                .iter()
+                .find(|s| s.stage == "batch")
+                .unwrap()
+                .count
+        };
+        assert_eq!(batch(&e), 0);
+        e.submit(&bid(0, 2.0, 0.6)).unwrap();
+        e.submit(&bid(1, 2.5, 0.7)).unwrap();
+        e.flush();
+        assert_eq!(e.pending_rounds(), 1);
+        assert_eq!(batch(&e), 1);
+        // A flush with nothing open closes nothing but is still timed.
+        e.flush();
+        assert_eq!(e.pending_rounds(), 1);
+        assert_eq!(batch(&e), 2);
     }
 
     /// An injector that forces every bid's cost to a fixed value, to prove

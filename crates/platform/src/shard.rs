@@ -1,6 +1,17 @@
 //! Sharded round clearing: a fixed worker pool running winner
 //! determination, reward quoting, and execution draws.
 //!
+//! ## Who clears
+//!
+//! The thread that calls [`ShardPool::clear_all`] — the engine's
+//! [`drain`](crate::engine::Engine::drain) — is one of the pool's
+//! workers and clears rounds itself. The other `workers − 1` are helper
+//! threads, spawned once, the first time a drain holds more than one
+//! round. Between drains they are parked on a channel, so a drain hands
+//! out work instead of spawning threads. A one-round drain, or a pool of
+//! one worker, clears inline and starts no thread. Dropping the pool
+//! closes the helpers' channels and joins them.
+//!
 //! ## Determinism contract
 //!
 //! For a fixed engine seed, clearing is **bitwise identical for every
@@ -15,9 +26,14 @@
 //!    completion order — the only thing the worker count changes — is
 //!    erased before anyone observes the results.
 //!
-//! Workers clear consecutive rounds on a persistent [`ClearContext`]
-//! (delta-patched CSR index, heap seeds, pooled workspaces) checked out
-//! of the pool's [`ContextPool`]. This never perturbs the contract:
+//! Which thread clears a round is as unobservable as which order the
+//! rounds finish in: the caller and the helpers run the same worker
+//! body on the same configuration, fault hooks and telemetry sinks.
+//!
+//! On each drain, every worker clears its rounds on a persistent
+//! [`ClearContext`] (delta-patched CSR index, heap seeds, pooled
+//! workspaces) checked out of the pool's [`ContextPool`] and given back
+//! when the drain's queue runs dry. This never perturbs the contract:
 //! syncing an arena to a round's profile is bitwise identical to
 //! building it fresh (`mcs_core::indexed::sync_with`'s tested
 //! invariant), so which worker — with whatever arena history — clears a
@@ -25,12 +41,16 @@
 //!
 //! Workers wrap each round in `catch_unwind`: a panicking round becomes a
 //! [`RoundError::Panicked`] and the pool keeps serving (see
-//! [`crate::degrade`]).
+//! [`crate::degrade`]). A helper that panics outside that guard fails
+//! the drain it broke: the drain re-raises the helper's panic rather
+//! than return with a round missing.
 
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mcs_core::indexed::{ClearContext, ContextPool};
@@ -251,31 +271,139 @@ fn clear_round_metered(
     })
 }
 
+/// One round's result as a worker reports it: the round id, then the
+/// round's bidder count (kept for quarantine records) and its outcome.
+type Cleared = (RoundId, (usize, Result<ClearedRound, RoundError>));
+
+/// A drain's rounds, popped from the front by every worker in turn.
+type Queue = Mutex<std::vec::IntoIter<Round>>;
+
+/// What every worker of a pool reads: the engine's configuration, fault
+/// hooks and telemetry sinks. The pool and each of its helpers hold one
+/// handle, so helpers borrow nothing from the drain that wakes them.
+#[derive(Debug)]
+struct Shared {
+    config: EngineConfig,
+    injector: Arc<dyn FaultInjector>,
+    metrics: Arc<Metrics>,
+    recorder: Arc<FlightRecorder>,
+}
+
+impl Shared {
+    /// The worker body, run by the draining thread and by every woken
+    /// helper alike: checks a clearing arena out of `contexts`, clears
+    /// rounds off `rounds` until the queue is empty, and gives the arena
+    /// back. One arena per worker for the whole drain: consecutive rounds
+    /// on this worker delta-patch its persistent index.
+    fn work(&self, rounds: &Queue, contexts: &ContextPool) -> Vec<Cleared> {
+        let mut context = contexts.checkout();
+        let mut cleared = Vec::new();
+        loop {
+            // Take the lock only to pop; clearing runs unlocked.
+            let next = rounds.lock().expect("round queue lock").next();
+            let Some(round) = next else { break };
+            cleared.push(self.clear_one(&round, &mut context));
+        }
+        contexts.give_back(context);
+        cleared
+    }
+
+    /// Clears one round inside the [`Stage::Shard`] span, catching a
+    /// panic at the round boundary.
+    fn clear_one(&self, round: &Round, context: &mut ClearContext) -> Cleared {
+        let (metrics, recorder) = (&*self.metrics, &*self.recorder);
+        let bidders = round.profile.user_count();
+        span_enter(Some(recorder), Stage::Shard, round.id);
+        let start = Instant::now();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(message) = self.injector.shard_panic(round.id) {
+                panic!("{message}");
+            }
+            clear_round_metered(round, &self.config, context, Some(metrics), Some(recorder))
+        }));
+        // Drain this round's kernel counters before any panic cleanup can
+        // discard the arena (a panicked round's partial counts still count
+        // the work it did). Gated: draining is the only profiling cost
+        // that leaves the worker's cache lines.
+        if self.config.profiling {
+            metrics.record_kernel(&context.take_prof());
+        }
+        if caught.is_err() {
+            // A panic can leave the arena half-patched (e.g. mid seed
+            // rebuild); discard it rather than reason about its state.
+            *context = ClearContext::new();
+        }
+        let outcome = caught.unwrap_or_else(|payload| {
+            Err(RoundError::Panicked {
+                message: panic_message(payload.as_ref()),
+            })
+        });
+        metrics.record(Stage::Shard, start.elapsed());
+        span_exit(Some(recorder), Stage::Shard, round.id, start.elapsed());
+        (round.id, (bidders, outcome))
+    }
+}
+
+/// One drain's call on a parked helper: the drain's round queue, the
+/// arenas to clear on, and where to report.
+struct Job {
+    rounds: Arc<Queue>,
+    contexts: ContextPool,
+    report: mpsc::Sender<Vec<Cleared>>,
+}
+
+/// A parked helper thread and the channel that wakes it.
+#[derive(Debug)]
+struct Helper {
+    jobs: mpsc::Sender<Job>,
+    thread: JoinHandle<()>,
+}
+
 /// A fixed-size pool of shard workers sharing a [`ContextPool`] of
 /// clearing arenas.
 ///
+/// The thread calling [`ShardPool::clear_all`] is one worker; the other
+/// `workers − 1` are helper threads that the pool spawns the first time
+/// a drain holds more than one round, parks between drains, and joins
+/// when it is dropped (see the module docs). A drain wakes only as many
+/// helpers as it has rounds beyond the first.
+///
 /// Each worker checks a [`ClearContext`] out for the duration of a
-/// [`ShardPool::clear_all`] call and returns it afterwards, so the
-/// contexts — and the delta-patched indexes inside them — survive across
-/// drains. Cloning the pool clones the context-pool *handle*: clones
-/// share arenas.
-#[derive(Debug, Clone)]
+/// drain and returns it afterwards, so the contexts — and the
+/// delta-patched indexes inside them — survive across drains.
+#[derive(Debug)]
 pub struct ShardPool {
     workers: usize,
     contexts: ContextPool,
+    shared: Arc<Shared>,
+    helpers: Vec<Helper>,
 }
 
 impl ShardPool {
-    /// A pool with `workers` threads (clamped to ≥ 1) and an empty
-    /// context pool.
-    pub fn new(workers: usize) -> Self {
+    /// A pool of `config.workers` workers (clamped to ≥ 1) that clears
+    /// with `config`, consults `injector`, and reports into `metrics` and
+    /// `recorder`. Its context pool starts empty, and no helper thread
+    /// exists until the first drain of more than one round.
+    pub fn new(
+        config: EngineConfig,
+        injector: Arc<dyn FaultInjector>,
+        metrics: Arc<Metrics>,
+        recorder: Arc<FlightRecorder>,
+    ) -> Self {
         ShardPool {
-            workers: workers.max(1),
+            workers: config.workers.max(1),
             contexts: ContextPool::new(),
+            shared: Arc::new(Shared {
+                config,
+                injector,
+                metrics,
+                recorder,
+            }),
+            helpers: Vec::new(),
         }
     }
 
-    /// The worker count.
+    /// The worker count, the calling thread included.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -288,7 +416,9 @@ impl ShardPool {
     }
 
     /// Replaces the pool's clearing arenas with `contexts` — the adopt
-    /// half of the [`ShardPool::contexts`] hand-off.
+    /// half of the [`ShardPool::contexts`] hand-off. Helpers receive the
+    /// pool's arenas with each drain, so the next drain clears on the
+    /// adopted ones whether or not helpers exist yet.
     pub fn adopt_contexts(&mut self, contexts: ContextPool) {
         self.contexts = contexts;
     }
@@ -299,6 +429,9 @@ impl ShardPool {
     /// harness can panic chosen rounds deliberately; production passes
     /// [`NoFaults`](crate::fault::NoFaults).
     ///
+    /// The calling thread clears rounds too; a drain of one round, or a
+    /// pool of one worker, runs entirely on it.
+    ///
     /// The result map is keyed by round id and is identical for every
     /// worker count (see the module docs). The second tuple element is
     /// the round's bidder count, kept for quarantine records.
@@ -306,86 +439,97 @@ impl ShardPool {
     /// Every round gets a [`Stage::Shard`] enter/exit span pair in the
     /// flight recorder; the exit is recorded even when the round panics,
     /// since the span sits outside `catch_unwind`.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a helper that died outside the round
+    /// guard, so no round goes missing in silence. The pool stays
+    /// usable: the next drain of more than one round spawns fresh
+    /// helpers.
     pub fn clear_all(
-        &self,
+        &mut self,
         rounds: Vec<Round>,
-        config: &EngineConfig,
-        injector: &dyn FaultInjector,
-        metrics: &Metrics,
-        recorder: &FlightRecorder,
     ) -> BTreeMap<RoundId, (usize, Result<ClearedRound, RoundError>)> {
-        let (round_tx, round_rx) = mpsc::channel::<Round>();
-        for round in rounds {
-            round_tx.send(round).expect("receiver alive");
+        // A worker beyond the round count would find the queue empty.
+        let woken = self.workers.min(rounds.len()).saturating_sub(1);
+        let queue = Arc::new(Mutex::new(rounds.into_iter()));
+        if woken == 0 {
+            return self
+                .shared
+                .work(&queue, &self.contexts)
+                .into_iter()
+                .collect();
         }
-        drop(round_tx);
-        let round_rx = Arc::new(Mutex::new(round_rx));
+        if self.helpers.is_empty() {
+            self.spawn_helpers();
+        }
+        let (report, reports) = mpsc::channel();
+        for helper in &self.helpers[..woken] {
+            // A dead helper refuses the job; its missing report is
+            // caught below.
+            let _ = helper.jobs.send(Job {
+                rounds: Arc::clone(&queue),
+                contexts: self.contexts.clone(),
+                report: report.clone(),
+            });
+        }
+        drop(report);
+        let mut cleared = self.shared.work(&queue, &self.contexts);
+        // Ends once every woken helper has reported or died.
+        let mut reported = 0;
+        for batch in reports {
+            reported += 1;
+            cleared.extend(batch);
+        }
+        if reported < woken {
+            let payload = self.join_helpers();
+            resume_unwind(payload.unwrap_or_else(|| Box::new("a shard helper stopped unreported")));
+        }
+        cleared.into_iter().collect()
+    }
 
-        let (result_tx, result_rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                let round_rx = Arc::clone(&round_rx);
-                let result_tx = result_tx.clone();
-                let contexts = self.contexts.clone();
-                scope.spawn(move || {
-                    // One clearing arena per worker for the whole drain:
-                    // consecutive rounds on this worker delta-patch its
-                    // persistent index.
-                    let mut context = contexts.checkout();
-                    loop {
-                        // Take the lock only to pop; clearing runs unlocked.
-                        let next = round_rx.lock().expect("queue lock").recv();
-                        let Ok(round) = next else { break };
-                        let bidders = round.profile.user_count();
-                        span_enter(Some(recorder), Stage::Shard, round.id);
-                        let start = Instant::now();
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(message) = injector.shard_panic(round.id) {
-                                panic!("{message}");
-                            }
-                            clear_round_metered(
-                                &round,
-                                config,
-                                &mut context,
-                                Some(metrics),
-                                Some(recorder),
-                            )
-                        }));
-                        // Drain this round's kernel counters before any panic
-                        // cleanup can discard the arena (a panicked
-                        // round's partial counts still count the work it
-                        // did). Gated: draining is the only profiling
-                        // cost that leaves the worker's cache lines.
-                        if config.profiling {
-                            metrics.record_kernel(&context.take_prof());
+    /// Spawns the `workers − 1` helpers, each parked on its own channel.
+    fn spawn_helpers(&mut self) {
+        self.helpers = (1..self.workers)
+            .map(|i| {
+                let (jobs, parked) = mpsc::channel::<Job>();
+                let shared = Arc::clone(&self.shared);
+                let thread = std::thread::Builder::new()
+                    .name(format!("shard-helper-{i}"))
+                    .spawn(move || {
+                        for job in parked {
+                            let cleared = shared.work(&job.rounds, &job.contexts);
+                            // Reporting is the job's last act, so a helper
+                            // that dies at any point of it leaves its
+                            // report missing.
+                            let _ = job.report.send(cleared);
                         }
-                        if caught.is_err() {
-                            // A panic can leave the arena half-patched
-                            // (e.g. mid seed rebuild); discard it rather
-                            // than reason about its state.
-                            context = ClearContext::new();
-                        }
-                        let outcome = caught.unwrap_or_else(|payload| {
-                            Err(RoundError::Panicked {
-                                message: panic_message(payload.as_ref()),
-                            })
-                        });
-                        metrics.record(Stage::Shard, start.elapsed());
-                        span_exit(Some(recorder), Stage::Shard, round.id, start.elapsed());
-                        if result_tx.send((round.id, bidders, outcome)).is_err() {
-                            break;
-                        }
-                    }
-                    contexts.give_back(context);
-                });
+                    })
+                    .expect("spawn a shard helper");
+                Helper { jobs, thread }
+            })
+            .collect();
+    }
+
+    /// Closes every helper's channel and joins it, returning the first
+    /// helper panic found.
+    fn join_helpers(&mut self) -> Option<Box<dyn Any + Send>> {
+        let mut panicked = None;
+        for Helper { jobs, thread } in self.helpers.drain(..) {
+            drop(jobs);
+            if let Err(payload) = thread.join() {
+                panicked.get_or_insert(payload);
             }
-        });
-        drop(result_tx);
+        }
+        panicked
+    }
+}
 
-        result_rx
-            .into_iter()
-            .map(|(id, bidders, outcome)| (id, (bidders, outcome)))
-            .collect()
+impl Drop for ShardPool {
+    /// Joins every helper, so no thread outlives its pool. A helper
+    /// that panicked has already failed the drain it broke.
+    fn drop(&mut self) {
+        let _ = self.join_helpers();
     }
 }
 
@@ -395,6 +539,32 @@ mod tests {
     use crate::fault::NoFaults;
     use mcs_core::types::{Cost, Pos, TypeProfile, UserType};
     use mcs_core::types::{Task, TaskId};
+
+    /// A pool of `workers` clearing with `config` and `injector` into
+    /// fresh metrics and `recorder`.
+    fn pool_with(
+        workers: usize,
+        config: EngineConfig,
+        injector: Arc<dyn FaultInjector>,
+        recorder: FlightRecorder,
+    ) -> ShardPool {
+        ShardPool::new(
+            config.with_workers(workers),
+            injector,
+            Arc::new(Metrics::new()),
+            Arc::new(recorder),
+        )
+    }
+
+    /// A fault-free, untraced pool of `workers` clearing with `config`.
+    fn pool(workers: usize, config: EngineConfig) -> ShardPool {
+        pool_with(
+            workers,
+            config,
+            Arc::new(NoFaults),
+            FlightRecorder::disabled(),
+        )
+    }
 
     fn round(id: u64, costs_and_pos: &[(f64, f64)]) -> Round {
         let users = costs_and_pos
@@ -451,20 +621,8 @@ mod tests {
     fn pool_results_do_not_depend_on_worker_count() {
         let config = EngineConfig::default().with_seed(11);
         let rounds: Vec<Round> = (0..12).map(feasible_round).collect();
-        let one = ShardPool::new(1).clear_all(
-            rounds.clone(),
-            &config,
-            &NoFaults,
-            &Metrics::new(),
-            &FlightRecorder::disabled(),
-        );
-        let many = ShardPool::new(4).clear_all(
-            rounds,
-            &config,
-            &NoFaults,
-            &Metrics::new(),
-            &FlightRecorder::disabled(),
-        );
+        let one = pool(1, config).clear_all(rounds.clone());
+        let many = pool(4, config).clear_all(rounds);
         assert_eq!(one, many);
         assert_eq!(one.len(), 12);
     }
@@ -544,24 +702,12 @@ mod tests {
         let rounds: Vec<Round> = (0..5)
             .map(|i| multi_task_round_scaled(i, 0.8 + 0.04 * i as f64))
             .collect();
-        let pool = ShardPool::new(1);
-        let pooled = pool.clear_all(
-            rounds.clone(),
-            &config,
-            &NoFaults,
-            &Metrics::new(),
-            &FlightRecorder::disabled(),
-        );
+        let mut pool = pool(1, config);
+        let pooled = pool.clear_all(rounds.clone());
         // The worker's warmed arena is parked for the next drain…
         assert_eq!(pool.contexts().idle(), 1);
         // …and a second drain starting from it clears identically.
-        let again = pool.clear_all(
-            rounds.clone(),
-            &config,
-            &NoFaults,
-            &Metrics::new(),
-            &FlightRecorder::disabled(),
-        );
+        let again = pool.clear_all(rounds.clone());
         assert_eq!(pooled, again);
         // Every round matches the pure, fresh-context function bitwise,
         // even though the pooled path delta-patched across rounds.
@@ -574,24 +720,12 @@ mod tests {
     #[test]
     fn adopted_contexts_are_shared_handles() {
         let config = EngineConfig::default().with_seed(2);
-        let first = ShardPool::new(1);
-        first.clear_all(
-            vec![multi_task_round(0)],
-            &config,
-            &NoFaults,
-            &Metrics::new(),
-            &FlightRecorder::disabled(),
-        );
+        let mut first = pool(1, config);
+        first.clear_all(vec![multi_task_round(0)]);
         assert_eq!(first.contexts().idle(), 1);
-        let mut second = ShardPool::new(1);
+        let mut second = pool(1, config);
         second.adopt_contexts(first.contexts());
-        let outcomes = second.clear_all(
-            vec![multi_task_round(1)],
-            &config,
-            &NoFaults,
-            &Metrics::new(),
-            &FlightRecorder::disabled(),
-        );
+        let outcomes = second.clear_all(vec![multi_task_round(1)]);
         assert!(outcomes[&RoundId(1)].1.is_ok());
         // The adopted handle still points at the same free list: the
         // warmed context went out and came back.
@@ -613,16 +747,10 @@ mod tests {
     #[test]
     fn pool_times_allocate_and_pay_subspans() {
         let config = EngineConfig::default().with_seed(5);
-        let metrics = Metrics::new();
         let rounds = vec![multi_task_round(0), feasible_round(1)];
-        ShardPool::new(2).clear_all(
-            rounds,
-            &config,
-            &NoFaults,
-            &metrics,
-            &FlightRecorder::disabled(),
-        );
-        let snap = metrics.snapshot();
+        let mut pool = pool(2, config);
+        pool.clear_all(rounds);
+        let snap = pool.shared.metrics.snapshot();
         let stage = |name: &str| snap.stages.iter().find(|s| s.stage == name).unwrap();
         assert_eq!(stage("allocate").count, 2);
         assert_eq!(stage("pay").count, 2);
@@ -633,30 +761,18 @@ mod tests {
     fn profiling_drains_kernel_counters_without_changing_outcomes() {
         let config = EngineConfig::default().with_seed(7);
         let rounds: Vec<Round> = (0..4).map(multi_task_round).collect();
-        let plain_metrics = Metrics::new();
-        let plain = ShardPool::new(2).clear_all(
-            rounds.clone(),
-            &config,
-            &NoFaults,
-            &plain_metrics,
-            &FlightRecorder::disabled(),
-        );
-        let prof_metrics = Metrics::new();
-        let profiled = ShardPool::new(2).clear_all(
-            rounds,
-            &config.with_profiling(true),
-            &NoFaults,
-            &prof_metrics,
-            &FlightRecorder::disabled(),
-        );
+        let mut plain_pool = pool(2, config);
+        let plain = plain_pool.clear_all(rounds.clone());
+        let mut prof_pool = pool(2, config.with_profiling(true));
+        let profiled = prof_pool.clear_all(rounds);
         assert_eq!(plain, profiled);
         // Profiling off: the kernel families stay zero.
-        assert_eq!(plain_metrics.snapshot().kernel.prepares, 0);
+        assert_eq!(plain_pool.shared.metrics.snapshot().kernel.prepares, 0);
         // Profiling on: every round prepared an arena, payments probed,
         // and the conservation laws hold over the drained sums.
         // One prepare per multi-task round: the allocate phase syncs the
         // arena and the pay phase prices on that same index.
-        let k = prof_metrics.snapshot().kernel;
+        let k = prof_pool.shared.metrics.snapshot().kernel;
         assert_eq!(k.prepares, 4);
         assert_eq!(
             k.reuse_hits + k.sync_patched + k.sync_reflattened,
@@ -722,9 +838,10 @@ mod tests {
         let config = EngineConfig::default().with_seed(5);
         let recorder = FlightRecorder::new(256, ClockMode::Logical);
         let rounds = vec![multi_task_round(0), feasible_round(1)];
-        ShardPool::new(2).clear_all(rounds, &config, &NoFaults, &Metrics::new(), &recorder);
+        let mut pool = pool_with(2, config, Arc::new(NoFaults), recorder);
+        pool.clear_all(rounds);
         for round in [0u64, 1] {
-            let trace = recorder.round_trace(round);
+            let trace = pool.shared.recorder.round_trace(round);
             let spans: Vec<(EventKind, Option<Stage>)> =
                 trace.iter().map(|e| (e.kind, e.stage)).collect();
             // Shard wraps the allocate and pay sub-spans.
@@ -754,19 +871,199 @@ mod tests {
         use mcs_obs::{ClockMode, EventKind};
         let config = EngineConfig::default().with_seed(5);
         let recorder = FlightRecorder::new(256, ClockMode::Logical);
-        let injector = PanicRounds::new([RoundId(0)]);
-        let outcomes = ShardPool::new(2).clear_all(
-            vec![feasible_round(0)],
-            &config,
-            &injector,
-            &Metrics::new(),
-            &recorder,
-        );
+        let injector = Arc::new(PanicRounds::new([RoundId(0)]));
+        let mut pool = pool_with(2, config, injector, recorder);
+        let outcomes = pool.clear_all(vec![feasible_round(0)]);
         assert!(outcomes[&RoundId(0)].1.is_err());
-        let trace = recorder.round_trace(0);
+        let trace = pool.shared.recorder.round_trace(0);
         assert_eq!(trace.len(), 2);
         assert_eq!(trace[0].kind, EventKind::StageEnter);
         assert_eq!(trace[1].kind, EventKind::StageExit);
         assert_eq!(trace[1].stage, Some(Stage::Shard));
+    }
+
+    /// Panics rounds like [`PanicRounds`](crate::fault::PanicRounds),
+    /// logs the thread that clears each round, and holds every round in
+    /// `gate` until all of them are held. A drain whose first rounds are
+    /// the gate, one per worker, so hands one gated round to each worker:
+    /// the caller and every helper.
+    #[derive(Debug)]
+    struct Spread {
+        panics: crate::fault::PanicRounds,
+        gate: std::collections::BTreeSet<RoundId>,
+        held: Mutex<usize>,
+        all_held: std::sync::Condvar,
+        log: Mutex<Vec<(RoundId, std::thread::ThreadId)>>,
+    }
+
+    impl Spread {
+        fn new(panics: &[u64], gate: &[u64]) -> Self {
+            Spread {
+                panics: crate::fault::PanicRounds::new(panics.iter().map(|&id| RoundId(id))),
+                gate: gate.iter().map(|&id| RoundId(id)).collect(),
+                held: Mutex::new(0),
+                all_held: std::sync::Condvar::new(),
+                log: Mutex::new(Vec::new()),
+            }
+        }
+
+        /// The thread that cleared round `id`.
+        fn thread_of(&self, id: u64) -> std::thread::ThreadId {
+            let log = self.log.lock().unwrap();
+            log.iter().find(|(round, _)| round.0 == id).unwrap().1
+        }
+    }
+
+    impl FaultInjector for Spread {
+        fn shard_panic(&self, round: RoundId) -> Option<String> {
+            self.log
+                .lock()
+                .unwrap()
+                .push((round, std::thread::current().id()));
+            if self.gate.contains(&round) {
+                let mut held = self.held.lock().unwrap();
+                *held += 1;
+                self.all_held.notify_all();
+                let (_held, wait) = self
+                    .all_held
+                    .wait_timeout_while(held, std::time::Duration::from_secs(60), |held| {
+                        *held < self.gate.len()
+                    })
+                    .unwrap();
+                assert!(!wait.timed_out(), "a worker never took its gated round");
+            }
+            self.panics.shard_panic(round)
+        }
+    }
+
+    #[test]
+    fn one_pool_serves_consecutive_drains_identically_for_every_worker_count() {
+        let config = EngineConfig::default().with_seed(13);
+        // Drains of 0 rounds, 1 round, fewer rounds than (most) workers,
+        // 10 rounds, then 3 and 1 again; single- and multi-task rounds
+        // alternate, and ids run on across drains.
+        let sizes = [0usize, 1, 2, 10, 3, 1];
+        let mut next = 0u64;
+        let drains: Vec<Vec<Round>> = sizes
+            .iter()
+            .map(|&size| {
+                (0..size)
+                    .map(|_| {
+                        let id = next;
+                        next += 1;
+                        if id.is_multiple_of(2) {
+                            feasible_round(id)
+                        } else {
+                            multi_task_round_scaled(id, 0.8 + 0.02 * id as f64)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        // The 10-round drain holds ids 3..13. Its first four rounds panic
+        // for every worker count; a pool of w workers gates the first w
+        // of them, so each worker panics one. Round 0 (a one-round drain,
+        // on the caller) and round 14 panic too.
+        let big = 3u64;
+        let panics = [0, big, big + 1, big + 2, big + 3, 14];
+        let mut by_workers = Vec::new();
+        for workers in 1..=4usize {
+            let gate: Vec<u64> = (big..big + workers as u64).collect();
+            let spread = Arc::new(Spread::new(&panics, &gate));
+            let mut pool = pool_with(workers, config, spread.clone(), FlightRecorder::disabled());
+            let mut multi_round_seen = false;
+            let mut outcomes = Vec::new();
+            for rounds in &drains {
+                let drained = pool.clear_all(rounds.clone());
+                assert_eq!(drained.len(), rounds.len(), "{workers} workers");
+                for round in rounds {
+                    let (bidders, outcome) = &drained[&round.id];
+                    assert_eq!(*bidders, round.profile.user_count());
+                    let expected = if panics.contains(&round.id.0) {
+                        Err(RoundError::Panicked {
+                            message: format!("injected fault in round {}", round.id),
+                        })
+                    } else {
+                        Ok(clear_round(round, &config).unwrap())
+                    };
+                    assert_eq!(*outcome, expected, "{workers} workers, {}", round.id);
+                }
+                multi_round_seen |= rounds.len() > 1;
+                // Helpers appear with the first drain of more than one
+                // round, never before, and their number never grows.
+                let helpers = if multi_round_seen { workers - 1 } else { 0 };
+                assert_eq!(pool.helpers.len(), helpers, "{workers} workers");
+                outcomes.push(drained);
+            }
+            let caller = std::thread::current().id();
+            // One-round drains clear on the caller.
+            assert_eq!(spread.thread_of(0), caller);
+            assert_eq!(spread.thread_of(16), caller);
+            // Each worker, the caller included, panicked one gated round.
+            let mut gated: Vec<_> = gate.iter().map(|&id| spread.thread_of(id)).collect();
+            assert!(gated.contains(&caller), "{workers} workers");
+            gated.sort_by_key(|thread| format!("{thread:?}"));
+            gated.dedup();
+            assert_eq!(gated.len(), workers);
+            if workers == 1 {
+                let log = spread.log.lock().unwrap();
+                assert!(log.iter().all(|&(_, thread)| thread == caller));
+            }
+            by_workers.push(outcomes);
+        }
+        for (i, outcomes) in by_workers.iter().enumerate() {
+            assert_eq!(*outcomes, by_workers[0], "{} workers", i + 1);
+        }
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_its_helpers() {
+        let config = EngineConfig::default().with_seed(3);
+        let mut pool = pool(3, config);
+        pool.clear_all((0..5).map(feasible_round).collect());
+        assert_eq!(pool.helpers.len(), 2);
+        // The pool and each helper hold the shared state.
+        assert_eq!(Arc::strong_count(&pool.shared), 3);
+        let shared = Arc::downgrade(&pool.shared);
+        drop(pool);
+        assert!(shared.upgrade().is_none(), "a helper outlived its pool");
+    }
+
+    #[test]
+    fn a_helper_dying_outside_the_round_guard_fails_the_drain() {
+        let config = EngineConfig::default().with_seed(3);
+        let rounds: Vec<Round> = (0..4).map(feasible_round).collect();
+        let mut pool = pool(2, config);
+        let clean = pool.clear_all(rounds.clone());
+        assert_eq!(pool.helpers.len(), 1);
+        // Kill the helper outside any round: hand it a queue whose lock
+        // is poisoned.
+        let poisoned: Arc<Queue> = Arc::new(Mutex::new(Vec::new().into_iter()));
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let _held = poisoned.lock().unwrap();
+            panic!("poison the round queue");
+        }));
+        let (report, _reports) = mpsc::channel();
+        pool.helpers[0]
+            .jobs
+            .send(Job {
+                rounds: poisoned,
+                contexts: ContextPool::new(),
+                report,
+            })
+            .unwrap();
+        // The next drain re-raises the helper's own panic instead of
+        // returning.
+        let failed = catch_unwind(AssertUnwindSafe(|| pool.clear_all(rounds.clone())));
+        let payload = failed.expect_err("a drain with a dead helper must panic");
+        assert!(
+            panic_message(payload.as_ref()).contains("round queue lock"),
+            "{}",
+            panic_message(payload.as_ref())
+        );
+        // The pool keeps serving on fresh helpers.
+        assert!(pool.helpers.is_empty());
+        assert_eq!(pool.clear_all(rounds), clean);
+        assert_eq!(pool.helpers.len(), 1);
     }
 }

@@ -29,6 +29,32 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> worker-count determinism (platformd --workers 1 vs --workers 4)"
+# The served path must not depend on how many threads clear it. Each
+# shape (single-task, and multi-task with --multi 4) runs once on one
+# worker with one payment thread and once on four of each; after the
+# timing lines are filtered out, the outputs must diff empty.
+# --snapshot-every 4 drains every fourth round, so one shard pool serves
+# five drains on the same parked helpers.
+DET_DIR="$(mktemp -d)"
+trap 'rm -rf "${DET_DIR}"' EXIT
+for shape in single-task multi-task; do
+  SHAPE_ARGS=()
+  [ "${shape}" = multi-task ] && SHAPE_ARGS=(--multi 4)
+  for workers in 1 4; do
+    cargo run --release -p mcs-campaign --bin platformd -- \
+      --rounds 20 --users 12 --snapshot-every 4 --seed 9 "${SHAPE_ARGS[@]}" \
+      --workers "${workers}" --payment-threads "${workers}" \
+      | grep -v -E 'ns|rounds/s|bids/s|in [0-9.]+m?s|"at":' \
+      > "${DET_DIR}/${shape}-w${workers}.log"
+  done
+  diff "${DET_DIR}/${shape}-w1.log" "${DET_DIR}/${shape}-w4.log" || {
+    echo "determinism: ${shape} output differs between 1 and 4 workers"; exit 1; }
+done
+rm -rf "${DET_DIR}"
+trap - EXIT
+echo "determinism: 1 and 4 workers diff empty, single- and multi-task"
+
 echo "==> paper claims (repro --quick verify)"
 # Figures 5(a), 6, 8 and 9 run the FPTAS and the single-task critical
 # bids end to end; every claim the reproduction checks must still hold.
