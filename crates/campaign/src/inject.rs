@@ -18,17 +18,8 @@
 use std::sync::Arc;
 
 use mcs_core::types::UserId;
+use mcs_obs::digest::unit;
 use mcs_platform::prelude::{Bid, FaultInjector, NoFaults, Round, RoundId};
-
-/// SplitMix64 finalizer over a composite key.
-fn coin(seed: u64, round: u64, user: u64) -> f64 {
-    let mut z =
-        seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ user.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Downgrades success reports with a seeded probability, delegating all
 /// other fault hooks to an inner injector.
@@ -78,7 +69,7 @@ impl FaultInjector for FailureInjector {
     fn flip_report(&self, round: RoundId, user: UserId, completed: bool) -> bool {
         let completed = self.inner.flip_report(round, user, completed);
         if completed && self.rate > 0.0 {
-            return coin(self.seed, round.0, user.index() as u64) >= self.rate;
+            return unit(self.seed, round.0, user.index() as u64) >= self.rate;
         }
         completed
     }

@@ -14,6 +14,7 @@
 //! identical bid streams regardless of timing.
 
 use mcs_core::types::Task;
+use mcs_obs::digest::unit;
 use mcs_platform::prelude::Bid;
 
 /// Produces each campaign round's bids.
@@ -22,21 +23,6 @@ pub trait BidSource: std::fmt::Debug {
     /// open `tasks`. Entries for tasks not in `tasks` are dropped by
     /// the runner before submission.
     fn bids(&mut self, round_index: u64, tasks: &[Task]) -> Vec<Bid>;
-}
-
-/// SplitMix64 mix of a seed and two indices — the same construction the
-/// platform uses for per-round RNG seeds.
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z =
-        seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A unit draw in `[0, 1)` from the mixed stream.
-fn unit(seed: u64, a: u64, b: u64) -> f64 {
-    (mix(seed, a, b) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A fixed synthetic population re-bidding every round.

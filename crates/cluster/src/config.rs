@@ -71,17 +71,16 @@ impl ClusterParams {
     }
 }
 
-/// A full cluster deployment description.
+/// A full cluster deployment description. Every node runs a primary and
+/// a follower, and the coordinator replicates checkpoint deltas to each
+/// follower after every round, so promote-on-loss failover preserves
+/// outcomes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Node count (placement only — outcomes are invariant to it).
     pub nodes: u32,
     /// Shared shard-engine parameters.
     pub params: ClusterParams,
-    /// Replicate checkpoint deltas to each node's follower after every
-    /// round (required for promote-on-loss failover to preserve
-    /// outcomes).
-    pub replicate: bool,
 }
 
 impl ClusterConfig {
@@ -90,7 +89,6 @@ impl ClusterConfig {
         ClusterConfig {
             nodes,
             params: ClusterParams::default(),
-            replicate: true,
         }
     }
 

@@ -354,12 +354,12 @@ impl<T: NodeTransport> Cluster<T> {
                 bids,
             };
             match self.call_with_failover(node, &request, &mut promoted)? {
-                NodeCall::Ok(Response::Cleared(outcome)) => {
-                    phase1.insert(region, outcome.to_cleared());
+                NodeCall::Ok(Response::Cleared { cleared, .. }) => {
+                    phase1.insert(region, cleared);
                 }
                 NodeCall::Ok(Response::ClearedEmpty { .. }) => {}
                 NodeCall::Ok(Response::Quarantined { bidders, error, .. }) => {
-                    shard_quarantines.push((region, bidders, error.to_error()));
+                    shard_quarantines.push((region, bidders, error));
                 }
                 NodeCall::Ok(other) => {
                     return Err(ClusterError::Protocol {
@@ -465,9 +465,7 @@ impl<T: NodeTransport> Cluster<T> {
             self.outcome.settlements.insert((round, shard), settlement);
         }
 
-        if self.config.replicate {
-            self.replicate(&promoted);
-        }
+        self.replicate(&promoted);
         Ok(RoundReport {
             round,
             cleared_shards,
@@ -549,7 +547,7 @@ impl<T: NodeTransport> Cluster<T> {
             let new_watermark = delta
                 .settlements
                 .iter()
-                .map(|settlement| settlement.round)
+                .map(|settlement| settlement.round.0)
                 .max();
             let follower = Endpoint {
                 node,

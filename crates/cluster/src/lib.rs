@@ -41,6 +41,8 @@
 //! [`Engine`]: mcs_platform::engine::Engine
 //! [`CheckpointDelta`]: mcs_platform::engine::CheckpointDelta
 
+#![forbid(unsafe_code)]
+
 pub mod clearing;
 pub mod config;
 pub mod coordinator;

@@ -15,13 +15,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mcs_platform::batch::RoundId;
-use mcs_platform::engine::{Engine, EngineCheckpoint};
+use mcs_platform::engine::{CheckpointDelta, Engine, EngineCheckpoint};
 use mcs_platform::fault::NoFaults;
 use mcs_platform::ingest::Bid;
+use mcs_platform::metrics::RoundEconomics;
 
 use crate::config::ClusterParams;
 use crate::topology::Topology;
-use crate::wire::{Request, Response, WireDelta, WireOutcome, WireRoundError};
+use crate::wire::{Request, Response};
 
 /// One region shard hosted by a node.
 #[derive(Debug)]
@@ -157,7 +158,11 @@ impl NodeServer {
             engine.flush();
             engine.drain();
             if let Some(cleared) = engine.results().get(&RoundId(round)) {
-                Response::Cleared(WireOutcome::from_cleared(region, cleared))
+                // Economics stay off the wire; normalizing them here keeps
+                // the cached and the decoded response equal.
+                let mut cleared = cleared.clone();
+                cleared.economics = RoundEconomics::default();
+                Response::Cleared { region, cleared }
             } else if let Some(quarantined) = engine
                 .quarantine()
                 .iter()
@@ -167,7 +172,7 @@ impl NodeServer {
                     region,
                     round,
                     bidders: quarantined.bidders as u64,
-                    error: WireRoundError::from_error(&quarantined.error),
+                    error: quarantined.error.clone(),
                 }
             } else {
                 Response::Error {
@@ -187,15 +192,15 @@ impl NodeServer {
             Some(engine) => engine.checkpoint_delta(since.map(RoundId)),
             // No engine yet: nothing cleared beyond the standby
             // checkpoint.
-            None => mcs_platform::engine::CheckpointDelta {
+            None => CheckpointDelta {
                 settlements: Vec::new(),
                 next_round_id: shard.checkpoint.next_round_id,
             },
         };
-        Response::Delta(WireDelta::from_delta(&delta))
+        Response::Delta(delta)
     }
 
-    fn apply_delta(&mut self, region: u32, delta: &WireDelta) -> Response {
+    fn apply_delta(&mut self, region: u32, delta: &CheckpointDelta) -> Response {
         let Some(shard) = self.shards.get_mut(&region) else {
             return unknown_region(region);
         };
@@ -206,7 +211,7 @@ impl NodeServer {
                 message: format!("region {region} already has a live engine"),
             };
         }
-        shard.checkpoint.apply_delta(&delta.to_delta());
+        shard.checkpoint.apply_delta(delta);
         Response::Applied
     }
 }
@@ -270,9 +275,9 @@ mod tests {
             bids: feasible_bids(),
         });
         match response {
-            Response::Cleared(outcome) => {
-                assert_eq!(outcome.round, 0);
-                assert!(!outcome.winners.is_empty());
+            Response::Cleared { cleared, .. } => {
+                assert_eq!(cleared.id, RoundId(0));
+                assert!(cleared.allocation.winner_count() > 0);
             }
             other => panic!("expected Cleared, got {other:?}"),
         }
@@ -318,7 +323,7 @@ mod tests {
                 round,
                 bids: feasible_bids(),
             });
-            assert!(matches!(response, Response::Cleared(_)), "{response:?}");
+            assert!(matches!(response, Response::Cleared { .. }), "{response:?}");
         }
         // Replicate the full delta to the follower.
         let delta = match primary.handle(&Request::PullDelta {
@@ -373,7 +378,7 @@ mod tests {
             }],
         });
         match response {
-            Response::Cleared(outcome) => assert_eq!(outcome.round, 3),
+            Response::Cleared { cleared, .. } => assert_eq!(cleared.id, RoundId(3)),
             other => panic!("expected Cleared, got {other:?}"),
         }
     }

@@ -19,6 +19,7 @@ use std::fmt;
 
 use mcs_core::types::Task;
 use mcs_mobility::grid::{Cell, CityGrid, Region};
+use mcs_obs::digest::mix64;
 
 /// A published task pinned to the grid cell where it must be sensed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -221,10 +222,7 @@ impl Topology {
 /// draws from an independent, reproducible stream that does not depend
 /// on which node hosts it.
 pub fn shard_seed(cluster_seed: u64, shard: u32) -> u64 {
-    let mut z = cluster_seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(cluster_seed, shard as u64 + 1, 0)
 }
 
 #[cfg(test)]

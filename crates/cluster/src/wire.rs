@@ -1,5 +1,5 @@
-//! The cluster wire protocol: a hand-rolled, length-prefixed binary
-//! codec for coordinator ↔ node traffic.
+//! The cluster wire protocol: a length-prefixed binary codec for
+//! coordinator ↔ node traffic.
 //!
 //! ## Frame layout
 //!
@@ -7,23 +7,28 @@
 //! [ magic "MCSCLST1" | payload len u32 LE | payload | FNV-1a(payload) u64 LE ]
 //! ```
 //!
-//! Every float crosses the wire as its raw `u64` bit pattern
-//! (`f64::to_bits`), never as decimal text — the cluster's headline
-//! guarantee is *bitwise* outcome equality, and a codec that formats
-//! floats would forfeit it before a single bid clears. Integers are
-//! little-endian; vectors are `u32` length-prefixed; the trailing
-//! checksum makes every single-byte corruption a typed decode error
-//! instead of a garbage outcome (property-tested below). The checksum
-//! is the workspace's one FNV-1a, [`mcs_obs::digest`].
+//! Payloads are written and read through [`mcs_obs::codec`], the codec
+//! the `MCSTRACE` replay log uses too: integers are little-endian,
+//! vectors and strings `u32` length-prefixed, and every float crosses
+//! the wire as its raw `u64` bit pattern, never as decimal text — the
+//! cluster's headline guarantee is *bitwise* outcome equality, and a
+//! codec that formats floats would forfeit it before a single bid
+//! clears. Messages carry the platform's own types ([`Bid`],
+//! [`ClearedRound`], [`RoundError`], [`CheckpointDelta`]); there is no
+//! mirror layer to convert through. The trailing checksum makes every
+//! single-byte corruption a typed decode error instead of a garbage
+//! outcome (property-tested below). The checksum is the workspace's one
+//! FNV-1a, [`mcs_obs::digest`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 
 use mcs_core::mechanism::Allocation;
-use mcs_core::types::UserId;
+use mcs_core::types::{TaskId, UserId};
+use mcs_obs::codec::{CodecError, Reader, Writer};
 use mcs_obs::digest::fnv1a;
-use mcs_obs::TraceEvent;
+use mcs_obs::{EventKind, Stage, TraceEvent};
 use mcs_platform::batch::RoundId;
 use mcs_platform::degrade::RoundError;
 use mcs_platform::engine::CheckpointDelta;
@@ -79,335 +84,17 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// ---------------------------------------------------------------------
-// Primitive cursor
-// ---------------------------------------------------------------------
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.at + n > self.bytes.len() {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A vector length, sanity-capped so a corrupted count cannot ask
-    /// for more elements than the remaining bytes could possibly hold.
-    fn len(&mut self, min_element: usize) -> Result<usize, WireError> {
-        let len = self.u32()? as usize;
-        if len.saturating_mul(min_element.max(1)) > self.bytes.len() - self.at {
-            return Err(WireError::Truncated);
-        }
-        Ok(len)
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.len(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadString)
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.at != self.bytes.len() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(())
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, value: u32) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, value: u64) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_len(out: &mut Vec<u8>, len: usize) {
-    put_u32(out, u32::try_from(len).expect("vector fits a u32 length"));
-}
-
-fn put_string(out: &mut Vec<u8>, value: &str) {
-    put_len(out, value.len());
-    out.extend_from_slice(value.as_bytes());
-}
-
-// ---------------------------------------------------------------------
-// Wire value types
-// ---------------------------------------------------------------------
-
-/// A cleared sub-round in wire form: the outcome fields settlement
-/// needs, floats as raw bits. Economics are *not* shipped — the
-/// coordinator normalizes every outcome to default economics, so both
-/// sides of the equivalence proof compare the same shape.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireOutcome {
-    /// The region shard that cleared.
-    pub region: u32,
-    /// The cluster round id.
-    pub round: u64,
-    /// Winning user ids, ascending.
-    pub winners: Vec<u32>,
-    /// Per winner `(user, success bits, failure bits)`, ascending user.
-    pub quotes: Vec<(u32, u64, u64)>,
-    /// Per winner `(user, completed)`, ascending user.
-    pub reports: Vec<(u32, u8)>,
-    /// `social_cost.to_bits()`.
-    pub social_cost_bits: u64,
-}
-
-impl WireOutcome {
-    /// Captures a [`ClearedRound`] for the wire.
-    pub fn from_cleared(region: u32, cleared: &ClearedRound) -> Self {
-        WireOutcome {
-            region,
-            round: cleared.id.0,
-            winners: cleared
-                .allocation
-                .winners()
-                .map(|w| w.index() as u32)
-                .collect(),
-            quotes: cleared
-                .quotes
-                .iter()
-                .map(|(user, quote)| {
-                    (
-                        user.index() as u32,
-                        quote.success.to_bits(),
-                        quote.failure.to_bits(),
-                    )
-                })
-                .collect(),
-            reports: cleared
-                .reports
-                .iter()
-                .map(|(user, &completed)| (user.index() as u32, completed as u8))
-                .collect(),
-            social_cost_bits: cleared.social_cost.to_bits(),
-        }
-    }
-
-    /// Reconstructs the [`ClearedRound`] (default economics).
-    pub fn to_cleared(&self) -> ClearedRound {
-        ClearedRound {
-            id: RoundId(self.round),
-            allocation: Allocation::from_winners(self.winners.iter().map(|&w| UserId::new(w))),
-            quotes: self
-                .quotes
-                .iter()
-                .map(|&(user, success, failure)| {
-                    (
-                        UserId::new(user),
-                        RewardQuote {
-                            success: f64::from_bits(success),
-                            failure: f64::from_bits(failure),
-                        },
-                    )
-                })
-                .collect(),
-            reports: self
-                .reports
-                .iter()
-                .map(|&(user, completed)| (UserId::new(user), completed != 0))
-                .collect(),
-            social_cost: f64::from_bits(self.social_cost_bits),
-            economics: Default::default(),
-        }
-    }
-}
-
-/// A typed clearing failure in wire form, mirroring
-/// [`RoundError`](mcs_platform::RoundError) variant by variant.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireRoundError {
-    /// No bidder set can cover this task's requirement.
-    Infeasible {
-        /// The uncoverable task.
-        task: u32,
-    },
-    /// The mechanism itself rejected the round.
-    Mechanism {
-        /// The mechanism's message.
-        message: String,
-    },
-    /// Clearing panicked.
-    Panicked {
-        /// The recovered panic message.
-        message: String,
-    },
-    /// The round exceeded its clearing budget.
-    DeadlineExceeded {
-        /// Per-round budget in bids.
-        budget: u64,
-        /// Bidders cleared before the cut.
-        cleared: u64,
-        /// Bidders deferred past it.
-        deferred: u64,
-    },
-}
-
-impl WireRoundError {
-    /// Captures a [`RoundError`] for the wire.
-    pub fn from_error(error: &RoundError) -> Self {
+impl From<CodecError> for WireError {
+    fn from(error: CodecError) -> Self {
         match error {
-            RoundError::Infeasible { task } => WireRoundError::Infeasible {
-                task: task.index() as u32,
-            },
-            RoundError::Mechanism { message } => WireRoundError::Mechanism {
-                message: message.clone(),
-            },
-            RoundError::Panicked { message } => WireRoundError::Panicked {
-                message: message.clone(),
-            },
-            RoundError::DeadlineExceeded {
-                budget,
-                cleared,
-                deferred,
-            } => WireRoundError::DeadlineExceeded {
-                budget: *budget as u64,
-                cleared: *cleared as u64,
-                deferred: *deferred as u64,
-            },
-        }
-    }
-
-    /// Reconstructs the [`RoundError`].
-    pub fn to_error(&self) -> RoundError {
-        match self {
-            WireRoundError::Infeasible { task } => RoundError::Infeasible {
-                task: mcs_core::types::TaskId::new(*task),
-            },
-            WireRoundError::Mechanism { message } => RoundError::Mechanism {
-                message: message.clone(),
-            },
-            WireRoundError::Panicked { message } => RoundError::Panicked {
-                message: message.clone(),
-            },
-            WireRoundError::DeadlineExceeded {
-                budget,
-                cleared,
-                deferred,
-            } => RoundError::DeadlineExceeded {
-                budget: *budget as usize,
-                cleared: *cleared as usize,
-                deferred: *deferred as usize,
-            },
+            CodecError::Truncated { .. } => WireError::Truncated,
+            CodecError::BadUtf8 => WireError::BadString,
+            CodecError::TrailingBytes { .. } => WireError::TrailingBytes,
         }
     }
 }
 
-/// One settled round in wire form (floats as bits).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSettlement {
-    /// The settled round id.
-    pub round: u64,
-    /// `(user, payout bits)`, ascending user.
-    pub payouts: Vec<(u32, u64)>,
-    /// `total.to_bits()`.
-    pub total_bits: u64,
-    /// `(user, completed)`, ascending user.
-    pub outcomes: Vec<(u32, u8)>,
-}
-
-impl WireSettlement {
-    /// Captures a [`RoundSettlement`] for the wire.
-    pub fn from_settlement(settlement: &RoundSettlement) -> Self {
-        WireSettlement {
-            round: settlement.round.0,
-            payouts: settlement
-                .payouts
-                .iter()
-                .map(|(user, payout)| (user.index() as u32, payout.to_bits()))
-                .collect(),
-            total_bits: settlement.total.to_bits(),
-            outcomes: settlement
-                .outcomes
-                .iter()
-                .map(|(user, &completed)| (user.index() as u32, completed as u8))
-                .collect(),
-        }
-    }
-
-    /// Reconstructs the [`RoundSettlement`].
-    pub fn to_settlement(&self) -> RoundSettlement {
-        RoundSettlement {
-            round: RoundId(self.round),
-            payouts: self
-                .payouts
-                .iter()
-                .map(|&(user, bits)| (UserId::new(user), f64::from_bits(bits)))
-                .collect::<BTreeMap<_, _>>(),
-            total: f64::from_bits(self.total_bits),
-            outcomes: self
-                .outcomes
-                .iter()
-                .map(|&(user, completed)| (UserId::new(user), completed != 0))
-                .collect(),
-        }
-    }
-}
-
-/// A checkpoint delta in wire form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireDelta {
-    /// Settlements newer than the requested watermark, ascending round.
-    pub settlements: Vec<WireSettlement>,
-    /// The primary's round-id high-water mark.
-    pub next_round_id: u64,
-}
-
-impl WireDelta {
-    /// Captures a [`CheckpointDelta`] for the wire.
-    pub fn from_delta(delta: &CheckpointDelta) -> Self {
-        WireDelta {
-            settlements: delta
-                .settlements
-                .iter()
-                .map(WireSettlement::from_settlement)
-                .collect(),
-            next_round_id: delta.next_round_id,
-        }
-    }
-
-    /// Reconstructs the [`CheckpointDelta`].
-    pub fn to_delta(&self) -> CheckpointDelta {
-        CheckpointDelta {
-            settlements: self
-                .settlements
-                .iter()
-                .map(WireSettlement::to_settlement)
-                .collect(),
-            next_round_id: self.next_round_id,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Messages
-// ---------------------------------------------------------------------
+type Decoded<T> = Result<T, WireError>;
 
 /// A coordinator → node request.
 #[derive(Debug, Clone, PartialEq)]
@@ -437,7 +124,7 @@ pub enum Request {
         /// Target region shard.
         region: u32,
         /// The delta pulled from the primary.
-        delta: WireDelta,
+        delta: CheckpointDelta,
     },
     /// Promote a follower to primary (idempotent).
     Promote,
@@ -458,8 +145,15 @@ pub enum Response {
         /// Whether the node currently serves as primary.
         primary: bool,
     },
-    /// The sub-round cleared.
-    Cleared(WireOutcome),
+    /// The sub-round cleared. Its economics do not travel: they decode
+    /// as the default, so nodes send them normalized to the default and
+    /// a decoded response equals the one sent.
+    Cleared {
+        /// The region shard that cleared.
+        region: u32,
+        /// The cleared sub-round.
+        cleared: ClearedRound,
+    },
     /// The sub-round had no bids; nothing cleared, nothing consumed.
     ClearedEmpty {
         /// The region shard.
@@ -476,10 +170,10 @@ pub enum Response {
         /// Bidders in the quarantined round.
         bidders: u64,
         /// Why clearing failed.
-        error: WireRoundError,
+        error: RoundError,
     },
     /// The requested delta.
-    Delta(WireDelta),
+    Delta(CheckpointDelta),
     /// The delta was folded into the standby checkpoint.
     Applied,
     /// The node now serves as primary.
@@ -493,184 +187,153 @@ pub enum Response {
     },
 }
 
-// ---------------------------------------------------------------------
-// Payload encode/decode
-// ---------------------------------------------------------------------
-
-fn put_bid(out: &mut Vec<u8>, bid: &Bid) {
-    put_u32(out, bid.user);
-    put_u64(out, bid.cost.to_bits());
-    put_len(out, bid.tasks.len());
-    for &(task, pos) in &bid.tasks {
-        put_u32(out, task);
-        put_u64(out, pos.to_bits());
-    }
+fn put_bid(out: &mut Writer, bid: &Bid) {
+    out.u32(bid.user);
+    out.f64(bid.cost);
+    out.seq(&bid.tasks, |out, &(task, pos)| {
+        out.u32(task);
+        out.f64(pos);
+    });
 }
 
-fn get_bid(cursor: &mut Cursor<'_>) -> Result<Bid, WireError> {
-    let user = cursor.u32()?;
-    let cost = f64::from_bits(cursor.u64()?);
-    let len = cursor.len(12)?;
-    let mut tasks = Vec::with_capacity(len);
-    for _ in 0..len {
-        let task = cursor.u32()?;
-        let pos = f64::from_bits(cursor.u64()?);
-        tasks.push((task, pos));
-    }
-    Ok(Bid { user, cost, tasks })
-}
-
-fn put_outcome(out: &mut Vec<u8>, outcome: &WireOutcome) {
-    put_u32(out, outcome.region);
-    put_u64(out, outcome.round);
-    put_len(out, outcome.winners.len());
-    for &winner in &outcome.winners {
-        put_u32(out, winner);
-    }
-    put_len(out, outcome.quotes.len());
-    for &(user, success, failure) in &outcome.quotes {
-        put_u32(out, user);
-        put_u64(out, success);
-        put_u64(out, failure);
-    }
-    put_len(out, outcome.reports.len());
-    for &(user, completed) in &outcome.reports {
-        put_u32(out, user);
-        out.push(completed);
-    }
-    put_u64(out, outcome.social_cost_bits);
-}
-
-fn get_outcome(cursor: &mut Cursor<'_>) -> Result<WireOutcome, WireError> {
-    let region = cursor.u32()?;
-    let round = cursor.u64()?;
-    let len = cursor.len(4)?;
-    let mut winners = Vec::with_capacity(len);
-    for _ in 0..len {
-        winners.push(cursor.u32()?);
-    }
-    let len = cursor.len(20)?;
-    let mut quotes = Vec::with_capacity(len);
-    for _ in 0..len {
-        quotes.push((cursor.u32()?, cursor.u64()?, cursor.u64()?));
-    }
-    let len = cursor.len(5)?;
-    let mut reports = Vec::with_capacity(len);
-    for _ in 0..len {
-        reports.push((cursor.u32()?, cursor.u8()?));
-    }
-    let social_cost_bits = cursor.u64()?;
-    Ok(WireOutcome {
-        region,
-        round,
-        winners,
-        quotes,
-        reports,
-        social_cost_bits,
+fn get_bid(r: &mut Reader<'_>) -> Decoded<Bid> {
+    Ok(Bid {
+        user: r.u32()?,
+        cost: r.f64()?,
+        tasks: r.seq(12, |r| -> Decoded<_> { Ok((r.u32()?, r.f64()?)) })?,
     })
 }
 
-fn put_round_error(out: &mut Vec<u8>, error: &WireRoundError) {
+fn put_user(out: &mut Writer, user: UserId) {
+    out.u32(user.index() as u32);
+}
+
+fn get_user(r: &mut Reader<'_>) -> Result<UserId, CodecError> {
+    r.u32().map(UserId::new)
+}
+
+/// Per-user flags (execution reports, settled outcomes), one byte each.
+fn put_flags(out: &mut Writer, flags: &BTreeMap<UserId, bool>) {
+    out.seq(flags, |out, (&user, &flag)| {
+        put_user(out, user);
+        out.u8(flag as u8);
+    });
+}
+
+fn get_flags(r: &mut Reader<'_>) -> Decoded<BTreeMap<UserId, bool>> {
+    r.seq(5, |r| -> Decoded<_> { Ok((get_user(r)?, r.u8()? != 0)) })
+}
+
+fn put_cleared(out: &mut Writer, region: u32, cleared: &ClearedRound) {
+    out.u32(region);
+    out.u64(cleared.id.0);
+    let winners: Vec<UserId> = cleared.allocation.winners().collect();
+    out.seq(winners, put_user);
+    out.seq(&cleared.quotes, |out, (&user, quote)| {
+        put_user(out, user);
+        out.f64(quote.success);
+        out.f64(quote.failure);
+    });
+    put_flags(out, &cleared.reports);
+    out.f64(cleared.social_cost);
+}
+
+fn get_cleared(r: &mut Reader<'_>) -> Decoded<Response> {
+    let region = r.u32()?;
+    let id = RoundId(r.u64()?);
+    let winners: Vec<UserId> = r.seq(4, get_user)?;
+    Ok(Response::Cleared {
+        region,
+        cleared: ClearedRound {
+            id,
+            allocation: Allocation::from_winners(winners),
+            quotes: r.seq(20, |r| -> Decoded<_> {
+                let user = get_user(r)?;
+                let (success, failure) = (r.f64()?, r.f64()?);
+                Ok((user, RewardQuote { success, failure }))
+            })?,
+            reports: get_flags(r)?,
+            social_cost: r.f64()?,
+            economics: Default::default(),
+        },
+    })
+}
+
+fn put_round_error(out: &mut Writer, error: &RoundError) {
     match error {
-        WireRoundError::Infeasible { task } => {
-            out.push(0);
-            put_u32(out, *task);
+        RoundError::Infeasible { task } => {
+            out.u8(0);
+            out.u32(task.index() as u32);
         }
-        WireRoundError::Mechanism { message } => {
-            out.push(1);
-            put_string(out, message);
+        RoundError::Mechanism { message } => {
+            out.u8(1);
+            out.str(message);
         }
-        WireRoundError::Panicked { message } => {
-            out.push(2);
-            put_string(out, message);
+        RoundError::Panicked { message } => {
+            out.u8(2);
+            out.str(message);
         }
-        WireRoundError::DeadlineExceeded {
+        RoundError::DeadlineExceeded {
             budget,
             cleared,
             deferred,
         } => {
-            out.push(3);
-            put_u64(out, *budget);
-            put_u64(out, *cleared);
-            put_u64(out, *deferred);
+            out.u8(3);
+            for count in [budget, cleared, deferred] {
+                out.u64(*count as u64);
+            }
         }
     }
 }
 
-fn get_round_error(cursor: &mut Cursor<'_>) -> Result<WireRoundError, WireError> {
-    match cursor.u8()? {
-        0 => Ok(WireRoundError::Infeasible {
-            task: cursor.u32()?,
-        }),
-        1 => Ok(WireRoundError::Mechanism {
-            message: cursor.string()?,
-        }),
-        2 => Ok(WireRoundError::Panicked {
-            message: cursor.string()?,
-        }),
-        3 => Ok(WireRoundError::DeadlineExceeded {
-            budget: cursor.u64()?,
-            cleared: cursor.u64()?,
-            deferred: cursor.u64()?,
-        }),
-        tag => Err(WireError::UnknownTag { tag }),
-    }
-}
-
-fn put_settlement(out: &mut Vec<u8>, settlement: &WireSettlement) {
-    put_u64(out, settlement.round);
-    put_len(out, settlement.payouts.len());
-    for &(user, bits) in &settlement.payouts {
-        put_u32(out, user);
-        put_u64(out, bits);
-    }
-    put_u64(out, settlement.total_bits);
-    put_len(out, settlement.outcomes.len());
-    for &(user, completed) in &settlement.outcomes {
-        put_u32(out, user);
-        out.push(completed);
-    }
-}
-
-fn get_settlement(cursor: &mut Cursor<'_>) -> Result<WireSettlement, WireError> {
-    let round = cursor.u64()?;
-    let len = cursor.len(12)?;
-    let mut payouts = Vec::with_capacity(len);
-    for _ in 0..len {
-        payouts.push((cursor.u32()?, cursor.u64()?));
-    }
-    let total_bits = cursor.u64()?;
-    let len = cursor.len(5)?;
-    let mut outcomes = Vec::with_capacity(len);
-    for _ in 0..len {
-        outcomes.push((cursor.u32()?, cursor.u8()?));
-    }
-    Ok(WireSettlement {
-        round,
-        payouts,
-        total_bits,
-        outcomes,
+fn get_round_error(r: &mut Reader<'_>) -> Decoded<RoundError> {
+    Ok(match r.u8()? {
+        0 => RoundError::Infeasible {
+            task: TaskId::new(r.u32()?),
+        },
+        1 => RoundError::Mechanism {
+            message: r.str()?.to_string(),
+        },
+        2 => RoundError::Panicked {
+            message: r.str()?.to_string(),
+        },
+        3 => RoundError::DeadlineExceeded {
+            budget: r.u64()? as usize,
+            cleared: r.u64()? as usize,
+            deferred: r.u64()? as usize,
+        },
+        tag => return Err(WireError::UnknownTag { tag }),
     })
 }
 
-fn put_delta(out: &mut Vec<u8>, delta: &WireDelta) {
-    put_len(out, delta.settlements.len());
-    for settlement in &delta.settlements {
-        put_settlement(out, settlement);
-    }
-    put_u64(out, delta.next_round_id);
+fn put_settlement(out: &mut Writer, settlement: &RoundSettlement) {
+    out.u64(settlement.round.0);
+    out.seq(&settlement.payouts, |out, (&user, &payout)| {
+        put_user(out, user);
+        out.f64(payout);
+    });
+    out.f64(settlement.total);
+    put_flags(out, &settlement.outcomes);
 }
 
-fn get_delta(cursor: &mut Cursor<'_>) -> Result<WireDelta, WireError> {
-    let len = cursor.len(16)?;
-    let mut settlements = Vec::with_capacity(len);
-    for _ in 0..len {
-        settlements.push(get_settlement(cursor)?);
-    }
-    let next_round_id = cursor.u64()?;
-    Ok(WireDelta {
-        settlements,
-        next_round_id,
+fn get_settlement(r: &mut Reader<'_>) -> Decoded<RoundSettlement> {
+    Ok(RoundSettlement {
+        round: RoundId(r.u64()?),
+        payouts: r.seq(12, |r| -> Decoded<_> { Ok((get_user(r)?, r.f64()?)) })?,
+        total: r.f64()?,
+        outcomes: get_flags(r)?,
+    })
+}
+
+fn put_delta(out: &mut Writer, delta: &CheckpointDelta) {
+    out.seq(&delta.settlements, put_settlement);
+    out.u64(delta.next_round_id);
+}
+
+fn get_delta(r: &mut Reader<'_>) -> Decoded<CheckpointDelta> {
+    Ok(CheckpointDelta {
+        settlements: r.seq(16, get_settlement)?,
+        next_round_id: r.u64()?,
     })
 }
 
@@ -678,79 +341,68 @@ fn get_delta(cursor: &mut Cursor<'_>) -> Result<WireDelta, WireError> {
 /// recorder's own packing).
 const NO_STAGE: u8 = 0xFF;
 
-fn put_trace_event(out: &mut Vec<u8>, event: &TraceEvent) {
-    put_u64(out, event.seq);
-    put_u64(out, event.at);
-    out.push(event.kind.code() as u8);
-    out.push(event.stage.map_or(NO_STAGE, |s| s.index() as u8));
-    put_u64(out, event.round);
-    put_u64(out, event.a);
-    put_u64(out, event.b);
-    put_u64(out, event.c);
+fn put_trace_event(out: &mut Writer, event: &TraceEvent) {
+    out.u64(event.seq);
+    out.u64(event.at);
+    out.u8(event.kind.code() as u8);
+    out.u8(event.stage.map_or(NO_STAGE, |s| s.index() as u8));
+    for word in [event.round, event.a, event.b, event.c] {
+        out.u64(word);
+    }
 }
 
-fn get_trace_event(cursor: &mut Cursor<'_>) -> Result<TraceEvent, WireError> {
-    let seq = cursor.u64()?;
-    let at = cursor.u64()?;
-    let kind_code = cursor.u8()?;
-    let kind = mcs_obs::EventKind::from_code(kind_code as u64)
-        .ok_or(WireError::UnknownTag { tag: kind_code })?;
-    let stage_byte = cursor.u8()?;
-    let stage = if stage_byte == NO_STAGE {
-        None
-    } else {
-        Some(
-            mcs_obs::Stage::from_index(stage_byte as usize)
-                .ok_or(WireError::UnknownTag { tag: stage_byte })?,
-        )
+fn get_trace_event(r: &mut Reader<'_>) -> Decoded<TraceEvent> {
+    let (seq, at) = (r.u64()?, r.u64()?);
+    let code = r.u8()?;
+    let kind = EventKind::from_code(code as u64).ok_or(WireError::UnknownTag { tag: code })?;
+    let stage = match r.u8()? {
+        NO_STAGE => None,
+        byte => Some(Stage::from_index(byte as usize).ok_or(WireError::UnknownTag { tag: byte })?),
     };
     Ok(TraceEvent {
         seq,
         at,
         kind,
         stage,
-        round: cursor.u64()?,
-        a: cursor.u64()?,
-        b: cursor.u64()?,
-        c: cursor.u64()?,
+        round: r.u64()?,
+        a: r.u64()?,
+        b: r.u64()?,
+        c: r.u64()?,
     })
 }
 
 /// Encodes a request payload (no frame).
 pub fn encode_request(request: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Writer::default();
     match request {
-        Request::Ping => out.push(0),
+        Request::Ping => out.u8(0),
         Request::Clear {
             region,
             round,
             bids,
         } => {
-            out.push(1);
-            put_u32(&mut out, *region);
-            put_u64(&mut out, *round);
-            put_len(&mut out, bids.len());
-            for bid in bids {
-                put_bid(&mut out, bid);
-            }
+            out.u8(1);
+            out.u32(*region);
+            out.u64(*round);
+            out.seq(bids, put_bid);
         }
         Request::PullDelta { region, since } => {
-            out.push(2);
-            put_u32(&mut out, *region);
-            put_u64(&mut out, since.map_or(u64::MAX, |s| s));
+            out.u8(2);
+            out.u32(*region);
+            out.u64(since.unwrap_or(u64::MAX));
         }
         Request::ApplyDelta { region, delta } => {
-            out.push(3);
-            put_u32(&mut out, *region);
+            out.u8(3);
+            out.u32(*region);
             put_delta(&mut out, delta);
         }
-        Request::Promote => out.push(4),
+        Request::Promote => out.u8(4),
         Request::TraceSnapshot { region } => {
-            out.push(5);
-            put_u32(&mut out, *region);
+            out.u8(5);
+            out.u32(*region);
         }
     }
-    out
+    out.into_bytes()
 }
 
 /// Decodes a request payload.
@@ -759,62 +411,47 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
 ///
 /// A typed [`WireError`] on any malformed byte.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut cursor = Cursor::new(payload);
-    let request = match cursor.u8()? {
+    let mut r = Reader::new(payload);
+    let request = match r.u8()? {
         0 => Request::Ping,
-        1 => {
-            let region = cursor.u32()?;
-            let round = cursor.u64()?;
-            let len = cursor.len(16)?;
-            let mut bids = Vec::with_capacity(len);
-            for _ in 0..len {
-                bids.push(get_bid(&mut cursor)?);
-            }
-            Request::Clear {
-                region,
-                round,
-                bids,
-            }
-        }
-        2 => {
-            let region = cursor.u32()?;
-            let since = match cursor.u64()? {
-                u64::MAX => None,
-                s => Some(s),
-            };
-            Request::PullDelta { region, since }
-        }
+        1 => Request::Clear {
+            region: r.u32()?,
+            round: r.u64()?,
+            bids: r.seq(16, get_bid)?,
+        },
+        2 => Request::PullDelta {
+            region: r.u32()?,
+            since: Some(r.u64()?).filter(|&since| since != u64::MAX),
+        },
         3 => Request::ApplyDelta {
-            region: cursor.u32()?,
-            delta: get_delta(&mut cursor)?,
+            region: r.u32()?,
+            delta: get_delta(&mut r)?,
         },
         4 => Request::Promote,
-        5 => Request::TraceSnapshot {
-            region: cursor.u32()?,
-        },
+        5 => Request::TraceSnapshot { region: r.u32()? },
         tag => return Err(WireError::UnknownTag { tag }),
     };
-    cursor.finish()?;
+    r.finish()?;
     Ok(request)
 }
 
 /// Encodes a response payload (no frame).
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Writer::default();
     match response {
         Response::Pong { node, primary } => {
-            out.push(0);
-            put_u32(&mut out, *node);
-            out.push(*primary as u8);
+            out.u8(0);
+            out.u32(*node);
+            out.u8(*primary as u8);
         }
-        Response::Cleared(outcome) => {
-            out.push(1);
-            put_outcome(&mut out, outcome);
+        Response::Cleared { region, cleared } => {
+            out.u8(1);
+            put_cleared(&mut out, *region, cleared);
         }
         Response::ClearedEmpty { region, round } => {
-            out.push(2);
-            put_u32(&mut out, *region);
-            put_u64(&mut out, *round);
+            out.u8(2);
+            out.u32(*region);
+            out.u64(*round);
         }
         Response::Quarantined {
             region,
@@ -822,31 +459,28 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             bidders,
             error,
         } => {
-            out.push(3);
-            put_u32(&mut out, *region);
-            put_u64(&mut out, *round);
-            put_u64(&mut out, *bidders);
+            out.u8(3);
+            out.u32(*region);
+            out.u64(*round);
+            out.u64(*bidders);
             put_round_error(&mut out, error);
         }
         Response::Delta(delta) => {
-            out.push(4);
+            out.u8(4);
             put_delta(&mut out, delta);
         }
-        Response::Applied => out.push(5),
-        Response::Promoted => out.push(6),
+        Response::Applied => out.u8(5),
+        Response::Promoted => out.u8(6),
         Response::Trace(events) => {
-            out.push(7);
-            put_len(&mut out, events.len());
-            for event in events {
-                put_trace_event(&mut out, event);
-            }
+            out.u8(7);
+            out.seq(events, put_trace_event);
         }
         Response::Error { message } => {
-            out.push(8);
-            put_string(&mut out, message);
+            out.u8(8);
+            out.str(message);
         }
     }
-    out
+    out.into_bytes()
 }
 
 /// Decodes a response payload.
@@ -855,56 +489,75 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
 ///
 /// A typed [`WireError`] on any malformed byte.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut cursor = Cursor::new(payload);
-    let response = match cursor.u8()? {
+    let mut r = Reader::new(payload);
+    let response = match r.u8()? {
         0 => Response::Pong {
-            node: cursor.u32()?,
-            primary: cursor.u8()? != 0,
+            node: r.u32()?,
+            primary: r.u8()? != 0,
         },
-        1 => Response::Cleared(get_outcome(&mut cursor)?),
+        1 => get_cleared(&mut r)?,
         2 => Response::ClearedEmpty {
-            region: cursor.u32()?,
-            round: cursor.u64()?,
+            region: r.u32()?,
+            round: r.u64()?,
         },
         3 => Response::Quarantined {
-            region: cursor.u32()?,
-            round: cursor.u64()?,
-            bidders: cursor.u64()?,
-            error: get_round_error(&mut cursor)?,
+            region: r.u32()?,
+            round: r.u64()?,
+            bidders: r.u64()?,
+            error: get_round_error(&mut r)?,
         },
-        4 => Response::Delta(get_delta(&mut cursor)?),
+        4 => Response::Delta(get_delta(&mut r)?),
         5 => Response::Applied,
         6 => Response::Promoted,
-        7 => {
-            let len = cursor.len(42)?;
-            let mut events = Vec::with_capacity(len);
-            for _ in 0..len {
-                events.push(get_trace_event(&mut cursor)?);
-            }
-            Response::Trace(events)
-        }
+        7 => Response::Trace(r.seq(42, get_trace_event)?),
         8 => Response::Error {
-            message: cursor.string()?,
+            message: r.str()?.to_string(),
         },
         tag => return Err(WireError::UnknownTag { tag }),
     };
-    cursor.finish()?;
+    r.finish()?;
     Ok(response)
 }
 
-// ---------------------------------------------------------------------
-// Framing
-// ---------------------------------------------------------------------
+/// Frame header bytes: the magic and the payload length.
+const HEADER: usize = 12;
 
 /// Wraps a payload in a checksummed frame.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_PAYLOAD, "payload exceeds frame cap");
-    let mut out = Vec::with_capacity(payload.len() + 20);
-    out.extend_from_slice(&MAGIC);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(payload);
-    put_u64(&mut out, fnv1a(payload));
-    out
+    let mut out = Writer::with_capacity(payload.len() + HEADER + 8);
+    out.raw(&MAGIC);
+    out.len(payload.len());
+    out.raw(payload);
+    out.u64(fnv1a(payload));
+    out.into_bytes()
+}
+
+/// The one frame-header check: the magic, then the payload length
+/// against [`MAX_PAYLOAD`].
+fn payload_len(header: &[u8]) -> Decoded<usize> {
+    let mut r = Reader::new(header);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    let len = r.u32()? as usize;
+    if len > MAX_PAYLOAD {
+        return Err(WireError::Oversized { len: len as u64 });
+    }
+    Ok(len)
+}
+
+/// Splits a frame body into its `len`-byte payload and verifies the
+/// checksum after it. The body must hold exactly those bytes.
+fn checked_payload(body: &[u8], len: usize) -> Decoded<&[u8]> {
+    let mut r = Reader::new(body);
+    let payload = r.take(len)?;
+    let checksum = r.u64()?;
+    r.finish().map_err(|_| WireError::Truncated)?;
+    if checksum != fnv1a(payload) {
+        return Err(WireError::ChecksumMismatch);
+    }
+    Ok(payload)
 }
 
 /// Unwraps a complete frame back into its payload.
@@ -914,25 +567,8 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// A typed [`WireError`] when the magic, length, checksum, or size do
 /// not hold.
 pub fn unframe(bytes: &[u8]) -> Result<&[u8], WireError> {
-    if bytes.len() < 12 {
-        return Err(WireError::Truncated);
-    }
-    if bytes[..8] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversized { len: len as u64 });
-    }
-    if bytes.len() != 12 + len + 8 {
-        return Err(WireError::Truncated);
-    }
-    let payload = &bytes[12..12 + len];
-    let checksum = u64::from_le_bytes(bytes[12 + len..].try_into().unwrap());
-    if checksum != fnv1a(payload) {
-        return Err(WireError::ChecksumMismatch);
-    }
-    Ok(payload)
+    let (header, body) = bytes.split_at_checked(HEADER).ok_or(WireError::Truncated)?;
+    checked_payload(body, payload_len(header)?)
 }
 
 /// Writes one framed payload to a stream.
@@ -952,28 +588,39 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> std::io::Result<
 /// `Ok(Err(_))` for protocol violations (bad magic / checksum /
 /// oversize), `Err(_)` for transport-level I/O failures.
 pub fn read_frame<R: Read>(reader: &mut R) -> std::io::Result<Result<Vec<u8>, WireError>> {
-    let mut header = [0u8; 12];
+    let mut header = [0u8; HEADER];
     reader.read_exact(&mut header)?;
-    if header[..8] != MAGIC {
-        return Ok(Err(WireError::BadMagic));
+    let len = match payload_len(&header) {
+        Ok(len) => len,
+        Err(error) => return Ok(Err(error)),
+    };
+    let mut body = vec![0u8; len + 8];
+    reader.read_exact(&mut body)?;
+    if let Err(error) = checked_payload(&body, len) {
+        return Ok(Err(error));
     }
-    let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
-    if len > MAX_PAYLOAD {
-        return Ok(Err(WireError::Oversized { len: len as u64 }));
-    }
-    let mut rest = vec![0u8; len + 8];
-    reader.read_exact(&mut rest)?;
-    let checksum = u64::from_le_bytes(rest[len..].try_into().unwrap());
-    rest.truncate(len);
-    if checksum != fnv1a(&rest) {
-        return Ok(Err(WireError::ChecksumMismatch));
-    }
-    Ok(Ok(rest))
+    body.truncate(len);
+    Ok(Ok(body))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A per-user map from `(user index, value)` pairs.
+    fn users<T, const N: usize>(pairs: [(u32, T); N]) -> BTreeMap<UserId, T> {
+        pairs
+            .into_iter()
+            .map(|(user, value)| (UserId::new(user), value))
+            .collect()
+    }
+
+    fn bits_quote(success: u64, failure: u64) -> RewardQuote {
+        RewardQuote {
+            success: f64::from_bits(success),
+            failure: f64::from_bits(failure),
+        }
+    }
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -1004,12 +651,12 @@ mod tests {
             },
             Request::ApplyDelta {
                 region: 2,
-                delta: WireDelta {
-                    settlements: vec![WireSettlement {
-                        round: 5,
-                        payouts: vec![(1, 4614256656552045848), (7, 13830554455654793216)],
-                        total_bits: 42,
-                        outcomes: vec![(1, 1), (7, 0)],
+                delta: CheckpointDelta {
+                    settlements: vec![RoundSettlement {
+                        round: RoundId(5),
+                        payouts: users([(1, std::f64::consts::PI), (7, -1.0)]),
+                        total: f64::from_bits(42),
+                        outcomes: users([(1, true), (7, false)]),
                     }],
                     next_round_id: 6,
                 },
@@ -1025,14 +672,17 @@ mod tests {
                 node: 2,
                 primary: true,
             },
-            Response::Cleared(WireOutcome {
+            Response::Cleared {
                 region: 1,
-                round: 9,
-                winners: vec![1, 4],
-                quotes: vec![(1, 10, 20), (4, 30, 40)],
-                reports: vec![(1, 1), (4, 0)],
-                social_cost_bits: 0x4008_0000_0000_0000,
-            }),
+                cleared: ClearedRound {
+                    id: RoundId(9),
+                    allocation: Allocation::from_winners([UserId::new(1), UserId::new(4)]),
+                    quotes: users([(1, bits_quote(10, 20)), (4, bits_quote(30, 40))]),
+                    reports: users([(1, true), (4, false)]),
+                    social_cost: 3.0,
+                    economics: Default::default(),
+                },
+            },
             Response::ClearedEmpty {
                 region: 6,
                 round: 2,
@@ -1041,13 +691,15 @@ mod tests {
                 region: 0,
                 round: 3,
                 bidders: 12,
-                error: WireRoundError::Infeasible { task: 7 },
+                error: RoundError::Infeasible {
+                    task: TaskId::new(7),
+                },
             },
             Response::Quarantined {
                 region: 0,
                 round: 3,
                 bidders: 2,
-                error: WireRoundError::Mechanism {
+                error: RoundError::Mechanism {
                     message: "α out of range".into(),
                 },
             },
@@ -1055,13 +707,13 @@ mod tests {
                 region: 0,
                 round: 3,
                 bidders: 2,
-                error: WireRoundError::DeadlineExceeded {
+                error: RoundError::DeadlineExceeded {
                     budget: 10,
                     cleared: 10,
                     deferred: 5,
                 },
             },
-            Response::Delta(WireDelta {
+            Response::Delta(CheckpointDelta {
                 settlements: vec![],
                 next_round_id: 0,
             }),
@@ -1070,8 +722,8 @@ mod tests {
             Response::Trace(vec![TraceEvent {
                 seq: 1,
                 at: 1,
-                kind: mcs_obs::EventKind::RoundClosed,
-                stage: Some(mcs_obs::Stage::Batch),
+                kind: EventKind::RoundClosed,
+                stage: Some(Stage::Batch),
                 round: 4,
                 a: 1,
                 b: 2,
@@ -1081,6 +733,26 @@ mod tests {
                 message: "unknown region".into(),
             },
         ]
+    }
+
+    /// FNV-1a and length of every sample, framed and concatenated.
+    fn pin(frames: impl Iterator<Item = Vec<u8>>) -> (u64, usize) {
+        let bytes: Vec<u8> = frames.flatten().collect();
+        (fnv1a(&bytes), bytes.len())
+    }
+
+    #[test]
+    fn sample_frames_keep_their_pinned_bytes() {
+        let requests = sample_requests().into_iter();
+        assert_eq!(
+            pin(requests.map(|r| frame(&encode_request(&r)))),
+            (0x50f1_3a48_fc4c_a15c, 333)
+        );
+        let responses = sample_responses().into_iter();
+        assert_eq!(
+            pin(responses.map(|r| frame(&encode_response(&r)))),
+            (0xb3f7_c783_ef98_9b16, 532)
+        );
     }
 
     #[test]
@@ -1152,51 +824,71 @@ mod tests {
     }
 
     #[test]
-    fn outcome_and_settlement_conversions_are_bit_exact() {
-        use mcs_core::types::UserId;
+    fn platform_floats_round_trip_bit_exact() {
+        // Deliberately inexact decimals and a subnormal boundary: only
+        // bit patterns travel, so every one comes back bitwise.
         let cleared = ClearedRound {
             id: RoundId(11),
             allocation: Allocation::from_winners([UserId::new(3), UserId::new(8)]),
-            quotes: [
+            quotes: users([
                 (
-                    UserId::new(3),
+                    3,
                     RewardQuote {
                         success: 1.0 / 3.0,
                         failure: -0.7,
                     },
                 ),
                 (
-                    UserId::new(8),
+                    8,
                     RewardQuote {
                         success: 2.5,
                         failure: f64::MIN_POSITIVE,
                     },
                 ),
-            ]
-            .into_iter()
-            .collect(),
-            reports: [(UserId::new(3), true), (UserId::new(8), false)]
-                .into_iter()
-                .collect(),
-            social_cost: 0.1 + 0.2, // deliberately inexact decimal
+            ]),
+            reports: users([(3, true), (8, false)]),
+            social_cost: 0.1 + 0.2,
             economics: Default::default(),
         };
-        let wire = WireOutcome::from_cleared(5, &cleared);
-        let back = wire.to_cleared();
-        assert_eq!(back, cleared);
-        assert_eq!(back.social_cost.to_bits(), cleared.social_cost.to_bits());
+        let response = Response::Cleared { region: 5, cleared };
+        let back = decode_response(&encode_response(&response)).unwrap();
+        assert_eq!(back, response);
+        match (&back, &response) {
+            (Response::Cleared { cleared: a, .. }, Response::Cleared { cleared: b, .. }) => {
+                assert_eq!(a.social_cost.to_bits(), b.social_cost.to_bits());
+            }
+            other => panic!("expected two Cleared responses, got {other:?}"),
+        }
 
-        let settlement = RoundSettlement {
-            round: RoundId(11),
-            payouts: [(UserId::new(3), 1.0 / 3.0), (UserId::new(8), -0.7)]
-                .into_iter()
-                .collect(),
-            total: 1.0 / 3.0 - 0.7,
-            outcomes: [(UserId::new(3), true), (UserId::new(8), false)]
-                .into_iter()
-                .collect(),
+        let delta = CheckpointDelta {
+            settlements: vec![RoundSettlement {
+                round: RoundId(11),
+                payouts: users([(3, 1.0 / 3.0), (8, -0.7)]),
+                total: 1.0 / 3.0 - 0.7,
+                outcomes: users([(3, true), (8, false)]),
+            }],
+            next_round_id: 12,
         };
-        let wire = WireSettlement::from_settlement(&settlement);
-        assert_eq!(wire.to_settlement(), settlement);
+        let request = Request::ApplyDelta { region: 5, delta };
+        assert_eq!(decode_request(&encode_request(&request)).unwrap(), request);
+    }
+
+    #[test]
+    fn economics_stay_off_the_wire() {
+        let mut cleared = ClearedRound {
+            id: RoundId(2),
+            allocation: Allocation::from_winners([UserId::new(1)]),
+            quotes: users([(1, bits_quote(1, 2))]),
+            reports: users([(1, true)]),
+            social_cost: 1.5,
+            economics: Default::default(),
+        };
+        let plain = encode_response(&Response::Cleared {
+            region: 0,
+            cleared: cleared.clone(),
+        });
+        cleared.economics.expected_payment = 1.25;
+        let rich = encode_response(&Response::Cleared { region: 0, cleared });
+        assert_eq!(plain, rich);
     }
 }

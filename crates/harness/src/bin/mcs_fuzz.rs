@@ -52,7 +52,7 @@
 //! * `--cluster` deployment mode: runs every pinned corpus scenario
 //!   through `mcs-cluster` deployments and requires (a) 1-node and
 //!   `--nodes`-node loopback runs to produce bitwise-identical
-//!   fingerprints, (b) the in-process `ClusterMirror` ground truth to
+//!   fingerprints, (b) the in-process `mcs_cluster::ground_truth` to
 //!   agree, and (c) the three cluster chaos campaigns to hold: node
 //!   loss fails over with an unchanged fingerprint, partition
 //!   quarantines the round with a complete post-mortem, duplicate
@@ -80,6 +80,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mcs_campaign::prelude::{CampaignRunner, SyntheticBidSource};
+use mcs_cluster::ground_truth;
 use mcs_core::types::{Task, TaskId};
 use mcs_harness::cluster::GRID_WIDTH;
 use mcs_harness::prelude::*;
@@ -673,7 +674,12 @@ fn run_cluster_cli(scenario: &Scenario, options: &Options) -> bool {
 
     // Every other fault-free deployment, and the in-process mirror, must
     // reproduce the 1-node run bitwise.
-    let mirror = ClusterMirror::of_scenario(scenario, bands).fingerprint();
+    let mirror = ground_truth(
+        &scenario_topology(scenario, bands),
+        scenario_params(scenario),
+        &scenario_rounds(scenario),
+    )
+    .fingerprint();
     let mut equivalent = vec![
         (format!("{nodes}-node"), Ok(deployed)),
         ("mirror".to_string(), Ok(mirror)),

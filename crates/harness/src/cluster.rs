@@ -1,5 +1,5 @@
-//! Cluster chaos: fault-injecting transports, the scenario→cluster
-//! bridge, and the [`ClusterMirror`] oracle.
+//! Cluster chaos: fault-injecting transports and the scenario→cluster
+//! bridge.
 //!
 //! The engine campaigns attack one engine's pipeline; this module
 //! attacks the *deployment*. A [`FaultyTransport`] wraps any
@@ -18,8 +18,10 @@
 //!   duplicates without a bit of drift.
 //!
 //! [`run_cluster_scenario`] drives any corpus scenario's bid stream
-//! through a loopback cluster of N nodes under a fault plan, and
-//! [`ClusterMirror`] recomputes the deployment-invariant ground truth
+//! through a loopback cluster of N nodes under a fault plan;
+//! [`ground_truth`](mcs_cluster::ground_truth) over
+//! [`scenario_topology`], [`scenario_params`] and
+//! [`scenario_rounds`] recomputes the deployment-invariant outcome
 //! in-process for bitwise comparison.
 
 use std::cell::{Cell as StdCell, RefCell};
@@ -27,7 +29,6 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use mcs_cluster::coordinator::{Cluster, ClusterError, ClusterOutcome, RoundReport};
-use mcs_cluster::mirror::ground_truth;
 use mcs_cluster::node::NodeServer;
 use mcs_cluster::topology::{TaskSite, Topology};
 use mcs_cluster::transport::{
@@ -36,11 +37,11 @@ use mcs_cluster::transport::{
 use mcs_cluster::wire::{Request, Response};
 use mcs_cluster::{ClusterConfig, ClusterParams};
 use mcs_mobility::grid::{Cell, CityGrid};
+use mcs_obs::digest::mix64;
 use mcs_platform::ingest::Bid;
 
 use crate::plan::{Fault, FaultPlan};
 use crate::scenario::{ArrivalCurve, Population, Scenario, ShockField};
-use crate::stream::splitmix64;
 
 /// Grid width (cells) of the synthetic cluster geography — also the most
 /// bands a scenario topology can be cut into.
@@ -147,8 +148,11 @@ pub fn scenario_topology(scenario: &Scenario, bands: u32) -> Topology {
         .into_iter()
         .map(|task| {
             let id = task.id().index() as u64;
-            let slot =
-                splitmix64(scenario.seed, (id + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % cells;
+            let slot = mix64(
+                scenario.seed,
+                (id + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                0,
+            ) % cells;
             TaskSite {
                 task,
                 cell: Cell {
@@ -326,57 +330,11 @@ fn run_rounds<T: NodeTransport>(
     })
 }
 
-/// The single-process oracle for cluster runs: records the same bid
-/// stream a deployment cleared and recomputes the outcome with no
-/// nodes, no transports, and no replication in the loop.
-#[derive(Debug)]
-pub struct ClusterMirror {
-    topology: Topology,
-    params: ClusterParams,
-    rounds: Vec<Vec<Bid>>,
-}
-
-impl ClusterMirror {
-    /// An empty mirror over the same topology and parameters as the
-    /// deployment under test.
-    pub fn new(topology: Topology, params: ClusterParams) -> Self {
-        ClusterMirror {
-            topology,
-            params,
-            rounds: Vec::new(),
-        }
-    }
-
-    /// A mirror pre-loaded with a scenario's full bid stream.
-    pub fn of_scenario(scenario: &Scenario, bands: u32) -> Self {
-        let mut mirror = ClusterMirror::new(
-            scenario_topology(scenario, bands),
-            scenario_params(scenario),
-        );
-        mirror.rounds = scenario_rounds(scenario);
-        mirror
-    }
-
-    /// Records one round of submitted bids.
-    pub fn record(&mut self, bids: &[Bid]) {
-        self.rounds.push(bids.to_vec());
-    }
-
-    /// The ground-truth outcome of everything recorded.
-    pub fn outcome(&self) -> ClusterOutcome {
-        ground_truth(&self.topology, self.params, &self.rounds)
-    }
-
-    /// The ground-truth fingerprint of everything recorded.
-    pub fn fingerprint(&self) -> u64 {
-        self.outcome().fingerprint()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::load;
+    use mcs_cluster::ground_truth;
 
     fn small_scenario() -> Scenario {
         // The smallest corpus scenario keeps this suite fast.
@@ -397,7 +355,11 @@ mod tests {
     fn fault_free_cluster_matches_the_mirror() {
         let scenario = small_scenario();
         let run = run_cluster_scenario(&scenario, 2, 4, &FaultPlan::new()).unwrap();
-        let mirror = ClusterMirror::of_scenario(&scenario, 4);
+        let mirror = ground_truth(
+            &scenario_topology(&scenario, 4),
+            scenario_params(&scenario),
+            &scenario_rounds(&scenario),
+        );
         assert_eq!(run.fingerprint, mirror.fingerprint());
         assert_eq!(run.quarantined_rounds(), 0);
         assert!(run.promoted_nodes().is_empty());

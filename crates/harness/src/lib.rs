@@ -34,9 +34,9 @@
 //!   loops under the same fault flavors.
 //! * [`cluster`] — chaos at the deployment layer: a fault-injecting
 //!   [`NodeTransport`](mcs_cluster::transport::NodeTransport) wrapper
-//!   (node loss, partition, duplicate delivery), the scenario→cluster
-//!   bridge, and the [`ClusterMirror`](cluster::ClusterMirror) ground-
-//!   truth oracle; `mcs-fuzz --cluster` drives it.
+//!   (node loss, partition, duplicate delivery) and the
+//!   scenario→cluster bridge, checked against `mcs_cluster::ground_truth`;
+//!   `mcs-fuzz --cluster` drives it.
 //!
 //! The `mcs-fuzz` binary drives campaigns from the command line; see
 //! `scripts/ci.sh` (smoke) and `scripts/fuzz.sh` (long campaigns).
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::closed_loop::{check_campaign, ClosedLoopViolation};
     pub use crate::cluster::{
         busy_node, run_cluster_scenario, run_cluster_scenario_tcp, scenario_params,
-        scenario_rounds, scenario_topology, ClusterMirror, ClusterRun, FaultyTransport,
+        scenario_rounds, scenario_topology, ClusterRun, FaultyTransport,
     };
     pub use crate::inject::{PlanInjector, CHAOS_PREFIX};
     pub use crate::oracle::{check_round, OracleViolation};
@@ -79,5 +79,5 @@ pub mod prelude {
         check_online_sp, replay_scenario, run_scenario, run_scenario_with, RunOptions, Scenario,
         ScenarioError, ScenarioOutcome, SpReport,
     };
-    pub use crate::stream::{round_actions, splitmix64, Action};
+    pub use crate::stream::{round_actions, Action};
 }

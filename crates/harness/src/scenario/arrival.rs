@@ -21,7 +21,9 @@
 //! ([`BURST_USER_BASE`]`+ …`), allocated by prefix sums over the curve
 //! so every burst bidder has a distinct, deterministic id.
 
-use super::{mix, spec::ArrivalSpec};
+use mcs_obs::digest::mix64;
+
+use super::spec::ArrivalSpec;
 
 /// First user id of the burst population, far above any base user.
 pub const BURST_USER_BASE: u32 = 1_000_000;
@@ -64,7 +66,7 @@ impl ArrivalCurve {
         let mut burst = vec![0u32; rounds as usize];
         let width = spec.burst_width.min(rounds).max(1);
         for index in 0..spec.bursts {
-            let start = mix(seed ^ SALT_BURST, index as u64, 0) % rounds;
+            let start = mix64(seed ^ SALT_BURST, index as u64, 0) % rounds;
             let quotient = spec.burst_mass / width as u32;
             let remainder = spec.burst_mass % width as u32;
             for k in 0..width {

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use mcs_core::types::UserId;
-use mcs_obs::digest::Fnv1a;
+use mcs_obs::digest::{mix64, unit, Fnv1a};
 use mcs_obs::replay::{ReplayLog, ReplayOp};
 use mcs_platform::batch::RoundId;
 use mcs_platform::config::EngineConfig;
@@ -54,7 +54,7 @@ use super::arrival::ArrivalCurve;
 use super::population::{Deviation, Population, TrueType};
 use super::shock::ShockField;
 use super::spec::{Baseline, Scenario, ScenarioMode};
-use super::{mix, unit, ScenarioError};
+use super::ScenarioError;
 
 /// Domain salt for the execution-redraw stream.
 const SALT_EXEC: u64 = 0x4558_4543;
@@ -353,7 +353,7 @@ fn run_platform(
         .as_ref()
         .map(|spec| ShockField::generate(spec, scenario.seed, scenario.rounds));
     let population = Population::new(scenario, &curve, field.as_ref());
-    let injector = Arc::new(ScenarioInjector::new(mix(scenario.seed, SALT_EXEC, 0)));
+    let injector = Arc::new(ScenarioInjector::new(mix64(scenario.seed, SALT_EXEC, 0)));
     let mut drive = Drive::new(
         options.engine_config(scenario),
         scenario.published_tasks(),

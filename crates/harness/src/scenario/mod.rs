@@ -152,21 +152,6 @@ impl From<TomlError> for ScenarioError {
     }
 }
 
-/// SplitMix64 mix of a seed and two indices — the same construction the
-/// platform and the campaign bid sources use for per-round streams.
-pub(crate) fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z =
-        seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A unit draw in `[0, 1)` from the mixed stream.
-pub(crate) fn unit(seed: u64, a: u64, b: u64) -> f64 {
-    (mix(seed, a, b) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// The directory holding the shipped scenario corpus: `scenarios/` under
 /// the current directory if present (running from the repository root),
 /// else resolved relative to this crate's manifest (running under
@@ -286,6 +271,7 @@ mod tests {
 
     #[test]
     fn unit_draws_are_deterministic_and_in_range() {
+        use mcs_obs::digest::unit;
         for i in 0..100 {
             let draw = unit(42, i, i * 3);
             assert!((0.0..1.0).contains(&draw));

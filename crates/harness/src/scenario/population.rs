@@ -27,12 +27,12 @@ use std::collections::BTreeMap;
 
 use mcs_core::analysis::misreport_factor_grid;
 use mcs_core::types::{Contribution, Pos};
+use mcs_obs::digest::unit;
 use mcs_platform::ingest::Bid;
 
 use super::arrival::{ArrivalCurve, BURST_USER_BASE};
 use super::shock::ShockField;
 use super::spec::Scenario;
-use super::unit;
 
 /// Domain salts for the independent population draws.
 const SALT_COST: u64 = 0x434f_5354;

@@ -22,7 +22,9 @@
 
 use mcs_mobility::grid::{Cell, CityGrid, Region};
 
-use super::{mix, spec::ShockSpec, unit};
+use mcs_obs::digest::{mix64, unit};
+
+use super::spec::ShockSpec;
 
 /// Domain salts for the independent shock draws.
 const SALT_REGION: u64 = 0x5245_4749;
@@ -65,15 +67,16 @@ impl ShockField {
         let grid = CityGrid::new(spec.grid_width, spec.grid_height, 2.0);
         let mut events = Vec::with_capacity(spec.count as usize);
         for index in 0..spec.count as u64 {
-            let width = 1 + (mix(seed ^ SALT_REGION, index, 0) % spec.region_width as u64) as u32;
-            let height = 1 + (mix(seed ^ SALT_REGION, index, 1) % spec.region_height as u64) as u32;
+            let width = 1 + (mix64(seed ^ SALT_REGION, index, 0) % spec.region_width as u64) as u32;
+            let height =
+                1 + (mix64(seed ^ SALT_REGION, index, 1) % spec.region_height as u64) as u32;
             let x =
-                (mix(seed ^ SALT_REGION, index, 2) % (spec.grid_width - width + 1) as u64) as u32;
-            let y =
-                (mix(seed ^ SALT_REGION, index, 3) % (spec.grid_height - height + 1) as u64) as u32;
+                (mix64(seed ^ SALT_REGION, index, 2) % (spec.grid_width - width + 1) as u64) as u32;
+            let y = (mix64(seed ^ SALT_REGION, index, 3) % (spec.grid_height - height + 1) as u64)
+                as u32;
             let duration = spec.duration_min
-                + mix(seed ^ SALT_WINDOW, index, 0) % (spec.duration_max - spec.duration_min + 1);
-            let start = mix(seed ^ SALT_WINDOW, index, 1) % rounds;
+                + mix64(seed ^ SALT_WINDOW, index, 0) % (spec.duration_max - spec.duration_min + 1);
+            let start = mix64(seed ^ SALT_WINDOW, index, 1) % rounds;
             let level = spec.multiplier_min
                 + (spec.multiplier_max - spec.multiplier_min) * unit(seed ^ SALT_LEVEL, index, 0);
             events.push(ShockEvent {
@@ -107,7 +110,7 @@ impl ShockField {
 
     /// The deterministic home cell of `user`.
     pub fn home_cell(&self, user: u32) -> Cell {
-        let index = mix(self.home_seed, user as u64, 0) % self.grid.cell_count() as u64;
+        let index = mix64(self.home_seed, user as u64, 0) % self.grid.cell_count() as u64;
         self.grid
             .cell(mcs_mobility::grid::LocationId::new(index as u32))
     }

@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use mcs_obs::digest::mix64;
 use mcs_platform::ingest::Bid;
 
 use crate::campaign::CampaignConfig;
@@ -23,15 +24,6 @@ pub enum Action {
     Submit(Bid),
     /// Advance the engine's (and the mirror's) batch clock one tick.
     Tick,
-}
-
-/// SplitMix64: the same per-round stream derivation the platform's shard
-/// stage uses, so harness streams inherit its isolation property.
-pub fn splitmix64(seed: u64, round: u64) -> u64 {
-    let mut z = seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// User ids from here up are reserved for overload-fault bids, so a
@@ -58,7 +50,7 @@ pub const OVERLOAD_USER_BASE: u32 = 10_000;
 /// bids after every base bid, sustaining the pressure across the whole
 /// round.
 pub fn round_actions(config: &CampaignConfig, round: u64, faults: &[Fault]) -> Vec<Action> {
-    let mut rng = StdRng::seed_from_u64(splitmix64(config.seed, round));
+    let mut rng = StdRng::seed_from_u64(mix64(config.seed, round, 0));
     let task_ids: Vec<u32> = (0..config.task_count as u32).collect();
 
     if faults.contains(&Fault::InfeasibleRound) {

@@ -1,4 +1,5 @@
-//! FNV-1a, 64-bit: the workspace's one digest.
+//! FNV-1a, 64-bit: the workspace's one digest; and SplitMix64, its one
+//! seed mixer.
 //!
 //! Every outcome fingerprint (chaos campaigns, scenarios, closed-loop
 //! campaign reports, cluster outcomes), the `MCSTRACE` replay-log
@@ -10,6 +11,11 @@
 //! `write_u64(x)` hashes exactly like `write_bytes(&x.to_le_bytes())`
 //! and a streamed digest equals the one-shot [`fnv1a`] of the
 //! concatenated bytes.
+//!
+//! [`mix64`] derives every seeded stream from a composite key — per-round
+//! RNG seeds, shard seeds, shed coins, synthetic bids, scenario draws —
+//! and [`unit`](fn@unit) turns it into a uniform draw, so no two streams can
+//! disagree because two copies of the mixer drifted.
 
 /// The 64-bit FNV offset basis.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -76,6 +82,25 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hasher.finish()
 }
 
+/// SplitMix64 over the key `(seed, a, b)`: its finalizer applied to
+/// `seed ^ a·0x9E37_79B9_7F4A_7C15 ^ b·0xD1B5_4A32_D192_ED03`. A zero `b`
+/// (or `seed`) drops out of the key, which gives the one- and two-part
+/// forms.
+#[inline]
+pub fn mix64(seed: u64, a: u64, b: u64) -> u64 {
+    let mut z =
+        seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xD1B5_4A32_D192_ED03);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A uniform draw in `[0, 1)`: the top 53 bits of [`mix64`].
+#[inline]
+pub fn unit(seed: u64, a: u64, b: u64) -> f64 {
+    (mix64(seed, a, b) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,5 +132,16 @@ mod tests {
         split.write_bytes(b"foo");
         split.write_bytes(b"bar");
         assert_eq!(split.finish(), fnv1a(b"foobar"));
+    }
+
+    #[test]
+    fn mix64_known_answers() {
+        // SplitMix64's first output from state 0 is mix64(0, 1, 0).
+        assert_eq!(mix64(0, 1, 0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(
+            unit(0, 1, 0),
+            (0xe220_a839_7b1d_cdafu64 >> 11) as f64 / 2f64.powi(53)
+        );
+        assert_ne!(mix64(7, 3, 0), mix64(7, 3, 1));
     }
 }

@@ -19,7 +19,10 @@ use serde::{Deserialize, Serialize};
 pub enum Stage {
     /// Bid validation and deduplication.
     Ingest,
-    /// Closing a round into an auction instance.
+    /// Closing a round into an auction instance: each `tick` or `flush`
+    /// call that finds the open round holding bids, whether or not it
+    /// closes it. A round closed on capacity inside `submit` is timed
+    /// under [`Stage::Ingest`] instead.
     Batch,
     /// End-to-end round clearing inside a shard worker (winner
     /// determination + payments + execution draws).

@@ -6,7 +6,9 @@
 //! * [`event`] — the shared trace vocabulary: pipeline [`Stage`]s,
 //!   [`EventKind`]s, and the fixed-width [`TraceEvent`].
 //! * [`digest`] — FNV-1a, the one digest behind every fingerprint and
-//!   checksum in the workspace.
+//!   checksum in the workspace, and SplitMix64, the one seed mixer.
+//! * [`codec`] — the one little-endian binary writer and bounds-checked
+//!   reader, shared by the replay log and the cluster wire protocol.
 //! * [`ring`] — the [`FlightRecorder`]: a lock-free, fixed-capacity,
 //!   allocation-free ring buffer of trace events, with a wall clock for
 //!   operators and a logical clock for deterministic harnesses.
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod codec;
 pub mod digest;
 pub mod event;
 pub mod export;

@@ -12,7 +12,8 @@
 //!
 //! ## Wire format (version 1)
 //!
-//! All integers little-endian:
+//! Written and read through [`crate::codec`], so all integers are
+//! little-endian:
 //!
 //! ```text
 //! magic      8 bytes  "MCSTRACE"
@@ -38,6 +39,7 @@
 
 use std::fmt;
 
+use crate::codec::{CodecError, Reader, Writer};
 use crate::digest::fnv1a;
 use crate::event::{EventKind, TraceEvent};
 
@@ -191,33 +193,30 @@ impl ReplayLog {
 
     /// Serializes the log to its checksummed wire form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.ops.len() * 24);
-        out.extend_from_slice(&REPLAY_MAGIC);
-        out.extend_from_slice(&REPLAY_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(self.label.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.label.as_bytes());
-        out.extend_from_slice(&(self.ops.len() as u64).to_le_bytes());
+        let mut out = Writer::with_capacity(64 + self.ops.len() * 24);
+        out.raw(&REPLAY_MAGIC);
+        out.u32(REPLAY_VERSION);
+        out.u64(self.seed);
+        out.str(&self.label);
+        out.u64(self.ops.len() as u64);
         for op in &self.ops {
             match op {
                 ReplayOp::Submit(bid) => {
-                    out.push(0);
-                    out.extend_from_slice(&bid.user.to_le_bytes());
-                    out.extend_from_slice(&bid.cost_bits.to_le_bytes());
-                    out.extend_from_slice(&(bid.tasks.len() as u32).to_le_bytes());
-                    for &(task, pos_bits) in &bid.tasks {
-                        out.extend_from_slice(&task.to_le_bytes());
-                        out.extend_from_slice(&pos_bits.to_le_bytes());
-                    }
+                    out.u8(0);
+                    out.u32(bid.user);
+                    out.u64(bid.cost_bits);
+                    out.seq(&bid.tasks, |out, &(task, pos_bits)| {
+                        out.u32(task);
+                        out.u64(pos_bits);
+                    });
                 }
-                ReplayOp::Tick => out.push(1),
-                ReplayOp::Flush => out.push(2),
-                ReplayOp::Drain => out.push(3),
+                ReplayOp::Tick => out.u8(1),
+                ReplayOp::Flush => out.u8(2),
+                ReplayOp::Drain => out.u8(3),
             }
         }
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        out.u64(fnv1a(out.bytes()));
+        out.into_bytes()
     }
 
     /// Decodes a log from its wire form.
@@ -229,7 +228,7 @@ impl ReplayLog {
     /// [`ReplayError::ChecksumMismatch`] (or an earlier structural
     /// error), never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayLog, ReplayError> {
-        let mut reader = Reader { bytes, at: 0 };
+        let mut reader = Reader::new(bytes);
         let magic = reader.take(8)?;
         if magic != REPLAY_MAGIC {
             return Err(ReplayError::BadMagic {
@@ -241,48 +240,41 @@ impl ReplayLog {
             return Err(ReplayError::UnsupportedVersion { version });
         }
         let seed = reader.u64()?;
-        let label_len = reader.u32()? as usize;
-        let label = std::str::from_utf8(reader.take(label_len)?)
-            .map_err(|_| ReplayError::BadLabel)?
-            .to_string();
+        let label = reader.str()?.to_string();
         let op_count = reader.u64()?;
         let mut ops = Vec::new();
         for _ in 0..op_count {
-            let offset = reader.at;
-            let tag = reader.u8()?;
-            ops.push(match tag {
-                0 => {
-                    let user = reader.u32()?;
-                    let cost_bits = reader.u64()?;
-                    let task_count = reader.u32()? as usize;
-                    let mut tasks = Vec::with_capacity(task_count.min(1024));
-                    for _ in 0..task_count {
-                        tasks.push((reader.u32()?, reader.u64()?));
-                    }
-                    ReplayOp::Submit(ReplayBid {
-                        user,
-                        cost_bits,
-                        tasks,
-                    })
-                }
+            let offset = reader.offset();
+            ops.push(match reader.u8()? {
+                0 => ReplayOp::Submit(ReplayBid {
+                    user: reader.u32()?,
+                    cost_bits: reader.u64()?,
+                    tasks: reader.seq(12, |r| Ok::<_, CodecError>((r.u32()?, r.u64()?)))?,
+                }),
                 1 => ReplayOp::Tick,
                 2 => ReplayOp::Flush,
                 3 => ReplayOp::Drain,
                 tag => return Err(ReplayError::BadOpTag { tag, offset }),
             });
         }
-        let payload_len = reader.at;
+        let payload_len = reader.offset();
         let stored = reader.u64()?;
-        if reader.at != bytes.len() {
-            return Err(ReplayError::TrailingBytes {
-                extra: bytes.len() - reader.at,
-            });
-        }
+        reader.finish()?;
         let computed = fnv1a(&bytes[..payload_len]);
         if stored != computed {
             return Err(ReplayError::ChecksumMismatch { stored, computed });
         }
         Ok(ReplayLog { seed, label, ops })
+    }
+}
+
+impl From<CodecError> for ReplayError {
+    fn from(error: CodecError) -> Self {
+        match error {
+            CodecError::Truncated { offset } => ReplayError::Truncated { offset },
+            CodecError::BadUtf8 => ReplayError::BadLabel,
+            CodecError::TrailingBytes { extra } => ReplayError::TrailingBytes { extra },
+        }
     }
 }
 
@@ -310,37 +302,6 @@ pub fn admitted_bids(events: &[TraceEvent]) -> Vec<ReplayBid> {
         }
     }
     bids
-}
-
-/// Byte-wise reader with typed truncation errors.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8], ReplayError> {
-        let end = self
-            .at
-            .checked_add(len)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(ReplayError::Truncated { offset: self.at })?;
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ReplayError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ReplayError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ReplayError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
 }
 
 #[cfg(test)]
@@ -377,6 +338,12 @@ mod tests {
             ReplayOp::Submit(bid) => assert!(bid.cost().is_nan()),
             other => panic!("expected submit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn sample_log_keeps_its_pinned_bytes() {
+        let bytes = sample().to_bytes();
+        assert_eq!((fnv1a(&bytes), bytes.len()), (0x2b1a_4ea0_3eb1_1c6c, 118));
     }
 
     #[test]

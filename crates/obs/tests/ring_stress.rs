@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
+use mcs_obs::digest::mix64;
 use mcs_obs::{ClockMode, EventKind, FlightRecorder, RawEvent};
 
 const RING_SLOTS: usize = 64;
@@ -20,12 +21,9 @@ const EVENTS_PER_WRITER: u64 = 20_000;
 /// pure function of its seed, so the test is reproducible run to run.
 const WRITER_SEEDS: [u64; WRITERS as usize] = [0xA1, 0xB2, 0xC3, 0xD4];
 
-/// SplitMix64 — the same mixer the platform uses for round seeds.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// SplitMix64 of one word — the mixer the platform uses for round seeds.
+fn mix(z: u64) -> u64 {
+    mix64(0, z, 0)
 }
 
 /// The invariant every decoded event must satisfy: `c` is a checksum

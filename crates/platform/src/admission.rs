@@ -13,6 +13,8 @@
 //! harness runs a second instance in lockstep with the engine's and
 //! cross-checks every decision — the shed-determinism oracle.
 
+use mcs_obs::digest::unit;
+
 use crate::config::{AdmissionConfig, ShedPolicy};
 
 /// Why a bid was shed. Carries the backlog depth observed at the
@@ -90,15 +92,6 @@ impl Admission {
     }
 }
 
-/// The SplitMix64 mix every seeded stream in this workspace uses, here
-/// keyed on `(policy seed, arrival sequence)`.
-fn coin(seed: u64, arrival: u64) -> u64 {
-    let mut z = seed ^ arrival.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Hysteresis state machine deciding admission per arriving bid.
 ///
 /// Stateful only in ways that are themselves deterministic functions of
@@ -161,10 +154,9 @@ impl AdmissionController {
         let decision = match self.config.policy {
             ShedPolicy::TailDrop => Admission::Shed(ShedReason::TailDrop { backlog }),
             ShedPolicy::SeededUniform(uniform_policy) => {
-                // Map the top 53 bits onto [0, 1): the standard
-                // uniform-double construction, exact and branch-free.
-                let uniform =
-                    (coin(uniform_policy.seed, arrival) >> 11) as f64 / (1u64 << 53) as f64;
+                // The seeded coin keyed on (policy seed, arrival
+                // sequence): the top 53 bits of its mix, in [0, 1).
+                let uniform = unit(uniform_policy.seed, arrival, 0);
                 if uniform < uniform_policy.rate {
                     Admission::Shed(ShedReason::SeededCoin { backlog })
                 } else {

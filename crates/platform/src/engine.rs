@@ -18,7 +18,7 @@ use crate::config::EngineConfig;
 use crate::degrade::{QuarantinedRound, RoundError};
 use crate::fault::{FaultInjector, NoFaults};
 use crate::ingest::{Bid, IngestError};
-use crate::metrics::{Metrics, Stage};
+use crate::metrics::{timed, Metrics, Stage};
 use crate::settle::{Ledger, RoundSettlement};
 use crate::shard::{ClearedRound, ShardPool};
 
@@ -391,20 +391,26 @@ impl Engine {
     /// Advances the batch clock, closing a round whose tick budget
     /// elapsed.
     pub fn tick(&mut self) {
-        let start = Instant::now();
-        let closed = self.batcher.tick();
-        self.metrics.record(Stage::Batch, start.elapsed());
+        let closed = self.timed_close(Batcher::tick);
         self.enqueue(closed);
     }
 
-    /// Force-closes the partially filled round, if any. Timed as
-    /// [`Stage::Batch`], like [`Engine::tick`]: closing builds the
-    /// round's type profile either way.
+    /// Force-closes the partially filled round, if any.
     pub fn flush(&mut self) {
-        let start = Instant::now();
-        let closed = self.batcher.flush();
-        self.metrics.record(Stage::Batch, start.elapsed());
+        let closed = self.timed_close(Batcher::flush);
         self.enqueue(closed);
+    }
+
+    /// Runs one batcher close call as [`Stage::Batch`]: a metrics sample
+    /// per call, and a span keyed by the open round's id whenever that
+    /// round holds bids (closing builds its type profile). An empty call
+    /// records no span.
+    fn timed_close(&mut self, close: fn(&mut Batcher) -> Option<Round>) -> Option<Round> {
+        let id = RoundId(self.batcher.next_round_id());
+        let trace = (self.batcher.pending_bids() > 0).then_some(&*self.recorder);
+        timed(Stage::Batch, id, Some(&self.metrics), trace, || {
+            close(&mut self.batcher)
+        })
     }
 
     /// Rounds closed but not yet drained.
@@ -458,18 +464,10 @@ impl Engine {
                     for (&user, completed) in round.reports.iter_mut() {
                         *completed = self.injector.flip_report(id, user, *completed);
                     }
-                    self.recorder.record(RawEvent::enter(Stage::Settle, id.0));
-                    let start = Instant::now();
-                    let settlement = self.ledger.settle(&round);
-                    let elapsed = start.elapsed();
-                    self.metrics.record(Stage::Settle, elapsed);
-                    let elapsed_ns = if self.recorder.is_logical() {
-                        0
-                    } else {
-                        u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
-                    };
-                    self.recorder
-                        .record(RawEvent::exit(Stage::Settle, id.0, elapsed_ns));
+                    let trace = Some(&*self.recorder);
+                    let settlement = timed(Stage::Settle, id, Some(&self.metrics), trace, || {
+                        self.ledger.settle(&round)
+                    });
                     self.recorder.record(RawEvent::new(
                         EventKind::RoundSettled,
                         id.0,
@@ -1106,6 +1104,57 @@ mod tests {
         e.flush();
         assert_eq!(e.pending_rounds(), 1);
         assert_eq!(batch(&e), 2);
+    }
+
+    #[test]
+    fn rounds_closed_by_flush_or_tick_get_a_batch_span() {
+        use crate::config::TraceConfig;
+        use mcs_obs::EventKind::{RoundClosed, StageEnter, StageExit};
+        let mut config = EngineConfig::default()
+            .with_seed(3)
+            .with_trace(TraceConfig {
+                capacity: 256,
+                logical_clock: true,
+            });
+        config.batch.max_bids = 8;
+        config.batch.max_ticks = 2;
+        let mut e = Engine::new(
+            config,
+            vec![Task::with_requirement(TaskId::new(0), 0.8).unwrap()],
+        );
+        // Calls on an empty round are timed but record no span.
+        e.tick();
+        e.flush();
+        assert!(e.trace_events().is_empty());
+
+        // Round 0 closes by flush, round 1 by its second tick; each tick
+        // of the non-empty round is one span.
+        submit_feasible_round(&mut e, 0);
+        e.flush();
+        submit_feasible_round(&mut e, 10);
+        e.tick();
+        e.tick();
+        e.tick();
+        let tail = |round: u64, n: usize| -> Vec<_> {
+            let trace = e.recorder().round_trace(round);
+            let closed = trace.iter().position(|ev| ev.kind == RoundClosed).unwrap();
+            trace[closed + 1 - n..=closed]
+                .iter()
+                .map(|ev| (ev.kind, ev.stage))
+                .collect()
+        };
+        let span = [
+            (StageEnter, Some(Stage::Batch)),
+            (StageExit, Some(Stage::Batch)),
+        ];
+        assert_eq!(tail(0, 3), [&span[..], &[(RoundClosed, None)]].concat());
+        assert_eq!(
+            tail(1, 5),
+            [&span[..], &span[..], &[(RoundClosed, None)]].concat()
+        );
+        // The trailing tick found round 2 empty: no span, no event.
+        assert!(e.recorder().round_trace(2).is_empty());
+        assert_eq!(e.pending_rounds(), 2);
     }
 
     /// An injector that forces every bid's cost to a fixed value, to prove

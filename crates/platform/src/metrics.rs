@@ -13,11 +13,13 @@
 //! so a latency histogram and a trace span always name the same thing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub use mcs_obs::Stage;
-use mcs_obs::{MetricsSource, PromKind, PromWriter};
+use mcs_obs::{FlightRecorder, MetricsSource, PromKind, PromWriter, RawEvent};
 use serde::{Deserialize, Serialize};
+
+use crate::batch::RoundId;
 
 /// Number of power-of-two latency buckets: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` nanoseconds; 40 buckets reach ~18 minutes.
@@ -387,6 +389,40 @@ impl MetricsSource for Metrics {
     fn json(&self) -> String {
         self.to_json()
     }
+}
+
+/// Runs `f` as one `stage` of round `id`: one histogram sample when
+/// metrics are attached, an enter/exit span pair when a recorder is.
+/// Shard stages, settlement and round closes all time themselves through
+/// here (probes from `clear_round`'s public, unmetered entry point pass
+/// neither). The exit's duration payload is zeroed in logical-clock
+/// mode: wall durations would make otherwise-deterministic traces differ
+/// run to run.
+pub(crate) fn timed<T>(
+    stage: Stage,
+    id: RoundId,
+    metrics: Option<&Metrics>,
+    trace: Option<&FlightRecorder>,
+    f: impl FnOnce() -> T,
+) -> T {
+    if let Some(recorder) = trace {
+        recorder.record(RawEvent::enter(stage, id.0));
+    }
+    let start = Instant::now();
+    let out = f();
+    let elapsed = start.elapsed();
+    if let Some(metrics) = metrics {
+        metrics.record(stage, elapsed);
+    }
+    if let Some(recorder) = trace {
+        let ns = if recorder.is_logical() {
+            0
+        } else {
+            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+        };
+        recorder.record(RawEvent::exit(stage, id.0, ns));
+    }
+    out
 }
 
 /// Latency statistics of one pipeline stage.

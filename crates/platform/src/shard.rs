@@ -51,7 +51,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use mcs_core::indexed::{ClearContext, ContextPool};
 use mcs_core::mechanism::{contingent_reward, Allocation};
@@ -59,7 +58,8 @@ use mcs_core::multi_task::MultiTaskMechanism;
 use mcs_core::single_task::SingleTaskMechanism;
 use mcs_core::types::UserId;
 use mcs_core::McsError;
-use mcs_obs::{FlightRecorder, RawEvent};
+use mcs_obs::digest::mix64;
+use mcs_obs::FlightRecorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,7 +67,7 @@ use crate::batch::{Round, RoundId};
 use crate::config::EngineConfig;
 use crate::degrade::{panic_message, RoundError};
 use crate::fault::FaultInjector;
-use crate::metrics::{Metrics, RoundEconomics, Stage};
+use crate::metrics::{timed, Metrics, RoundEconomics, Stage};
 use crate::settle::RewardQuote;
 
 /// A successfully cleared round, ready for settlement.
@@ -89,60 +89,10 @@ pub struct ClearedRound {
     pub economics: RoundEconomics,
 }
 
-/// Per-round RNG seed: a SplitMix64-style mix of the engine seed and the
+/// Per-round RNG seed: the SplitMix64 mix of the engine seed and the
 /// round id, so every round gets an independent, reproducible stream.
 fn round_seed(engine_seed: u64, id: RoundId) -> u64 {
-    let mut z = engine_seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Runs `f` as one `stage` of round `id`: an enter/exit span pair when a
-/// recorder is attached, one histogram sample when metrics are (probes
-/// from `clear_round`'s public, unmetered entry point pass neither).
-fn timed<T>(
-    stage: Stage,
-    id: RoundId,
-    metrics: Option<&Metrics>,
-    trace: Option<&FlightRecorder>,
-    f: impl FnOnce() -> T,
-) -> T {
-    span_enter(trace, stage, id);
-    let start = Instant::now();
-    let out = f();
-    let elapsed = start.elapsed();
-    if let Some(metrics) = metrics {
-        metrics.record(stage, elapsed);
-    }
-    span_exit(trace, stage, id, elapsed);
-    out
-}
-
-/// Emits a [`Stage`] enter event when a recorder is attached.
-fn span_enter(trace: Option<&FlightRecorder>, stage: Stage, id: RoundId) {
-    if let Some(recorder) = trace {
-        recorder.record(RawEvent::enter(stage, id.0));
-    }
-}
-
-/// Emits a [`Stage`] exit event. The duration payload is zeroed in
-/// logical-clock mode: wall durations would make otherwise-deterministic
-/// traces differ run to run.
-fn span_exit(
-    trace: Option<&FlightRecorder>,
-    stage: Stage,
-    id: RoundId,
-    elapsed: std::time::Duration,
-) {
-    if let Some(recorder) = trace {
-        let ns = if recorder.is_logical() {
-            0
-        } else {
-            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
-        };
-        recorder.record(RawEvent::exit(stage, id.0, ns));
-    }
+    mix64(engine_seed, id.0, 0)
 }
 
 /// Prices one round for either mechanism: the [`Stage::Allocate`] span
@@ -313,33 +263,37 @@ impl Shared {
     fn clear_one(&self, round: &Round, context: &mut ClearContext) -> Cleared {
         let (metrics, recorder) = (&*self.metrics, &*self.recorder);
         let bidders = round.profile.user_count();
-        span_enter(Some(recorder), Stage::Shard, round.id);
-        let start = Instant::now();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(message) = self.injector.shard_panic(round.id) {
-                panic!("{message}");
-            }
-            clear_round_metered(round, &self.config, context, Some(metrics), Some(recorder))
-        }));
-        // Drain this round's kernel counters before any panic cleanup can
-        // discard the arena (a panicked round's partial counts still count
-        // the work it did). Gated: draining is the only profiling cost
-        // that leaves the worker's cache lines.
-        if self.config.profiling {
-            metrics.record_kernel(&context.take_prof());
-        }
-        if caught.is_err() {
-            // A panic can leave the arena half-patched (e.g. mid seed
-            // rebuild); discard it rather than reason about its state.
-            *context = ClearContext::new();
-        }
-        let outcome = caught.unwrap_or_else(|payload| {
-            Err(RoundError::Panicked {
-                message: panic_message(payload.as_ref()),
-            })
-        });
-        metrics.record(Stage::Shard, start.elapsed());
-        span_exit(Some(recorder), Stage::Shard, round.id, start.elapsed());
+        let outcome = timed(
+            Stage::Shard,
+            round.id,
+            Some(metrics),
+            Some(recorder),
+            || {
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(message) = self.injector.shard_panic(round.id) {
+                        panic!("{message}");
+                    }
+                    clear_round_metered(round, &self.config, context, Some(metrics), Some(recorder))
+                }));
+                // Drain this round's kernel counters before any panic cleanup
+                // can discard the arena (a panicked round's partial counts
+                // still count the work it did). Gated: draining is the only
+                // profiling cost that leaves the worker's cache lines.
+                if self.config.profiling {
+                    metrics.record_kernel(&context.take_prof());
+                }
+                if caught.is_err() {
+                    // A panic can leave the arena half-patched (e.g. mid seed
+                    // rebuild); discard it rather than reason about its state.
+                    *context = ClearContext::new();
+                }
+                caught.unwrap_or_else(|payload| {
+                    Err(RoundError::Panicked {
+                        message: panic_message(payload.as_ref()),
+                    })
+                })
+            },
+        );
         (round.id, (bidders, outcome))
     }
 }

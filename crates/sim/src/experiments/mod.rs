@@ -104,7 +104,11 @@ impl Repro {
 
     /// A deterministic RNG for `(experiment, x, trial)`.
     pub fn rng(&self, experiment: u64, x: u64, trial: u64) -> StdRng {
-        // SplitMix-style mixing of the coordinates into one seed.
+        // SplitMix-style mixing of the coordinates into one seed. This is
+        // an additive mix, not `mcs_obs::digest::mix64` (which XORs the
+        // key and runs the full finalizer), and its seeds drive every
+        // reproduced figure, so it stays as it is: switching mixers
+        // would change every trial's population.
         let mut z = self
             .seed
             .wrapping_add(experiment.wrapping_mul(0x9E37_79B9_7F4A_7C15))

@@ -20,6 +20,29 @@ if [ "$(printf '%s' "${FNV_FILES}" | grep -c .)" -gt 1 ]; then
   exit 1
 fi
 
+echo "==> one binary reader (from_le_bytes only in mcs_obs::codec)"
+# The MCSTRACE log and the MCSCLST1 wire protocol both decode through
+# mcs_obs::codec::Reader; a second hand-rolled reader is a second place
+# for truncation checks to drift.
+LE_FILES="$(grep -rl 'from_le_bytes' crates || true)"
+if [ -n "${LE_FILES}" ] && [ "${LE_FILES}" != "crates/obs/src/codec.rs" ]; then
+  echo "from_le_bytes found outside crates/obs/src/codec.rs:"
+  echo "${LE_FILES}"
+  exit 1
+fi
+
+echo "==> one seed mixer (SplitMix64 written once under crates/)"
+# Every seeded stream derives through mcs_obs::digest::mix64, so the
+# SplitMix64 multiplier may appear in one file. crates/sim is exempt: its
+# experiment RNG is a different, additive mix whose seeds drive every
+# reproduced figure, and switching it would change them all.
+MIX_FILES="$(grep -rliE 'bf58_?476d_?1ce4_?e5b9' crates --exclude-dir=sim || true)"
+if [ "$(printf '%s' "${MIX_FILES}" | grep -c .)" -gt 1 ]; then
+  echo "SplitMix64 multiplier found in more than one file under crates/:"
+  echo "${MIX_FILES}"
+  exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
