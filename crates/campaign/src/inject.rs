@@ -46,16 +46,15 @@ impl FailureInjector {
             inner,
         }
     }
-
-    /// The injected failure rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
 }
 
 impl FaultInjector for FailureInjector {
     fn corrupt_bid(&self, bid: &Bid) -> Option<Bid> {
         self.inner.corrupt_bid(bid)
+    }
+
+    fn observe_admitted(&self, round: RoundId, bid: &Bid) {
+        self.inner.observe_admitted(round, bid);
     }
 
     fn reorder_pending(&self, pending: &mut [Round]) {
@@ -108,11 +107,38 @@ mod tests {
         assert!(!injector.flip_report(RoundId(2), UserId::new(0), false));
     }
 
+    /// Panics chosen rounds and logs every admitted bid it observes.
+    #[derive(Debug)]
+    struct PanicAndLog {
+        panics: mcs_platform::prelude::PanicRounds,
+        admitted: std::sync::Mutex<Vec<(RoundId, u32)>>,
+    }
+
+    impl FaultInjector for PanicAndLog {
+        fn shard_panic(&self, round: RoundId) -> Option<String> {
+            self.panics.shard_panic(round)
+        }
+
+        fn observe_admitted(&self, round: RoundId, bid: &Bid) {
+            self.admitted.lock().unwrap().push((round, bid.user));
+        }
+    }
+
     #[test]
     fn composes_with_an_inner_injector() {
-        let inner = Arc::new(mcs_platform::prelude::PanicRounds::new([RoundId(3)]));
-        let injector = FailureInjector::wrapping(9, 0.5, inner);
+        let inner = Arc::new(PanicAndLog {
+            panics: mcs_platform::prelude::PanicRounds::new([RoundId(3)]),
+            admitted: std::sync::Mutex::new(Vec::new()),
+        });
+        let injector = FailureInjector::wrapping(9, 0.5, inner.clone());
         assert!(injector.shard_panic(RoundId(3)).is_some());
         assert!(injector.shard_panic(RoundId(4)).is_none());
+        let bid = Bid {
+            user: 7,
+            cost: 1.0,
+            tasks: vec![(0, 0.5)],
+        };
+        injector.observe_admitted(RoundId(2), &bid);
+        assert_eq!(*inner.admitted.lock().unwrap(), vec![(RoundId(2), 7)]);
     }
 }

@@ -2,11 +2,12 @@
 //! per-round economics, exportable over the existing `/metrics`
 //! endpoints.
 //!
-//! The engine's [`Metrics`](mcs_platform::prelude::Metrics) reset with
-//! every [`Engine::restore`](mcs_platform::prelude::Engine::restore),
-//! which a campaign performs once per residual round — so campaign
-//! telemetry needs its own accumulator that outlives the engines it
-//! supervises. [`CampaignMetrics`] implements
+//! A campaign's one engine counts rounds, bids and stages in its own
+//! [`Metrics`](mcs_platform::prelude::Metrics), but those know nothing
+//! of calibration gates, residual requirements or re-auctions, and every
+//! run or resume builds a new engine whose metrics start at zero. So the
+//! closed loop keeps its own accumulator, owned by the runner and shared
+//! by every campaign it runs. [`CampaignMetrics`] implements
 //! [`MetricsSource`], so `platformd --campaign` serves it exactly like
 //! the per-round engine metrics, under `mcs_campaign_*` families. The
 //! per-round economics table is retained in full (campaigns are tens of

@@ -18,6 +18,13 @@
 //! coverage only ever accumulates, the residual is monotonically
 //! non-increasing across rounds; the harness oracles assert this, the
 //! tracker guarantees it by construction.
+//!
+//! The tracker only folds outcomes into residuals. The residual round
+//! itself — which tasks to republish, at what requirement, and which
+//! bids still apply — is the platform's one residual-round rule
+//! ([`residual_tasks`](mcs_platform::batch::residual_tasks) and
+//! [`restrict_bids`](mcs_platform::batch::restrict_bids)), shared with
+//! the cluster's straddler phase.
 
 use std::collections::BTreeMap;
 
@@ -26,21 +33,17 @@ use mcs_core::types::{Contribution, Task, TaskId};
 /// Per-task residual requirements across a campaign's rounds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResidualTracker {
-    initial: BTreeMap<TaskId, Contribution>,
     residual: BTreeMap<TaskId, Contribution>,
 }
 
 impl ResidualTracker {
     /// A tracker with every task's residual at its full requirement.
     pub fn new(tasks: &[Task]) -> Self {
-        let initial: BTreeMap<TaskId, Contribution> = tasks
+        let residual = tasks
             .iter()
             .map(|task| (task.id(), task.requirement_contribution()))
             .collect();
-        ResidualTracker {
-            residual: initial.clone(),
-            initial,
-        }
+        ResidualTracker { residual }
     }
 
     /// Credits a successful execution: `user`'s declared contribution
@@ -60,14 +63,6 @@ impl ResidualTracker {
             .unwrap_or(Contribution::ZERO)
     }
 
-    /// The task's original requirement (zero for unknown tasks).
-    pub fn initial(&self, task: TaskId) -> Contribution {
-        self.initial
-            .get(&task)
-            .copied()
-            .unwrap_or(Contribution::ZERO)
-    }
-
     /// Every task's residual, in task-id order.
     pub fn residuals(&self) -> &BTreeMap<TaskId, Contribution> {
         &self.residual
@@ -82,29 +77,28 @@ impl ResidualTracker {
     pub fn is_covered(&self) -> bool {
         self.residual.values().all(|r| r.is_zero())
     }
-
-    /// The uncovered tasks, re-published at their *residual*
-    /// requirement — the task list a residual re-auction round runs
-    /// against. Empty exactly when [`ResidualTracker::is_covered`].
-    pub fn uncovered_tasks(&self) -> Vec<Task> {
-        self.residual
-            .iter()
-            .filter(|(_, residual)| !residual.is_zero())
-            .map(|(&id, residual)| Task::new(id, residual.pos()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcs_core::types::Pos;
+    use mcs_platform::batch::residual_tasks;
 
-    fn tracker() -> ResidualTracker {
-        ResidualTracker::new(&[
+    /// The tracker's residual round task list, as the runner builds it.
+    fn uncovered_tasks(tracker: &ResidualTracker) -> Vec<Task> {
+        residual_tasks(tracker.residuals().clone())
+    }
+
+    fn tasks() -> [Task; 2] {
+        [
             Task::new(TaskId::new(0), Pos::new(0.9).unwrap()),
             Task::new(TaskId::new(1), Pos::new(0.5).unwrap()),
-        ])
+        ]
+    }
+
+    fn tracker() -> ResidualTracker {
+        ResidualTracker::new(&tasks())
     }
 
     #[test]
@@ -117,7 +111,7 @@ mod tests {
         assert!(after.value() < before.value());
         assert_eq!(
             tracker.residual(TaskId::new(1)),
-            tracker.initial(TaskId::new(1))
+            tasks()[1].requirement_contribution()
         );
     }
 
@@ -130,7 +124,7 @@ mod tests {
         tracker.absorb(TaskId::new(1), big);
         assert!(tracker.residual(TaskId::new(0)).is_zero());
         assert!(tracker.is_covered());
-        assert!(tracker.uncovered_tasks().is_empty());
+        assert!(uncovered_tasks(&tracker).is_empty());
         assert!(tracker.total_residual().is_zero());
     }
 
@@ -138,7 +132,7 @@ mod tests {
     fn uncovered_tasks_carry_the_residual_requirement() {
         let mut tracker = tracker();
         tracker.absorb(TaskId::new(1), Pos::new(0.999_999).unwrap().contribution());
-        let open = tracker.uncovered_tasks();
+        let open = uncovered_tasks(&tracker);
         assert_eq!(open.len(), 1);
         assert_eq!(open[0].id(), TaskId::new(0));
         let republished = open[0].requirement_contribution();
@@ -150,9 +144,10 @@ mod tests {
         let mut tracker = tracker();
         tracker.absorb(TaskId::new(99), Pos::new(0.5).unwrap().contribution());
         assert_eq!(tracker.residual(TaskId::new(99)), Contribution::ZERO);
+        let [a, b] = tasks();
         assert_eq!(
             tracker.total_residual(),
-            tracker.initial(TaskId::new(0)) + tracker.initial(TaskId::new(1))
+            a.requirement_contribution() + b.requirement_contribution()
         );
     }
 }

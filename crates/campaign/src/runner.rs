@@ -23,20 +23,23 @@
 //! counts — the same contract the single-round engine upholds, extended
 //! over the whole loop.
 //!
-//! The engine is rebuilt per round via
-//! [`Engine::restore`](mcs_platform::prelude::Engine::restore), which
-//! carries the ledger and round-id sequence forward while accepting the
-//! shrunken residual task list — exactly the checkpoint/restore seam the
-//! platform already exposes.
+//! A campaign runs on one engine, built once per [`CampaignRunner::run`]
+//! (or restored from a checkpoint by [`CampaignRunner::resume`]). Each
+//! residual round republishes the shrunken task list on it with
+//! [`Engine::publish`], so the ledger, the round-id sequence, the
+//! admission controller and the warm clearing arenas all carry across
+//! rounds, and the round closes by an explicit flush.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mcs_core::indexed::ContextPool;
 use mcs_core::types::{Pos, Task, TaskId, UserId};
 use mcs_obs::digest::Fnv1a;
 use mcs_obs::{EventKind, RawEvent};
-use mcs_platform::prelude::{Engine, EngineCheckpoint, EngineConfig, FaultInjector};
+use mcs_platform::batch::{residual_tasks, restrict_bids};
+use mcs_platform::prelude::{
+    BatchPolicy, Engine, EngineCheckpoint, EngineConfig, FaultInjector, NoFaults,
+};
 
 use crate::calibrate::{CalibrationDecision, CalibratorConfig, PosCalibrator};
 use crate::history::SuccessHistory;
@@ -48,9 +51,9 @@ use crate::source::BidSource;
 /// A whole campaign's knobs.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Per-round engine configuration (seed, workers, payment threads,
-    /// admission). The batch capacity is overridden per round to fit
-    /// the submitted bids.
+    /// Configuration of the campaign's engine (seed, workers, payment
+    /// threads, admission). Its batch policy is replaced by
+    /// [`BatchPolicy::FLUSH_ONLY`]: the runner closes each round itself.
     pub engine: EngineConfig,
     /// The published tasks with their full quality requirements.
     pub tasks: Vec<Task>,
@@ -235,15 +238,7 @@ impl CampaignRunner {
     /// A runner whose only fault source is the configured execution
     /// failure rate.
     pub fn new(config: CampaignConfig) -> Self {
-        let injector = Arc::new(FailureInjector::new(
-            config.failure_seed,
-            config.failure_rate,
-        ));
-        CampaignRunner {
-            config,
-            injector,
-            metrics: Arc::new(CampaignMetrics::new()),
-        }
+        CampaignRunner::with_injector(config, Arc::new(NoFaults))
     }
 
     /// A runner composing the configured failure rate over `inner`'s
@@ -259,11 +254,6 @@ impl CampaignRunner {
             injector,
             metrics: Arc::new(CampaignMetrics::new()),
         }
-    }
-
-    /// The campaign configuration.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
     }
 
     /// A shared handle to the campaign metrics, e.g. for an
@@ -292,54 +282,50 @@ impl CampaignRunner {
     fn drive(
         &self,
         source: &mut dyn BidSource,
-        mut checkpoint: Option<EngineCheckpoint>,
+        checkpoint: Option<EngineCheckpoint>,
     ) -> CampaignReport {
-        if let Some(checkpoint) = checkpoint.as_mut() {
-            checkpoint.ledger.begin_scope();
-        }
+        let mut engine_config = self.config.engine;
+        engine_config.batch = BatchPolicy::FLUSH_ONLY;
+        let tasks = self.config.tasks.clone();
+        let injector = Arc::clone(&self.injector);
+        let mut engine = match checkpoint {
+            None => Engine::with_injector(engine_config, tasks, injector),
+            Some(mut checkpoint) => {
+                checkpoint.ledger.begin_scope();
+                Engine::restore(engine_config, tasks, checkpoint, injector)
+            }
+        };
         let mut calibrator = PosCalibrator::new(self.config.calibration);
         for (&user, &visit) in &self.config.mobility_visits {
             calibrator.register_visit(user, visit);
         }
-        let calibrator = calibrator;
         let mut tracker = ResidualTracker::new(&self.config.tasks);
+        let uncovered = |tracker: &ResidualTracker| residual_tasks(tracker.residuals().clone());
         let mut history = SuccessHistory::new();
         let mut rounds: Vec<CampaignRoundRecord> = Vec::new();
         let mut total_social_cost = 0.0;
         let budget = self.config.round_budget();
-        // One set of clearing arenas for the whole campaign. Each
-        // round's engine is rebuilt via restore, but adopting this pool
-        // lets its shard workers delta-patch the previous round's CSR
-        // index instead of re-flattening — residual re-auction
-        // populations are mostly carry-over bidders. Bitwise neutral:
-        // a synced index equals a fresh rebuild (`IndexedProfile::sync_with`).
-        let clear_contexts = ContextPool::new();
 
         let mut index = 0;
         while index < budget && !tracker.is_covered() {
+            // Round 0 publishes the configured tasks as given:
+            // republishing them from the tracker's `Q_j` could move a
+            // requirement by an ulp.
             let open_tasks = if index == 0 {
                 self.config.tasks.clone()
             } else {
-                tracker.uncovered_tasks()
+                uncovered(&tracker)
             };
-            let open_ids: std::collections::BTreeSet<u32> = open_tasks
-                .iter()
-                .map(|task| task.id().index() as u32)
-                .collect();
+            engine
+                .publish(open_tasks.clone())
+                .expect("every round opens empty on an uncovered task");
             let residual_before: BTreeMap<TaskId, f64> = open_tasks
                 .iter()
                 .map(|task| (task.id(), tracker.residual(task.id()).value()))
                 .collect();
 
-            // Collect and screen bids before the engine exists: the
-            // calibrator needs only history, and the engine wants its
-            // batch capacity sized to the admitted bid count so one
-            // campaign round is exactly one engine round.
             let mut offered = source.bids(index, &open_tasks);
-            for bid in &mut offered {
-                bid.tasks.retain(|&(task, _)| open_ids.contains(&task));
-            }
-            offered.retain(|bid| !bid.tasks.is_empty());
+            restrict_bids(&mut offered, &open_tasks);
             let mut admitted = Vec::new();
             let mut decisions: Vec<(UserId, CalibrationDecision)> = Vec::new();
             let mut divergence_sum = 0.0f64;
@@ -365,22 +351,6 @@ impl CampaignRunner {
                 divergence_sum / decisions.len() as f64
             };
 
-            let mut engine_config = self.config.engine;
-            engine_config.batch.max_bids = admitted.len().max(1);
-            let mut engine = match checkpoint.take() {
-                None => Engine::with_injector(
-                    engine_config,
-                    open_tasks.clone(),
-                    Arc::clone(&self.injector),
-                ),
-                Some(checkpoint) => Engine::restore(
-                    engine_config,
-                    open_tasks.clone(),
-                    checkpoint,
-                    Arc::clone(&self.injector),
-                ),
-            };
-            engine.adopt_clear_contexts(clear_contexts.clone());
             let engine_round = engine.next_round_id();
             self.metrics.round_opened();
             engine.recorder().record(RawEvent::new(
@@ -409,6 +379,8 @@ impl CampaignRunner {
             engine.flush();
             engine.drain();
 
+            // Every read is keyed by this round's id: the engine keeps
+            // the whole campaign's results, settlements and quarantine.
             let mut record = CampaignRoundRecord {
                 index,
                 engine_round: engine_round.0,
@@ -420,7 +392,10 @@ impl CampaignRunner {
                 outcomes: BTreeMap::new(),
                 payout: 0.0,
                 social_cost: 0.0,
-                quarantined: !engine.quarantine().is_empty(),
+                quarantined: engine
+                    .quarantine()
+                    .iter()
+                    .any(|quarantined| quarantined.id == engine_round),
                 residual_after: BTreeMap::new(),
             };
 
@@ -460,7 +435,7 @@ impl CampaignRunner {
                 engine.recorder().record(RawEvent::new(
                     EventKind::ResidualReauction,
                     engine_round.0,
-                    tracker.uncovered_tasks().len() as u64,
+                    uncovered(&tracker).len() as u64,
                     tracker.total_residual().value().to_bits(),
                     record.successes() as u64,
                 ));
@@ -481,15 +456,10 @@ impl CampaignRunner {
                 quarantined: record.quarantined,
             });
             rounds.push(record);
-            checkpoint = Some(engine.checkpoint());
             index += 1;
         }
 
-        let checkpoint = checkpoint.unwrap_or_else(|| {
-            // A zero-budget campaign never built an engine; synthesize
-            // an empty checkpoint so chaining still works.
-            Engine::new(self.config.engine, self.config.tasks.clone()).checkpoint()
-        });
+        let checkpoint = engine.checkpoint();
         let covered = tracker.is_covered();
         self.metrics.campaign_finished(covered);
         CampaignReport {
@@ -513,8 +483,9 @@ impl CampaignRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::SyntheticBidSource;
+    use crate::source::{FnBidSource, SyntheticBidSource};
     use mcs_core::types::Task;
+    use mcs_platform::prelude::Bid;
 
     fn tasks() -> Vec<Task> {
         vec![
@@ -595,6 +566,86 @@ mod tests {
         }
         assert_eq!(fingerprints[0], fingerprints[1]);
         assert_eq!(fingerprints[1], fingerprints[2]);
+    }
+
+    #[test]
+    fn a_panicked_round_marks_only_itself_quarantined() {
+        use mcs_platform::prelude::{PanicRounds, RoundId};
+        // Every success is downgraded, so the campaign runs its whole
+        // budget; round 1 panics in the shard.
+        let mut config = config(19, 1.0);
+        config.max_rounds = 4;
+        config.calibration = CalibratorConfig::off();
+        let panics = Arc::new(PanicRounds::new([RoundId(1)]));
+        let runner = CampaignRunner::with_injector(config, panics);
+        let report = runner.run(&mut SyntheticBidSource::new(19, 12));
+        assert_eq!(report.rounds_run(), 4);
+        let quarantined: Vec<u64> = report
+            .rounds
+            .iter()
+            .filter(|round| round.quarantined)
+            .map(|round| round.engine_round)
+            .collect();
+        assert_eq!(quarantined, [1]);
+        assert!(report.rounds[2..].iter().all(|round| round.payout != 0.0));
+        let paid: f64 = report
+            .rounds
+            .iter()
+            .filter(|round| !round.quarantined)
+            .map(|round| round.payout)
+            .sum();
+        assert!(
+            (paid - report.total_paid).abs() < 1e-9,
+            "{paid} vs {}",
+            report.total_paid
+        );
+    }
+
+    /// Logs the users admitted to each engine round.
+    #[derive(Debug, Default)]
+    struct AdmitLog(std::sync::Mutex<BTreeMap<u64, Vec<u32>>>);
+
+    impl FaultInjector for AdmitLog {
+        fn observe_admitted(&self, round: mcs_platform::prelude::RoundId, bid: &Bid) {
+            let mut log = self.0.lock().unwrap();
+            log.entry(round.0).or_default().push(bid.user);
+        }
+    }
+
+    #[test]
+    fn seeded_uniform_shedding_flips_one_coin_stream_over_the_campaign() {
+        use mcs_platform::prelude::{AdmissionConfig, SeededUniform, ShedPolicy};
+        let mut config = config(23, 1.0);
+        config.max_rounds = 3;
+        config.calibration = CalibratorConfig::off();
+        config.engine.admission = AdmissionConfig {
+            high_watermark: 4,
+            low_watermark: 2,
+            policy: ShedPolicy::SeededUniform(SeededUniform { seed: 5, rate: 0.5 }),
+            clear_budget: 0,
+        };
+        // The same twelve bids every round.
+        let bids: Vec<Bid> = (0..12)
+            .map(|user| Bid {
+                user,
+                cost: 1.0 + f64::from(user) / 8.0,
+                tasks: vec![(0, 0.7), (1, 0.6), (2, 0.65)],
+            })
+            .collect();
+        let mut source = FnBidSource::new("fixed", |_, _: &[Task]| bids.clone());
+        let log = Arc::new(AdmitLog::default());
+        let report = CampaignRunner::with_injector(config, log.clone()).run(&mut source);
+        assert_eq!(report.rounds_run(), 3);
+        // Shedding engaged every round, and the coin went on from one
+        // round's arrivals to the next instead of restarting.
+        let admitted = log.0.lock().unwrap();
+        assert_eq!(admitted.len(), 3);
+        for users in admitted.values() {
+            assert!(users.len() < bids.len(), "{users:?}");
+        }
+        let sets: Vec<&Vec<u32>> = admitted.values().collect();
+        assert_ne!(sets[0], sets[1]);
+        assert_ne!(sets[1], sets[2]);
     }
 
     #[test]

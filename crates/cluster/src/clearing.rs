@@ -9,19 +9,21 @@
 //! ## Phase 2: the straddler clear
 //!
 //! Phase 1 clears each region's single-region bids under the region
-//! shard's seed. Phase 2 then republishes every task at its *residual*
-//! requirement `Q_j' = Q_j − Σ q` (contributions of the phase-1 winners,
-//! saturating at zero) and runs one coordinator-local round over the
-//! straddlers — users whose task sets span regions — with task sets
-//! intersected with the still-uncovered tasks, user order fixed by id.
+//! shard's seed. Phase 2 then runs one coordinator-local residual round
+//! over the straddlers — users whose task sets span regions — built by
+//! the platform's residual-round rule (`mcs_platform::batch`): every
+//! task republished at its *residual* requirement `Q_j' = Q_j − Σ q`
+//! (the summed contributions of the phase-1 winners, subtracted once,
+//! saturating at zero), task sets restricted to the still-uncovered
+//! tasks, user order fixed by id.
 //! The straddler shard has its own seed
 //! (`shard_seed(seed, regions.len())`), so its execution draws never
 //! collide with any region's.
 
 use std::collections::BTreeMap;
 
-use mcs_core::types::{Contribution, Cost, Pos, Task, TaskId, TypeProfile, UserId, UserType};
-use mcs_platform::batch::{Round, RoundId};
+use mcs_core::types::{Contribution, Cost, Pos, TaskId, TypeProfile, UserId, UserType};
+use mcs_platform::batch::{residual_tasks, restrict_bids, Round, RoundId};
 use mcs_platform::config::EngineConfig;
 use mcs_platform::degrade::RoundError;
 use mcs_platform::ingest::Bid;
@@ -98,12 +100,13 @@ pub(crate) fn covered_contributions(
     covered
 }
 
-/// Builds the phase-2 straddler round: every task republished at its
-/// residual requirement, straddler users (ascending id) with task sets
-/// intersected with the residual tasks. `None` when nothing is left to
-/// clear — no straddlers, no residual requirement, or no straddler can
-/// touch a residual task — in which case phase 2 is skipped identically
-/// in every deployment.
+/// Builds the phase-2 straddler round with the platform's residual-round
+/// rule: every task republished at its residual requirement (the full
+/// requirement minus the summed phase-1 coverage), straddler users
+/// (ascending id) restricted to the residual tasks. `None` when nothing
+/// is left to clear — no straddlers, no residual requirement, or no
+/// straddler can touch a residual task — in which case phase 2 is
+/// skipped identically in every deployment.
 pub(crate) fn straddler_round(
     topology: &Topology,
     round: u64,
@@ -113,45 +116,21 @@ pub(crate) fn straddler_round(
     if straddlers.is_empty() {
         return None;
     }
-    let mut residual: Vec<Task> = Vec::new();
-    for task in topology.tasks() {
+    let residual = residual_tasks(topology.tasks().map(|task| {
         let id = task.id().index() as u32;
         let absorbed = covered.get(&id).copied().unwrap_or(Contribution::ZERO);
-        let left = task.requirement_contribution() - absorbed;
-        if !left.is_zero() {
-            residual.push(Task::new(task.id(), left.pos()));
-        }
-    }
+        (task.id(), task.requirement_contribution() - absorbed)
+    }));
     if residual.is_empty() {
         return None;
     }
-    let residual_ids: BTreeMap<u32, ()> = residual
-        .iter()
-        .map(|task| (task.id().index() as u32, ()))
-        .collect();
-
-    let mut ordered: Vec<&Bid> = straddlers.iter().collect();
-    ordered.sort_by_key(|bid| bid.user);
-    let mut users = Vec::new();
-    for bid in ordered {
-        let tasks: Vec<(u32, f64)> = bid
-            .tasks
-            .iter()
-            .copied()
-            .filter(|(task, _)| residual_ids.contains_key(task))
-            .collect();
-        if tasks.is_empty() {
-            continue;
-        }
-        users.push(user_type_of(&Bid {
-            user: bid.user,
-            cost: bid.cost,
-            tasks,
-        }));
-    }
-    if users.is_empty() {
+    let mut bids = straddlers.to_vec();
+    bids.sort_by_key(|bid| bid.user);
+    restrict_bids(&mut bids, &residual);
+    if bids.is_empty() {
         return None;
     }
+    let users = bids.iter().map(user_type_of).collect();
     let profile =
         TypeProfile::new(users, residual).expect("straddler bids form a valid residual profile");
     Some(Round {
@@ -165,6 +144,7 @@ mod tests {
     use super::*;
     use crate::topology::TaskSite;
     use mcs_core::mechanism::Allocation;
+    use mcs_core::types::Task;
     use mcs_mobility::grid::{Cell, CityGrid};
 
     fn topology() -> Topology {

@@ -47,9 +47,10 @@ impl ClusterParams {
     }
 
     /// The engine configuration of shard `shard`: the shared parameters
-    /// with the shard-derived seed, a one-shot batch policy (the
-    /// coordinator closes each sub-round explicitly), and a
-    /// logical-clock trace ring so per-shard traces stay deterministic.
+    /// with the shard-derived seed, the flush-only batch policy (the node
+    /// closes each sub-round explicitly, however many bids it routes),
+    /// and a logical-clock trace ring so per-shard traces stay
+    /// deterministic.
     pub fn engine_config(&self, shard: u32) -> EngineConfig {
         let mut config = EngineConfig::default()
             .with_seed(shard_seed(self.seed, shard))
@@ -61,12 +62,7 @@ impl ClusterParams {
             });
         config.alpha = self.alpha;
         config.epsilon = self.epsilon;
-        // The coordinator flushes each sub-round explicitly; the batcher
-        // must never close one early on its own.
-        config.batch = BatchPolicy {
-            max_bids: 1 << 20,
-            max_ticks: u32::MAX,
-        };
+        config.batch = BatchPolicy::FLUSH_ONLY;
         config
     }
 }
@@ -114,5 +110,7 @@ mod tests {
         assert_eq!(a, b_with_a_seed);
         assert!(a.trace.logical_clock);
         assert!(a.batch.max_bids >= 1 << 20);
+        // Node engines never close a sub-round on their own.
+        assert_eq!(a.batch, BatchPolicy::FLUSH_ONLY);
     }
 }

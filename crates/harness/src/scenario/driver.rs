@@ -435,20 +435,9 @@ fn run_campaign_mode(
     config.failure_seed = scenario.seed;
     let budget = config.round_budget();
 
-    let mut source = FnBidSource::new("scenario", |round, open_tasks: &[mcs_core::types::Task]| {
-        let generated = population.round(round, false);
-        generated
-            .bids
-            .into_iter()
-            .map(|mut bid| {
-                bid.tasks.retain(|&(task, _)| {
-                    open_tasks
-                        .iter()
-                        .any(|open| open.id().index() as u32 == task)
-                });
-                bid
-            })
-            .collect()
+    // The runner restricts each round's bids to its open tasks.
+    let mut source = FnBidSource::new("scenario", |round, _: &[mcs_core::types::Task]| {
+        population.round(round, false).bids
     });
     let runner = CampaignRunner::new(config);
     let report = runner.run(&mut source);

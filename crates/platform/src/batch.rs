@@ -4,8 +4,19 @@
 //! filled and closes it into an immutable [`Round`] when the
 //! [`BatchPolicy`](crate::config::BatchPolicy) says so: the round reached
 //! its bid capacity, or its tick budget elapsed with at least one bid.
+//! Between rounds the published task list can change
+//! ([`Batcher::publish`]).
+//!
+//! Coverage is additive (`q = −ln(1 − p)`), so a round covering what
+//! earlier winners left is the same auction over the residual
+//! requirements `Q_j' = Q_j − Σ q`. [`residual_tasks`] and
+//! [`restrict_bids`] are the one rule that builds such a round; the
+//! cluster's straddler phase and the campaign's re-auctions share it.
 
-use mcs_core::types::{Task, TypeProfile};
+use std::collections::BTreeSet;
+use std::fmt;
+
+use mcs_core::types::{Contribution, Task, TaskId, TypeProfile};
 use serde::{Deserialize, Serialize};
 
 use crate::config::BatchPolicy;
@@ -30,6 +41,61 @@ pub struct Round {
     pub profile: TypeProfile,
 }
 
+impl BatchPolicy {
+    /// Rounds close only on [`Batcher::flush`]: no bid count and no
+    /// tick budget closes one. For drivers that close every round
+    /// themselves, such as campaign runners and cluster node shards.
+    pub const FLUSH_ONLY: BatchPolicy = BatchPolicy {
+        max_bids: usize::MAX,
+        max_ticks: u32::MAX,
+    };
+}
+
+/// Why [`Batcher::publish`] refused a new task list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PublishError {
+    /// The open round holds this many bids, validated against the
+    /// current task list; close it first.
+    OpenRoundHoldsBids(usize),
+    /// A round must publish at least one task.
+    NoTasks,
+}
+
+impl fmt::Display for PublishError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PublishError::OpenRoundHoldsBids(bids) => write!(f, "the open round holds {bids} bids"),
+            PublishError::NoTasks => write!(f, "a round must publish at least one task"),
+        }
+    }
+}
+
+impl std::error::Error for PublishError {}
+
+/// The republish half of the residual-round rule: every task at its
+/// residual requirement `(id, Q_j')`, in the given order, with the
+/// tasks left at zero dropped. Empty exactly when every residual is
+/// zero.
+pub fn residual_tasks(residuals: impl IntoIterator<Item = (TaskId, Contribution)>) -> Vec<Task> {
+    residuals
+        .into_iter()
+        .filter(|(_, left)| !left.is_zero())
+        .map(|(id, left)| Task::new(id, left.pos()))
+        .collect()
+}
+
+/// The restrict half of the residual-round rule: each bid keeps only
+/// its declarations on the `open` tasks, and bids left with none are
+/// dropped. Order is kept, and every kept `(task, PoS)` pair is
+/// untouched.
+pub fn restrict_bids(bids: &mut Vec<Bid>, open: &[Task]) {
+    let open: BTreeSet<u32> = open.iter().map(|task| task.id().index() as u32).collect();
+    bids.retain_mut(|bid| {
+        bid.tasks.retain(|(task, _)| open.contains(task));
+        !bid.tasks.is_empty()
+    });
+}
+
 /// Accumulates validated bids and closes rounds per the batch policy.
 #[derive(Debug)]
 pub struct Batcher {
@@ -47,20 +113,43 @@ impl Batcher {
     ///
     /// Panics if `tasks` is empty — a round must publish something.
     pub fn new(policy: BatchPolicy, tasks: Vec<Task>) -> Self {
-        assert!(!tasks.is_empty(), "a round must publish at least one task");
-        let queue = IngestQueue::new(tasks.iter().map(|t| t.id()));
-        Batcher {
+        let mut batcher = Batcher {
             policy,
-            tasks,
-            queue,
+            tasks: Vec::new(),
+            queue: IngestQueue::new([]),
             next_id: 0,
             ticks_open: 0,
-        }
+        };
+        batcher
+            .publish(tasks)
+            .unwrap_or_else(|error| panic!("{error}"));
+        batcher
     }
 
-    /// The tasks every round publishes.
+    /// The tasks the open round publishes.
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
+    }
+
+    /// Replaces the published task list for the open round and every
+    /// later one. Closed rounds keep the profile they closed with.
+    ///
+    /// # Errors
+    ///
+    /// [`PublishError::OpenRoundHoldsBids`] while the open round holds
+    /// bids (they were validated against the old list), and
+    /// [`PublishError::NoTasks`] for an empty list. The batcher is
+    /// unchanged on error.
+    pub fn publish(&mut self, tasks: Vec<Task>) -> Result<(), PublishError> {
+        if !self.queue.is_empty() {
+            return Err(PublishError::OpenRoundHoldsBids(self.queue.len()));
+        }
+        if tasks.is_empty() {
+            return Err(PublishError::NoTasks);
+        }
+        self.queue = IngestQueue::new(tasks.iter().map(Task::id));
+        self.tasks = tasks;
+        Ok(())
     }
 
     /// The id the next closed round will receive.
@@ -250,6 +339,43 @@ mod tests {
         let mut b = batcher(1, 100);
         b.resume_at(5);
         b.resume_at(3);
+    }
+
+    #[test]
+    fn residual_rule_drops_covered_tasks_and_emptied_bids() {
+        use mcs_core::types::Pos;
+        let q = |pos: f64| Pos::new(pos).unwrap().contribution();
+        let residuals = [
+            (TaskId::new(2), q(0.5)),
+            (TaskId::new(0), Contribution::ZERO),
+            (TaskId::new(1), q(0.3)),
+        ];
+        let open = residual_tasks(residuals);
+        // Input order kept, the covered task dropped, requirements
+        // republished from the residual contribution.
+        let ids: Vec<TaskId> = open.iter().map(Task::id).collect();
+        assert_eq!(ids, [TaskId::new(2), TaskId::new(1)]);
+        assert_eq!(
+            open[0].requirement_contribution(),
+            q(0.5).pos().contribution()
+        );
+        assert!(residual_tasks([(TaskId::new(0), Contribution::ZERO)]).is_empty());
+
+        let bid = |user: u32, tasks: &[(u32, f64)]| Bid {
+            user,
+            cost: 1.0,
+            tasks: tasks.to_vec(),
+        };
+        let mut bids = vec![
+            bid(5, &[(0, 0.4), (1, 0.25), (2, 0.5)]),
+            bid(3, &[(0, 0.4)]),
+            bid(9, &[(2, 0.125)]),
+        ];
+        restrict_bids(&mut bids, &open);
+        assert_eq!(
+            bids,
+            vec![bid(5, &[(1, 0.25), (2, 0.5)]), bid(9, &[(2, 0.125)])]
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use mcs_core::types::{Task, TypeProfile};
 use mcs_obs::{ClockMode, EventKind, FlightRecorder, PostMortem, RawEvent, TraceEvent};
 
 use crate::admission::{Admission, AdmissionController};
-use crate::batch::{Batcher, Round, RoundId};
+use crate::batch::{Batcher, PublishError, Round, RoundId};
 use crate::config::EngineConfig;
 use crate::degrade::{QuarantinedRound, RoundError};
 use crate::fault::{FaultInjector, NoFaults};
@@ -30,21 +30,12 @@ use crate::shard::{ClearedRound, ShardPool};
 ///
 /// Take a checkpoint *after* [`Engine::drain`]: closed-but-undrained
 /// rounds and the partially filled batch are not captured.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineCheckpoint {
     /// The per-user balance ledger at checkpoint time.
     pub ledger: Ledger,
     /// The id the next closed round will receive.
     pub next_round_id: u64,
-}
-
-impl Default for EngineCheckpoint {
-    fn default() -> Self {
-        EngineCheckpoint {
-            ledger: Ledger::new(),
-            next_round_id: 0,
-        }
-    }
 }
 
 impl EngineCheckpoint {
@@ -249,23 +240,17 @@ impl Engine {
         &self.config
     }
 
-    /// A shared handle to the shard pool's clearing arenas (persistent
-    /// delta-patched indexes, heap seeds, workspace buffers). Campaign
-    /// runners grab this before dropping an engine and hand it to the
-    /// successor via [`Engine::adopt_clear_contexts`], so warmed arenas
-    /// survive a [`Engine::restore`] instead of being rebuilt from
-    /// scratch on the next drain.
-    pub fn clear_contexts(&self) -> mcs_core::indexed::ContextPool {
-        self.pool.contexts()
-    }
-
-    /// Adopts clearing arenas carried over from a previous engine (see
-    /// [`Engine::clear_contexts`]). Adopting foreign or stale arenas is
-    /// always safe: workers re-sync an arena's index to each round's
-    /// profile before using it, and outcomes are bitwise identical to
-    /// clearing on a fresh arena.
-    pub fn adopt_clear_contexts(&mut self, contexts: mcs_core::indexed::ContextPool) {
-        self.pool.adopt_contexts(contexts);
+    /// Replaces the task list of the open round and every later one
+    /// (see [`Batcher::publish`]), so one engine serves a campaign's
+    /// residual rounds. Closed-but-undrained rounds keep their profile,
+    /// and the shard arenas follow the new list through
+    /// `IndexedProfile::sync_with`, as between any two rounds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Batcher::publish`]; the engine is unchanged on error.
+    pub fn publish(&mut self, tasks: Vec<Task>) -> Result<(), PublishError> {
+        self.batcher.publish(tasks)
     }
 
     /// The engine's metrics (shared with the shard workers).
@@ -480,26 +465,7 @@ impl Engine {
                     cleared += 1;
                 }
                 Err(error) => {
-                    self.metrics.round_degraded();
-                    self.recorder.record(RawEvent::new(
-                        EventKind::RoundQuarantined,
-                        id.0,
-                        bidders as u64,
-                        0,
-                        0,
-                    ));
-                    let record = QuarantinedRound { id, bidders, error };
-                    // Dump-on-quarantine: package the round's surviving
-                    // causal trace before anything can overwrite it.
-                    self.post_mortems.push(PostMortem::from_trace(
-                        id.0,
-                        bidders as u64,
-                        record.error.to_string(),
-                        self.recorder.round_trace(id.0),
-                        self.recorder.wrapped(),
-                    ));
-                    self.injector.on_quarantine(&record);
-                    self.quarantine.push(record);
+                    self.quarantine_round(QuarantinedRound { id, bidders, error }, bidders);
                 }
             }
         }
@@ -543,19 +509,11 @@ impl Engine {
         )
         .expect("a prefix of a valid profile is a valid profile");
         self.metrics.round_partial(deferred);
-        self.metrics.round_degraded();
         self.recorder.record(RawEvent::new(
             EventKind::RoundPartialClear,
             round.id.0,
             budget as u64,
             deferred as u64,
-            0,
-        ));
-        self.recorder.record(RawEvent::new(
-            EventKind::RoundQuarantined,
-            round.id.0,
-            deferred as u64,
-            0,
             0,
         ));
         let record = QuarantinedRound {
@@ -570,16 +528,35 @@ impl Engine {
         // The post-mortem documents the *whole* round (every admitted
         // bid), not just the deferred suffix: an operator debugging a
         // partial clear needs the full instance.
+        self.quarantine_round(record, total);
+        round.profile = prefix;
+    }
+
+    /// Sets a round (or its deferred tail) aside: counts it degraded,
+    /// traces the quarantine, dumps a post-mortem of the round's
+    /// surviving trace as a round of `dumped` bidders, and tells the
+    /// fault hooks.
+    fn quarantine_round(&mut self, record: QuarantinedRound, dumped: usize) {
+        let id = record.id.0;
+        self.metrics.round_degraded();
+        self.recorder.record(RawEvent::new(
+            EventKind::RoundQuarantined,
+            id,
+            record.bidders as u64,
+            0,
+            0,
+        ));
+        // Dump-on-quarantine: package the round's surviving causal trace
+        // before anything can overwrite it.
         self.post_mortems.push(PostMortem::from_trace(
-            round.id.0,
-            total as u64,
+            id,
+            dumped as u64,
             record.error.to_string(),
-            self.recorder.round_trace(round.id.0),
+            self.recorder.round_trace(id),
             self.recorder.wrapped(),
         ));
         self.injector.on_quarantine(&record);
         self.quarantine.push(record);
-        round.profile = prefix;
     }
 
     fn enqueue(&mut self, closed: Option<Round>) {
@@ -1057,30 +1034,117 @@ mod tests {
         );
     }
 
+    fn two_tasks() -> Vec<Task> {
+        vec![
+            Task::with_requirement(TaskId::new(0), 0.8).unwrap(),
+            Task::with_requirement(TaskId::new(1), 0.6).unwrap(),
+        ]
+    }
+
     #[test]
-    fn adopted_contexts_reach_existing_helpers() {
-        use mcs_core::indexed::ContextPool;
-        let mut e = engine(4);
-        let drain_two = |e: &mut Engine, offset: u32| {
-            submit_feasible_round(e, offset);
-            submit_feasible_round(e, offset + 4);
-            assert_eq!(e.drain(), 2);
+    fn publish_is_refused_over_an_open_round_and_for_no_tasks() {
+        let mut e = engine(8);
+        e.submit(&bid(0, 2.0, 0.6)).unwrap();
+        assert_eq!(
+            e.publish(two_tasks()),
+            Err(PublishError::OpenRoundHoldsBids(1))
+        );
+        // Refused means unchanged: the open round still takes task 0.
+        e.submit(&bid(1, 2.5, 0.7)).unwrap();
+        e.flush();
+        // A closed-but-undrained round does not block a publish…
+        assert_eq!(e.pending_rounds(), 1);
+        assert_eq!(e.publish(Vec::new()), Err(PublishError::NoTasks));
+        e.publish(two_tasks()).unwrap();
+        // …and keeps the profile it closed with.
+        assert_eq!(e.drain(), 1);
+        assert_eq!(e.results()[&RoundId(0)].quotes.len(), 2);
+    }
+
+    #[test]
+    fn published_tasks_gate_ingest() {
+        let mut e = engine(8);
+        let on_task_one = Bid {
+            user: 0,
+            cost: 2.0,
+            tasks: vec![(1, 0.5)],
         };
-        // Two rounds wake one helper beside the caller.
-        drain_two(&mut e, 0);
-        // Empty the engine's own arena pool, so any worker still using
-        // it would leave a context behind there.
-        let own = e.clear_contexts();
-        let _held: Vec<_> = (0..own.idle()).map(|_| own.checkout()).collect();
-        assert_eq!(own.idle(), 0);
-        // Adopted after the helper exists, the new pool serves both
-        // workers of the next drain; the old one is never touched.
-        let adopted = ContextPool::new();
-        e.adopt_clear_contexts(adopted.clone());
-        drain_two(&mut e, 8);
-        assert_eq!(own.idle(), 0);
-        assert!(adopted.idle() >= 1);
-        assert_eq!(e.clear_contexts().idle(), adopted.idle());
+        assert_eq!(
+            e.submit(&on_task_one),
+            Err(IngestError::UnknownTask { task: 1 })
+        );
+        e.publish(two_tasks()).unwrap();
+        e.submit(&on_task_one).unwrap();
+        e.flush();
+        e.drain();
+        e.publish(vec![Task::with_requirement(TaskId::new(1), 0.5).unwrap()])
+            .unwrap();
+        // Task 0 is no longer published.
+        assert_eq!(
+            e.submit(&bid(1, 2.0, 0.6)),
+            Err(IngestError::UnknownTask { task: 0 })
+        );
+    }
+
+    #[test]
+    fn a_round_after_publish_clears_as_on_a_restored_engine() {
+        let task = |id: u32, requirement: f64| {
+            Task::with_requirement(TaskId::new(id), requirement).unwrap()
+        };
+        let first_tasks = vec![task(0, 0.8), task(1, 0.6), task(2, 0.7)];
+        // Residual requirements, as a re-auction republishes them.
+        let second_tasks = vec![task(0, 0.5), task(2, 0.4)];
+        let specs: [(f64, [f64; 3]); 5] = [
+            (2.0, [0.5, 0.3, 0.4]),
+            (1.5, [0.4, 0.4, 0.3]),
+            (3.0, [0.6, 0.2, 0.5]),
+            (1.0, [0.3, 0.5, 0.2]),
+            (2.5, [0.5, 0.5, 0.6]),
+        ];
+        let round = |tasks: &[u32]| -> Vec<Bid> {
+            (0u32..)
+                .zip(specs)
+                .map(|(user, (cost, pos))| Bid {
+                    user,
+                    cost,
+                    tasks: tasks.iter().map(|&t| (t, pos[t as usize])).collect(),
+                })
+                .collect()
+        };
+        let clear = |e: &mut Engine, bids: &[Bid]| {
+            for bid in bids {
+                e.submit(bid).unwrap();
+            }
+            e.flush();
+            assert_eq!(e.drain(), 1);
+        };
+        let mut config = EngineConfig::default().with_seed(3);
+        config.batch = crate::config::BatchPolicy::FLUSH_ONLY;
+
+        // One engine: a three-task round warms its arena, then the
+        // carried-over users bid again on the republished tasks.
+        let mut published = Engine::new(config, first_tasks.clone());
+        clear(&mut published, &round(&[0, 1, 2]));
+        let checkpoint = published.checkpoint();
+        published.publish(second_tasks.clone()).unwrap();
+        clear(&mut published, &round(&[0, 2]));
+
+        // The same first round, then a fresh engine restored on the
+        // second round's tasks.
+        let mut rebuilt = Engine::new(config, first_tasks);
+        clear(&mut rebuilt, &round(&[0, 1, 2]));
+        assert_eq!(rebuilt.checkpoint(), checkpoint);
+        let mut restored = Engine::restore(config, second_tasks, checkpoint, Arc::new(NoFaults));
+        clear(&mut restored, &round(&[0, 2]));
+
+        let id = RoundId(1);
+        assert_eq!(published.results()[&id], restored.results()[&id]);
+        assert_eq!(published.settlements()[&id], restored.settlements()[&id]);
+        assert_eq!(published.checkpoint(), restored.checkpoint());
+        assert_eq!(
+            published.ledger().total_paid().to_bits(),
+            restored.ledger().total_paid().to_bits()
+        );
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //!
 //! On each drain, every worker clears its rounds on a persistent
 //! [`ClearContext`] (delta-patched CSR index, heap seeds, pooled
-//! workspaces) checked out of the pool's [`ContextPool`] and given back
-//! when the drain's queue runs dry. This never perturbs the contract:
+//! workspaces) checked out of the pool's own [`ContextPool`], fixed when
+//! the pool is built, and given back when the drain's queue runs dry.
+//! This never perturbs the contract:
 //! syncing an arena to a round's profile is bitwise identical to
 //! building it fresh (`mcs_core::indexed::sync_with`'s tested
 //! invariant), so which worker — with whatever arena history — clears a
@@ -229,24 +230,27 @@ type Cleared = (RoundId, (usize, Result<ClearedRound, RoundError>));
 type Queue = Mutex<std::vec::IntoIter<Round>>;
 
 /// What every worker of a pool reads: the engine's configuration, fault
-/// hooks and telemetry sinks. The pool and each of its helpers hold one
-/// handle, so helpers borrow nothing from the drain that wakes them.
+/// hooks, telemetry sinks and clearing arenas. The pool and each of its
+/// helpers hold one handle, so helpers borrow nothing from the drain
+/// that wakes them.
 #[derive(Debug)]
 struct Shared {
     config: EngineConfig,
     injector: Arc<dyn FaultInjector>,
     metrics: Arc<Metrics>,
     recorder: Arc<FlightRecorder>,
+    contexts: ContextPool,
 }
 
 impl Shared {
     /// The worker body, run by the draining thread and by every woken
-    /// helper alike: checks a clearing arena out of `contexts`, clears
-    /// rounds off `rounds` until the queue is empty, and gives the arena
-    /// back. One arena per worker for the whole drain: consecutive rounds
-    /// on this worker delta-patch its persistent index.
-    fn work(&self, rounds: &Queue, contexts: &ContextPool) -> Vec<Cleared> {
-        let mut context = contexts.checkout();
+    /// helper alike: checks a clearing arena out of the pool's arenas,
+    /// clears rounds off `rounds` until the queue is empty, and gives
+    /// the arena back. One arena per worker for the whole drain:
+    /// consecutive rounds on this worker delta-patch its persistent
+    /// index.
+    fn work(&self, rounds: &Queue) -> Vec<Cleared> {
+        let mut context = self.contexts.checkout();
         let mut cleared = Vec::new();
         loop {
             // Take the lock only to pop; clearing runs unlocked.
@@ -254,7 +258,7 @@ impl Shared {
             let Some(round) = next else { break };
             cleared.push(self.clear_one(&round, &mut context));
         }
-        contexts.give_back(context);
+        self.contexts.give_back(context);
         cleared
     }
 
@@ -298,11 +302,10 @@ impl Shared {
     }
 }
 
-/// One drain's call on a parked helper: the drain's round queue, the
-/// arenas to clear on, and where to report.
+/// One drain's call on a parked helper: the drain's round queue and
+/// where to report.
 struct Job {
     rounds: Arc<Queue>,
-    contexts: ContextPool,
     report: mpsc::Sender<Vec<Cleared>>,
 }
 
@@ -328,7 +331,6 @@ struct Helper {
 #[derive(Debug)]
 pub struct ShardPool {
     workers: usize,
-    contexts: ContextPool,
     shared: Arc<Shared>,
     helpers: Vec<Helper>,
 }
@@ -346,35 +348,15 @@ impl ShardPool {
     ) -> Self {
         ShardPool {
             workers: config.workers.max(1),
-            contexts: ContextPool::new(),
             shared: Arc::new(Shared {
                 config,
                 injector,
                 metrics,
                 recorder,
+                contexts: ContextPool::new(),
             }),
             helpers: Vec::new(),
         }
-    }
-
-    /// The worker count, the calling thread included.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// A shared handle to the pool's clearing arenas. Campaign runners
-    /// grab this before tearing an engine down so the warmed indexes
-    /// survive an [`Engine::restore`](crate::engine::Engine::restore).
-    pub fn contexts(&self) -> ContextPool {
-        self.contexts.clone()
-    }
-
-    /// Replaces the pool's clearing arenas with `contexts` — the adopt
-    /// half of the [`ShardPool::contexts`] hand-off. Helpers receive the
-    /// pool's arenas with each drain, so the next drain clears on the
-    /// adopted ones whether or not helpers exist yet.
-    pub fn adopt_contexts(&mut self, contexts: ContextPool) {
-        self.contexts = contexts;
     }
 
     /// Clears every round across the pool, catching panics at the round
@@ -408,11 +390,7 @@ impl ShardPool {
         let woken = self.workers.min(rounds.len()).saturating_sub(1);
         let queue = Arc::new(Mutex::new(rounds.into_iter()));
         if woken == 0 {
-            return self
-                .shared
-                .work(&queue, &self.contexts)
-                .into_iter()
-                .collect();
+            return self.shared.work(&queue).into_iter().collect();
         }
         if self.helpers.is_empty() {
             self.spawn_helpers();
@@ -423,12 +401,11 @@ impl ShardPool {
             // caught below.
             let _ = helper.jobs.send(Job {
                 rounds: Arc::clone(&queue),
-                contexts: self.contexts.clone(),
                 report: report.clone(),
             });
         }
         drop(report);
-        let mut cleared = self.shared.work(&queue, &self.contexts);
+        let mut cleared = self.shared.work(&queue);
         // Ends once every woken helper has reported or died.
         let mut reported = 0;
         for batch in reports {
@@ -452,7 +429,7 @@ impl ShardPool {
                     .name(format!("shard-helper-{i}"))
                     .spawn(move || {
                         for job in parked {
-                            let cleared = shared.work(&job.rounds, &job.contexts);
+                            let cleared = shared.work(&job.rounds);
                             // Reporting is the job's last act, so a helper
                             // that dies at any point of it leaves its
                             // report missing.
@@ -659,7 +636,7 @@ mod tests {
         let mut pool = pool(1, config);
         let pooled = pool.clear_all(rounds.clone());
         // The worker's warmed arena is parked for the next drain…
-        assert_eq!(pool.contexts().idle(), 1);
+        assert_eq!(pool.shared.contexts.idle(), 1);
         // …and a second drain starting from it clears identically.
         let again = pool.clear_all(rounds.clone());
         assert_eq!(pooled, again);
@@ -669,21 +646,6 @@ mod tests {
             let pure = clear_round(round, &config).unwrap();
             assert_eq!(*pooled[&round.id].1.as_ref().unwrap(), pure);
         }
-    }
-
-    #[test]
-    fn adopted_contexts_are_shared_handles() {
-        let config = EngineConfig::default().with_seed(2);
-        let mut first = pool(1, config);
-        first.clear_all(vec![multi_task_round(0)]);
-        assert_eq!(first.contexts().idle(), 1);
-        let mut second = pool(1, config);
-        second.adopt_contexts(first.contexts());
-        let outcomes = second.clear_all(vec![multi_task_round(1)]);
-        assert!(outcomes[&RoundId(1)].1.is_ok());
-        // The adopted handle still points at the same free list: the
-        // warmed context went out and came back.
-        assert_eq!(first.contexts().idle(), 1);
     }
 
     #[test]
@@ -1002,7 +964,6 @@ mod tests {
             .jobs
             .send(Job {
                 rounds: poisoned,
-                contexts: ContextPool::new(),
                 report,
             })
             .unwrap();

@@ -162,11 +162,25 @@ echo "cluster smoke: 1-node and 3-node deployments agree bitwise"
 echo "==> campaign_convergence bench smoke (--test)"
 cargo bench -p mcs-bench --bench campaign_convergence -- --test
 
-echo "==> campaign e2e smoke (platformd --campaign)"
+echo "==> campaign e2e smoke (platformd --campaign, --workers 1 vs --workers 4)"
 # A 30%-failure campaign must reach full coverage through residual
-# re-auctions; exit status asserts coverage.
-cargo run --release -p mcs-campaign --bin platformd -- \
-  --campaign --campaign-rounds 16 --failure-rate 0.3 --seed 42
+# re-auctions (each run's exit status asserts coverage), and its summary
+# line, fingerprint included, must be the same at 1 and at 4 workers.
+CAMPAIGN_DIR="$(mktemp -d)"
+trap 'rm -rf "${CAMPAIGN_DIR}"' EXIT
+for workers in 1 4; do
+  cargo run --release -p mcs-campaign --bin platformd -- \
+    --campaign --campaign-rounds 16 --failure-rate 0.3 --seed 42 \
+    --workers "${workers}" --payment-threads "${workers}" \
+    | tee "${CAMPAIGN_DIR}/w${workers}.log" | grep '^campaign: '
+done
+ONE="$(grep '^campaign: .* fingerprint ' "${CAMPAIGN_DIR}/w1.log")"
+FOUR="$(grep '^campaign: .* fingerprint ' "${CAMPAIGN_DIR}/w4.log")"
+[ -n "${ONE}" ] && [ "${ONE}" = "${FOUR}" ] || {
+  echo "campaign smoke: 1 worker (${ONE}) != 4 workers (${FOUR})"; exit 1; }
+rm -rf "${CAMPAIGN_DIR}"
+trap - EXIT
+echo "campaign smoke: 1 and 4 workers print the same summary"
 
 echo "==> metrics endpoint smoke (platformd --metrics-addr --profile --slo-budget)"
 # Serve a short run on a fixed port, scrape every endpoint, and check the
