@@ -3,10 +3,14 @@
 //! payments) through a persistent [`ClearContext`], digested with FNV-1a
 //! and pinned. A change to the engine's float evaluation order, heap
 //! tie-breaking, or delta-patch logic shows up here as a digest mismatch
-//! long before it would surface in a campaign.
+//! long before it would surface in a campaign. Beside each digest, the
+//! kernel's counted work (heap pops, stale re-evaluations, probes, index
+//! syncs) is pinned exactly: one context clears sequentially here, so the
+//! counts are deterministic, and a change that adds work fails this test
+//! even when every outcome bit holds.
 
 use mcs_bench::synthetic_multi_task;
-use mcs_core::indexed::ClearContext;
+use mcs_core::indexed::{ClearContext, ProfCounters};
 use mcs_core::multi_task::MultiTaskMechanism;
 use mcs_core::types::TypeProfile;
 use mcs_obs::digest::Fnv1a;
@@ -42,6 +46,15 @@ fn clear_digest(
     (criticals.len(), digest)
 }
 
+/// Drains `context`'s kernel counters, leaving out the resident-bytes
+/// gauge (an allocator capacity, not counted work).
+fn counted_work(context: &mut ClearContext) -> ProfCounters {
+    ProfCounters {
+        resident_bytes: 0,
+        ..context.take_prof()
+    }
+}
+
 #[test]
 fn arena_clear_at_ten_thousand_users_is_pinned() {
     let profile = synthetic_multi_task(N, TASKS, 0.8, SEED);
@@ -58,12 +71,43 @@ fn arena_clear_at_ten_thousand_users_is_pinned() {
         digest, 0xf9b6_1a94_7820_aedb,
         "critical-bid digest moved at n = {N}"
     );
+    // The cold clear's counted work: one reflattening prepare, then the
+    // allocation run and each winner's exclusion run resumed from it.
+    assert_eq!(
+        counted_work(&mut context),
+        ProfCounters {
+            prepares: 1,
+            sync_reflattened: 1,
+            seed_rebuilds: 1,
+            heap_pops: 189_173,
+            stale_reevals: 189_092,
+            probes_requested: 660,
+            probes_saved_loss_scan: 660,
+            ..ProfCounters::default()
+        },
+        "cold clear's kernel work moved at n = {N}"
+    );
 
     // Round 2: the same population re-published at a lower requirement —
     // the residual re-auction shape. The persistent arena delta-patches;
     // a fresh context is the oracle.
     let relaxed = synthetic_multi_task(N, TASKS, 0.75, SEED);
     let warm = clear_digest(&mechanism, &mut context, &relaxed);
+    // Only requirements changed, so the sync patches no user row.
+    assert_eq!(
+        counted_work(&mut context),
+        ProfCounters {
+            prepares: 1,
+            sync_patched: 1,
+            seed_rebuilds: 1,
+            heap_pops: 155_259,
+            stale_reevals: 155_194,
+            probes_requested: 600,
+            probes_saved_loss_scan: 600,
+            ..ProfCounters::default()
+        },
+        "warm clear's kernel work moved at n = {N}"
+    );
     let fresh = clear_digest(&mechanism, &mut ClearContext::new(), &relaxed);
     assert_eq!(warm, fresh, "delta-patched round diverged from rebuild");
 }

@@ -448,6 +448,10 @@ fn run_campaign(options: &Options) -> ExitCode {
             },
         );
     }
+    for post_mortem in &report.post_mortems {
+        println!("post-mortem round {}:", post_mortem.round);
+        println!("{}", post_mortem.to_json());
+    }
     // Timing goes on its own line: the summary line must diff clean
     // between runs for the determinism contract.
     println!(

@@ -38,7 +38,8 @@ use mcs_obs::digest::Fnv1a;
 use mcs_obs::{EventKind, RawEvent};
 use mcs_platform::batch::{residual_tasks, restrict_bids};
 use mcs_platform::prelude::{
-    BatchPolicy, Engine, EngineCheckpoint, EngineConfig, FaultInjector, NoFaults,
+    Admission, BatchPolicy, Engine, EngineCheckpoint, EngineConfig, FaultInjector, NoFaults,
+    PostMortem,
 };
 
 use crate::calibrate::{CalibrationDecision, CalibratorConfig, PosCalibrator};
@@ -113,7 +114,7 @@ pub struct CampaignRoundRecord {
     pub bids_offered: usize,
     /// Bids the calibrator gated out.
     pub bids_gated: usize,
-    /// Bids submitted to the engine.
+    /// Bids the engine admitted into the round (shed bids excluded).
     pub bids_submitted: usize,
     /// Winners, in id order.
     pub winners: Vec<UserId>,
@@ -169,6 +170,10 @@ pub struct CampaignReport {
     /// The calibration knobs the campaign ran under (for oracles that
     /// recompute posteriors).
     pub calibration: CalibratorConfig,
+    /// One post-mortem per quarantined round, in quarantine order: why
+    /// the round was set aside, with its admitted bids and trace. Not
+    /// part of the fingerprint (the trace holds wall-clock times).
+    pub post_mortems: Vec<PostMortem>,
 }
 
 impl CampaignReport {
@@ -372,7 +377,7 @@ impl CampaignRunner {
 
             let mut submitted = 0;
             for bid in &admitted {
-                if engine.submit(bid).is_ok() {
+                if let Ok(Admission::Admitted) = engine.submit(bid) {
                     submitted += 1;
                 }
             }
@@ -476,6 +481,7 @@ impl CampaignRunner {
             history,
             checkpoint,
             calibration: self.config.calibration,
+            post_mortems: engine.post_mortems().to_vec(),
         }
     }
 }
@@ -587,6 +593,15 @@ mod tests {
             .map(|round| round.engine_round)
             .collect();
         assert_eq!(quarantined, [1]);
+        // The quarantined round's post-mortem outlives the campaign's
+        // engine and accounts for every bid the round admitted.
+        let record = &report.rounds[1];
+        assert_eq!(report.post_mortems.len(), 1);
+        let post_mortem = &report.post_mortems[0];
+        assert_eq!(post_mortem.round, record.engine_round);
+        assert_eq!(post_mortem.bidders, record.bids_submitted as u64);
+        assert_eq!(post_mortem.bids.len(), record.bids_submitted);
+        assert!(post_mortem.complete, "{post_mortem:?}");
         assert!(report.rounds[2..].iter().all(|round| round.payout != 0.0));
         let paid: f64 = report
             .rounds
@@ -646,6 +661,16 @@ mod tests {
         let sets: Vec<&Vec<u32>> = admitted.values().collect();
         assert_ne!(sets[0], sets[1]);
         assert_ne!(sets[1], sets[2]);
+        // Each round reports the bids its engine round admitted, not the
+        // ones offered to admission control.
+        for round in &report.rounds {
+            assert_eq!(
+                round.bids_submitted,
+                admitted[&round.engine_round].len(),
+                "round {}",
+                round.index
+            );
+        }
     }
 
     #[test]

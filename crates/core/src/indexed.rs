@@ -42,14 +42,30 @@
 //!   total order* (distinct users never compare equal), a valid max-heap
 //!   pops in exactly descending order regardless of its internal layout —
 //!   so the seeded heap's pop sequence is bitwise identical to the
-//!   push-built one.
+//!   push-built one. The same fact lets the heap be 4-ary (half the depth
+//!   of a binary heap) and lets a stale top be re-evaluated and written
+//!   back at the root with one sift-down (`refresh_top`) instead of a
+//!   pop and a push: either way the heap holds the same entry set.
+//! * **One recorded run per round, resumed by every exclusion run.**
+//!   [`IndexedProfile::record_in`] records the round's allocation run
+//!   once — selection, capped values, residual snapshots and a log of
+//!   every stale re-evaluation — into a [`RecordedRun`] the
+//!   [`ClearContext`] reuses across rounds. Each winner's θ₋ᵢ run then
+//!   resumes at her pick step ([`IndexedProfile::resume_in`]): the picks
+//!   before it never chose her, so they are copied, and the heap at that
+//!   step is the seeds overlaid with the logged re-evaluations, less the
+//!   picks and her. The run continues from there bit for bit as if it
+//!   had been replayed from step 0.
 //! * **Delta-patched cross-round reuse.** [`IndexedProfile::sync_with`]
 //!   patches user rows and task requirements in place when the task list
 //!   and the retained user prefix are unchanged (the common campaign
 //!   round-over-round case), falling back to a buffer-reusing
-//!   [`IndexedProfile::reflatten`] otherwise. [`ClearContext`] bundles the
-//!   persistent index, its seeds, and a [`WorkspacePool`]; shard workers
-//!   and campaign rounds check contexts out of a shared [`ContextPool`].
+//!   [`IndexedProfile::reflatten`] otherwise. A retained row whose cost,
+//!   task ids and contribution bits all match the stored row is left
+//!   alone without re-flattening it. [`ClearContext`] bundles the
+//!   persistent index, its seeds, its recorded run, and a
+//!   [`WorkspacePool`]; shard workers and campaign rounds check contexts
+//!   out of a shared [`ContextPool`].
 //!
 //! ## Bitwise equivalence
 //!
@@ -64,10 +80,11 @@
 //! residual subtraction is the same saturating `max(0, Q̄ - q)`, and ties
 //! break by the same cross-multiplied ratio comparison followed by
 //! smaller-user-id-wins. The equivalence is enforced by the proptest
-//! suites in `tests/engine_equivalence.rs` and `tests/index_delta.rs`.
+//! suites in `tests/engine_equivalence.rs` (including resumed against
+//! replayed exclusion runs) and `tests/index_delta.rs`.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use crate::multi_task::COVERAGE_MARGIN;
@@ -161,10 +178,12 @@ pub struct ProfCounters {
     /// Resident arena footprint of the last prepared index + seeds, bytes
     /// (a gauge: latest value, not a sum).
     pub resident_bytes: u64,
-    /// Lazy-greedy heap pops across all runs.
+    /// Lazy-greedy heap tops examined across all runs: one per top,
+    /// whether it was selected, refreshed in place, or dropped.
     pub heap_pops: u64,
-    /// Pops whose bound was stale: re-evaluated against the current
-    /// residuals and re-queued instead of selected.
+    /// Tops whose bound was stale: re-evaluated against the current
+    /// residuals and refreshed in place (or dropped at the tolerance)
+    /// instead of selected.
     pub stale_reevals: u64,
     /// Bisection steps requested across all critical-bid searches.
     pub probes_requested: u64,
@@ -366,6 +385,10 @@ impl IndexedProfile {
             let start = self.offsets[position];
             let old_end = self.offsets[position + 1];
             let cur_end = (old_end as isize + shift) as usize;
+            if self.row_unchanged(position, start..cur_end, user) {
+                self.offsets[position + 1] = cur_end;
+                continue;
+            }
             let mut touched = false;
             let cost = user.cost().value();
             if cost.to_bits() != self.costs[position].to_bits() {
@@ -414,6 +437,26 @@ impl IndexedProfile {
             stats.mode = SyncMode::Patched;
         }
         stats
+    }
+
+    /// Whether `user` declares exactly the stored row at `position`, whose
+    /// entries currently span `span`: the same cost bits, the same task
+    /// count, and in order the same task ids with the same contribution
+    /// bits. The stored total was summed from those bits in that order, so
+    /// a match leaves the whole row as it is without re-flattening it or
+    /// re-deriving its total. A row stored out of task-id order (its tasks
+    /// published in another order) never matches and takes the patch path.
+    fn row_unchanged(&self, position: usize, span: Range<usize>, user: &UserType) -> bool {
+        user.cost().value().to_bits() == self.costs[position].to_bits()
+            && user.task_count() == span.len()
+            && user
+                .tasks()
+                .zip(&self.entry_task[span.clone()])
+                .zip(&self.entry_q[span])
+                .all(|(((task, pos), &stored), &q)| {
+                    self.task_ids[stored as usize] == task
+                        && pos.contribution().value().to_bits() == q.to_bits()
+                })
     }
 
     fn push_row(
@@ -641,56 +684,199 @@ impl IndexedProfile {
         options: RunOptions<'_>,
         record: Record,
     ) -> RunView<'w> {
-        let task_count = self.task_count();
+        self.start_in(workspace, &options);
+        let uncovered = self.greedy(workspace, &options, record, None, 0);
+        workspace.view(self.task_count(), uncovered)
+    }
+
+    /// Resets `workspace` for a run from step 0: full requirements, empty
+    /// outputs, and the initial heap.
+    fn start_in(&self, workspace: &mut Workspace, options: &RunOptions<'_>) {
         workspace.residual.clear();
         workspace.residual.extend_from_slice(&self.requirements);
         workspace.selection.clear();
         workspace.capped.clear();
         workspace.snapshots.clear();
         workspace.winner_mask.reset(self.user_count());
+        match options.seeds {
+            Some(seeds) => self.seed_heap(&mut workspace.heap, seeds, options),
+            None => self.scan_heap(&mut workspace.heap, options),
+        }
+    }
+
+    /// Runs the allocation greedy (full requirements, from `seeds`) and
+    /// keeps it in `recorded` at the `record` level. A [`Record::Full`]
+    /// recording also logs every stale re-evaluation, which makes it
+    /// resumable ([`IndexedProfile::resume_in`]); the run is otherwise
+    /// the one [`IndexedProfile::run_in`] makes, pop for pop.
+    pub fn record_in(
+        &self,
+        workspace: &mut Workspace,
+        seeds: &HeapSeeds,
+        record: Record,
+        recorded: &mut RecordedRun,
+    ) {
+        let options = RunOptions {
+            seeds: Some(seeds),
+            ..RunOptions::default()
+        };
+        self.start_in(workspace, &options);
+        let resumable = record == Record::Full;
+        recorded.reevals.clear();
+        let log = resumable.then_some(&mut recorded.reevals);
+        recorded.uncovered = self.greedy(workspace, &options, record, log, 0);
+        recorded.resumable = resumable;
+        recorded.stride = self.task_count();
+        recorded.selection.clear();
+        recorded.selection.extend_from_slice(&workspace.selection);
+        recorded.capped.clear();
+        recorded.capped.extend_from_slice(&workspace.capped);
+        recorded.snapshots.clear();
+        recorded.snapshots.extend_from_slice(&workspace.snapshots);
+        if resumable {
+            // The residual after the last pick, where a run without a
+            // user the base never picked resumes.
+            recorded.snapshots.extend_from_slice(&workspace.residual);
+        }
+    }
+
+    /// The greedy run without the user at `excluded`, resumed from the
+    /// recorded allocation run at the step that picked her instead of
+    /// replayed from step 0. Bitwise the [`Record::Full`] run that
+    /// [`IndexedProfile::run_in`] makes with `excluded` and `seeds` set.
+    ///
+    /// Every pick before her step `t` is the argmax over candidates other
+    /// than her, so the run without her makes the same picks on the same
+    /// residuals: its first `t` steps are copied from the record. Up to
+    /// step `t` it pops exactly the recorded run's tops minus her own, so
+    /// its heap then holds the recorded heap's `(bound, version)` set
+    /// minus her: the seeds, overlaid with every logged re-evaluation of
+    /// steps `≤ t`, less the prefix picks, her, and every entry dropped at
+    /// the tolerance. Any valid heap over that set pops identically
+    /// (`beats` is a strict total order), so the run continues at
+    /// version `t` from snapshot `t`. A user the run never picked resumes
+    /// after its last step.
+    ///
+    /// `recorded` must come from [`IndexedProfile::record_in`] on this
+    /// index with these `seeds`.
+    ///
+    /// # Panics
+    ///
+    /// If `recorded` is not a [`Record::Full`] recording, or was recorded
+    /// over a different task count.
+    pub fn resume_in<'w>(
+        &self,
+        workspace: &'w mut Workspace,
+        seeds: &HeapSeeds,
+        recorded: &RecordedRun,
+        excluded: usize,
+    ) -> RunView<'w> {
+        let stride = self.task_count();
+        assert!(
+            recorded.resumable && recorded.stride == stride,
+            "only a fully recorded run of this index can be resumed"
+        );
+        let step = recorded.step_of(excluded);
+        workspace.selection.clear();
+        workspace
+            .selection
+            .extend_from_slice(&recorded.selection[..step]);
+        workspace.capped.clear();
+        workspace.capped.extend_from_slice(&recorded.capped[..step]);
+        workspace.snapshots.clear();
+        workspace
+            .snapshots
+            .extend_from_slice(&recorded.snapshots[..step * stride]);
+        workspace.residual.clear();
+        workspace
+            .residual
+            .extend_from_slice(&recorded.snapshots[step * stride..(step + 1) * stride]);
+        workspace.winner_mask.reset(self.user_count());
+        for &pick in &workspace.selection {
+            workspace.winner_mask.insert(pick);
+        }
+
+        let heap = &mut workspace.heap;
+        heap.clear();
+        heap.extend_from_slice(&seeds.entries);
+        let logged = recorded
+            .reevals
+            .partition_point(|reeval| reeval.step as usize <= step);
+        for reeval in &recorded.reevals[..logged] {
+            let slot = seeds
+                .slot(reeval.position as usize)
+                .expect("a re-evaluated candidate was seeded");
+            heap[slot].capped = reeval.capped;
+            heap[slot].version = reeval.step;
+        }
+        let picked = &workspace.winner_mask;
+        heap.retain(|entry| {
+            let position = entry.position as usize;
+            entry.capped > CONTRIBUTION_TOLERANCE
+                && position != excluded
+                && !picked.contains(position)
+        });
+        heapify(heap);
+
+        let uncovered = self.greedy(
+            workspace,
+            &RunOptions::default(),
+            Record::Full,
+            None,
+            step as u32,
+        );
+        workspace.view(stride, uncovered)
+    }
+
+    /// The lazy-greedy loop from `version` on, over the residuals, heap
+    /// and outputs already in `workspace`; returns the first task left
+    /// uncovered if the candidates run out. With `log`, every stale
+    /// re-evaluation is appended to it.
+    fn greedy(
+        &self,
+        workspace: &mut Workspace,
+        options: &RunOptions<'_>,
+        record: Record,
+        mut log: Option<&mut Vec<Reeval>>,
+        mut version: u32,
+    ) -> Option<usize> {
         let mut unmet = workspace
             .residual
             .iter()
             .filter(|&&r| r > CONTRIBUTION_TOLERANCE)
             .count();
-
-        match options.seeds {
-            Some(seeds) => self.seed_heap(&mut workspace.heap, seeds, &options),
-            None => self.scan_heap(&mut workspace.heap, &options),
-        }
-
-        let mut version = 0u32;
-        let mut uncovered = None;
         while unmet > 0 {
-            let Some(top) = heap_pop(&mut workspace.heap) else {
-                uncovered = workspace
+            let Some(&top) = workspace.heap.first() else {
+                return workspace
                     .residual
                     .iter()
                     .position(|&r| r > CONTRIBUTION_TOLERANCE);
-                break;
             };
             workspace.prof.heap_pops += 1;
             if top.version != version {
                 workspace.prof.stale_reevals += 1;
-                // Stale upper bound: refresh against the current residuals
-                // and re-queue. Capped contributions only shrink, so a
-                // candidate that drops to zero is gone for good — exactly
-                // the users the reference scan filters out.
-                let capped = self.capped(top.position as usize, &workspace.residual, &options);
+                // Stale upper bound: refresh it in place against the
+                // current residuals. Capped contributions only shrink, so
+                // a candidate that drops to zero is gone for good —
+                // exactly the users the reference scan filters out.
+                let capped = self.capped(top.position as usize, &workspace.residual, options);
+                if let Some(log) = log.as_deref_mut() {
+                    log.push(Reeval {
+                        step: version,
+                        position: top.position,
+                        capped,
+                    });
+                }
                 if capped > CONTRIBUTION_TOLERANCE {
-                    heap_push(
-                        &mut workspace.heap,
-                        HeapEntry {
-                            capped,
-                            version,
-                            ..top
-                        },
-                    );
+                    refresh_top(&mut workspace.heap, capped, version);
+                } else {
+                    heap_pop(&mut workspace.heap);
                 }
                 continue;
             }
             // Fresh bound at the top of the heap: `top` is the exact argmax
             // of the capped-contribution–cost ratio — select it.
+            heap_pop(&mut workspace.heap);
             let position = top.position as usize;
             if record >= Record::Full {
                 let residual = &workspace.residual;
@@ -717,14 +903,7 @@ impl IndexedProfile {
             }
             version += 1;
         }
-        RunView {
-            selection: &workspace.selection,
-            capped: &workspace.capped,
-            snapshots: &workspace.snapshots,
-            stride: task_count,
-            winner_mask: &workspace.winner_mask,
-            uncovered,
-        }
+        None
     }
 
     /// Records `run` — the greedy without the winner being priced — as
@@ -1046,6 +1225,73 @@ impl Workspace {
     pub fn new() -> Self {
         Workspace::default()
     }
+
+    fn view(&self, stride: usize, uncovered: Option<usize>) -> RunView<'_> {
+        RunView {
+            selection: &self.selection,
+            capped: &self.capped,
+            snapshots: &self.snapshots,
+            stride,
+            winner_mask: &self.winner_mask,
+            uncovered,
+        }
+    }
+}
+
+/// One stale re-evaluation of a recorded run: at `step` (the number of
+/// picks made so far), the candidate at `position` was re-evaluated to
+/// `capped`, and left the heap if that fell to the tolerance.
+#[derive(Debug, Clone, Copy)]
+struct Reeval {
+    step: u32,
+    position: u32,
+    capped: f64,
+}
+
+/// A round's allocation run, recorded once ([`IndexedProfile::record_in`])
+/// so each winner's exclusion run resumes from it at her pick step
+/// ([`IndexedProfile::resume_in`]) instead of replaying it from step 0.
+/// A [`ClearContext`] keeps one and reuses its buffers across rounds; a
+/// resumable record costs about 16 bytes per stale re-evaluation.
+#[derive(Debug, Default)]
+pub struct RecordedRun {
+    selection: Vec<usize>,
+    capped: Vec<f64>,
+    /// Residual before each pick, then (resumable records) the residual
+    /// after the last, row-major at `stride` floats.
+    snapshots: Vec<f64>,
+    /// Every stale re-evaluation in run order, so by non-decreasing step
+    /// (resumable records only).
+    reevals: Vec<Reeval>,
+    stride: usize,
+    uncovered: Option<usize>,
+    resumable: bool,
+}
+
+impl RecordedRun {
+    /// An empty, unresumable record; fill with [`IndexedProfile::record_in`].
+    pub fn new() -> Self {
+        RecordedRun::default()
+    }
+
+    /// Selected user positions, in selection order.
+    pub(crate) fn selection(&self) -> &[usize] {
+        &self.selection
+    }
+
+    /// First task position left uncovered when the candidates ran out.
+    pub(crate) fn uncovered(&self) -> Option<usize> {
+        self.uncovered
+    }
+
+    /// The step that picked the user at `position`, or the step after the
+    /// last pick if the run never picked her.
+    pub(crate) fn step_of(&self, position: usize) -> usize {
+        self.selection
+            .iter()
+            .position(|&pick| pick == position)
+            .unwrap_or(self.selection.len())
+    }
 }
 
 /// The precomputed initial heap of a full-requirements greedy run: every
@@ -1100,68 +1346,94 @@ struct HeapEntry {
 /// smaller user id. Distinct users never compare equal — which is why the
 /// pop order of a valid max-heap over these entries is independent of the
 /// heap's internal layout.
+///
+/// Written as non-short-circuiting compares rather than a `match` on
+/// `partial_cmp`, so a sift's child choice compiles to selects. A NaN
+/// product still panics: it fails all three float compares.
+#[inline]
 fn beats(a: &HeapEntry, b: &HeapEntry) -> bool {
     let left = a.capped * b.cost;
     let right = b.capped * a.cost;
-    match left.partial_cmp(&right).expect("finite ratio products") {
-        Ordering::Greater => true,
-        Ordering::Less => false,
-        Ordering::Equal => a.id < b.id,
+    let (greater, equal) = (left > right, left == right);
+    if !(greater | equal | (left < right)) {
+        panic!("finite ratio products");
     }
+    greater | (equal & (a.id < b.id))
 }
 
+/// Children per heap node. A 4-ary heap is half as deep as a binary one,
+/// and a node's four 32-byte children sit side by side, so a sift-down
+/// trades levels of dependent loads for cheap extra compares.
+const ARITY: usize = 4;
+
+/// Adds `entry`, moving ancestors it beats down one level each.
 fn heap_push(heap: &mut Vec<HeapEntry>, entry: HeapEntry) {
     heap.push(entry);
     let mut child = heap.len() - 1;
     while child > 0 {
-        let parent = (child - 1) / 2;
-        if beats(&heap[child], &heap[parent]) {
-            heap.swap(child, parent);
-            child = parent;
-        } else {
+        let parent = (child - 1) / ARITY;
+        if !beats(&entry, &heap[parent]) {
             break;
         }
+        heap[child] = heap[parent];
+        child = parent;
     }
+    heap[child] = entry;
 }
 
-fn sift_down(heap: &mut [HeapEntry], mut parent: usize) {
+/// Restores the heap below `hole` for the entry sitting there: children
+/// that beat it move up one level until it settles.
+fn sift_down(heap: &mut [HeapEntry], mut hole: usize) {
+    let entry = heap[hole];
     loop {
-        let left = 2 * parent + 1;
-        if left >= heap.len() {
+        let first = ARITY * hole + 1;
+        if first >= heap.len() {
             break;
         }
-        let right = left + 1;
-        let mut best = left;
-        if right < heap.len() && beats(&heap[right], &heap[left]) {
-            best = right;
+        let mut best = first;
+        for child in first + 1..(first + ARITY).min(heap.len()) {
+            if beats(&heap[child], &heap[best]) {
+                best = child;
+            }
         }
-        if beats(&heap[best], &heap[parent]) {
-            heap.swap(best, parent);
-            parent = best;
-        } else {
+        if !beats(&heap[best], &entry) {
             break;
         }
+        heap[hole] = heap[best];
+        hole = best;
     }
+    heap[hole] = entry;
 }
 
 /// Floyd's bottom-up heap construction: `O(n)` versus `n` pushes'
 /// `O(n log n)`, and bitwise-equivalent in effect because pop order
 /// depends only on the entry *set* (see [`beats`]).
 fn heapify(heap: &mut [HeapEntry]) {
-    for parent in (0..heap.len() / 2).rev() {
+    // The internal nodes: every node whose first child exists.
+    for parent in (0..heap.len().saturating_sub(1).div_ceil(ARITY)).rev() {
         sift_down(heap, parent);
     }
 }
 
+/// Removes the top: the last entry takes the root and sifts down.
 fn heap_pop(heap: &mut Vec<HeapEntry>) -> Option<HeapEntry> {
-    if heap.is_empty() {
-        return None;
-    }
-    let last = heap.len() - 1;
-    heap.swap(0, last);
-    let top = heap.pop();
+    let last = heap.pop()?;
+    let Some(top) = heap.first_mut() else {
+        return Some(last);
+    };
+    let top = std::mem::replace(top, last);
     sift_down(heap, 0);
-    top
+    Some(top)
+}
+
+/// Replaces the top's bound with its re-evaluation `capped` as of
+/// `version` and sifts it down: the entry set afterwards is exactly what a
+/// pop plus a push of the refreshed entry leaves, so the pop order is
+/// unchanged (see [`beats`]), at one sift instead of two.
+fn refresh_top(heap: &mut [HeapEntry], capped: f64, version: u32) {
+    heap[0].capped = capped;
+    heap[0].version = version;
+    sift_down(heap, 0);
 }
 
 /// What [`IndexedProfile::sync_with`] did to bring the index up to date.
@@ -1270,23 +1542,42 @@ pub struct ClearContext {
     index: Option<IndexedProfile>,
     seeds: HeapSeeds,
     workspaces: WorkspacePool,
+    /// The prepared round's allocation run ([`ClearContext::prepare`]).
+    recorded: RecordedRun,
     /// Context-level profiling: prepare/sync/seed accounting; workspace
     /// counters merge in on [`ClearContext::take_prof`].
     prof: ProfCounters,
 }
 
 impl ClearContext {
-    /// An empty context; the first [`ClearContext::prepare`] builds the
-    /// index from scratch.
+    /// An empty context; the first round cleared on it builds the index
+    /// from scratch.
     pub fn new() -> Self {
         ClearContext::default()
     }
 
     /// Brings the context up to date with `profile` — delta-patching the
     /// persistent index where possible, re-flattening otherwise, and
-    /// rebuilding the heap seeds iff anything changed — and hands out the
-    /// borrows a clearing needs.
-    pub fn prepare(&mut self, profile: &TypeProfile) -> PreparedRound<'_> {
+    /// rebuilding the heap seeds iff anything changed — then runs the
+    /// round's allocation greedy once, recorded at the `record` level
+    /// into the context's reused buffers ([`IndexedProfile::record_in`]),
+    /// and hands out the borrows a clearing needs, the record included.
+    pub(crate) fn prepare(&mut self, profile: &TypeProfile, record: Record) -> PreparedRound<'_> {
+        let sync = self.sync(profile);
+        let index = self.index.as_ref().expect("index just synced");
+        let mut workspace = self.workspaces.checkout();
+        index.record_in(&mut workspace, &self.seeds, record, &mut self.recorded);
+        self.workspaces.give_back(workspace);
+        PreparedRound {
+            index,
+            seeds: &self.seeds,
+            workspaces: &self.workspaces,
+            sync,
+            recorded: &self.recorded,
+        }
+    }
+
+    fn sync(&mut self, profile: &TypeProfile) -> SyncStats {
         let sync = match self.index.as_mut() {
             Some(index) => index.sync_with(profile),
             None => {
@@ -1311,12 +1602,7 @@ impl ClearContext {
             + self.seeds.entries.capacity() * size_of::<HeapEntry>()
             + self.seeds.slot_of.capacity() * size_of::<u32>())
             as u64;
-        PreparedRound {
-            index,
-            seeds: &self.seeds,
-            workspaces: &self.workspaces,
-            sync,
-        }
+        sync
     }
 
     /// The persistent index, if a round has been prepared.
@@ -1347,6 +1633,9 @@ pub struct PreparedRound<'a> {
     pub workspaces: &'a WorkspacePool,
     /// What syncing did (telemetry: patched vs reflattened).
     pub sync: SyncStats,
+    /// The round's allocation run, recorded at the level
+    /// [`ClearContext::prepare`] was asked for.
+    pub(crate) recorded: &'a RecordedRun,
 }
 
 /// A shared free list of [`ClearContext`]s. Shard workers and campaign
@@ -1461,6 +1750,77 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(pop_all(&mut pushed), pop_all(&mut floyd));
+    }
+
+    #[test]
+    fn refreshed_heap_pops_the_beats_maximum_every_time() {
+        // Interleaved pushes, in-place refreshes of a shrinking root, and
+        // pops over costs and bounds from small sets (so ratio ties are
+        // common and the 4-ary heap is several levels deep). Every pop
+        // must be the maximum under `beats` of the entries then held, and
+        // the final drain must come out in strictly descending order.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut heap: Vec<HeapEntry> = Vec::new();
+        let mut held: Vec<HeapEntry> = Vec::new();
+        let maximum = |held: &[HeapEntry]| {
+            held.iter()
+                .copied()
+                .reduce(|best, entry| if beats(&entry, &best) { entry } else { best })
+        };
+        let mut ids = 0u32;
+        for version in 0..4_000u32 {
+            match next(8) {
+                0..=3 => {
+                    let entry = HeapEntry {
+                        capped: [0.5, 1.0, 1.5, 2.0][next(4) as usize],
+                        cost: [1.0, 2.0, 4.0][next(3) as usize],
+                        id: UserId::new(ids),
+                        position: ids,
+                        version: 0,
+                    };
+                    ids += 1;
+                    heap_push(&mut heap, entry);
+                    held.push(entry);
+                }
+                4..=5 if !heap.is_empty() => {
+                    let capped = heap[0].capped * [0.25, 0.5, 1.0][next(3) as usize];
+                    let id = heap[0].id;
+                    refresh_top(&mut heap, capped, version);
+                    let model = held.iter_mut().find(|entry| entry.id == id).unwrap();
+                    model.capped = capped;
+                    model.version = version;
+                }
+                _ => {
+                    let expected = maximum(&held);
+                    let popped = heap_pop(&mut heap);
+                    assert_eq!(popped.map(|e| e.id), expected.map(|e| e.id));
+                    held.retain(|entry| Some(entry.id) != popped.map(|e| e.id));
+                }
+            }
+        }
+        assert!(heap.len() > 64, "the drain should span several levels");
+        let drained: Vec<HeapEntry> = std::iter::from_fn(|| heap_pop(&mut heap)).collect();
+        assert_eq!(drained.len(), held.len());
+        assert!(drained.windows(2).all(|pair| beats(&pair[0], &pair[1])));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite ratio products")]
+    fn beats_panics_on_a_nan_ratio_product() {
+        let entry = |capped: f64| HeapEntry {
+            capped,
+            cost: 1.0,
+            id: UserId::new(0),
+            position: 0,
+            version: 0,
+        };
+        beats(&entry(f64::NAN), &entry(1.0));
     }
 
     #[test]
@@ -1702,12 +2062,48 @@ mod tests {
     }
 
     #[test]
+    fn sync_leaves_unchanged_rows_alone_in_any_publication_order() {
+        // Tasks published 7 then 1: user 0's row is stored out of id
+        // order, so it never passes the unchanged-row check and takes the
+        // patch path; users 1 and 2 hold one task each and pass it. Either
+        // way an unchanged row is not counted as patched, and the synced
+        // index equals a rebuild.
+        let users: [(f64, &[(u32, f64)]); 3] = [
+            (2.0, &[(7, 0.5), (1, 0.3)]),
+            (1.0, &[(1, 0.4)]),
+            (3.0, &[(7, 0.2)]),
+        ];
+        let mut indexed = IndexedProfile::from_profile(&profile(&users, &[(7, 0.6), (1, 0.5)]));
+        let relaxed = profile(&users, &[(7, 0.55), (1, 0.5)]);
+        let stats = indexed.sync_with(&relaxed);
+        assert_eq!(stats.mode, SyncMode::Patched);
+        assert_eq!((stats.users_patched, stats.requirements_patched), (0, 1));
+        assert_eq!(indexed, IndexedProfile::from_profile(&relaxed));
+
+        for (user, task) in [(2, 7), (0, 1)] {
+            let mut indexed = IndexedProfile::from_profile(&relaxed);
+            let changed = relaxed
+                .with_user_type(
+                    relaxed
+                        .user(UserId::new(user))
+                        .unwrap()
+                        .with_pos(TaskId::new(task), Pos::new(0.25).unwrap())
+                        .unwrap(),
+                )
+                .unwrap();
+            let stats = indexed.sync_with(&changed);
+            assert_eq!(stats.users_patched, 1, "user {user}");
+            assert_eq!(indexed, IndexedProfile::from_profile(&changed));
+        }
+    }
+
+    #[test]
     fn context_pool_round_trips_contexts() {
         let pool = ContextPool::new();
         let p = profile(&[(1.0, &[(0, 0.6)])], &[(0, 0.5)]);
         let mut context = pool.checkout();
         {
-            let prepared = context.prepare(&p);
+            let prepared = context.prepare(&p, Record::Selection);
             assert_eq!(prepared.sync.mode, SyncMode::Reflattened);
             let mut ws = prepared.workspaces.checkout();
             let run = prepared.index.run_in(
@@ -1723,7 +2119,10 @@ mod tests {
             prepared.workspaces.give_back(ws);
         }
         // Second prepare against the same profile: unchanged, no rebuild.
-        assert_eq!(context.prepare(&p).sync.mode, SyncMode::Unchanged);
+        assert_eq!(
+            context.prepare(&p, Record::Selection).sync.mode,
+            SyncMode::Unchanged
+        );
         pool.give_back(context);
         assert_eq!(pool.idle(), 1);
         let again = pool.checkout();
@@ -1736,7 +2135,7 @@ mod tests {
         let p = profile(&[(1.0, &[(0, 0.6)]), (2.0, &[(0, 0.5)])], &[(0, 0.5)]);
         let mut context = ClearContext::new();
         {
-            let prepared = context.prepare(&p);
+            let prepared = context.prepare(&p, Record::Selection);
             let mut ws = prepared.workspaces.checkout();
             let run = prepared.index.run_in(
                 &mut ws,
@@ -1749,7 +2148,7 @@ mod tests {
             assert!(run.is_complete());
             prepared.workspaces.give_back(ws);
         }
-        context.prepare(&p); // unchanged: a reuse hit
+        context.prepare(&p, Record::Selection); // unchanged: a reuse hit
         let prof = context.take_prof();
         assert_eq!(prof.prepares, 2);
         assert_eq!(prof.reuse_hits, 1);

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::Result;
-use crate::indexed::{ClearContext, PreparedRound};
+use crate::indexed::{ClearContext, PreparedRound, Record};
 use crate::mechanism::{validate_alpha, Allocation, RewardScheme, WinnerDetermination};
 use crate::multi_task::reward::critical_contributions_parallel;
 use crate::multi_task::{critical_pos, GreedyWinnerDetermination};
@@ -109,9 +109,9 @@ impl MultiTaskMechanism {
         context: &'c mut ClearContext,
         profile: &TypeProfile,
     ) -> Result<AllocatedRound<'c>> {
-        let (prepared, allocation) = self
-            .winner_determination
-            .prepare_and_run(context, profile)?;
+        let (prepared, allocation) =
+            self.winner_determination
+                .prepare_and_run(context, profile, Record::Full)?;
         Ok(AllocatedRound {
             prepared,
             allocation,
@@ -156,13 +156,8 @@ impl AllocatedRound<'_> {
     /// fail, the error for the smallest winner id is returned.
     pub fn criticals(&self) -> Result<BTreeMap<UserId, Pos>> {
         let winners: Vec<UserId> = self.allocation.winners().collect();
-        let criticals = critical_contributions_parallel(
-            self.prepared.index,
-            Some(self.prepared.seeds),
-            &winners,
-            self.payment_threads,
-            self.prepared.workspaces,
-        );
+        let criticals =
+            critical_contributions_parallel(&self.prepared, &winners, self.payment_threads);
         winners
             .into_iter()
             .zip(criticals)

@@ -31,8 +31,16 @@
 //! The bisection here runs on [`crate::indexed`]: probes never clone the
 //! profile (a [`RunOptions::substitute`] override expresses the scaled
 //! declaration) and never record iteration bookkeeping. Most probes do not
-//! run the greedy at all. Each winner's search first reruns the greedy
-//! without her (the θ₋ᵢ *base run*) and decides probes from it:
+//! run the greedy at all. Each winner's search first gets the greedy run
+//! without her (the θ₋ᵢ *base run*) and decides probes from it.
+//!
+//! The base run is not replayed from step 0. The round's allocation run
+//! is recorded once, with a log of its stale re-evaluations, and each
+//! winner's base run resumes it at her pick step
+//! ([`crate::indexed::IndexedProfile::resume_in`]): the picks before that
+//! step never chose her, so they and their residuals carry over bit for
+//! bit, and the heap is rebuilt as it stood there, without her. The
+//! probes then use the base run like this:
 //!
 //! * **Warm start.** Algorithm 5's estimate is a certificate: if user `i`
 //!   wins at scale `s`, the greedy run before her first selection
@@ -56,14 +64,18 @@
 //! drawn from dust-sized contributions where the certificate must decline.
 //!
 //! For whole-round payments, [`crate::multi_task::AllocatedRound::criticals`]
-//! computes every winner's critical bid in parallel; per-winner
-//! computations are independent, so the merge is deterministic for any
-//! thread count.
+//! computes every winner's critical bid in parallel. Threads take winners
+//! one at a time, earliest pick first, because an early pick resumes
+//! early and runs longest. Per-winner computations are independent, so
+//! the merge is deterministic for any thread count.
+//!
+//! [`IndexedProfile::probe_verdict`]: crate::indexed::IndexedProfile::probe_verdict
+
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::{McsError, Result};
-use crate::indexed::{
-    ClearContext, HeapSeeds, IndexedProfile, Record, RunOptions, Workspace, WorkspacePool,
-};
+use crate::indexed::{ClearContext, PreparedRound, Record, RunOptions, Workspace};
 use crate::mechanism::{Allocation, BISECTION_STEPS};
 use crate::multi_task::GreedyWinnerDetermination;
 use crate::types::{Contribution, Pos, TypeProfile, UserId, CONTRIBUTION_TOLERANCE};
@@ -103,16 +115,12 @@ pub fn critical_contribution(
     user: UserId,
 ) -> Result<Contribution> {
     let mut context = ClearContext::new();
-    let (prepared, current) = winner_determination.prepare_and_run(&mut context, profile)?;
+    let (prepared, current) =
+        winner_determination.prepare_and_run(&mut context, profile, Record::Full)?;
     if !current.contains(user) {
         return Err(McsError::NotAWinner { user });
     }
-    critical_of_winner(
-        prepared.index,
-        Some(prepared.seeds),
-        &mut Workspace::new(),
-        user,
-    )
+    critical_of_winner(&prepared, &mut Workspace::new(), user)
 }
 
 /// The fast critical-bid search for a user already verified to win the
@@ -120,14 +128,15 @@ pub fn critical_contribution(
 /// parallel batch path in
 /// [`crate::multi_task::AllocatedRound::criticals`].
 ///
-/// `seeds`, when provided, must match `indexed` exactly; the base run and
-/// every probe that runs the greedy then skip the full candidate rescan.
+/// `prepared` must hold the round's [`Record::Full`] allocation run: the
+/// θ₋ᵢ base run resumes from it at the winner's pick step, and every
+/// probe that runs the greedy starts from the round's heap seeds.
 pub(crate) fn critical_of_winner(
-    indexed: &IndexedProfile,
-    seeds: Option<&HeapSeeds>,
+    prepared: &PreparedRound<'_>,
     workspace: &mut Workspace,
     user: UserId,
 ) -> Result<Contribution> {
+    let (indexed, seeds) = (prepared.index, prepared.seeds);
     let position = indexed
         .position_of(user)
         .ok_or(McsError::NotAWinner { user })?;
@@ -150,15 +159,7 @@ pub(crate) fn critical_of_winner(
     let mut base = std::mem::take(&mut workspace.base);
     base.invalidate();
     if indexed.user_count() > 1 {
-        let without = indexed.run_in(
-            workspace,
-            RunOptions {
-                excluded: Some(position),
-                seeds,
-                ..RunOptions::default()
-            },
-            Record::Full,
-        );
+        let without = indexed.resume_in(workspace, seeds, prepared.recorded, position);
         if without.is_complete() {
             let mut bound = f64::INFINITY;
             for (&rival, &capped) in without.selection.iter().zip(without.capped) {
@@ -209,7 +210,7 @@ pub(crate) fn critical_of_winner(
                         workspace,
                         RunOptions {
                             substitute: Some((position, scaled.as_slice())),
-                            seeds,
+                            seeds: Some(seeds),
                             ..RunOptions::default()
                         },
                         Record::Selection,
@@ -243,46 +244,69 @@ fn scaled_entry(q: f64, scale: f64) -> f64 {
         .value()
 }
 
-/// Critical contributions for a batch of verified winners, fanned out
-/// over `threads` OS threads (`std::thread::scope`).
+/// Critical contributions for a batch of verified winners of `prepared`,
+/// fanned out over `threads` OS threads (`std::thread::scope`).
 ///
-/// Each winner's search is an independent pure function of the shared
-/// [`IndexedProfile`], and each result lands in its winner's own
-/// pre-assigned slot — so the output is bitwise identical for every
-/// thread count, including the inlined `threads == 1` path.
+/// A winner's exclusion run resumes at her pick step, so the earliest
+/// picks carry the longest runs. Threads therefore take winners one at a
+/// time, earliest pick first, rather than in fixed chunks. Each winner's
+/// search is an independent pure function of the shared prepared round,
+/// and each result lands in its winner's own slot — so the output is
+/// bitwise identical for every thread count and every interleaving,
+/// including the inlined `threads == 1` path.
 pub(crate) fn critical_contributions_parallel(
-    indexed: &IndexedProfile,
-    seeds: Option<&HeapSeeds>,
+    prepared: &PreparedRound<'_>,
     winners: &[UserId],
     threads: usize,
-    workspaces: &WorkspacePool,
 ) -> Vec<Result<Contribution>> {
+    let workspaces = prepared.workspaces;
     let threads = threads.max(1).min(winners.len().max(1));
     if threads == 1 {
         let mut workspace = workspaces.checkout();
         let results = winners
             .iter()
-            .map(|&winner| critical_of_winner(indexed, seeds, &mut workspace, winner))
+            .map(|&winner| critical_of_winner(prepared, &mut workspace, winner))
             .collect();
         workspaces.give_back(workspace);
         return results;
     }
-    let chunk = winners.len().div_ceil(threads);
+    let mut order: Vec<usize> = (0..winners.len()).collect();
+    order.sort_by_key(|&slot| {
+        prepared
+            .index
+            .position_of(winners[slot])
+            .map_or(usize::MAX, |position| prepared.recorded.step_of(position))
+    });
+    // Hands out slots only; the results come back through `join`.
+    let next = AtomicUsize::new(0);
     let mut results: Vec<Option<Result<Contribution>>> = vec![None; winners.len()];
     std::thread::scope(|scope| {
-        for (winner_chunk, result_chunk) in winners.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                let mut workspace = workspaces.checkout();
-                for (&winner, slot) in winner_chunk.iter().zip(result_chunk.iter_mut()) {
-                    *slot = Some(critical_of_winner(indexed, seeds, &mut workspace, winner));
-                }
-                workspaces.give_back(workspace);
-            });
+        let threads: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut workspace = workspaces.checkout();
+                    let mut priced = Vec::new();
+                    while let Some(&slot) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let critical = critical_of_winner(prepared, &mut workspace, winners[slot]);
+                        priced.push((slot, critical));
+                    }
+                    workspaces.give_back(workspace);
+                    priced
+                })
+            })
+            .collect();
+        for thread in threads {
+            // A panicking search re-raises its own payload, as it would
+            // on the inlined single-thread path.
+            let priced = thread.join().unwrap_or_else(|panic| resume_unwind(panic));
+            for (slot, critical) in priced {
+                results[slot] = Some(critical);
+            }
         }
     });
     results
         .into_iter()
-        .map(|slot| slot.expect("chunks cover every winner slot"))
+        .map(|slot| slot.expect("every winner is priced once"))
         .collect()
 }
 
@@ -310,7 +334,8 @@ pub fn algorithm5_critical_contribution(
     user: UserId,
 ) -> Result<Contribution> {
     let mut context = ClearContext::new();
-    let (prepared, current) = winner_determination.prepare_and_run(&mut context, profile)?;
+    let (prepared, current) =
+        winner_determination.prepare_and_run(&mut context, profile, Record::Selection)?;
     if !current.contains(user) {
         return Err(McsError::NotAWinner { user });
     }

@@ -96,12 +96,13 @@ impl GreedyWinnerDetermination {
     }
 
     /// Syncs `context` to `profile` and runs the base greedy on it once,
-    /// in selection-only mode — the one prepare-and-run body behind
-    /// [`WinnerDetermination::select_winners`], the per-user critical-bid
-    /// searches, and
-    /// [`crate::multi_task::MultiTaskMechanism::allocate_with`]. The
-    /// prepared borrows come back with the winners so a caller can price
-    /// them on the same index.
+    /// recorded at the `record` level — the one prepare-and-run body
+    /// behind [`WinnerDetermination::select_winners`] (selection only),
+    /// the per-user critical-bid searches, and
+    /// [`crate::multi_task::MultiTaskMechanism::allocate_with`] (both
+    /// [`Record::Full`], so each winner's exclusion run resumes from it).
+    /// The prepared borrows come back with the winners so a caller can
+    /// price them on the same index.
     ///
     /// # Errors
     ///
@@ -110,35 +111,28 @@ impl GreedyWinnerDetermination {
         &self,
         context: &'c mut ClearContext,
         profile: &TypeProfile,
+        record: Record,
     ) -> Result<(PreparedRound<'c>, Allocation)> {
-        let prepared = context.prepare(profile);
-        let mut workspace = prepared.workspaces.checkout();
-        let run = prepared.index.run_in(
-            &mut workspace,
-            RunOptions {
-                seeds: Some(prepared.seeds),
-                ..RunOptions::default()
-            },
-            Record::Selection,
-        );
-        let outcome = match run.uncovered {
-            Some(task) => Err(McsError::Infeasible {
+        let prepared = context.prepare(profile, record);
+        let run = prepared.recorded;
+        if let Some(task) = run.uncovered() {
+            return Err(McsError::Infeasible {
                 task: prepared.index.task_id(task),
-            }),
-            None => Ok(run
-                .selection
-                .iter()
-                .map(|&position| prepared.index.user_id(position))
-                .collect()),
-        };
-        prepared.workspaces.give_back(workspace);
-        Ok((prepared, outcome?))
+            });
+        }
+        let allocation = run
+            .selection()
+            .iter()
+            .map(|&position| prepared.index.user_id(position))
+            .collect();
+        Ok((prepared, allocation))
     }
 }
 
 impl WinnerDetermination for GreedyWinnerDetermination {
     fn select_winners(&self, profile: &TypeProfile) -> Result<Allocation> {
-        let (_, allocation) = self.prepare_and_run(&mut ClearContext::new(), profile)?;
+        let (_, allocation) =
+            self.prepare_and_run(&mut ClearContext::new(), profile, Record::Selection)?;
         Ok(allocation)
     }
 }

@@ -5,7 +5,9 @@
 //! divergence breaks the platform's determinism contract (payments must
 //! not depend on thread counts or on which code path served a round).
 
-use mcs_core::indexed::{ClearContext, ProfCounters};
+use mcs_core::indexed::{
+    ClearContext, IndexedProfile, ProfCounters, Record, RecordedRun, RunOptions, Workspace,
+};
 use mcs_core::mechanism::{RewardScheme, WinnerDetermination};
 use mcs_core::multi_task::{
     critical_contribution, reference, GreedyWinnerDetermination, MultiTaskMechanism,
@@ -74,6 +76,51 @@ fn dust_profile() -> impl Strategy<Value = TypeProfile> {
         proptest::collection::vec(user, 3..13),
     )
         .prop_map(|(reqs, users)| build_profile(reqs, users))
+}
+
+/// Tie-heavy profiles: 3–8 tasks and 20–200 users whose costs and PoS
+/// come from small sets, so exact ratio ties are common and the 4-ary
+/// lazy-greedy heap is several levels deep.
+fn tie_heavy_profile() -> impl Strategy<Value = TypeProfile> {
+    let pick = |values: &'static [f64]| (0..values.len()).prop_map(move |i| values[i]);
+    let user = (
+        pick(&[1.0, 2.0, 3.0, 4.0]),
+        proptest::collection::vec((0u32..8, pick(&[0.1, 0.2, 0.3, 0.4])), 1..5),
+    );
+    (
+        proptest::collection::vec(pick(&[0.5, 0.7, 0.9]), 3..9),
+        proptest::collection::vec(user, 20..201),
+    )
+        .prop_map(|(reqs, users)| build_profile(reqs, users))
+}
+
+/// Every user's exclusion run resumed from the recorded allocation run
+/// equals the run replayed from step 0 by a full candidate scan, bit for
+/// bit: the same picks, capped values, residual snapshots, winner mask
+/// and uncovered task. Winners resume at their pick step; users the run
+/// never picked resume after its last step.
+fn assert_resumed_runs_match_replayed(profile: &TypeProfile) -> Result<(), TestCaseError> {
+    let index = IndexedProfile::from_profile(profile);
+    let seeds = index.heap_seeds();
+    let mut recorded = RecordedRun::new();
+    index.record_in(&mut Workspace::new(), &seeds, Record::Full, &mut recorded);
+    let (mut resumed_ws, mut replayed_ws) = (Workspace::new(), Workspace::new());
+    for position in 0..index.user_count() {
+        let resumed = index.resume_in(&mut resumed_ws, &seeds, &recorded, position);
+        let replayed = index.run_in(
+            &mut replayed_ws,
+            RunOptions {
+                excluded: Some(position),
+                ..RunOptions::default()
+            },
+            Record::Full,
+        );
+        prop_assert_eq!(resumed, replayed);
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(resumed.capped), bits(replayed.capped));
+        prop_assert_eq!(bits(resumed.snapshots), bits(replayed.snapshots));
+    }
+    Ok(())
 }
 
 /// Every user's fast critical bid equals the reference bisection's,
@@ -147,6 +194,41 @@ proptest! {
             let round = parallel.allocate_with(&mut context, &profile).unwrap();
             prop_assert_eq!(&round.criticals().unwrap(), &sequential);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Resuming equals replaying on the random multi-task profiles,
+    /// feasible and infeasible alike.
+    #[test]
+    fn resumed_exclusion_runs_equal_replayed_ones(profile in multi_task_profile()) {
+        assert_resumed_runs_match_replayed(&profile)?;
+    }
+
+    /// Resuming equals replaying on dust, where candidates leave the heap
+    /// at the tolerance and their logged drops must stay dropped.
+    #[test]
+    fn resumed_exclusion_runs_equal_replayed_ones_on_dust(profile in dust_profile()) {
+        assert_resumed_runs_match_replayed(&profile)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Resuming equals replaying under exact ratio ties in deep heaps,
+    /// where only the id tie-break orders the candidates.
+    #[test]
+    fn resumed_exclusion_runs_equal_replayed_ones_under_ties(profile in tie_heavy_profile()) {
+        assert_resumed_runs_match_replayed(&profile)?;
+    }
+
+    /// The payments of tie-heavy rounds match the reference bitwise.
+    #[test]
+    fn fast_critical_bid_is_bitwise_equal_to_reference_under_ties(profile in tie_heavy_profile()) {
+        assert_critical_bids_match_reference(&profile)?;
     }
 }
 

@@ -59,24 +59,33 @@ echo "==> worker-count determinism (platformd --workers 1 vs --workers 4)"
 # timing lines are filtered out, the outputs must diff empty.
 # --snapshot-every 4 drains every fourth round, so one shard pool serves
 # five drains on the same parked helpers.
+# The multi-task shape also prints the clearing kernel's work counters
+# (--profile). Which worker took which round decides the arena-history
+# counters, so those lines are dropped; heap pops, stale re-evaluations
+# and probe counts must still diff empty, which catches an exclusion run
+# whose resumed work depends on the payment thread that priced it.
 DET_DIR="$(mktemp -d)"
 trap 'rm -rf "${DET_DIR}"' EXIT
+ARENA_HISTORY='"(prepares|reuse_hits|sync_patched|sync_reflattened|seed_rebuilds|users_patched|users_appended|[a-z_]*resident_bytes)"'
 for shape in single-task multi-task; do
   SHAPE_ARGS=()
-  [ "${shape}" = multi-task ] && SHAPE_ARGS=(--multi 4)
+  [ "${shape}" = multi-task ] && SHAPE_ARGS=(--multi 4 --profile)
   for workers in 1 4; do
     cargo run --release -p mcs-campaign --bin platformd -- \
       --rounds 20 --users 12 --snapshot-every 4 --seed 9 "${SHAPE_ARGS[@]}" \
       --workers "${workers}" --payment-threads "${workers}" \
       | grep -v -E 'ns|rounds/s|bids/s|in [0-9.]+m?s|"at":' \
+      | grep -v -E "${ARENA_HISTORY}" \
       > "${DET_DIR}/${shape}-w${workers}.log"
   done
   diff "${DET_DIR}/${shape}-w1.log" "${DET_DIR}/${shape}-w4.log" || {
     echo "determinism: ${shape} output differs between 1 and 4 workers"; exit 1; }
 done
+grep -q '"heap_pops": [1-9]' "${DET_DIR}/multi-task-w1.log" || {
+  echo "determinism: the multi-task run printed no kernel work counters"; exit 1; }
 rm -rf "${DET_DIR}"
 trap - EXIT
-echo "determinism: 1 and 4 workers diff empty, single- and multi-task"
+echo "determinism: 1 and 4 workers diff empty, single- and multi-task, kernel work included"
 
 echo "==> paper claims (repro --quick verify)"
 # Figures 5(a), 6, 8 and 9 run the FPTAS and the single-task critical
