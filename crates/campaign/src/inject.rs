@@ -11,8 +11,8 @@
 //! count.
 //!
 //! The injector wraps an inner [`FaultInjector`] and delegates every
-//! other hook to it, so chaos-harness faults (shard panics, bid
-//! corruption, reordering) compose with execution failures instead of
+//! other hook to it, so chaos-harness faults (shard panics, report
+//! flips, reordering) compose with execution failures instead of
 //! competing for the single injector slot.
 
 use std::sync::Arc;
@@ -49,10 +49,6 @@ impl FailureInjector {
 }
 
 impl FaultInjector for FailureInjector {
-    fn corrupt_bid(&self, bid: &Bid) -> Option<Bid> {
-        self.inner.corrupt_bid(bid)
-    }
-
     fn observe_admitted(&self, round: RoundId, bid: &Bid) {
         self.inner.observe_admitted(round, bid);
     }

@@ -25,11 +25,9 @@
 //! payment-thread counts; [`CampaignReport::fingerprint`](runner::CampaignReport::fingerprint)
 //! is the digest the chaos harness and CI pin.
 //!
-//! Naming note: the chaos harness (`mcs-harness`) also says "campaign"
-//! for a seeded *fault* campaign against a single engine. This crate's
-//! campaigns are auction campaigns — multi-round pursuits of a coverage
-//! target. The harness drives the latter with the former in
-//! `mcs-fuzz --campaign`.
+//! The chaos harness (`mcs-harness`) runs these campaigns as
+//! campaign-mode corpus scenarios, chaos faults included
+//! (`scenarios/chaos-campaign.toml`), against its closed-loop oracles.
 //!
 //! ## Example
 //!

@@ -247,7 +247,7 @@ impl CampaignRunner {
     }
 
     /// A runner composing the configured failure rate over `inner`'s
-    /// chaos faults (shard panics, bid corruption, reordering).
+    /// chaos faults (shard panics, report flips, reordering).
     pub fn with_injector(config: CampaignConfig, inner: Arc<dyn FaultInjector>) -> Self {
         let injector = Arc::new(FailureInjector::wrapping(
             config.failure_seed,

@@ -175,8 +175,10 @@ pub struct ProfCounters {
     pub users_patched: u64,
     /// User rows appended across all syncs.
     pub users_appended: u64,
-    /// Resident arena footprint of the last prepared index + seeds, bytes
-    /// (a gauge: latest value, not a sum).
+    /// Resident arena footprint at the last prepare, bytes (a gauge:
+    /// latest value, not a sum): the index and its heap seeds, the
+    /// context's recorded allocation run, and every pooled workspace —
+    /// all of it held across rounds.
     pub resident_bytes: u64,
     /// Lazy-greedy heap tops examined across all runs: one per top,
     /// whether it was selected, refreshed in place, or dropped.
@@ -1226,6 +1228,23 @@ impl Workspace {
         Workspace::default()
     }
 
+    /// Bytes this workspace's buffers hold onto (capacities, not
+    /// lengths), its θ₋ᵢ base run included.
+    fn resident_bytes(&self) -> usize {
+        let base = &self.base;
+        (self.residual.capacity()
+            + self.capped.capacity()
+            + self.snapshots.capacity()
+            + self.scaled.capacity()
+            + base.capped.capacity()
+            + base.snapshots.capacity()
+            + base.suffix.capacity())
+            * size_of::<f64>()
+            + (self.selection.capacity() + base.selection.capacity()) * size_of::<usize>()
+            + self.heap.capacity() * size_of::<HeapEntry>()
+            + self.winner_mask.words.capacity() * size_of::<u64>()
+    }
+
     fn view(&self, stride: usize, uncovered: Option<usize>) -> RunView<'_> {
         RunView {
             selection: &self.selection,
@@ -1277,6 +1296,13 @@ impl RecordedRun {
     /// Selected user positions, in selection order.
     pub(crate) fn selection(&self) -> &[usize] {
         &self.selection
+    }
+
+    /// Bytes this record's buffers hold onto (capacities, not lengths).
+    fn resident_bytes(&self) -> usize {
+        (self.capped.capacity() + self.snapshots.capacity()) * size_of::<f64>()
+            + self.selection.capacity() * size_of::<usize>()
+            + self.reevals.capacity() * size_of::<Reeval>()
     }
 
     /// First task position left uncovered when the candidates ran out.
@@ -1530,6 +1556,12 @@ impl WorkspacePool {
     pub fn idle(&self) -> usize {
         self.free.lock().expect("workspace pool mutex").len()
     }
+
+    /// Bytes the parked workspaces' buffers hold onto.
+    pub fn resident_bytes(&self) -> usize {
+        let free = self.free.lock().expect("workspace pool mutex");
+        free.iter().map(Workspace::resident_bytes).sum()
+    }
 }
 
 /// The per-round clearing arena: a persistent [`IndexedProfile`], its
@@ -1598,10 +1630,13 @@ impl ClearContext {
         }
         self.prof.users_patched += sync.users_patched as u64;
         self.prof.users_appended += sync.users_appended as u64;
+        // Every workspace is back in the pool between rounds, so the
+        // pool holds all of them here.
         self.prof.resident_bytes = (index.resident_bytes()
             + self.seeds.entries.capacity() * size_of::<HeapEntry>()
-            + self.seeds.slot_of.capacity() * size_of::<u32>())
-            as u64;
+            + self.seeds.slot_of.capacity() * size_of::<u32>()
+            + self.recorded.resident_bytes()
+            + self.workspaces.resident_bytes()) as u64;
         sync
     }
 
@@ -2159,6 +2194,37 @@ mod tests {
         assert!(prof.is_conserved(), "{prof:?}");
         // Drained: a second take starts from zero.
         assert_eq!(context.take_prof(), ProfCounters::default());
+    }
+
+    #[test]
+    fn arena_gauge_counts_the_recorded_run_and_pooled_workspaces() {
+        let p = profile(
+            &[
+                (1.0, &[(0, 0.6), (1, 0.3)]),
+                (2.0, &[(0, 0.5), (1, 0.6)]),
+                (1.5, &[(0, 0.4), (1, 0.5)]),
+                (3.0, &[(0, 0.7), (1, 0.7)]),
+            ],
+            &[(0, 0.6), (1, 0.6)],
+        );
+        let mechanism = crate::multi_task::MultiTaskMechanism::new(10.0).unwrap();
+        let mut context = ClearContext::new();
+        for _ in 0..2 {
+            let round = mechanism.allocate_with(&mut context, &p).unwrap();
+            assert!(!round.criticals().unwrap().is_empty());
+        }
+        // The second prepare found the first round's record and the
+        // workspaces its pricing grew; the gauge counts them all.
+        let index_and_seeds = context.index.as_ref().unwrap().resident_bytes()
+            + context.seeds.entries.capacity() * size_of::<HeapEntry>()
+            + context.seeds.slot_of.capacity() * size_of::<u32>();
+        let recorded = context.recorded.resident_bytes();
+        let pooled = context.workspaces.resident_bytes();
+        assert!(recorded > 0 && pooled > 0);
+        assert_eq!(
+            context.take_prof().resident_bytes as usize,
+            index_and_seeds + recorded + pooled
+        );
     }
 
     #[test]

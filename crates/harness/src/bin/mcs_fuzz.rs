@@ -1,56 +1,39 @@
-//! `mcs-fuzz` — seeded chaos campaigns against the auction platform.
+//! `mcs-fuzz` — the scenario corpus, chaos included, against the auction
+//! platform.
 //!
-//! Synthesizes a faulted bid stream from a seed, drives it through a real
-//! engine, and oracle-checks every surviving round against the paper's
-//! economic invariants. Exits non-zero on any violation, so it slots
-//! straight into CI.
+//! Runs corpus scenarios — named, pinned-seed worlds under `scenarios/`:
+//! diurnal and bursty arrivals, regional PoS shocks, strategic bidders,
+//! admission control, closed-loop campaigns, and `[chaos]` fault plans —
+//! through a real engine, oracle-checks every surviving round against the
+//! paper's economic invariants, and holds each run to its pinned
+//! `[baseline]`. Exits non-zero on any violation, so it slots straight
+//! into CI.
 //!
 //! ```text
-//! mcs-fuzz [--seed S] [--rounds N] [--faults F] [--tasks T] [--bids B]
-//!          [--workers W] [--payment-threads P] [--drain-every D]
-//!          [--verify-determinism] [--ci-smoke] [--soak] [--campaign]
-//!          [--scenario NAME|PATH|all] [--record-trace FILE]
-//!          [--replay-trace FILE] [--print-baseline]
+//! mcs-fuzz [--scenario NAME|PATH|all] [--seed S] [--verify-determinism]
+//!          [--record-trace FILE] [--replay-trace FILE] [--print-baseline]
 //!          [--cluster] [--nodes N] [--bands B]
 //! ```
 //!
-//! * `--seed`    campaign seed: bid stream, fault plan, execution draws (default 1)
-//! * `--rounds`  logical rounds to synthesize (default 60)
-//! * `--faults`  fault intensity: per-round fault probability in [0, 1] (default 0.35)
-//! * `--tasks`   published tasks per round; 1 = FPTAS, >1 = greedy (default 1)
-//! * `--bids`    well-formed bids per round (default 8)
-//! * `--workers` shard workers (default 4)
-//! * `--payment-threads` per-round payment fan-out (default 1)
-//! * `--drain-every`     drain cadence in logical rounds (default 4)
-//! * `--verify-determinism` re-run at several worker/payment-thread
-//!   combinations and require identical fingerprints
-//! * `--ci-smoke` run the fixed CI campaign matrix (<30 s) and exit
-//!   non-zero on any violation or fingerprint mismatch
-//! * `--soak` sustained-overload mode: every logical round arrives 10×
-//!   oversubscribed against tail-drop admission and a clearing budget.
-//!   Asserts the memory proxies stay bounded (backlog never exceeds the
-//!   high watermark, the trace ring never wraps), that sheds happen and
-//!   are fully accounted, that over-budget rounds partially clear, and
-//!   that fingerprints stay bitwise identical across worker counts.
-//!   Combine with `--ci-smoke` for the shortened CI variant.
-//! * `--campaign` closed-loop mode: drives seeded *auction* campaigns
-//!   (`mcs-campaign` residual re-auction loops) across a matrix of
-//!   execution-failure rates, with and without chaos faults (report
-//!   flips, shard panics, queue reorders) layered on top, and asserts
-//!   the closed-loop oracles — residual monotonicity, termination,
-//!   calibration sanity, payout conservation — plus bitwise fingerprint
-//!   determinism across worker/payment-thread counts. Combine with
-//!   `--ci-smoke` for the shortened CI variant.
-//! * `--scenario` corpus mode: runs a named scenario from `scenarios/`
-//!   (or a `.toml` path, or `all` for the whole corpus) through the
-//!   scenario driver — diurnal/bursty arrivals, regional PoS shocks,
-//!   strategic populations — and checks the outcome against the
-//!   scenario's pinned `[baseline]` (missing baseline = failure).
-//!   Scenarios with a `[strategy]` section also run the online SP twin
-//!   sweep. Add `--verify-determinism` for the worker × payment-thread
-//!   fingerprint matrix.
-//! * `--cluster` deployment mode: runs every pinned corpus scenario
-//!   through `mcs-cluster` deployments and requires (a) 1-node and
+//! * `--scenario` a corpus name, a `.toml` path, or `all` for the whole
+//!   corpus (default `all`). Each scenario runs through the scenario
+//!   driver and is checked against its pinned `[baseline]` (missing
+//!   baseline = failure); scenarios with a `[strategy]` section also run
+//!   the online SP twin sweep.
+//! * `--seed` re-seeds every scenario run for exploration: arrivals,
+//!   draws, shocks, execution draws and a drawn `[chaos]` plan follow the
+//!   new seed. The pinned baseline belongs to the scenario's own seed, so
+//!   it is skipped, and the run says so.
+//! * `--verify-determinism` re-runs each scenario at several worker ×
+//!   payment-thread combinations (kernel profiling on) and requires
+//!   identical fingerprints and totals
+//! * `--record-trace FILE` write the run's checksummed drive log
+//! * `--replay-trace FILE` replay a recorded log instead of generating
+//!   bids; the outcome must still match the pinned baseline bitwise
+//! * `--print-baseline` print the observed `[baseline]` block (for
+//!   pinning new or re-versioned scenarios) instead of enforcing one
+//! * `--cluster` deployment mode: runs the `--scenario` target through
+//!   `mcs-cluster` deployments and requires (a) 1-node and
 //!   `--nodes`-node loopback runs to produce bitwise-identical
 //!   fingerprints, (b) the in-process `mcs_cluster::ground_truth` to
 //!   agree, and (c) the three cluster chaos campaigns to hold: node
@@ -61,47 +44,28 @@
 //!   equivalence check over real ephemeral-port sockets.
 //! * `--nodes` cluster node count for `--cluster` (default 3)
 //! * `--bands` region bands (= shards) for `--cluster` (default 6, at most 8)
-//! * `--record-trace FILE` write the run's checksummed drive log
-//! * `--replay-trace FILE` replay a recorded log instead of generating
-//!   bids; the outcome must still match the pinned baseline bitwise
-//! * `--print-baseline` print the observed `[baseline]` block (for
-//!   pinning new or re-versioned scenarios) instead of enforcing one
 //!
-//! Bad input — an unknown flag, an unparsable value, `--tasks 0` or
-//! `--bids 0`, more `--bands` than the cluster grid has columns, or
-//! `--record-trace` / `--replay-trace` with `--scenario all` — exits 2.
+//! Bad input exits 2 before anything runs: an unknown flag, an
+//! unparsable value, more `--bands` than the cluster grid has columns, or
+//! `--record-trace` / `--replay-trace` with `--scenario all` or with a
+//! scenario that records no replayable trace (campaign mode, `[chaos]`).
 //!
-//! A failing campaign is reproduced by re-running with the same `--seed`,
-//! `--rounds`, `--faults`, and `--tasks`; the fingerprint printed at the
-//! end must match bitwise.
+//! A failing run is reproduced by re-running with the same `--scenario`
+//! and `--seed`; the fingerprint printed must match bitwise.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
-use mcs_campaign::prelude::{CampaignRunner, SyntheticBidSource};
 use mcs_cluster::ground_truth;
-use mcs_core::types::{Task, TaskId};
 use mcs_harness::cluster::GRID_WIDTH;
 use mcs_harness::prelude::*;
+use mcs_harness::scenario::ScenarioMode;
 use mcs_obs::replay::ReplayLog;
-use mcs_platform::batch::RoundId;
-use mcs_platform::config::{AdmissionConfig, EngineConfig, ShedPolicy};
-
-// mcs-campaign's config — aliased because the chaos harness already
-// says `CampaignConfig` for a *fault* campaign.
-use mcs_campaign::prelude::CampaignConfig as LoopConfig;
 
 struct Options {
-    /// `--seed`, `--rounds`, `--tasks`, `--bids`, `--workers`,
-    /// `--payment-threads` and `--drain-every`.
-    campaign: CampaignConfig,
-    faults: f64,
+    scenario: String,
+    seed: Option<u64>,
     verify_determinism: bool,
-    ci_smoke: bool,
-    soak: bool,
-    campaign_loop: bool,
-    scenario: Option<String>,
     record_trace: Option<String>,
     replay_trace: Option<String>,
     print_baseline: bool,
@@ -113,17 +77,9 @@ struct Options {
 impl Options {
     fn parse() -> Result<Options, String> {
         let mut options = Options {
-            campaign: CampaignConfig {
-                seed: 1,
-                rounds: 60,
-                ..CampaignConfig::default()
-            },
-            faults: 0.35,
+            scenario: "all".to_string(),
+            seed: None,
             verify_determinism: false,
-            ci_smoke: false,
-            soak: false,
-            campaign_loop: false,
-            scenario: None,
             record_trace: None,
             replay_trace: None,
             print_baseline: false,
@@ -131,27 +87,14 @@ impl Options {
             nodes: 3,
             bands: 6,
         };
-        let campaign = &mut options.campaign;
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             let mut value =
                 |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
             match arg.as_str() {
-                "--seed" => campaign.seed = parse(&value("--seed")?)?,
-                "--rounds" => campaign.rounds = parse(&value("--rounds")?)?,
-                "--faults" => options.faults = parse(&value("--faults")?)?,
-                "--tasks" => campaign.task_count = parse(&value("--tasks")?)?,
-                "--bids" => campaign.bids_per_round = parse(&value("--bids")?)?,
-                "--workers" => campaign.workers = parse(&value("--workers")?)?,
-                "--payment-threads" => {
-                    campaign.payment_threads = parse(&value("--payment-threads")?)?
-                }
-                "--drain-every" => campaign.drain_every = parse(&value("--drain-every")?)?,
+                "--scenario" => options.scenario = value("--scenario")?,
+                "--seed" => options.seed = Some(parse(&value("--seed")?)?),
                 "--verify-determinism" => options.verify_determinism = true,
-                "--ci-smoke" => options.ci_smoke = true,
-                "--soak" => options.soak = true,
-                "--campaign" => options.campaign_loop = true,
-                "--scenario" => options.scenario = Some(value("--scenario")?),
                 "--record-trace" => options.record_trace = Some(value("--record-trace")?),
                 "--replay-trace" => options.replay_trace = Some(value("--replay-trace")?),
                 "--print-baseline" => options.print_baseline = true,
@@ -159,25 +102,13 @@ impl Options {
                 "--nodes" => options.nodes = parse(&value("--nodes")?)?,
                 "--bands" => options.bands = parse(&value("--bands")?)?,
                 "--help" | "-h" => {
-                    return Err("usage: mcs-fuzz [--seed S] [--rounds N] [--faults F] \
-                         [--tasks T] [--bids B] [--workers W] [--payment-threads P] \
-                         [--drain-every D] [--verify-determinism] [--ci-smoke] [--soak] \
-                         [--campaign] [--scenario NAME|PATH|all] [--record-trace FILE] \
-                         [--replay-trace FILE] [--print-baseline] \
-                         [--cluster] [--nodes N] [--bands B]"
+                    return Err("usage: mcs-fuzz [--scenario NAME|PATH|all] [--seed S] \
+                         [--verify-determinism] [--record-trace FILE] [--replay-trace FILE] \
+                         [--print-baseline] [--cluster] [--nodes N] [--bands B]"
                         .to_string())
                 }
                 other => return Err(format!("unknown flag {other}")),
             }
-        }
-        if !(0.0..=1.0).contains(&options.faults) {
-            return Err(format!(
-                "--faults expects a probability in [0, 1], got {}",
-                options.faults
-            ));
-        }
-        if options.campaign.task_count == 0 || options.campaign.bids_per_round == 0 {
-            return Err("--tasks and --bids expect at least 1".to_string());
         }
         if options.bands > GRID_WIDTH {
             return Err(format!(
@@ -185,13 +116,16 @@ impl Options {
                 options.bands
             ));
         }
-        if options.scenario.as_deref() == Some("all")
-            && (options.record_trace.is_some() || options.replay_trace.is_some())
-        {
-            return Err(
-                "--record-trace and --replay-trace take one scenario, not --scenario all"
-                    .to_string(),
-            );
+        if options.record_trace.is_some() || options.replay_trace.is_some() {
+            if options.scenario == "all" {
+                return Err(
+                    "--record-trace and --replay-trace take one scenario, not --scenario all"
+                        .to_string(),
+                );
+            }
+            mcs_harness::scenario::load(&options.scenario)
+                .and_then(|scenario| scenario.traceable())
+                .map_err(|error| format!("--record-trace / --replay-trace: {error}"))?;
         }
         Ok(options)
     }
@@ -238,234 +172,6 @@ fn sweep(
     ok
 }
 
-/// Runs one campaign, prints its summary, and checks it: clean, inside
-/// the observability contract, and (with `determinism`) bitwise
-/// identical across worker/payment-thread combinations. Returns the
-/// outcome and whether all of that held.
-///
-/// The observability contract: the flight recorder stays inside its
-/// fixed allocation and never wraps, so no round's evidence is lost.
-/// (The drive itself checks every quarantine's post-mortem complete.)
-fn run_one(
-    config: &CampaignConfig,
-    plan: &FaultPlan,
-    label: &str,
-    determinism: bool,
-) -> (CampaignOutcome, bool) {
-    let start = Instant::now();
-    let outcome = run_campaign(config, plan);
-    println!(
-        "{label}: seed {} · {} logical rounds · {} faults planned · \
-         {} cleared, {} quarantined, {} bids rejected, {} shed, {} rebuilds · \
-         fingerprint {:016x} · {:.2?}",
-        config.seed,
-        config.rounds,
-        plan.fault_count(),
-        outcome.results.len(),
-        outcome.quarantine.len(),
-        outcome.rejections,
-        outcome.sheds,
-        outcome.rebuilds,
-        outcome.fingerprint(),
-        start.elapsed()
-    );
-    println!(
-        "  trace: {} events into a {}-slot ring (wrapped: {}) · {} post-mortems",
-        outcome.trace_events,
-        outcome.trace_capacity,
-        outcome.trace_wrapped,
-        outcome.post_mortems.len(),
-    );
-    for violation in &outcome.violations {
-        eprintln!("  VIOLATION: {violation}");
-    }
-    let mut ok = outcome.is_clean();
-    let configured = config.engine_config(plan).trace.capacity;
-    if outcome.trace_capacity != configured {
-        eprintln!(
-            "  OBSERVABILITY: ring capacity {} != configured {configured}",
-            outcome.trace_capacity
-        );
-        ok = false;
-    }
-    if outcome.trace_wrapped {
-        eprintln!(
-            "  OBSERVABILITY: ring wrapped ({} events into {} slots) — undersized",
-            outcome.trace_events, outcome.trace_capacity
-        );
-        ok = false;
-    }
-    if determinism {
-        let cells = [(1, 1), (2, 3), (8, 2)];
-        ok &= sweep(&cells, outcome.fingerprint(), |workers, payment_threads| {
-            let variant = CampaignConfig {
-                workers,
-                payment_threads,
-                ..config.clone()
-            };
-            Ok(run_campaign(&variant, plan).fingerprint())
-        });
-    }
-    (outcome, ok)
-}
-
-/// Sustained-overload soak: every logical round arrives 10×
-/// oversubscribed against tail-drop admission with a clearing budget two
-/// bids under round capacity, so both sheds and deadline-aware partial
-/// clears fire continuously. Asserts the conservation oracle held (the
-/// campaign is clean), that the memory proxies stayed bounded — backlog
-/// never above the high watermark, trace ring never wrapped — and that
-/// fingerprints are bitwise identical across worker counts with
-/// shedding engaged.
-fn soak(options: &Options) -> ExitCode {
-    const FACTOR: u32 = 10;
-    let mut config = options.campaign.clone();
-    if options.ci_smoke {
-        config.rounds = 16;
-    }
-    config.admission = AdmissionConfig {
-        high_watermark: 4 * config.bids_per_round,
-        low_watermark: 2 * config.bids_per_round,
-        policy: ShedPolicy::TailDrop,
-        clear_budget: config.bids_per_round.saturating_sub(2).max(2),
-    };
-    let mut plan = FaultPlan::new();
-    for round in 0..config.rounds {
-        plan.schedule(round, Fault::Oversubscribe(FACTOR));
-    }
-
-    let (outcome, mut ok) = run_one(&config, &plan, "soak", true);
-    println!(
-        "  overload: {} shed, max backlog {} (watermark {}), \
-         {} partial rounds deferring {} bidders",
-        outcome.sheds,
-        outcome.max_backlog,
-        config.admission.high_watermark,
-        outcome.partial_rounds,
-        outcome.deferred,
-    );
-    if outcome.sheds == 0 {
-        eprintln!("  SOAK: {FACTOR}x oversubscription shed no bids");
-        ok = false;
-    }
-    if outcome.max_backlog > config.admission.high_watermark {
-        eprintln!(
-            "  SOAK: backlog reached {} — tail-drop must bound it at {}",
-            outcome.max_backlog, config.admission.high_watermark
-        );
-        ok = false;
-    }
-    if outcome.partial_rounds == 0 {
-        eprintln!("  SOAK: no round exceeded the clearing budget");
-        ok = false;
-    }
-    verdict(
-        ok,
-        "soak",
-        "overload stayed bounded, accounted, and deterministic",
-    )
-}
-
-/// The published task set every closed-loop fuzz campaign pursues.
-fn loop_config(seed: u64, failure_rate: f64) -> LoopConfig {
-    let tasks = vec![
-        Task::with_requirement(TaskId::new(0), 0.95).unwrap(),
-        Task::with_requirement(TaskId::new(1), 0.9).unwrap(),
-        Task::with_requirement(TaskId::new(2), 0.85).unwrap(),
-    ];
-    let mut config = LoopConfig::new(EngineConfig::default().with_seed(seed), tasks, 24);
-    config.failure_rate = failure_rate;
-    config.failure_seed = seed ^ 0xFA11_FA11;
-    config
-}
-
-/// A campaign runner, optionally with chaos faults layered over the
-/// execution-failure stream. One campaign round is exactly one engine
-/// round and a fresh run's ids start at 0, so the chaos rounds can be
-/// armed up front.
-fn loop_runner(config: LoopConfig, chaos: bool) -> CampaignRunner {
-    if chaos {
-        let injector = Arc::new(PlanInjector::new());
-        injector.arm_flip(RoundId(1));
-        injector.arm_reorder(RoundId(2));
-        injector.arm_panic(RoundId(3));
-        CampaignRunner::with_injector(config, injector)
-    } else {
-        CampaignRunner::new(config)
-    }
-}
-
-/// Runs one closed-loop campaign, oracle-checks it, and verifies its
-/// fingerprint is bitwise identical across worker/payment-thread
-/// combinations. Returns whether everything held.
-fn run_closed_loop(seed: u64, failure_rate: f64, chaos: bool) -> bool {
-    const BIDDERS: u32 = 12;
-    let start = Instant::now();
-    let config = loop_config(seed, failure_rate);
-    let budget = config.round_budget();
-    let runner = loop_runner(config, chaos);
-    let mut source = SyntheticBidSource::new(seed, BIDDERS);
-    let report = runner.run(&mut source);
-    let violations = check_campaign(&report, budget);
-    println!(
-        "campaign[seed={seed} rate={failure_rate} chaos={chaos}]: \
-         {} rounds · covered {} · paid {:.3} · {} bids gated · \
-         fingerprint {:016x} · {:.2?}",
-        report.rounds_run(),
-        report.covered,
-        report.total_paid,
-        report.rounds.iter().map(|r| r.bids_gated).sum::<usize>(),
-        report.fingerprint(),
-        start.elapsed()
-    );
-    let mut ok = violations.is_empty();
-    for violation in &violations {
-        eprintln!("  VIOLATION: {violation}");
-    }
-    if !chaos && !report.covered {
-        eprintln!("  CAMPAIGN: residual re-auctions failed to reach coverage in {budget} rounds");
-        ok = false;
-    }
-    let deterministic = sweep(
-        &[(1, 1), (2, 3), (8, 2)],
-        report.fingerprint(),
-        |workers, payment_threads| {
-            let mut variant = loop_config(seed, failure_rate);
-            variant.engine = variant
-                .engine
-                .with_workers(workers)
-                .with_payment_threads(payment_threads);
-            let mut source = SyntheticBidSource::new(seed, BIDDERS);
-            Ok(loop_runner(variant, chaos).run(&mut source).fingerprint())
-        },
-    );
-    ok && deterministic
-}
-
-/// Closed-loop mode: a seeds × failure-rates × chaos matrix of auction
-/// campaigns, each oracle-checked and determinism-verified.
-fn closed_loop_fuzz(options: &Options) -> ExitCode {
-    silence_injected_panics();
-    let seeds: &[u64] = if options.ci_smoke {
-        &[1, 7]
-    } else {
-        &[1, 7, 42, 99, 123]
-    };
-    let mut ok = true;
-    for &seed in seeds {
-        for rate in [0.0, 0.3, 0.6] {
-            for chaos in [false, true] {
-                ok &= run_closed_loop(seed, rate, chaos);
-            }
-        }
-    }
-    verdict(
-        ok,
-        "campaign",
-        "every closed loop covered, clean, and deterministic",
-    )
-}
-
 /// Runs a scenario, or replays the drive log recorded at `replay`.
 fn scenario_outcome(scenario: &Scenario, replay: Option<&str>) -> Result<ScenarioOutcome, String> {
     let Some(path) = replay else {
@@ -506,8 +212,21 @@ fn run_scenario_cli(scenario: &Scenario, options: &Options) -> bool {
         outcome.fingerprint(),
         start.elapsed()
     );
+    if scenario.mode == ScenarioMode::Platform {
+        let drive = &outcome.drive;
+        println!(
+            "  drive: {} faults armed, {} rebuilds, {} partial rounds deferring {} bidders, \
+             max backlog {} · drive fingerprint {:016x}",
+            drive.faults_armed,
+            drive.rebuilds,
+            drive.partial_rounds,
+            drive.deferred,
+            drive.max_backlog,
+            drive.fingerprint()
+        );
+    }
     let mut ok = outcome.is_clean();
-    for violation in &outcome.violations {
+    for violation in &outcome.drive.violations {
         eprintln!("  VIOLATION: {violation}");
     }
     for violation in &outcome.campaign_violations {
@@ -531,14 +250,15 @@ fn run_scenario_cli(scenario: &Scenario, options: &Options) -> bool {
         println!("{}", outcome.baseline().to_toml());
         return ok;
     }
-    match &scenario.baseline {
-        Some(pinned) => {
+    match (&scenario.baseline, options.seed) {
+        (_, Some(seed)) => println!("  baseline: re-seeded to {seed}, pinned baseline skipped"),
+        (Some(pinned), None) => {
             if let Err(error) = pinned.check(&scenario.name, &outcome.baseline()) {
                 eprintln!("  BASELINE: {error}");
                 ok = false;
             }
         }
-        None => {
+        (None, None) => {
             eprintln!(
                 "  BASELINE: scenario {:?} has no pinned [baseline]; run \
                  `mcs-fuzz --scenario {} --print-baseline` and commit the block",
@@ -573,6 +293,14 @@ fn run_scenario_cli(scenario: &Scenario, options: &Options) -> bool {
                     .check(&scenario.name, &variant.baseline())
                     .map_err(|error| format!("baseline: {error}"))?;
             }
+            // The drive fingerprint also covers every quarantine record
+            // and the partial-clear, backlog and rebuild counters.
+            let (drive, reference) = (variant.drive.fingerprint(), outcome.drive.fingerprint());
+            if drive != reference {
+                return Err(format!(
+                    "drive fingerprint {drive:016x} != reference {reference:016x}"
+                ));
+            }
             Ok(variant.fingerprint())
         });
     }
@@ -601,14 +329,17 @@ fn run_scenario_cli(scenario: &Scenario, options: &Options) -> bool {
     ok
 }
 
-/// Resolves `target` — a corpus name, a `.toml` path, or `all` — and runs
-/// `each` on every scenario it names. Returns how many scenarios ran and
-/// whether every one loaded and held; an empty corpus fails.
+/// Resolves `--scenario` — a corpus name, a `.toml` path, or `all` — and
+/// runs `each` on every scenario it names, re-seeded by `--seed` (which
+/// drops the pinned baseline: it belongs to the scenario's own seed).
+/// Returns how many scenarios ran and whether every one loaded and held;
+/// an empty corpus fails.
 fn for_each_scenario(
     mode: &str,
-    target: &str,
+    options: &Options,
     mut each: impl FnMut(&Scenario) -> bool,
 ) -> (usize, bool) {
+    let target = options.scenario.as_str();
     let targets: Vec<String> = if target == "all" {
         match mcs_harness::scenario::corpus_paths() {
             Ok(paths) => paths
@@ -630,7 +361,11 @@ fn for_each_scenario(
     let (mut ran, mut ok) = (0, true);
     for target in &targets {
         match mcs_harness::scenario::load(target) {
-            Ok(scenario) => {
+            Ok(mut scenario) => {
+                if let Some(seed) = options.seed {
+                    scenario.seed = seed;
+                    scenario.baseline = None;
+                }
                 ran += 1;
                 ok &= each(&scenario);
             }
@@ -763,27 +498,6 @@ fn run_cluster_cli(scenario: &Scenario, options: &Options) -> bool {
     ok
 }
 
-/// The fixed CI smoke matrix: a few seeds over both mechanism families,
-/// each verified clean and bitwise identical across worker counts.
-fn ci_smoke() -> ExitCode {
-    let mut ok = true;
-    for seed in [1u64, 7, 42] {
-        for tasks in [1usize, 3] {
-            let config = CampaignConfig {
-                seed,
-                rounds: 40,
-                task_count: tasks,
-                workers: 1,
-                ..CampaignConfig::default()
-            };
-            let plan = FaultPlan::generate(seed, config.rounds, 0.35);
-            let label = format!("smoke[seed={seed} tasks={tasks}]");
-            ok &= run_one(&config, &plan, &label, true).1;
-        }
-    }
-    verdict(ok, "ci-smoke", "all campaigns clean and deterministic")
-}
-
 fn main() -> ExitCode {
     let options = match Options::parse() {
         Ok(options) => options,
@@ -793,38 +507,22 @@ fn main() -> ExitCode {
         }
     };
 
-    // Deployment mode: the whole pinned corpus through the cluster
-    // battery. Corpus mode: every scenario `--scenario` names.
+    // Deployment mode: every scenario `--scenario` names through the
+    // cluster battery. Corpus mode: through the scenario driver.
     if options.cluster {
-        let (ran, ok) = for_each_scenario("cluster", "all", |scenario| {
+        let (ran, ok) = for_each_scenario("cluster", &options, |scenario| {
             run_cluster_cli(scenario, &options)
         });
         let success =
             format!("{ran} scenarios deployment-invariant, chaos survived, mirrors agree");
         return verdict(ok, "cluster", &success);
     }
-    if let Some(target) = &options.scenario {
-        let (_, ok) = for_each_scenario("scenario", target, |scenario| {
-            run_scenario_cli(scenario, &options)
-        });
-        let success = "corpus clean, baselines pinned, mechanism truthful";
-        return verdict(ok, "scenario", success);
-    }
-    if options.campaign_loop {
-        return closed_loop_fuzz(&options);
-    }
-    if options.soak {
-        return soak(&options);
-    }
-    if options.ci_smoke {
-        return ci_smoke();
-    }
-
-    let config = &options.campaign;
-    let plan = FaultPlan::generate(config.seed, config.rounds, options.faults);
-    if run_one(config, &plan, "campaign", options.verify_determinism).1 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let (_, ok) = for_each_scenario("scenario", &options, |scenario| {
+        run_scenario_cli(scenario, &options)
+    });
+    verdict(
+        ok,
+        "scenario",
+        "corpus clean, baselines pinned, mechanism truthful",
+    )
 }

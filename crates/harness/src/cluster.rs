@@ -1,7 +1,7 @@
 //! Cluster chaos: fault-injecting transports and the scenario→cluster
 //! bridge.
 //!
-//! The engine campaigns attack one engine's pipeline; this module
+//! A scenario's `[chaos]` attacks one engine's pipeline; this module
 //! attacks the *deployment*. A [`FaultyTransport`] wraps any
 //! [`NodeTransport`] and injects the three cluster faults from the
 //! [`Fault`] taxonomy on their scheduled rounds:

@@ -1,7 +1,7 @@
 //! The one mirrored drive: a real [`Engine`] plus the mirror that
-//! oracle-checks it. Chaos campaigns ([`crate::campaign`]) and scenario
-//! runs ([`crate::scenario::driver`]) are thin loops over their own bid
-//! sources on top of a [`Drive`].
+//! oracle-checks it. The scenario driver ([`crate::scenario::driver`]),
+//! chaos included, is a thin loop over its bid source on top of a
+//! [`Drive`].
 //!
 //! ## The mirror
 //!
@@ -32,14 +32,17 @@
 //!   counters equal the drive's own tally, which partitions every
 //!   submitted bid), the recorder-vs-log cross-check (the admitted bids
 //!   the flight recorder reconstructs equal the ones the drive admitted,
-//!   bit for bit), and the kernel-counter laws of [`check_kernel`] (all
-//!   counters zero with profiling off).
+//!   bit for bit), the kernel-counter laws of [`check_kernel`] (all
+//!   counters zero with profiling off), and the memory bounds of
+//!   [`check_bounds`]: the trace ring holds its configured capacity and
+//!   never wrapped, and a tail-drop backlog never outgrew the high
+//!   watermark.
 //! * At the finish: engine and mirror agree on the next round id, every
 //!   mirrored round was cleared or quarantined, and the ledger equals the
 //!   summed settlements in total and per user, across every rebuild.
 //!
-//! Two checks are mode-specific and stay with their callers: the chaos
-//! injector's quarantine observations, and the scenario SP deviations.
+//! Two checks stay with the scenario driver, which owns what they read:
+//! the injector's quarantine observations, and the SP deviations.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -59,26 +62,20 @@ use mcs_platform::metrics::{EconSnapshot, MetricsSnapshot};
 use mcs_platform::settle::RoundSettlement;
 use mcs_platform::shard::ClearedRound;
 
-use crate::oracle::{check_kernel, check_round, check_round_trace, OracleViolation};
+use crate::oracle::{check_bounds, check_kernel, check_round, check_round_trace, OracleViolation};
 
 /// A logical-clock trace ring sized so the recorder never wraps
 /// mid-run: the trace oracle needs every round's events to survive until
 /// the final drain. Each round emits one event per admitted bid plus one
 /// per declared task, a handful of rejections, and a fixed budget of
 /// span/milestone events; doubled for headroom (delayed ticks split
-/// rounds), multiplied by `headroom` for runs that push more than
-/// `bids_per_round` into a round, and clamped to keep the upfront
-/// allocation bounded. Logical timestamps are sequence numbers, so traces
-/// and post-mortems stay bitwise identical for any worker count.
-pub(crate) fn logical_trace(
-    bids_per_round: usize,
-    tasks: usize,
-    rounds: u64,
-    headroom: usize,
-) -> TraceConfig {
+/// rounds), and clamped to keep the upfront allocation bounded. Logical
+/// timestamps are sequence numbers, so traces and post-mortems stay
+/// bitwise identical for any worker count.
+pub(crate) fn logical_trace(bids_per_round: usize, tasks: usize, rounds: u64) -> TraceConfig {
     let per_round = bids_per_round * (tasks + 2) + 32;
     TraceConfig {
-        capacity: ((rounds as usize + 2) * per_round * 2 * headroom.max(1)).clamp(1024, 1 << 20),
+        capacity: ((rounds as usize + 2) * per_round * 2).clamp(1024, 1 << 20),
         logical_clock: true,
     }
 }
@@ -91,6 +88,8 @@ struct Incarnation {
     submitted: u64,
     rejected: u64,
     shed: u64,
+    /// The deepest engine backlog observed after any submission.
+    max_backlog: usize,
     /// Every admitted bid, in admission order.
     admitted: Vec<ReplayBid>,
     /// How much of the engine's quarantine and post-mortem logs the
@@ -100,8 +99,7 @@ struct Incarnation {
 }
 
 /// Everything a finished drive produced, accumulated across mid-run
-/// engine rebuilds. A chaos campaign's outcome is exactly this
-/// ([`CampaignOutcome`](crate::campaign::CampaignOutcome)).
+/// engine rebuilds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DriveOutcome {
     /// Every cleared round, keyed by engine round id.
@@ -138,26 +136,18 @@ pub struct DriveOutcome {
     /// Bidders deferred (quarantined) by those partial clears.
     pub deferred: u64,
     /// The deepest engine backlog observed after any submission — under
-    /// tail-drop admission this must never exceed the high watermark.
+    /// tail-drop admission this never exceeds the high watermark
+    /// ([`check_bounds`]).
     pub max_backlog: usize,
     /// Mid-run checkpoint/drop/rebuild cycles executed.
     pub rebuilds: u64,
     /// Engine rounds the mirror closed over the whole run.
     pub rounds_closed: u64,
-    /// Shard/settle/batch faults a chaos campaign armed onto concrete
+    /// Shard/settle/batch faults a `[chaos]` run armed onto concrete
     /// engine rounds (zero for runs that arm none).
     pub faults_armed: u64,
     /// The final engine incarnation's economics.
     pub economics: Option<EconSnapshot>,
-    /// Events the final engine incarnation's flight recorder held at the
-    /// end (rebuilds start a fresh ring).
-    pub trace_events: u64,
-    /// The recorder's fixed ring capacity — tracing never allocates past
-    /// this, no matter how long the run.
-    pub trace_capacity: usize,
-    /// Whether any engine incarnation's recorder lapped its ring (rings
-    /// are sized so this stays `false`).
-    pub trace_wrapped: bool,
 }
 
 impl DriveOutcome {
@@ -168,10 +158,10 @@ impl DriveOutcome {
 
     /// An FNV-1a digest over the run's observable outcomes: round ids,
     /// winners, quotes, reports, payouts, balances, quarantine records,
-    /// and the rejection/shed/partial-clear/rebuild counters. Two
-    /// campaigns with the same seed and plan must fingerprint
-    /// identically for any worker or payment-thread count — with or
-    /// without admission control engaged.
+    /// and the rejection/shed/partial-clear/rebuild counters. Two runs
+    /// with the same seed and plan must fingerprint identically for any
+    /// worker or payment-thread count — with or without admission
+    /// control engaged.
     pub fn fingerprint(&self) -> u64 {
         let mut fnv = Fnv1a::new();
         fold_rounds(&mut fnv, &self.results, &self.settlements);
@@ -193,15 +183,6 @@ impl DriveOutcome {
         fnv.write_u64(self.rebuilds);
         fnv.write_u64(self.rounds_closed);
         fnv.finish()
-    }
-
-    /// The quarantine log as human-readable lines, one per record.
-    pub fn quarantine_log(&self) -> String {
-        self.quarantine
-            .iter()
-            .map(|q| format!("{} ({} bidders): {}", q.id, q.bidders, q.error))
-            .collect::<Vec<_>>()
-            .join("\n")
     }
 }
 
@@ -245,7 +226,9 @@ impl Drive {
         let backlog = self.mirror.pending_bids() + self.mirror_pending;
         let (_, predicted) = self.admission.admit(backlog);
         let engine_side = self.engine.submit(bid);
-        self.out.max_backlog = self.out.max_backlog.max(self.engine.backlog_bids());
+        let backlog = self.engine.backlog_bids();
+        self.incarnation.max_backlog = self.incarnation.max_backlog.max(backlog);
+        self.out.max_backlog = self.out.max_backlog.max(backlog);
         if let Admission::Shed(reason) = predicted {
             // A shed bid never reaches the mirror batcher.
             match engine_side {
@@ -395,9 +378,6 @@ impl Drive {
         out.balances = ledger.balances().clone();
         out.total_paid = ledger.total_paid();
         out.economics = Some(snapshot.economics);
-        let recorder = self.engine.recorder();
-        out.trace_events = recorder.recorded();
-        out.trace_capacity = recorder.capacity();
         out
     }
 
@@ -447,10 +427,14 @@ impl Drive {
                 ),
             });
         }
+        let recorder = self.engine.recorder();
+        violations.extend(check_bounds(
+            self.engine.config(),
+            recorder,
+            ended.max_backlog,
+        ));
         // The recorder's story must match the drive's: every admitted bid
         // reconstructs from the trace, in order, bit for bit.
-        let recorder = self.engine.recorder();
-        self.out.trace_wrapped |= recorder.wrapped();
         if recorder.capacity() > 0 && !recorder.wrapped() {
             let traced = admitted_bids(&recorder.snapshot());
             if traced != ended.admitted {
@@ -477,9 +461,9 @@ impl Drive {
         let engine = &self.engine;
         let out = &mut self.out;
         let recorder = engine.recorder();
-        // A lapped ring legitimately loses old events; rings are sized
-        // never to wrap, so a wrap only disables the trace oracle, it is
-        // not itself a violation.
+        // A lapped ring loses old events, so a wrap disables the trace
+        // oracle; the wrap itself is reported once per incarnation, by
+        // `check_bounds`.
         let trace_intact = recorder.capacity() > 0 && !recorder.wrapped();
         for (&id, round) in engine.results() {
             if out.results.contains_key(&id) {
@@ -631,7 +615,7 @@ mod tests {
     fn drive(max_bids: usize) -> Drive {
         let mut config = EngineConfig::default().with_seed(5);
         config.batch.max_bids = max_bids;
-        config.trace = logical_trace(max_bids, 1, 4, 1);
+        config.trace = logical_trace(max_bids, 1, 4);
         let tasks = vec![Task::with_requirement(TaskId::new(0), 0.8).unwrap()];
         Drive::new(config, tasks, Arc::new(NoFaults))
     }
@@ -671,6 +655,29 @@ mod tests {
         assert!(out
             .violations
             .contains(&OracleViolation::SilentDrop { round: RoundId(0) }));
+    }
+
+    #[test]
+    fn a_lapped_trace_ring_is_reported_unbounded() {
+        let mut config = EngineConfig::default().with_seed(5);
+        config.batch.max_bids = 2;
+        config.trace = TraceConfig {
+            capacity: 8,
+            logical_clock: true,
+        };
+        let tasks = vec![Task::with_requirement(TaskId::new(0), 0.8).unwrap()];
+        let mut drive = Drive::new(config, tasks, Arc::new(NoFaults));
+        for user in 0..4 {
+            drive.submit(&bid(user));
+        }
+        drive.drain();
+        let out = drive.finish();
+        assert!(
+            out.violations.iter().any(|v| matches!(v,
+                OracleViolation::Unbounded { detail } if detail.contains("wrapped"))),
+            "{:?}",
+            out.violations
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Economic-invariant oracles: the paper's guarantees, checked round by
 //! round against what the platform actually produced.
 //!
-//! After every surviving round a campaign calls [`check_round`] with the
-//! round's declared profile (from the campaign's mirror batcher), the
+//! After every surviving round the drive calls [`check_round`] with the
+//! round's declared profile (from its mirror batcher), the
 //! engine's [`ClearedRound`], and its [`RoundSettlement`]. The oracle
 //! re-derives what the mechanism *should* have done and reports every
 //! discrepancy as a typed [`OracleViolation`]:
@@ -27,11 +27,12 @@
 //!
 //! Run-level checks (admission and ledger conservation, zero silent
 //! round drops, stream synchronisation) live in [`crate::drive`] and
-//! reuse the same violation type.
+//! reuse the same violation type; the drive also holds every engine
+//! incarnation to the memory bounds of [`check_bounds`].
 
 use std::fmt;
 
-use mcs_obs::{EventKind, Stage, TraceEvent};
+use mcs_obs::{EventKind, FlightRecorder, Stage, TraceEvent};
 
 use mcs_core::analysis::{
     check_critical_bid_padding, expected_utility_from_quotes, implied_critical_pos,
@@ -42,7 +43,7 @@ use mcs_core::single_task::SingleTaskMechanism;
 use mcs_core::types::{TypeProfile, UserId};
 use mcs_core::McsError;
 use mcs_platform::batch::RoundId;
-use mcs_platform::config::EngineConfig;
+use mcs_platform::config::{EngineConfig, ShedPolicy};
 use mcs_platform::settle::RoundSettlement;
 use mcs_platform::shard::ClearedRound;
 
@@ -143,7 +144,7 @@ pub enum OracleViolation {
         /// The dropped round.
         round: RoundId,
     },
-    /// The campaign's mirror batcher and the engine disagreed — an
+    /// The drive's mirror batcher and the engine disagreed — an
     /// accepted/rejected bid mismatch or a round-id drift.
     StreamDesync {
         /// What went out of sync.
@@ -169,6 +170,13 @@ pub enum OracleViolation {
     /// miscounting, or a drain lost part of a round's counts.
     KernelUnbalanced {
         /// Which conservation law broke and the numbers involved.
+        detail: String,
+    },
+    /// A memory bound broke: the flight recorder lapped its ring or does
+    /// not hold its configured capacity, or the backlog outgrew the
+    /// tail-drop high watermark (see [`check_bounds`]).
+    Unbounded {
+        /// Which bound broke and the numbers involved.
         detail: String,
     },
     /// The oracle itself failed to evaluate an invariant.
@@ -246,6 +254,7 @@ impl fmt::Display for OracleViolation {
             OracleViolation::KernelUnbalanced { detail } => {
                 write!(f, "kernel counters unbalanced: {detail}")
             }
+            OracleViolation::Unbounded { detail } => write!(f, "unbounded: {detail}"),
             OracleViolation::OracleError { round, detail } => {
                 write!(f, "{round}: oracle error: {detail}")
             }
@@ -300,6 +309,54 @@ pub fn check_kernel(kernel: &mcs_platform::metrics::KernelSnapshot) -> Vec<Oracl
             detail: format!(
                 "stale_reevals {} exceeds heap_pops {}",
                 kernel.stale_reevals, kernel.heap_pops
+            ),
+        });
+    }
+    violations
+}
+
+/// Checks the memory bounds of one engine incarnation run under
+/// `config`:
+///
+/// * its flight `recorder` holds exactly the configured ring capacity —
+///   tracing never allocates past it, however long the run;
+/// * the ring never lapped, so no round's evidence was overwritten (runs
+///   size their rings never to wrap);
+/// * under tail-drop admission, the deepest backlog observed after any
+///   submission (`max_backlog`) stayed at or below the high watermark.
+pub fn check_bounds(
+    config: &EngineConfig,
+    recorder: &FlightRecorder,
+    max_backlog: usize,
+) -> Vec<OracleViolation> {
+    let mut violations = Vec::new();
+    if recorder.capacity() != config.trace.capacity {
+        violations.push(OracleViolation::Unbounded {
+            detail: format!(
+                "trace ring holds {} slots, configured {}",
+                recorder.capacity(),
+                config.trace.capacity
+            ),
+        });
+    }
+    if recorder.wrapped() {
+        violations.push(OracleViolation::Unbounded {
+            detail: format!(
+                "trace ring wrapped: {} events into {} slots",
+                recorder.recorded(),
+                recorder.capacity()
+            ),
+        });
+    }
+    let admission = config.admission;
+    if admission.is_enabled()
+        && admission.policy == ShedPolicy::TailDrop
+        && max_backlog > admission.high_watermark
+    {
+        violations.push(OracleViolation::Unbounded {
+            detail: format!(
+                "backlog reached {max_backlog}; tail-drop bounds it at {}",
+                admission.high_watermark
             ),
         });
     }
@@ -690,6 +747,75 @@ mod tests {
         }
         .to_string();
         assert!(text.contains("r3") && text.contains("RoundSettled"));
+    }
+
+    /// A recorder under a `capacity`-slot logical-clock config that
+    /// recorded `events` events.
+    fn recorder(capacity: usize, events: u64) -> (EngineConfig, FlightRecorder) {
+        let mut config = EngineConfig::default();
+        config.trace = mcs_platform::config::TraceConfig {
+            capacity,
+            logical_clock: true,
+        };
+        let recorder = FlightRecorder::new(capacity, mcs_obs::ClockMode::Logical);
+        for round in 0..events {
+            recorder.record(mcs_obs::RawEvent::new(
+                EventKind::RoundClosed,
+                round,
+                0,
+                0,
+                0,
+            ));
+        }
+        (config, recorder)
+    }
+
+    fn unbounded(violations: &[OracleViolation], needle: &str) -> bool {
+        violations
+            .iter()
+            .any(|v| matches!(v, OracleViolation::Unbounded { detail } if detail.contains(needle)))
+    }
+
+    #[test]
+    fn a_bounded_incarnation_passes() {
+        let (config, recorder) = recorder(16, 16);
+        assert!(check_bounds(&config, &recorder, 1_000).is_empty());
+    }
+
+    #[test]
+    fn a_lapped_ring_trips_the_bound() {
+        let (config, recorder) = recorder(16, 17);
+        let violations = check_bounds(&config, &recorder, 0);
+        assert!(unbounded(&violations, "wrapped"), "{violations:?}");
+    }
+
+    #[test]
+    fn a_ring_off_its_configured_capacity_trips_the_bound() {
+        let (mut config, recorder) = recorder(16, 4);
+        config.trace.capacity = 32;
+        let violations = check_bounds(&config, &recorder, 0);
+        assert!(unbounded(&violations, "configured 32"), "{violations:?}");
+    }
+
+    #[test]
+    fn a_backlog_over_the_tail_drop_watermark_trips_the_bound() {
+        let (mut config, recorder) = recorder(16, 4);
+        config.admission = mcs_platform::config::AdmissionConfig {
+            high_watermark: 12,
+            low_watermark: 6,
+            policy: ShedPolicy::TailDrop,
+            clear_budget: 0,
+        };
+        assert!(check_bounds(&config, &recorder, 12).is_empty());
+        let violations = check_bounds(&config, &recorder, 13);
+        assert!(
+            unbounded(&violations, "backlog reached 13"),
+            "{violations:?}"
+        );
+        // Seeded-uniform shedding only thins the stream: no bound to hold.
+        config.admission.policy =
+            ShedPolicy::SeededUniform(mcs_platform::config::SeededUniform { seed: 1, rate: 0.5 });
+        assert!(check_bounds(&config, &recorder, 13).is_empty());
     }
 
     /// Runs one traced engine round and returns its per-round trace.

@@ -1,10 +1,10 @@
-//! Fault taxonomy and per-round campaign schedules.
+//! Fault taxonomy and per-round schedules.
 //!
-//! A [`FaultPlan`] maps *logical* campaign rounds to the [`Fault`]s a
-//! campaign injects there. Plans are plain data: build one by hand to pin
-//! a regression, or derive one from a seed with [`FaultPlan::generate`] so
-//! an entire campaign is reproducible from `(seed, rounds, intensity)`
-//! alone.
+//! A [`FaultPlan`] maps *logical* scenario rounds to the [`Fault`]s a
+//! run injects there. Plans are plain data: list one round by round in a
+//! scenario's `[chaos]` section to pin a regression, or derive one from
+//! a seed with [`FaultPlan::generate`] so a whole chaos run is
+//! reproducible from `(seed, rounds, intensity)` alone.
 
 use std::collections::BTreeMap;
 
@@ -14,12 +14,13 @@ use rand::{Rng, SeedableRng};
 /// One injectable fault, tagged by the pipeline stage it attacks.
 ///
 /// Ingest faults materialise as deliberately malformed bids inserted into
-/// the round's bid stream; the engine must reject each with the matching
-/// typed [`IngestError`](mcs_platform::ingest::IngestError). Batch faults
+/// the round's bid stream ([`crate::stream`]); the engine must reject each
+/// with the matching typed
+/// [`IngestError`](mcs_platform::ingest::IngestError). Batch faults
 /// perturb round-closing (extra ticks, pending-queue reorder). Shard and
-/// settle faults arm the campaign's
-/// [`PlanInjector`](crate::inject::PlanInjector) for the engine rounds the
-/// logical round closes.
+/// settle faults arm the run's
+/// [`ScenarioInjector`](crate::inject::ScenarioInjector) for the engine
+/// rounds the logical round closes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Fault {
     /// Ingest: a bid whose declared cost is NaN.
@@ -53,15 +54,9 @@ pub enum Fault {
     InfeasibleRound,
     /// Settle: flip every execution report of the round before payout.
     FlipReports,
-    /// Settle: after the next drain, checkpoint the engine, drop it, and
-    /// rebuild from the checkpoint mid-campaign.
+    /// Settle: drain the round, then checkpoint the engine, drop it, and
+    /// rebuild from the checkpoint mid-run.
     DropAndRebuild,
-    /// Admission: a burst of this-many× the round's base bids arrives
-    /// back-to-back before the round's own bids, spiking the backlog.
-    BurstArrival(u32),
-    /// Admission: sustain this-many× oversubscription across the round —
-    /// after every base bid, `factor − 1` extra bids arrive.
-    Oversubscribe(u32),
     /// Cluster: the node's primary replica dies mid-round — its first
     /// `Clear` of the fault round still lands, every later call is
     /// unreachable. The coordinator must promote the follower and the
@@ -91,10 +86,9 @@ impl Fault {
             Fault::DelayedTicks(_) | Fault::ReorderPending => "batch",
             Fault::ShardPanic | Fault::InfeasibleRound => "shard",
             Fault::FlipReports | Fault::DropAndRebuild => "settle",
-            Fault::BurstArrival(_) | Fault::Oversubscribe(_) => "admission",
             // Cluster faults attack the coordinator/node layer, never the
             // single-engine pipeline; `FaultPlan::generate` deliberately
-            // excludes them so existing engine campaigns are unchanged.
+            // excludes them.
             Fault::NodeLoss(_) | Fault::NetPartition(_) | Fault::DuplicateDelivery => "cluster",
         }
     }
@@ -103,16 +97,40 @@ impl Fault {
     pub fn is_ingest(&self) -> bool {
         self.stage() == "ingest"
     }
+
+    /// Parses a fault's spelling in a scenario's `[chaos]` round list: the
+    /// variant name in kebab case (`nan-cost-bid`, `shard-panic`, …), and
+    /// `delayed-ticks:N` for [`Fault::DelayedTicks`]. Cluster faults have
+    /// no spelling: the cluster battery schedules its own.
+    pub fn parse(name: &str) -> Option<Fault> {
+        let fault = match name {
+            "nan-cost-bid" => Fault::NanCostBid,
+            "negative-cost-bid" => Fault::NegativeCostBid,
+            "out-of-range-pos-bid" => Fault::OutOfRangePosBid,
+            "empty-task-set-bid" => Fault::EmptyTaskSetBid,
+            "unknown-task-bid" => Fault::UnknownTaskBid,
+            "duplicate-task-bid" => Fault::DuplicateTaskBid,
+            "duplicate-user-bid" => Fault::DuplicateUserBid,
+            "oversized-bid" => Fault::OversizedBid,
+            "reorder-pending" => Fault::ReorderPending,
+            "shard-panic" => Fault::ShardPanic,
+            "infeasible-round" => Fault::InfeasibleRound,
+            "flip-reports" => Fault::FlipReports,
+            "drop-and-rebuild" => Fault::DropAndRebuild,
+            _ => Fault::DelayedTicks(name.strip_prefix("delayed-ticks:")?.parse().ok()?),
+        };
+        Some(fault)
+    }
 }
 
-/// A per-round fault schedule for one campaign.
+/// A per-round fault schedule for one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: BTreeMap<u64, Vec<Fault>>,
 }
 
 impl FaultPlan {
-    /// An empty plan: the campaign runs fault-free.
+    /// An empty plan: the run is fault-free.
     pub fn new() -> Self {
         FaultPlan::default()
     }
@@ -138,32 +156,10 @@ impl FaultPlan {
         self.faults.values().map(Vec::len).sum()
     }
 
-    /// The trace-ring headroom multiplier a campaign over `rounds`
-    /// logical rounds needs for this plan: 1 with no overload faults,
-    /// otherwise enough extra capacity to hold every burst and
-    /// oversubscribed bid without the ring wrapping.
-    pub fn trace_headroom(&self, rounds: u64) -> usize {
-        let extra: u64 = self
-            .faults
-            .values()
-            .flatten()
-            .map(|fault| match fault {
-                Fault::BurstArrival(factor) => *factor as u64,
-                Fault::Oversubscribe(factor) => (*factor as u64).saturating_sub(1),
-                _ => 0,
-            })
-            .sum();
-        if extra == 0 {
-            return 1;
-        }
-        let rounds = rounds.max(1);
-        (rounds + extra).div_ceil(rounds) as usize
-    }
-
     /// Derives a plan from a seed: each of the `rounds` logical rounds
     /// draws one uniformly chosen fault with probability `intensity`.
     /// Identical `(seed, rounds, intensity)` always yields an identical
-    /// plan.
+    /// plan. Cluster faults are never drawn.
     ///
     /// # Panics
     ///
@@ -175,7 +171,7 @@ impl FaultPlan {
             if !rng.gen_bool(intensity) {
                 continue;
             }
-            let fault = match rng.gen_range(0u32..16) {
+            let fault = match rng.gen_range(0u32..14) {
                 0 => Fault::NanCostBid,
                 1 => Fault::NegativeCostBid,
                 2 => Fault::OutOfRangePosBid,
@@ -189,9 +185,7 @@ impl FaultPlan {
                 10 => Fault::ShardPanic,
                 11 => Fault::InfeasibleRound,
                 12 => Fault::FlipReports,
-                13 => Fault::DropAndRebuild,
-                14 => Fault::BurstArrival(rng.gen_range(2u32..6)),
-                _ => Fault::Oversubscribe(rng.gen_range(2u32..11)),
+                _ => Fault::DropAndRebuild,
             };
             plan.schedule(round, fault);
         }
@@ -226,25 +220,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_headroom_scales_with_scheduled_overload() {
-        let mut plan = FaultPlan::new();
-        assert_eq!(plan.trace_headroom(20), 1);
-        plan.schedule(0, Fault::ShardPanic);
-        assert_eq!(plan.trace_headroom(20), 1);
-        // 10× oversubscription on every one of 20 rounds: 180 extra
-        // round-equivalents → 10× the baseline capacity.
-        for round in 0..20 {
-            plan.schedule(round, Fault::Oversubscribe(10));
-        }
-        assert_eq!(plan.trace_headroom(20), 10);
-    }
-
-    #[test]
     fn cluster_faults_are_typed_but_never_generated() {
         assert_eq!(Fault::NodeLoss(2).stage(), "cluster");
         assert_eq!(Fault::NetPartition(0).stage(), "cluster");
         assert_eq!(Fault::DuplicateDelivery.stage(), "cluster");
-        // Engine campaigns must never draw a cluster fault: the stage
+        // Engine runs must never draw a cluster fault: the stage
         // census below (`every_stage_is_reachable_from_generation`)
         // would catch one, but check directly too.
         let plan = FaultPlan::generate(7, 2000, 1.0);
@@ -252,6 +232,50 @@ mod tests {
             .rounds()
             .flat_map(|r| plan.faults_for(r).iter())
             .all(|fault| fault.stage() != "cluster"));
+    }
+
+    #[test]
+    fn every_engine_fault_has_a_chaos_spelling() {
+        let plan = FaultPlan::generate(7, 2000, 1.0);
+        let spelled = [
+            ("nan-cost-bid", Fault::NanCostBid),
+            ("oversized-bid", Fault::OversizedBid),
+            ("delayed-ticks:5", Fault::DelayedTicks(5)),
+            ("reorder-pending", Fault::ReorderPending),
+            ("drop-and-rebuild", Fault::DropAndRebuild),
+        ];
+        for (name, fault) in spelled {
+            assert_eq!(Fault::parse(name), Some(fault), "{name}");
+        }
+        for name in [
+            "node-loss",
+            "delayed-ticks",
+            "delayed-ticks:x",
+            "NanCostBid",
+            "",
+        ] {
+            assert_eq!(Fault::parse(name), None, "{name}");
+        }
+        // Every fault generation draws parses back from its spelling.
+        for fault in plan.rounds().flat_map(|r| plan.faults_for(r)) {
+            let name = match fault {
+                Fault::DelayedTicks(ticks) => format!("delayed-ticks:{ticks}"),
+                other => kebab(&format!("{other:?}")),
+            };
+            assert_eq!(Fault::parse(&name), Some(*fault), "{name}");
+        }
+    }
+
+    /// `NanCostBid` → `nan-cost-bid`.
+    fn kebab(variant: &str) -> String {
+        let mut out = String::new();
+        for ch in variant.chars() {
+            if ch.is_ascii_uppercase() && !out.is_empty() {
+                out.push('-');
+            }
+            out.push(ch.to_ascii_lowercase());
+        }
+        out
     }
 
     #[test]
@@ -268,7 +292,7 @@ mod tests {
             .collect();
         assert_eq!(
             stages.into_iter().collect::<Vec<_>>(),
-            vec!["admission", "batch", "ingest", "settle", "shard"]
+            vec!["batch", "ingest", "settle", "shard"]
         );
     }
 }

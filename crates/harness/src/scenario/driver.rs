@@ -1,57 +1,60 @@
-//! The scenario driver: one engine round per logical round, every round
-//! oracle-checked, every run traced and bit-exactly replayable.
+//! The scenario driver: every logical round submitted, closed and
+//! oracle-checked on one mirrored [`Drive`], every fault-free platform run
+//! traced and bit-exactly replayable.
 //!
 //! ## Execution truth vs. declared truth
 //!
-//! The engine draws execution reports from *declared* PoS — it knows
-//! nothing else. Scenarios model worlds where the truth differs
-//! (regional shocks). The driver closes the gap through the
-//! [`FaultInjector`] settle hook: before each round's bids are
-//! submitted it stages every bidder's true `p_any` with the injector;
-//! the engine's `observe_admitted` ingest hook keys the staged truth to
-//! the concrete engine round the bid actually landed in; and at
-//! settlement `flip_report` redraws the outcome from the *true*
-//! probability on a `(exec seed, round, user)` stream. The redraw runs
-//! on the single-threaded drain path, so outcomes stay bitwise
-//! identical for any worker count.
+//! Before each round's bids are submitted the driver stages every
+//! bidder's true `p_any` on the [`ScenarioInjector`], which redraws each
+//! execution report from it at settlement (see [`crate::inject`]).
+//!
+//! ## Chaos
+//!
+//! A `[chaos]` section arms its fault plan on the same drive and the same
+//! injector: [`round_stream`] weaves ingest and batch faults into the
+//! round's bids, the shard, settle and reorder faults are armed on every
+//! engine round the logical round closed, [`Fault::DropAndRebuild`]
+//! drains and rebuilds the engine, and rounds drain every
+//! `drain_every` logical rounds. Every round still closes at its end.
 //!
 //! ## Record and replay
 //!
-//! Every run records its full drive sequence — every submitted bid
-//! (admitted, rejected, or shed), every flush, every drain — into a
-//! checksummed [`ReplayLog`]. [`replay_scenario`] feeds the logged bids
-//! through a fresh engine under the same scenario; because truth
-//! staging is regenerated from the spec and execution redraws key on
-//! `(round, user)`, the replay reproduces the original outcome bit for
-//! bit: same fingerprint, same settlements, same economics.
+//! Every run records its drive sequence — every submitted bid (admitted,
+//! rejected, or shed), every tick, flush and drain — into a checksummed
+//! [`ReplayLog`]. [`replay_scenario`] feeds the logged bids of a
+//! [traceable](Scenario::traceable) scenario through a fresh engine;
+//! because truth staging is regenerated from the spec and execution
+//! redraws key on `(round, user)`, the replay reproduces the original
+//! outcome bit for bit: same fingerprint, same settlements, same
+//! economics.
 //!
-//! Every run goes through the mirrored [`Drive`], so it gets every
-//! round, trace, post-mortem, conservation and recorder-vs-log check
-//! the chaos campaigns get; the SP deviations are the scenario's own.
+//! Every platform run goes through the mirrored [`Drive`], so every run
+//! gets the same round, trace, post-mortem, conservation, bound and
+//! recorder-vs-log checks; the SP deviations and the injector's
+//! quarantine observations are the driver's own.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use mcs_core::types::UserId;
-use mcs_obs::digest::{mix64, unit, Fnv1a};
+use mcs_obs::digest::{mix64, Fnv1a};
 use mcs_obs::replay::{ReplayLog, ReplayOp};
 use mcs_platform::batch::RoundId;
 use mcs_platform::config::EngineConfig;
-use mcs_platform::fault::FaultInjector;
 use mcs_platform::ingest::Bid;
-use mcs_platform::prelude::EconSnapshot;
-use mcs_platform::settle::RoundSettlement;
-use mcs_platform::shard::ClearedRound;
 
 use mcs_campaign::prelude::FnBidSource;
-use mcs_campaign::runner::{CampaignConfig as LoopConfig, CampaignRunner};
+use mcs_campaign::runner::{CampaignConfig, CampaignRunner};
 
 use crate::closed_loop::{check_campaign, ClosedLoopViolation};
-use crate::drive::{fold_rounds, replay_bid, Drive};
+use crate::drive::{fold_rounds, replay_bid, Drive, DriveOutcome};
+use crate::inject::{silence_injected_panics, ScenarioInjector};
 use crate::oracle::OracleViolation;
+use crate::plan::Fault;
+use crate::stream::round_stream;
 
 use super::arrival::ArrivalCurve;
-use super::population::{Deviation, Population, TrueType};
+use super::population::{Deviation, Population};
 use super::shock::ShockField;
 use super::spec::{Baseline, Scenario, ScenarioMode};
 use super::ScenarioError;
@@ -93,14 +96,13 @@ pub struct ScenarioOutcome {
     pub name: String,
     /// Scenario corpus version.
     pub version: u32,
-    /// Every cleared round, keyed by engine round id (platform mode).
-    pub results: BTreeMap<RoundId, ClearedRound>,
-    /// Every settlement, keyed by engine round id (platform mode).
-    pub settlements: BTreeMap<RoundId, RoundSettlement>,
-    /// Final per-user ledger balances.
+    /// The platform run's drive outcome: every cleared round, settlement,
+    /// quarantine record and post-mortem, the oracle violations, and the
+    /// shed, partial-clear, backlog and rebuild counters (empty in
+    /// campaign mode).
+    pub drive: DriveOutcome,
+    /// Final per-user ledger balances (the drive's, or the campaign's).
     pub balances: BTreeMap<UserId, f64>,
-    /// Round-oracle and stream violations (platform mode).
-    pub violations: Vec<OracleViolation>,
     /// Closed-loop violations (campaign mode).
     pub campaign_violations: Vec<ClosedLoopViolation>,
     /// Deviations played (deviating runs only).
@@ -123,8 +125,6 @@ pub struct ScenarioOutcome {
     pub payment_total: f64,
     /// Total social cost over cleared rounds.
     pub social_cost_total: f64,
-    /// The engine's economics snapshot (platform mode).
-    pub economics: Option<EconSnapshot>,
     /// The closed-loop report fingerprint (campaign mode).
     pub campaign_fingerprint: Option<u64>,
 }
@@ -132,7 +132,7 @@ pub struct ScenarioOutcome {
 impl ScenarioOutcome {
     /// Whether every oracle held.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.campaign_violations.is_empty()
+        self.drive.is_clean() && self.campaign_violations.is_empty()
     }
 
     /// An FNV-1a digest over everything observable: name, version,
@@ -143,7 +143,7 @@ impl ScenarioOutcome {
         let mut fnv = Fnv1a::new();
         fnv.write_bytes(self.name.as_bytes());
         fnv.write_u64(self.version as u64);
-        fold_rounds(&mut fnv, &self.results, &self.settlements);
+        fold_rounds(&mut fnv, &self.drive.results, &self.drive.settlements);
         for (user, balance) in &self.balances {
             fnv.write_u64(user.index() as u64);
             fnv.write_u64(balance.to_bits());
@@ -188,61 +188,6 @@ impl ScenarioOutcome {
     }
 }
 
-/// The scenario fault injector: stages true types per logical round,
-/// keys them onto concrete engine rounds at admission, and redraws
-/// every execution report from the *true* probability.
-#[derive(Debug)]
-struct ScenarioInjector {
-    exec_seed: u64,
-    /// user → true `p_any` bits for the round being submitted.
-    staged: Mutex<BTreeMap<u32, u64>>,
-    /// (engine round, user) → true `p_any` bits, pinned at admission.
-    truths: Mutex<BTreeMap<(u64, u32), u64>>,
-}
-
-impl ScenarioInjector {
-    fn new(exec_seed: u64) -> ScenarioInjector {
-        ScenarioInjector {
-            exec_seed,
-            staged: Mutex::new(BTreeMap::new()),
-            truths: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn stage(&self, truths: &BTreeMap<u32, TrueType>) {
-        let mut staged = self.staged.lock().expect("injector lock");
-        staged.clear();
-        for (&user, truth) in truths {
-            staged.insert(user, truth.p_any.to_bits());
-        }
-    }
-}
-
-impl FaultInjector for ScenarioInjector {
-    fn observe_admitted(&self, round: RoundId, bid: &Bid) {
-        if let Some(&bits) = self.staged.lock().expect("injector lock").get(&bid.user) {
-            self.truths
-                .lock()
-                .expect("injector lock")
-                .insert((round.0, bid.user), bits);
-        }
-    }
-
-    fn flip_report(&self, round: RoundId, user: UserId, completed: bool) -> bool {
-        let truths = self.truths.lock().expect("injector lock");
-        match truths.get(&(round.0, user.index() as u32)) {
-            // Redraw from the true probability on a stream keyed only by
-            // (round, user): deterministic, worker-count independent,
-            // and identical between twin runs — so truthful and
-            // deviating twins face the same world.
-            Some(&bits) => {
-                unit(self.exec_seed, round.0, user.index() as u64) < f64::from_bits(bits)
-            }
-            None => completed,
-        }
-    }
-}
-
 /// Runs a scenario truthfully with its own engine knobs.
 ///
 /// # Errors
@@ -262,6 +207,9 @@ pub fn run_scenario_with(
     scenario: &Scenario,
     options: &RunOptions,
 ) -> Result<ScenarioOutcome, ScenarioError> {
+    if scenario.chaos.is_some() {
+        silence_injected_panics();
+    }
     match scenario.mode {
         ScenarioMode::Platform => run_platform(scenario, options, None),
         ScenarioMode::Campaign => run_campaign_mode(scenario, options),
@@ -274,17 +222,14 @@ pub fn run_scenario_with(
 ///
 /// # Errors
 ///
-/// [`ScenarioError::Trace`] if the log does not belong to this scenario
-/// or has an unreplayable shape.
+/// [`ScenarioError::Trace`] if the scenario is not
+/// [traceable](Scenario::traceable), or the log does not belong to it or
+/// has an unreplayable shape.
 pub fn replay_scenario(
     scenario: &Scenario,
     log: &ReplayLog,
 ) -> Result<ScenarioOutcome, ScenarioError> {
-    if scenario.mode != ScenarioMode::Platform {
-        return Err(ScenarioError::Trace {
-            message: "campaign-mode scenarios do not record drive traces".to_string(),
-        });
-    }
+    scenario.traceable()?;
     if log.seed != scenario.seed {
         return Err(ScenarioError::Trace {
             message: format!(
@@ -340,8 +285,8 @@ pub fn replay_scenario(
 }
 
 /// The platform-mode driver: generate (or replay) each round's bids,
-/// stage truths, and submit, flush and drain them through a [`Drive`],
-/// recording the drive log as it goes.
+/// stage truths, weave in the round's faults, and submit, close and
+/// drain them through a [`Drive`], recording the drive log as it goes.
 fn run_platform(
     scenario: &Scenario,
     options: &RunOptions,
@@ -353,6 +298,8 @@ fn run_platform(
         .as_ref()
         .map(|spec| ShockField::generate(spec, scenario.seed, scenario.rounds));
     let population = Population::new(scenario, &curve, field.as_ref());
+    let plan = scenario.fault_plan();
+    let drain_every = scenario.chaos.as_ref().map_or(1, |chaos| chaos.drain_every);
     let injector = Arc::new(ScenarioInjector::new(mix64(scenario.seed, SALT_EXEC, 0)));
     let mut drive = Drive::new(
         options.engine_config(scenario),
@@ -361,17 +308,33 @@ fn run_platform(
     );
     let mut outcome = ScenarioOutcome::empty(scenario);
     let replaying = replay_rounds.is_some();
+    let mut replay_rounds = replay_rounds.map(Vec::into_iter);
+    let mut faults_armed = 0;
 
     for round in 0..scenario.rounds {
         let generated = population.round(round, options.deviate && !replaying);
-        injector.stage(&generated.truths);
-        let bids: &[Bid] = match &replay_rounds {
-            Some(rounds) => &rounds[round as usize],
-            None => &generated.bids,
+        injector.stage(generated.truths.iter().map(|(&user, t)| (user, t.p_any)));
+        let faults = plan.faults_for(round);
+        let bids = match &mut replay_rounds {
+            Some(rounds) => rounds.next().expect("replay holds every round"),
+            None => generated.bids,
         };
-        for bid in bids {
+        let stream = round_stream(
+            bids,
+            faults,
+            scenario.tasks.count,
+            scenario.population.users,
+        );
+        let mut closed = Vec::new();
+        for (at, bid) in stream.bids.iter().enumerate() {
+            if at == stream.tick_at {
+                for _ in 0..stream.ticks {
+                    outcome.log.push(ReplayOp::Tick);
+                    closed.extend(drive.tick());
+                }
+            }
             outcome.log.push(ReplayOp::Submit(replay_bid(bid)));
-            drive.submit(bid);
+            closed.extend(drive.submit(bid));
         }
         outcome.log.push(ReplayOp::Flush);
         if let Some(id) = drive.flush() {
@@ -383,17 +346,35 @@ fn run_platform(
                 deviation.round = id.0;
                 outcome.deviations.push(deviation);
             }
+            closed.push(id);
         }
-        outcome.log.push(ReplayOp::Drain);
-        drive.drain();
+        // Arm the round's shard, settle and reorder faults onto every
+        // engine round it closed.
+        for &fault in faults {
+            for &id in &closed {
+                faults_armed += u64::from(injector.arm(fault, id));
+            }
+        }
+        let rebuild = faults.contains(&Fault::DropAndRebuild);
+        if rebuild || (round + 1) % drain_every == 0 || round + 1 == scenario.rounds {
+            outcome.log.push(ReplayOp::Drain);
+            drive.drain();
+        }
+        if rebuild {
+            drive.rebuild();
+        }
     }
 
-    let out = drive.finish();
+    let mut out = drive.finish();
+    out.faults_armed = faults_armed;
+    // The injector observed exactly the quarantines the engine recorded.
+    if injector.observed_quarantines() != out.quarantine {
+        out.violations.push(OracleViolation::StreamDesync {
+            detail: "quarantine observations diverge from engine records".to_string(),
+        });
+    }
     outcome.rounds_cleared = out.results.len() as u64;
-    outcome.results = out.results;
-    outcome.settlements = out.settlements;
-    outcome.balances = out.balances;
-    outcome.violations = out.violations;
+    outcome.balances = out.balances.clone();
     outcome.bids_submitted = out.submitted;
     outcome.admitted = out.admitted;
     outcome.sheds = out.sheds;
@@ -401,7 +382,7 @@ fn run_platform(
     outcome.quarantined = out.quarantine.len() as u64;
     outcome.payment_total = out.total_paid;
     outcome.social_cost_total = out.economics.as_ref().map_or(0.0, |e| e.social_cost_total);
-    outcome.economics = out.economics;
+    outcome.drive = out;
     Ok(outcome)
 }
 
@@ -426,7 +407,7 @@ fn run_campaign_mode(
         .map(|spec| ShockField::generate(spec, scenario.seed, horizon));
     let population = Population::new(scenario, &curve, field.as_ref());
 
-    let mut config = LoopConfig::new(
+    let mut config = CampaignConfig::new(
         options.engine_config(scenario),
         scenario.published_tasks(),
         campaign_spec.max_rounds,
@@ -435,11 +416,20 @@ fn run_campaign_mode(
     config.failure_seed = scenario.seed;
     let budget = config.round_budget();
 
+    // One campaign round is exactly one engine round and a fresh run's
+    // ids start at 0, so the `[chaos]` rounds arm up front.
+    let injector = Arc::new(ScenarioInjector::default());
+    let plan = scenario.fault_plan();
+    for round in plan.rounds() {
+        for &fault in plan.faults_for(round) {
+            injector.arm(fault, RoundId(round));
+        }
+    }
     // The runner restricts each round's bids to its open tasks.
     let mut source = FnBidSource::new("scenario", |round, _: &[mcs_core::types::Task]| {
         population.round(round, false).bids
     });
-    let runner = CampaignRunner::new(config);
+    let runner = CampaignRunner::with_injector(config, injector);
     let report = runner.run(&mut source);
 
     let mut outcome = ScenarioOutcome::empty(scenario);
@@ -467,12 +457,23 @@ mod tests {
         let scenario = minimal_scenario();
         let a = run_scenario(&scenario).expect("runs");
         let b = run_scenario(&scenario).expect("runs");
-        assert!(a.is_clean(), "{:?}", a.violations);
+        assert!(a.is_clean(), "{:?}", a.drive.violations);
         assert_eq!(a.rounds_cleared, scenario.rounds);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a, b);
         assert!(a.payment_total > 0.0);
         assert_eq!(a.log.submit_count() as u64, a.bids_submitted);
+    }
+
+    #[test]
+    fn different_seeds_fingerprint_differently() {
+        let scenario = minimal_scenario();
+        let mut reseeded = scenario.clone();
+        reseeded.seed += 1;
+        let a = run_scenario(&scenario).expect("runs");
+        let b = run_scenario(&reseeded).expect("runs");
+        assert!(b.is_clean(), "{:?}", b.drive.violations);
+        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -500,9 +501,7 @@ mod tests {
         let recorded = run_scenario(&scenario).expect("runs");
         let replayed = replay_scenario(&scenario, &recorded.log).expect("replays");
         assert_eq!(recorded.fingerprint(), replayed.fingerprint());
-        assert_eq!(recorded.results, replayed.results);
-        assert_eq!(recorded.settlements, replayed.settlements);
-        assert_eq!(recorded.economics, replayed.economics);
+        assert_eq!(recorded.drive, replayed.drive);
         assert_eq!(recorded.log, replayed.log);
     }
 

@@ -1,14 +1,15 @@
 //! Scenario corpus & trace replay: adversarial, non-i.i.d. load with
 //! online strategy-proofness testing.
 //!
-//! The chaos campaigns in [`crate::campaign`] stress the *platform* with
-//! i.i.d. synthetic load plus injected faults. Real deployments fail
-//! differently: load is diurnal and bursty, probabilities of success are
-//! spatially correlated (weather over a district), and bidders probe the
-//! mechanism with live misreports. This module packages those worlds as
-//! *scenarios* — named, versioned, pinned-seed TOML files under the
-//! repository's `scenarios/` tree — and runs them through a real
-//! [`Engine`](mcs_platform::engine::Engine) with four new oracles:
+//! Real deployments fail in structured ways: load is diurnal and bursty,
+//! probabilities of success are spatially correlated (weather over a
+//! district), bidders probe the mechanism with live misreports, and the
+//! platform itself meets malformed bids, worker panics and crashes. This
+//! module packages those worlds as *scenarios* — named, versioned,
+//! pinned-seed TOML files under the repository's `scenarios/` tree — and
+//! runs them through a real
+//! [`Engine`](mcs_platform::engine::Engine) with these oracles on top of
+//! the drive's per-round checks:
 //!
 //! * **Arrival curves** ([`arrival`]) — a deterministic diurnal sinusoid
 //!   plus seeded bursts with exactly conserved integer mass, feeding the
@@ -24,10 +25,16 @@
 //!   with a truthful twin run in lockstep and an online
 //!   strategy-proofness oracle ([`sp`]) asserting no deviator's expected
 //!   utility under her true type beats her truthful twin's.
-//! * **Trace replay** ([`driver`]) — every run records a checksummed
-//!   [`ReplayLog`](mcs_obs::replay::ReplayLog) of engine drive
-//!   operations that replays bit-exactly: same fingerprint, same
-//!   economics, byte for byte.
+//! * **Chaos** (`[chaos]`) — a [`FaultPlan`](crate::plan::FaultPlan),
+//!   drawn from the seed at an intensity or listed round by round, armed
+//!   on the run: malformed bids, delayed ticks, infeasible rounds, shard
+//!   panics, flipped reports, queue reorders and mid-run rebuilds, with
+//!   multi-round drains. Campaign-mode scenarios arm the shard, settle
+//!   and reorder faults on campaign rounds.
+//! * **Trace replay** ([`driver`]) — every platform run without `[chaos]`
+//!   records a checksummed [`ReplayLog`](mcs_obs::replay::ReplayLog) of
+//!   engine drive operations that replays bit-exactly: same fingerprint,
+//!   same economics, byte for byte.
 //!
 //! Each shipped scenario pins a `[baseline]` block (fingerprint plus
 //! economics totals as bit-exact integers). Editing a scenario without
@@ -48,7 +55,7 @@ pub use arrival::ArrivalCurve;
 pub use driver::{replay_scenario, run_scenario, run_scenario_with, RunOptions, ScenarioOutcome};
 pub use population::{Deviation, Population, RoundPopulation};
 pub use shock::{ShockEvent, ShockField};
-pub use spec::{Baseline, Scenario, ScenarioMode};
+pub use spec::{Baseline, ChaosSpec, Scenario, ScenarioMode};
 pub use toml::TomlError;
 
 pub mod sp;

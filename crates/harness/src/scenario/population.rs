@@ -254,6 +254,7 @@ mod tests {
             engine: EngineSpec::default(),
             admission: None,
             campaign: None,
+            chaos: None,
             baseline: None,
         }
     }

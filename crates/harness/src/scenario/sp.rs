@@ -121,6 +121,7 @@ impl SpReport {
 /// The quote a run issued to `user` in `round`, if she won.
 fn issued_quote(outcome: &ScenarioOutcome, round: u64, user: u32) -> Option<(f64, f64)> {
     outcome
+        .drive
         .results
         .get(&RoundId(round))
         .and_then(|r| r.quotes.get(&UserId::new(user)))

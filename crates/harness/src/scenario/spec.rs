@@ -8,7 +8,8 @@
 //! correlated PoS shocks (`[shocks]`), optional strategic bidders
 //! (`[strategy]`), engine and admission knobs (`[engine]`,
 //! `[admission]`), optional closed-loop campaign mode (`[campaign]`),
-//! and the pinned `[baseline]` the corpus CI enforces.
+//! an optional fault plan (`[chaos]`), and the pinned `[baseline]` the
+//! corpus CI enforces.
 //!
 //! Parsing is strict: unknown keys, missing required fields, and
 //! out-of-range values are all typed [`ScenarioError::Schema`] errors
@@ -22,6 +23,7 @@ use serde::Value;
 use mcs_platform::config::{AdmissionConfig, EngineConfig, SeededUniform, ShedPolicy};
 
 use crate::drive::logical_trace;
+use crate::plan::{Fault, FaultPlan};
 
 use super::{toml, ScenarioError};
 
@@ -162,6 +164,24 @@ pub struct CampaignSpec {
     pub failure_rate: f64,
 }
 
+/// `[chaos]`: a fault plan armed on the scenario's run, and the drain
+/// cadence that lets closed rounds queue up between drains (what
+/// [`Fault::ReorderPending`] and cross-round worker parallelism need).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChaosSpec {
+    /// Per-round fault probability in `[0, 1]`: the plan is drawn from
+    /// the scenario seed ([`FaultPlan::generate`]), so re-seeding the
+    /// scenario re-draws it. `None` arms the listed `rounds` instead.
+    pub intensity: Option<f64>,
+    /// The listed plan — `[chaos.rounds]`, one `round = ["fault", …]`
+    /// line per faulty round, faults spelled as [`Fault::parse`] reads
+    /// them. Empty when `intensity` draws the plan.
+    pub rounds: FaultPlan,
+    /// Drain (clear + settle + oracle-check) every this many logical
+    /// rounds; each round still closes at its end.
+    pub drain_every: u64,
+}
+
 /// `[baseline]`: the pinned fingerprint + economics a corpus scenario
 /// must reproduce bit for bit.
 ///
@@ -298,6 +318,8 @@ pub struct Scenario {
     pub admission: Option<AdmissionConfig>,
     /// Campaign-mode knobs (required iff `mode = "campaign"`).
     pub campaign: Option<CampaignSpec>,
+    /// The fault plan, if any.
+    pub chaos: Option<ChaosSpec>,
     /// The pinned baseline, if committed.
     pub baseline: Option<Baseline>,
 }
@@ -392,7 +414,9 @@ impl Scenario {
             None => None,
             Some(section) => {
                 let spec = StrategySpec {
-                    epsilons: section.f64_list("epsilons")?,
+                    epsilons: section.list("epsilons", "a number", |v| {
+                        section.coerce_f64("epsilons", v).ok()
+                    })?,
                     deviators: section.u64("deviators")? as u32,
                 };
                 section.finish()?;
@@ -458,6 +482,39 @@ impl Scenario {
             }
         };
 
+        let chaos = match root.table("chaos")? {
+            None => None,
+            Some(section) => {
+                let intensity = match section.get("intensity") {
+                    None => None,
+                    Some(value) => Some(section.coerce_f64("intensity", value)?),
+                };
+                let mut rounds = FaultPlan::new();
+                if let Some(list) = section.table("rounds")? {
+                    for (key, _) in list.entries {
+                        let round: u64 = key.parse().map_err(|_| {
+                            schema_error(&list.field(key), "expected a round number as the key")
+                        })?;
+                        let faults = list.list(key, "a fault name", |value| match value {
+                            Value::Str(name) => Fault::parse(name),
+                            _ => None,
+                        })?;
+                        for fault in faults {
+                            rounds.schedule(round, fault);
+                        }
+                    }
+                    list.finish()?;
+                }
+                let spec = ChaosSpec {
+                    intensity,
+                    rounds,
+                    drain_every: section.u64_or("drain_every", 1)?,
+                };
+                section.finish()?;
+                Some(spec)
+            }
+        };
+
         let baseline = match root.table("baseline")? {
             None => None,
             Some(section) => {
@@ -493,6 +550,7 @@ impl Scenario {
             engine,
             admission,
             campaign,
+            chaos,
             baseline,
         };
         scenario.validate()?;
@@ -527,8 +585,39 @@ impl Scenario {
         if let Some(admission) = self.admission {
             config.admission = admission;
         }
-        config.trace = logical_trace(self.max_round_bids(), self.tasks.count, self.rounds, 1);
+        config.trace = logical_trace(self.max_round_bids(), self.tasks.count, self.rounds);
         config
+    }
+
+    /// The fault plan a run arms: `[chaos]`'s listed rounds, or one drawn
+    /// from the scenario seed at its intensity. Empty without `[chaos]`.
+    pub fn fault_plan(&self) -> FaultPlan {
+        match &self.chaos {
+            Some(ChaosSpec {
+                intensity: Some(intensity),
+                ..
+            }) => FaultPlan::generate(self.seed, self.rounds, *intensity),
+            Some(chaos) => chaos.rounds.clone(),
+            None => FaultPlan::new(),
+        }
+    }
+
+    /// Whether runs record a drive log that replays.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Trace`] for campaign-mode scenarios (the campaign
+    /// runner owns the engine) and `[chaos]` scenarios (rebuilds and armed
+    /// faults are not drive operations, so a log cannot replay them).
+    pub fn traceable(&self) -> Result<(), ScenarioError> {
+        let why = match (self.mode, &self.chaos) {
+            (ScenarioMode::Campaign, _) => "campaign-mode scenarios do not record drive traces",
+            (_, Some(_)) => "chaos scenarios do not record drive traces",
+            (ScenarioMode::Platform, None) => return Ok(()),
+        };
+        Err(ScenarioError::Trace {
+            message: format!("{}: {why}", self.name),
+        })
     }
 
     /// An upper bound on bids any single round can submit: the diurnal
@@ -723,6 +812,62 @@ impl Scenario {
             }
             (ScenarioMode::Platform, None) => {}
         }
+        if let Some(chaos) = &self.chaos {
+            self.validate_chaos(chaos)?;
+        }
+        Ok(())
+    }
+
+    /// `[chaos]` validation: a sane cadence, one plan source, listed rounds
+    /// inside the run, no SP twins (chaos splits, drops and panics the
+    /// rounds they compare), and in campaign mode only the faults a
+    /// campaign round can carry.
+    fn validate_chaos(&self, chaos: &ChaosSpec) -> Result<(), ScenarioError> {
+        if chaos.drain_every == 0 {
+            return Err(schema_error("chaos.drain_every", "must be at least 1"));
+        }
+        if let Some(intensity) = chaos.intensity {
+            if !(0.0..=1.0).contains(&intensity) {
+                return Err(schema_error("chaos.intensity", "must lie in [0, 1]"));
+            }
+            if chaos.rounds.fault_count() > 0 {
+                return Err(schema_error(
+                    "chaos.intensity",
+                    "draw the plan or list [chaos.rounds], not both",
+                ));
+            }
+        }
+        if let Some(round) = chaos.rounds.rounds().find(|&round| round >= self.rounds) {
+            return Err(schema_error(
+                "chaos.rounds",
+                format!("round {round} is beyond scenario.rounds"),
+            ));
+        }
+        if self.strategy.is_some() {
+            return Err(schema_error(
+                "chaos",
+                "online SP twins compare one engine round per logical round; \
+                 chaos splits, drops and panics rounds",
+            ));
+        }
+        let plan = &chaos.rounds;
+        let armable = |fault: &Fault| {
+            matches!(
+                fault,
+                Fault::ShardPanic | Fault::FlipReports | Fault::ReorderPending
+            )
+        };
+        if self.mode == ScenarioMode::Campaign
+            && (chaos.intensity.is_some()
+                || chaos.drain_every != 1
+                || !plan.rounds().flat_map(|r| plan.faults_for(r)).all(armable))
+        {
+            return Err(schema_error(
+                "chaos",
+                "campaign rounds drain one at a time and arm only listed \
+                 shard-panic, flip-reports and reorder-pending faults",
+            ));
+        }
         Ok(())
     }
 }
@@ -840,7 +985,14 @@ impl<'a> Doc<'a> {
         }
     }
 
-    fn f64_list(&self, key: &str) -> Result<Vec<f64>, ScenarioError> {
+    /// The array at `key`, each element read by `item`, which returns
+    /// `None` for an element that is not `what`.
+    fn list<T>(
+        &self,
+        key: &str,
+        what: &str,
+        item: impl Fn(&Value) -> Option<T>,
+    ) -> Result<Vec<T>, ScenarioError> {
         let value = self.require(key)?;
         let seq = value.as_seq().ok_or_else(|| {
             schema_error(
@@ -848,7 +1000,13 @@ impl<'a> Doc<'a> {
                 format!("expected an array, got {value:?}"),
             )
         })?;
-        seq.iter().map(|v| self.coerce_f64(key, v)).collect()
+        seq.iter()
+            .map(|v| {
+                item(v).ok_or_else(|| {
+                    schema_error(&self.field(key), format!("expected {what}, got {v:?}"))
+                })
+            })
+            .collect()
     }
 
     fn string(&self, key: &str) -> Result<String, ScenarioError> {
@@ -1014,6 +1172,71 @@ base = 6.0
             ),
             "{error}"
         );
+    }
+
+    #[test]
+    fn chaos_plans_are_listed_or_drawn_and_validated() {
+        let listed = minimal()
+            + "\n[chaos]\ndrain_every = 2\n[chaos.rounds]\n\
+               1 = [\"shard-panic\", \"delayed-ticks:3\"]\n3 = [\"nan-cost-bid\"]\n";
+        let sc = Scenario::from_toml_str(&listed).expect("parses");
+        let plan = sc.fault_plan();
+        assert_eq!(
+            plan.faults_for(1),
+            &[Fault::ShardPanic, Fault::DelayedTicks(3)]
+        );
+        assert_eq!(plan.faults_for(3), &[Fault::NanCostBid]);
+        assert_eq!(sc.chaos.as_ref().unwrap().drain_every, 2);
+        assert!(matches!(sc.traceable(), Err(ScenarioError::Trace { .. })));
+
+        let drawn = minimal() + "\n[chaos]\nintensity = 1.0\n";
+        let sc = Scenario::from_toml_str(&drawn).expect("parses");
+        assert_eq!(sc.fault_plan(), FaultPlan::generate(7, 4, 1.0));
+        let mut reseeded = sc.clone();
+        reseeded.seed = 8;
+        assert_eq!(reseeded.fault_plan(), FaultPlan::generate(8, 4, 1.0));
+        assert_eq!(sc.chaos.as_ref().unwrap().drain_every, 1);
+        assert!(Scenario::from_toml_str(&minimal())
+            .unwrap()
+            .traceable()
+            .is_ok());
+
+        let campaign = |chaos: &str| {
+            minimal().replace("rounds = 4", "rounds = 4\nmode = \"campaign\"")
+                + "\n[campaign]\nmax_rounds = 6\n"
+                + chaos
+        };
+        let ok = campaign("[chaos.rounds]\n1 = [\"flip-reports\", \"reorder-pending\"]\n");
+        assert!(Scenario::from_toml_str(&ok).is_ok());
+        let cases = [
+            (listed.replace("shard-panic", "node-loss"), "chaos.rounds.1"),
+            (listed.replace("3 = ", "4 = "), "chaos.rounds"),
+            (
+                listed.replace("drain_every = 2", "drain_every = 0"),
+                "chaos.drain_every",
+            ),
+            (drawn.replace("1.0", "1.5"), "chaos.intensity"),
+            (
+                listed.replace("drain_every = 2", "intensity = 0.5"),
+                "chaos.intensity",
+            ),
+            (
+                drawn.clone() + "[strategy]\nepsilons = [0.1]\ndeviators = 2\n",
+                "chaos",
+            ),
+            (campaign("[chaos]\nintensity = 0.5\n"), "chaos"),
+            (
+                campaign("[chaos.rounds]\n1 = [\"nan-cost-bid\"]\n"),
+                "chaos",
+            ),
+        ];
+        for (doc, field) in cases {
+            let error = Scenario::from_toml_str(&doc).expect_err(field);
+            assert!(
+                matches!(error, ScenarioError::Schema { field: ref f, .. } if f == field),
+                "{field}: {error}"
+            );
+        }
     }
 
     #[test]

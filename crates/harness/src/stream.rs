@@ -1,191 +1,93 @@
-//! Deterministic bid-stream synthesis, with faults woven in.
+//! Faults woven into a scenario round's bid stream.
 //!
-//! Each *logical* campaign round expands into a sequence of [`Action`]s —
-//! bid submissions and engine ticks — derived purely from
-//! `(campaign seed, round index, scheduled faults)`. Round `r`'s RNG
-//! stream is seeded from a SplitMix64 mix of the campaign seed and `r`,
-//! so removing or adding a fault in one round can never shift the random
-//! draws of any other round. That per-round isolation is what lets the
-//! quarantine-regression tests assert "only the faulted round changed".
+//! A `[chaos]` scenario keeps its population: round `r` still submits
+//! exactly the bids [`Population::round`](crate::scenario::Population::round)
+//! draws for it. [`round_stream`] only weaves round `r`'s own ingest and
+//! batch faults into that sequence, so a fault scheduled in one round can
+//! never shift the bids of any other round. That per-round isolation is
+//! what lets the quarantine-regression tests assert "only the faulted
+//! round changed".
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use mcs_obs::digest::mix64;
 use mcs_platform::ingest::Bid;
 
-use crate::campaign::CampaignConfig;
-use crate::plan::{Fault, FaultPlan};
+use crate::plan::Fault;
 
-/// One step of the campaign's drive sequence.
+/// One logical round's drive sequence: the bids to submit, in order, and
+/// `ticks` extra engine ticks injected just before `bids[tick_at]`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Action {
-    /// Submit this bid to the engine (and the mirror batcher).
-    Submit(Bid),
-    /// Advance the engine's (and the mirror's) batch clock one tick.
-    Tick,
+pub struct RoundStream {
+    /// Bids to submit, malformed ones included.
+    pub bids: Vec<Bid>,
+    /// Where the delayed ticks land: before the bid at this index.
+    pub tick_at: usize,
+    /// Extra ticks ([`Fault::DelayedTicks`]); 0 for most rounds.
+    pub ticks: u32,
 }
 
-/// User ids from here up are reserved for overload-fault bids, so a
-/// burst can never collide with a round's base bidders (or with the
-/// fresh ids ingest faults use).
-pub const OVERLOAD_USER_BASE: u32 = 10_000;
-
-/// Expands logical round `round` into its drive sequence.
+/// Weaves `faults` into a round of `bids` over `tasks` published tasks.
 ///
-/// The fault-free shape is `bids_per_round` well-formed bids from users
-/// `0..bids_per_round`, costs in `[1, 5)` and per-task PoS in
-/// `[0.3, 0.8)` — always feasible for the campaign's published
-/// requirements. Ingest faults insert one malformed bid just before the
-/// round's last base bid (so the rejection cannot move the
-/// capacity-close); [`Fault::DelayedTicks`] inserts ticks halfway;
-/// [`Fault::InfeasibleRound`] replaces the whole round with a single
-/// too-weak bidder plus enough ticks to force the round closed.
-///
-/// Overload faults synthesise *well-formed* extra bids from the reserved
-/// [`OVERLOAD_USER_BASE`] id space, drawn from the same per-round RNG
-/// stream after the base bids (so they perturb no other round):
-/// [`Fault::BurstArrival`] prepends `factor × bids_per_round` bids
-/// back-to-back; [`Fault::Oversubscribe`] interleaves `factor − 1` extra
-/// bids after every base bid, sustaining the pressure across the whole
-/// round.
-pub fn round_actions(config: &CampaignConfig, round: u64, faults: &[Fault]) -> Vec<Action> {
-    let mut rng = StdRng::seed_from_u64(mix64(config.seed, round, 0));
-    let task_ids: Vec<u32> = (0..config.task_count as u32).collect();
-
+/// [`Fault::InfeasibleRound`] replaces the bids with a single bidder far
+/// too weak for any requirement (the round's flush closes it). Each ingest
+/// fault inserts one malformed bid from user `fresh_user` just before the
+/// round's last bid, so the rejection never disturbs which bids share the
+/// round. [`Fault::DelayedTicks`] injects its ticks halfway through. Shard
+/// and settle faults leave the stream alone: they arm the injector.
+pub fn round_stream(
+    bids: Vec<Bid>,
+    faults: &[Fault],
+    tasks: usize,
+    fresh_user: u32,
+) -> RoundStream {
+    let mut bids = bids;
     if faults.contains(&Fault::InfeasibleRound) {
-        // One bidder far too weak for any requirement, then force the
-        // round closed on its tick budget so it cannot bleed into the
-        // next logical round.
-        let mut actions = vec![Action::Submit(Bid {
+        bids = vec![Bid {
             user: 0,
             cost: 1.0,
-            tasks: task_ids.iter().map(|&t| (t, 0.05)).collect(),
-        })];
-        for _ in 0..config.engine_config(&FaultPlan::new()).batch.max_ticks {
-            actions.push(Action::Tick);
-        }
-        return actions;
+            tasks: (0..tasks as u32).map(|task| (task, 0.05)).collect(),
+        }];
     }
-
-    let mut actions: Vec<Action> = (0..config.bids_per_round as u32)
-        .map(|user| {
-            Action::Submit(Bid {
-                user,
-                cost: rng.gen_range(1.0..5.0),
-                tasks: task_ids
-                    .iter()
-                    .map(|&t| (t, rng.gen_range(0.3..0.8)))
-                    .collect(),
-            })
+    let first_user = bids.first().map_or(0, |bid| bid.user);
+    for &fault in faults.iter().filter(|fault| fault.is_ingest()) {
+        let at = bids.len().saturating_sub(1);
+        bids.insert(at, malformed_bid(fault, fresh_user, first_user));
+    }
+    let ticks = faults
+        .iter()
+        .map(|fault| match fault {
+            Fault::DelayedTicks(ticks) => *ticks,
+            _ => 0,
         })
-        .collect();
-
-    // Overload bids draw from the round's RNG *after* the base bids, so
-    // scheduling an overload fault never changes the base draws.
-    let mut overload_user = OVERLOAD_USER_BASE;
-    let mut overload_bid = |rng: &mut StdRng| {
-        let bid = Bid {
-            user: overload_user,
-            cost: rng.gen_range(1.0..5.0),
-            tasks: task_ids
-                .iter()
-                .map(|&t| (t, rng.gen_range(0.3..0.8)))
-                .collect(),
-        };
-        overload_user += 1;
-        bid
-    };
-
-    for fault in faults {
-        match fault {
-            Fault::BurstArrival(factor) => {
-                let extra: Vec<Action> = (0..*factor as usize * config.bids_per_round)
-                    .map(|_| Action::Submit(overload_bid(&mut rng)))
-                    .collect();
-                actions.splice(0..0, extra);
-            }
-            Fault::Oversubscribe(factor) => {
-                let per_base = factor.saturating_sub(1) as usize;
-                let mut sustained = Vec::with_capacity(actions.len() * (per_base + 1));
-                for action in actions.drain(..) {
-                    let is_submit = matches!(action, Action::Submit(_));
-                    sustained.push(action);
-                    if is_submit {
-                        for _ in 0..per_base {
-                            sustained.push(Action::Submit(overload_bid(&mut rng)));
-                        }
-                    }
-                }
-                actions = sustained;
-            }
-            Fault::DelayedTicks(ticks) => {
-                let at = actions.len() / 2;
-                for _ in 0..*ticks {
-                    actions.insert(at, Action::Tick);
-                }
-            }
-            fault if fault.is_ingest() => {
-                let bad = malformed_bid(config, *fault);
-                // Just before the final base bid: the reject never
-                // disturbs which bid closes the round at capacity.
-                let at = actions.len().saturating_sub(1);
-                actions.insert(at, Action::Submit(bad));
-            }
-            _ => {}
-        }
+        .sum();
+    RoundStream {
+        tick_at: bids.len() / 2,
+        ticks,
+        bids,
     }
-    actions
 }
 
 /// The malformed bid an ingest-stage fault materialises as. Each is
 /// crafted to trip exactly one [`IngestError`](mcs_platform::ingest::IngestError)
-/// variant.
-fn malformed_bid(config: &CampaignConfig, fault: Fault) -> Bid {
-    // A fresh user id so rejection (not user-dedup) is what's tested —
-    // except for DuplicateUserBid, which reuses user 0 on purpose.
-    let fresh = config.bids_per_round as u32 + 7;
+/// variant: from `fresh_user`, so rejection (not user-dedup) is what's
+/// tested — except [`Fault::DuplicateUserBid`], a second bid from
+/// `first_user`, who already bid this round.
+fn malformed_bid(fault: Fault, fresh_user: u32, first_user: u32) -> Bid {
+    let bid = |cost: f64, tasks: Vec<(u32, f64)>| Bid {
+        user: fresh_user,
+        cost,
+        tasks,
+    };
     match fault {
-        Fault::NanCostBid => Bid {
-            user: fresh,
-            cost: f64::NAN,
-            tasks: vec![(0, 0.5)],
-        },
-        Fault::NegativeCostBid => Bid {
-            user: fresh,
-            cost: -2.0,
-            tasks: vec![(0, 0.5)],
-        },
-        Fault::OutOfRangePosBid => Bid {
-            user: fresh,
-            cost: 2.0,
-            tasks: vec![(0, 1.5)],
-        },
-        Fault::EmptyTaskSetBid => Bid {
-            user: fresh,
-            cost: 2.0,
-            tasks: Vec::new(),
-        },
-        Fault::UnknownTaskBid => Bid {
-            user: fresh,
-            cost: 2.0,
-            tasks: vec![(9_999, 0.5)],
-        },
-        Fault::DuplicateTaskBid => Bid {
-            user: fresh,
-            cost: 2.0,
-            tasks: vec![(0, 0.5), (0, 0.6)],
-        },
+        Fault::NanCostBid => bid(f64::NAN, vec![(0, 0.5)]),
+        Fault::NegativeCostBid => bid(-2.0, vec![(0, 0.5)]),
+        Fault::OutOfRangePosBid => bid(2.0, vec![(0, 1.5)]),
+        Fault::EmptyTaskSetBid => bid(2.0, Vec::new()),
+        Fault::UnknownTaskBid => bid(2.0, vec![(9_999, 0.5)]),
+        Fault::DuplicateTaskBid => bid(2.0, vec![(0, 0.5), (0, 0.6)]),
         Fault::DuplicateUserBid => Bid {
-            user: 0,
-            cost: 2.0,
-            tasks: vec![(0, 0.5)],
+            user: first_user,
+            ..bid(2.0, vec![(0, 0.5)])
         },
-        Fault::OversizedBid => Bid {
-            user: fresh,
-            cost: 2.0,
-            tasks: (0..256).map(|i| (10_000 + i, 0.5)).collect(),
-        },
+        Fault::OversizedBid => bid(2.0, (0..256).map(|i| (10_000 + i, 0.5)).collect()),
         other => unreachable!("{other:?} is not an ingest fault"),
     }
 }
@@ -193,118 +95,83 @@ fn malformed_bid(config: &CampaignConfig, fault: Fault) -> Bid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Fault;
+    use crate::plan::FaultPlan;
+    use crate::scenario::spec::tests_support::minimal_scenario;
+    use crate::scenario::{ArrivalCurve, Population};
 
-    fn config() -> CampaignConfig {
-        CampaignConfig::default()
+    /// Round `round` of the minimal scenario's population, woven with
+    /// `faults`.
+    fn stream(round: u64, faults: &[Fault]) -> RoundStream {
+        let scenario = minimal_scenario();
+        let curve = ArrivalCurve::generate(&scenario.arrival, scenario.seed, scenario.rounds);
+        let population = Population::new(&scenario, &curve, None);
+        let bids = population.round(round, false).bids;
+        round_stream(
+            bids,
+            faults,
+            scenario.tasks.count,
+            scenario.population.users,
+        )
     }
 
     #[test]
     fn fault_free_rounds_are_reproducible_and_well_formed() {
-        let a = round_actions(&config(), 3, &[]);
-        let b = round_actions(&config(), 3, &[]);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), config().bids_per_round);
-        for action in &a {
-            match action {
-                Action::Submit(bid) => {
-                    assert!(bid.cost.is_finite());
-                    assert_eq!(bid.tasks.len(), config().task_count);
-                }
-                Action::Tick => panic!("no ticks in a fault-free round"),
-            }
+        let a = stream(3, &[]);
+        assert_eq!(a, stream(3, &[]));
+        assert_eq!(a.ticks, 0);
+        assert!(!a.bids.is_empty());
+        for bid in &a.bids {
+            assert!(bid.cost.is_finite());
+            assert_eq!(bid.tasks.len(), minimal_scenario().tasks.count);
         }
     }
 
     #[test]
     fn rounds_draw_independent_streams() {
-        let a = round_actions(&config(), 0, &[]);
-        let b = round_actions(&config(), 1, &[]);
-        assert_ne!(a, b);
+        assert_ne!(stream(0, &[]), stream(1, &[]));
     }
 
     #[test]
     fn a_fault_in_one_round_leaves_other_rounds_bitwise_identical() {
-        let clean = round_actions(&config(), 4, &[]);
-        // Round 3 carrying a fault must not change round 4's draws.
-        let _ = round_actions(&config(), 3, &[Fault::ShardPanic]);
-        assert_eq!(round_actions(&config(), 4, &[]), clean);
+        let mut plan = FaultPlan::new();
+        plan.schedule(2, Fault::ShardPanic)
+            .schedule(2, Fault::NanCostBid)
+            .schedule(2, Fault::DelayedTicks(4));
+        // Round 2 carrying faults must not change round 3's stream.
+        assert_ne!(stream(2, plan.faults_for(2)), stream(2, &[]));
+        assert_eq!(stream(3, plan.faults_for(3)), stream(3, &[]));
     }
 
     #[test]
     fn ingest_faults_insert_one_extra_bid_before_the_last() {
-        let actions = round_actions(&config(), 0, &[Fault::NanCostBid]);
-        assert_eq!(actions.len(), config().bids_per_round + 1);
-        let Action::Submit(bad) = &actions[actions.len() - 2] else {
-            panic!("expected the malformed bid second-to-last");
-        };
+        let clean = stream(0, &[]);
+        let faulted = stream(0, &[Fault::NanCostBid]);
+        assert_eq!(faulted.bids.len(), clean.bids.len() + 1);
+        let bad = &faulted.bids[faulted.bids.len() - 2];
         assert!(bad.cost.is_nan());
-    }
-
-    #[test]
-    fn delayed_ticks_appear_mid_round() {
-        let actions = round_actions(&config(), 0, &[Fault::DelayedTicks(3)]);
+        assert_eq!(bad.user, minimal_scenario().population.users);
+        assert_eq!(faulted.bids.last(), clean.bids.last());
+        let duplicate = stream(0, &[Fault::DuplicateUserBid]);
         assert_eq!(
-            actions.iter().filter(|a| matches!(a, Action::Tick)).count(),
-            3
+            duplicate.bids[duplicate.bids.len() - 2].user,
+            clean.bids[0].user
         );
     }
 
     #[test]
-    fn burst_arrival_prepends_factor_rounds_of_fresh_bids() {
-        let cfg = config();
-        let actions = round_actions(&cfg, 2, &[Fault::BurstArrival(3)]);
-        assert_eq!(actions.len(), 4 * cfg.bids_per_round);
-        // The burst comes first, from the reserved id space, well-formed.
-        for action in &actions[..3 * cfg.bids_per_round] {
-            let Action::Submit(bid) = action else {
-                panic!("bursts are back-to-back submissions");
-            };
-            assert!(bid.user >= OVERLOAD_USER_BASE);
-            assert!(bid.cost.is_finite());
-        }
-        // The base bids are bitwise those of the fault-free round.
-        let clean = round_actions(&cfg, 2, &[]);
-        assert_eq!(&actions[3 * cfg.bids_per_round..], clean.as_slice());
+    fn delayed_ticks_appear_mid_round() {
+        let delayed = stream(0, &[Fault::DelayedTicks(3)]);
+        assert_eq!(delayed.ticks, 3);
+        assert_eq!(delayed.tick_at, delayed.bids.len() / 2);
+        assert_eq!(delayed.bids, stream(0, &[]).bids);
     }
 
     #[test]
-    fn oversubscription_interleaves_extras_after_every_base_bid() {
-        let cfg = config();
-        let actions = round_actions(&cfg, 5, &[Fault::Oversubscribe(10)]);
-        assert_eq!(actions.len(), 10 * cfg.bids_per_round);
-        let clean = round_actions(&cfg, 5, &[]);
-        for (i, chunk) in actions.chunks(10).enumerate() {
-            assert_eq!(chunk[0], clean[i], "base bid {i} must be undisturbed");
-            for extra in &chunk[1..] {
-                let Action::Submit(bid) = extra else {
-                    panic!("oversubscription submits, never ticks");
-                };
-                assert!(bid.user >= OVERLOAD_USER_BASE);
-            }
-        }
-        // All overload user ids are unique within the round.
-        let mut users: Vec<u32> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Submit(bid) if bid.user >= OVERLOAD_USER_BASE => Some(bid.user),
-                _ => None,
-            })
-            .collect();
-        users.sort_unstable();
-        users.dedup();
-        assert_eq!(users.len(), 9 * cfg.bids_per_round);
-    }
-
-    #[test]
-    fn infeasible_round_is_one_weak_bid_plus_forced_close() {
-        let cfg = config();
-        let actions = round_actions(&cfg, 0, &[Fault::InfeasibleRound]);
-        let ticks = cfg.engine_config(&FaultPlan::new()).batch.max_ticks as usize;
-        assert_eq!(actions.len(), 1 + ticks);
-        let Action::Submit(weak) = &actions[0] else {
-            panic!("expected the weak bid first");
-        };
-        assert!(weak.tasks.iter().all(|&(_, p)| p < 0.1));
+    fn infeasible_round_is_one_weak_bid() {
+        let weak = stream(0, &[Fault::InfeasibleRound]);
+        assert_eq!(weak.bids.len(), 1);
+        assert_eq!(weak.ticks, 0);
+        assert_eq!(weak.bids[0].tasks.len(), minimal_scenario().tasks.count);
+        assert!(weak.bids[0].tasks.iter().all(|&(_, p)| p < 0.1));
     }
 }

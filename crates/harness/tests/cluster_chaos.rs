@@ -222,8 +222,12 @@ fn corpus_cluster_fingerprints_are_pinned() {
     let pinned = [
         ("calm-baseline", 0x26b4_1fe5_5a97_3caau64),
         ("campaign-monsoon", 0x4be3_7e7d_9df6_dbef),
+        ("chaos-campaign", 0xc162_255a_0f18_4a72),
+        ("chaos-multi-task", 0x0315_9239_3d38_6d04),
+        ("chaos-single-task", 0xbf79_de6d_92c9_7fe6),
         ("diurnal-weather", 0x0069_76d5_e09c_746e),
         ("flash-crowd", 0x26ec_bda0_ba58_5b8a),
+        ("overload-soak", 0x01d7_99ab_3e56_164c),
         ("strategic-siege", 0x27c3_2405_14e7_ddff),
     ];
     for (name, expected) in pinned {

@@ -26,12 +26,36 @@ fn stderr(output: &Output) -> String {
 fn out_of_range_counts_exit_2() {
     for (args, flag) in [
         (&["--cluster", "--bands", "9"][..], "--bands"),
-        (&["--tasks", "0", "--rounds", "4"][..], "--tasks"),
-        (&["--bids", "0", "--rounds", "4"][..], "--bids"),
+        (&["--seed", "-1"][..], "-1"),
     ] {
         let output = fuzz(args);
         assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
         assert!(stderr(&output).contains(flag), "{args:?}: {output:?}");
+    }
+}
+
+/// The chaos, soak and closed-loop modes are corpus scenarios now; their
+/// flags are gone, and each is refused as unknown before anything runs.
+#[test]
+fn removed_flags_exit_2() {
+    for flag in [
+        "--rounds",
+        "--faults",
+        "--tasks",
+        "--bids",
+        "--workers",
+        "--payment-threads",
+        "--drain-every",
+        "--ci-smoke",
+        "--soak",
+        "--campaign",
+    ] {
+        let output = fuzz(&[flag, "1"]);
+        assert_eq!(output.status.code(), Some(2), "{flag}: {output:?}");
+        assert!(
+            stderr(&output).contains(&format!("unknown flag {flag}")),
+            "{flag}: {output:?}"
+        );
     }
 }
 
@@ -48,6 +72,27 @@ fn trace_files_take_one_scenario_not_the_whole_corpus() {
 }
 
 #[test]
+fn chaos_and_campaign_scenarios_refuse_trace_files() {
+    let path = scratch("chaos.trace");
+    let path_arg = path.display().to_string();
+    for scenario in ["chaos-single-task", "chaos-campaign"] {
+        for flag in ["--record-trace", "--replay-trace"] {
+            let output = fuzz(&["--scenario", scenario, flag, &path_arg]);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "{scenario} {flag}: {output:?}"
+            );
+            assert!(
+                stderr(&output).contains("do not record drive traces"),
+                "{scenario} {flag}: {output:?}"
+            );
+        }
+    }
+    assert!(!path.exists(), "a refused run must not write the trace");
+}
+
+#[test]
 fn a_recorded_scenario_trace_replays_clean() {
     let path = scratch("calm.trace");
     let path_arg = path.display().to_string();
@@ -59,9 +104,13 @@ fn a_recorded_scenario_trace_replays_clean() {
 }
 
 #[test]
-fn the_smallest_valid_campaign_exits_0() {
-    let output = fuzz(&["--tasks", "1", "--bids", "1", "--rounds", "4"]);
+fn a_reseeded_scenario_skips_its_baseline_and_says_so() {
+    let output = fuzz(&["--scenario", "chaos-single-task", "--seed", "5"]);
     assert!(output.status.success(), "{output:?}");
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("fingerprint"), "{stdout}");
+    assert!(
+        stdout.contains("re-seeded to 5, pinned baseline skipped"),
+        "{stdout}"
+    );
 }

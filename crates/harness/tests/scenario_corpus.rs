@@ -55,7 +55,7 @@ fn the_corpus_is_complete_pinned_and_worker_count_invariant() {
                 outcome.is_clean(),
                 "{} ({workers}w/{payment_threads}p): {:?} {:?}",
                 scenario.name,
-                outcome.violations,
+                outcome.drive.violations,
                 outcome.campaign_violations
             );
             // Assert the totals directly (not just through the

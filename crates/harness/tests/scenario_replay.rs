@@ -63,7 +63,7 @@ clear_budget = 8
 fn a_recorded_run_replays_bitwise_identically() {
     let scenario = twenty_rounds();
     let recorded = run_scenario(&scenario).expect("records");
-    assert!(recorded.is_clean(), "{:?}", recorded.violations);
+    assert!(recorded.is_clean(), "{:?}", recorded.drive.violations);
     assert_eq!(recorded.rounds_cleared, 20);
     assert!(recorded.sheds > 0, "fixture should exercise shedding");
 
@@ -76,11 +76,11 @@ fn a_recorded_run_replays_bitwise_identically() {
     let replayed = replay_scenario(&scenario, &log).expect("replays");
     assert_eq!(recorded.fingerprint(), replayed.fingerprint());
     assert_eq!(recorded.baseline(), replayed.baseline());
-    assert_eq!(recorded.results, replayed.results);
-    assert_eq!(recorded.settlements, replayed.settlements);
+    assert_eq!(recorded.drive.results, replayed.drive.results);
+    assert_eq!(recorded.drive.settlements, replayed.drive.settlements);
     assert_eq!(recorded.balances, replayed.balances);
     assert_eq!(
-        recorded.economics, replayed.economics,
+        recorded.drive.economics, replayed.drive.economics,
         "economics snapshots must be bitwise identical"
     );
 }
@@ -128,5 +128,23 @@ fn foreign_and_misshapen_logs_are_refused() {
     match replay_scenario(&scenario, &truncated) {
         Err(ScenarioError::Trace { .. }) => {}
         other => panic!("truncated log accepted: {other:?}"),
+    }
+}
+
+#[test]
+fn chaos_and_campaign_scenarios_refuse_replay_with_a_typed_error() {
+    // Rebuilds and armed faults are not drive operations, and a campaign
+    // runner owns its engine: neither kind of log could replay.
+    for name in ["chaos-single-task", "chaos-campaign"] {
+        let scenario = mcs_harness::scenario::load(name).expect("corpus scenario loads");
+        assert!(matches!(
+            scenario.traceable(),
+            Err(ScenarioError::Trace { .. })
+        ));
+        let recorded = run_scenario(&scenario).expect("runs");
+        match replay_scenario(&scenario, &recorded.log) {
+            Err(ScenarioError::Trace { message }) => assert!(message.contains(name), "{message}"),
+            other => panic!("{name}: replay accepted: {other:?}"),
+        }
     }
 }

@@ -27,12 +27,12 @@ fn the_shipped_siege_scenario_finds_no_profitable_deviation() {
     assert!(
         report.truthful.is_clean(),
         "{:?}",
-        report.truthful.violations
+        report.truthful.drive.violations
     );
     assert!(
         report.deviating.is_clean(),
         "{:?}",
-        report.deviating.violations
+        report.deviating.drive.violations
     );
     // The twins share arrivals and execution draws, so the *truthful*
     // twin's fingerprint must match a plain run of the same scenario.

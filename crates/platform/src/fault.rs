@@ -2,7 +2,7 @@
 //! stage, no-ops in production.
 //!
 //! The engine consults a [`FaultInjector`] at each stage boundary —
-//! ingest ([`FaultInjector::corrupt_bid`]), batch
+//! ingest ([`FaultInjector::observe_admitted`]), batch
 //! ([`FaultInjector::reorder_pending`]), shard
 //! ([`FaultInjector::shard_panic`]), settle
 //! ([`FaultInjector::flip_report`]), and degrade
@@ -34,17 +34,9 @@ use crate::ingest::Bid;
 /// All methods have no-op defaults; implement only the stages a campaign
 /// attacks. See the module docs for the determinism contract.
 pub trait FaultInjector: std::fmt::Debug + Send + Sync {
-    /// Ingest hook: may replace `bid` with a corrupted one before
-    /// validation runs. `None` (the default) passes the bid through
-    /// untouched and copy-free.
-    fn corrupt_bid(&self, bid: &Bid) -> Option<Bid> {
-        let _ = bid;
-        None
-    }
-
     /// Ingest hook: observes every bid *after* it was validated and
-    /// admitted to the round that will close as `round`. Unlike
-    /// [`FaultInjector::corrupt_bid`] this hook cannot alter the bid —
+    /// admitted to the round that will close as `round`. It cannot alter
+    /// the bid (chaos harnesses submit their malformed bids directly) —
     /// it exists so scenario harnesses can key per-user state (shocked
     /// true PoS, strategy assignments, replay logs) on the concrete
     /// engine round id the bid landed in. Runs on the single-threaded
@@ -122,12 +114,6 @@ mod tests {
     #[test]
     fn no_faults_passes_everything_through() {
         let injector = NoFaults;
-        let bid = Bid {
-            user: 0,
-            cost: 1.0,
-            tasks: vec![(0, 0.5)],
-        };
-        assert_eq!(injector.corrupt_bid(&bid), None);
         assert_eq!(injector.shard_panic(RoundId(3)), None);
         assert!(injector.flip_report(RoundId(3), UserId::new(0), true));
         assert!(!injector.flip_report(RoundId(3), UserId::new(0), false));

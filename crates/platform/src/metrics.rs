@@ -490,7 +490,9 @@ pub struct KernelSnapshot {
     pub users_appended: u64,
     /// Lazy-greedy heap pops.
     pub heap_pops: u64,
-    /// Stale-bound pops re-evaluated and re-queued.
+    /// Stale-bound heap tops: re-evaluated against the current
+    /// residuals and refreshed in place at the root (or dropped at the
+    /// tolerance) instead of selected.
     pub stale_reevals: u64,
     /// Bisection steps requested across critical-bid searches.
     pub probes_requested: u64,
@@ -746,7 +748,7 @@ impl MetricsSnapshot {
             (
                 "mcs_kernel_stale_reevals_total",
                 k.stale_reevals,
-                "Stale-bound pops re-evaluated and re-queued.",
+                "Stale-bound heap tops refreshed in place or dropped.",
             ),
             (
                 "mcs_kernel_probes_requested_total",

@@ -113,32 +113,32 @@ for seed in 1 2 3 4 5 6 7 8 9 10; do
   python3 perfbench/run.py --workload all --seed "${seed}" --seconds 0.5 --trace 0
 done
 
-echo "==> chaos smoke (mcs-fuzz --ci-smoke)"
-cargo run --release -p mcs-harness --bin mcs-fuzz -- --ci-smoke
-
-echo "==> overload soak smoke (mcs-fuzz --soak --ci-smoke)"
-# Every round oversubscribed 10x: the backlog must stay bounded by the
-# watermark, every shed bid must be accounted, partial clears must
-# quarantine their deferred tail, and the fingerprint must stay
-# deterministic across worker counts.
-cargo run --release -p mcs-harness --bin mcs-fuzz -- --soak --ci-smoke
-
-echo "==> closed-loop campaign smoke (mcs-fuzz --campaign --ci-smoke)"
-# Seeded auction campaigns across failure rates, with and without chaos
-# faults layered on: residual monotonicity, termination, calibration
-# sanity, payout conservation, and fingerprint determinism must all hold.
-cargo run --release -p mcs-harness --bin mcs-fuzz -- --campaign --ci-smoke
-
 echo "==> scenario corpus smoke (mcs-fuzz --scenario all)"
 # Every shipped scenario in scenarios/ must load, run clean at several
 # worker × payment-thread combinations, match its pinned [baseline]
 # bitwise, and (where a [strategy] section is present) survive the
 # online strategy-proofness sweep. A scenario without a committed
-# baseline fails this tier.
+# baseline fails this tier. The corpus carries the chaos runs too:
+# seeded fault plans over the single- and multi-task mechanisms
+# (chaos-single-task, chaos-multi-task, which also sheds), the overload
+# soak (bounded backlog, every shed and deferred bid accounted), and the
+# closed loop under chaos (chaos-campaign, closed-loop oracles).
 cargo run --release -p mcs-harness --bin mcs-fuzz -- \
   --scenario all --verify-determinism
 
-echo "==> cluster equivalence smoke (mcs-fuzz --cluster --nodes 3 --verify-determinism)"
+echo "==> chaos seed exploration (mcs-fuzz --seed 7 / --seed 42)"
+# The two engine chaos scenarios re-seeded: a new seed draws a new bid
+# stream and a new fault plan, so these runs have no pinned baseline;
+# they must run clean and fingerprint identically across the worker ×
+# payment-thread matrix.
+for seed in 7 42; do
+  for scenario in chaos-single-task chaos-multi-task; do
+    cargo run --release -p mcs-harness --bin mcs-fuzz -- \
+      --scenario "${scenario}" --seed "${seed}" --verify-determinism
+  done
+done
+
+echo "==> cluster equivalence smoke (mcs-fuzz --scenario all --cluster --nodes 3 --verify-determinism)"
 # Every pinned scenario deployed as a geo-sharded cluster: a 1-node and
 # a 3-node loopback run (plus 2/4/8 under --verify-determinism) must
 # produce bitwise-identical fingerprints, the in-process mirror oracle
@@ -147,7 +147,7 @@ echo "==> cluster equivalence smoke (mcs-fuzz --cluster --nodes 3 --verify-deter
 # silently divergent bit, and a TCP deployment over real ephemeral-port
 # sockets must match loopback exactly (transport equivalence).
 cargo run --release -p mcs-harness --bin mcs-fuzz -- \
-  --cluster --nodes 3 --verify-determinism
+  --scenario all --cluster --nodes 3 --verify-determinism
 
 echo "==> cluster e2e smoke (platformd --nodes)"
 # The same seed through 1-node and 3-node platformd cluster deployments

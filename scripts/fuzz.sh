@@ -1,22 +1,22 @@
 #!/usr/bin/env bash
-# Long-form chaos campaigns: more seeds, more rounds, higher fault
-# intensity than the CI smoke, each verified clean and bitwise
-# deterministic across worker/payment-thread counts.
+# Long-form chaos sweeps: the chaos and campaign scenarios of the corpus
+# re-seeded over many seeds (each seed draws a new bid stream and, for
+# a drawn [chaos] plan, a new fault plan), each verified clean and
+# bitwise deterministic across worker/payment-thread counts.
 #
-#   scripts/fuzz.sh              # default sweep (~a few minutes)
+#   scripts/fuzz.sh              # default seed sweep (~a minute)
 #   scripts/fuzz.sh --scenarios  # scenario-corpus sweep instead
 #   scripts/fuzz.sh --cluster    # geo-sharded deployment sweep
-#   SEEDS="1 2 3" ROUNDS=500 scripts/fuzz.sh
+#   SEEDS="1 2 3" scripts/fuzz.sh
 #
-# A failing campaign prints its seed and fingerprint; replay it with
+# A failing run prints its scenario, seed and fingerprint; replay it with
 #   cargo run --release -p mcs-harness --bin mcs-fuzz -- \
-#     --seed S --rounds $ROUNDS --faults $FAULTS --tasks T
+#     --scenario NAME --seed S
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SEEDS="${SEEDS:-1 2 3 5 8 13 21 34}"
-ROUNDS="${ROUNDS:-200}"
-FAULTS="${FAULTS:-0.5}"
+SCENARIOS="chaos-single-task chaos-multi-task chaos-campaign"
 
 cargo build --release -p mcs-harness
 
@@ -63,10 +63,9 @@ fi
 
 status=0
 for seed in $SEEDS; do
-  for tasks in 1 3; do
+  for scenario in $SCENARIOS; do
     if ! target/release/mcs-fuzz \
-        --seed "$seed" --rounds "$ROUNDS" --faults "$FAULTS" \
-        --tasks "$tasks" --verify-determinism; then
+        --scenario "$scenario" --seed "$seed" --verify-determinism; then
       status=1
     fi
   done
@@ -76,4 +75,4 @@ if [ "$status" -ne 0 ]; then
   echo "fuzz: FAILED (see violations above)"
   exit "$status"
 fi
-echo "fuzz: all campaigns clean and deterministic."
+echo "fuzz: every re-seeded chaos scenario clean and deterministic."
