@@ -21,7 +21,7 @@
 //! *Duplicate delivery.* Handled node-side by the idempotency cache;
 //! the coordinator needs no special casing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use mcs_obs::digest::Fnv1a;
 use mcs_obs::TraceEvent;
@@ -34,7 +34,7 @@ use mcs_platform::shard::{clear_round, ClearedRound};
 use crate::clearing::{covered_contributions, straddler_round};
 use crate::config::ClusterConfig;
 use crate::node::NodeServer;
-use crate::route::route_bids;
+use crate::route::route_bids_with;
 use crate::topology::Topology;
 use crate::transport::{Endpoint, LoopbackTransport, NodeTransport, Role, TransportError};
 use crate::wire::{Request, Response};
@@ -246,6 +246,8 @@ pub struct Cluster<T: NodeTransport> {
     watermarks: BTreeMap<(u32, u32), Option<u64>>,
     next_round: u64,
     outcome: ClusterOutcome,
+    /// The routing dedup set, kept across rounds for its capacity.
+    seen: HashSet<u32>,
 }
 
 impl Cluster<LoopbackTransport> {
@@ -282,6 +284,7 @@ impl<T: NodeTransport> Cluster<T> {
             watermarks: BTreeMap::new(),
             next_round: 0,
             outcome: ClusterOutcome::default(),
+            seen: HashSet::new(),
         }
     }
 
@@ -331,7 +334,7 @@ impl<T: NodeTransport> Cluster<T> {
     pub fn run_round(&mut self, bids: &[Bid]) -> Result<RoundReport, ClusterError> {
         let round = self.next_round;
         self.next_round += 1;
-        let routed = route_bids(&self.topology, bids);
+        let routed = route_bids_with(&self.topology, bids, &mut self.seen);
         let rejected = routed.rejected.len();
         let mut promoted = Vec::new();
         let mut down: Vec<u32> = Vec::new();

@@ -5,12 +5,12 @@
 //! shard. A bid spanning two or more regions is a *straddler* and routes
 //! to the virtual straddler shard, cleared by the coordinator in phase 2
 //! against residual requirements (see [`crate::clearing`]). Validation
-//! happens here, once, cluster-wide — the same checks `Engine::submit`
-//! would apply, plus cluster-wide user dedup — so a malformed or
-//! duplicate bid is rejected identically no matter how many nodes the
+//! happens here, once, cluster-wide — the same rule `Engine::submit`
+//! applies ([`Bid::check`]), plus cluster-wide user dedup — so a malformed
+//! or duplicate bid is rejected identically no matter how many nodes the
 //! cluster has.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashSet};
 
 use mcs_platform::ingest::{Bid, IngestError};
 
@@ -37,15 +37,24 @@ impl RoutedRound {
 
 /// Validates `bids` in submission order and routes each to its shard.
 ///
-/// Validation mirrors the engine's ingest checks exactly (cost, PoS
-/// range, empty/duplicate task sets, unknown tasks) with user dedup
-/// lifted to cluster scope, so no routed bid can be rejected downstream
-/// — a property the mirror oracle relies on.
+/// Validation is the engine's ingest rule, [`Bid::check`], with user
+/// dedup lifted to cluster scope, so no routed bid can be rejected
+/// downstream — a property the mirror oracle relies on.
 pub fn route_bids(topology: &Topology, bids: &[Bid]) -> RoutedRound {
+    route_bids_with(topology, bids, &mut HashSet::new())
+}
+
+/// [`route_bids`] with the caller's dedup set, cleared first: a
+/// coordinator keeps one across rounds, and with it its capacity.
+pub(crate) fn route_bids_with(
+    topology: &Topology,
+    bids: &[Bid],
+    seen: &mut HashSet<u32>,
+) -> RoutedRound {
+    seen.clear();
     let mut routed = RoutedRound::default();
-    let mut seen = BTreeSet::new();
     for (index, bid) in bids.iter().enumerate() {
-        match route_one(topology, bid, &mut seen) {
+        match route_one(topology, bid, seen) {
             Ok(Some(region)) => routed.regional.entry(region).or_default().push(bid.clone()),
             Ok(None) => routed.straddlers.push(bid.clone()),
             Err(error) => routed.rejected.push((index, error)),
@@ -59,37 +68,23 @@ pub fn route_bids(topology: &Topology, bids: &[Bid]) -> RoutedRound {
 fn route_one(
     topology: &Topology,
     bid: &Bid,
-    seen: &mut BTreeSet<u32>,
+    seen: &mut HashSet<u32>,
 ) -> Result<Option<u32>, IngestError> {
     if seen.contains(&bid.user) {
         return Err(IngestError::DuplicateUser { user: bid.user });
     }
-    if bid.tasks.is_empty() {
-        return Err(IngestError::EmptyTaskSet);
-    }
-    if !(bid.cost.is_finite() && bid.cost >= 0.0) {
-        return Err(IngestError::InvalidCost { value: bid.cost });
-    }
-    let mut declared = BTreeSet::new();
-    let mut regions = BTreeSet::new();
-    for &(task, pos) in &bid.tasks {
-        let Some(region) = topology.region_of_task(task) else {
-            return Err(IngestError::UnknownTask { task });
-        };
-        if !declared.insert(task) {
-            return Err(IngestError::DuplicateTask { task });
+    // The bid's first region, and whether any task lies outside it.
+    let mut home = None;
+    let mut straddles = false;
+    bid.check(|task| match topology.region_of_task(task) {
+        Some(region) => {
+            straddles |= *home.get_or_insert(region) != region;
+            true
         }
-        if !(pos.is_finite() && (0.0..1.0).contains(&pos)) {
-            return Err(IngestError::InvalidPos { task, value: pos });
-        }
-        regions.insert(region);
-    }
+        None => false,
+    })?;
     seen.insert(bid.user);
-    if regions.len() == 1 {
-        Ok(Some(regions.into_iter().next().expect("one region")))
-    } else {
-        Ok(None)
-    }
+    Ok(home.filter(|_| !straddles))
 }
 
 #[cfg(test)]

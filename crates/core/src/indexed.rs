@@ -1,12 +1,12 @@
 //! A dense, index-based view of a [`TypeProfile`] and the lazy-greedy
 //! allocation engine built on top of it.
 //!
-//! [`TypeProfile`] is the validated boundary type: `BTreeMap`-backed,
-//! id-keyed, convenient to build and to mutate one declaration at a time.
-//! The multi-task mechanism, however, replays winner determination
+//! [`TypeProfile`] is the validated boundary type: one `UserType` per
+//! bidder, id-keyed, convenient to build and to mutate one declaration at
+//! a time. The multi-task mechanism, however, replays winner determination
 //! many times per round — every critical bid reruns the greedy without
 //! its winner, and every bisection probe that rerun cannot decide reruns
-//! it again — and at that call rate the map probes and profile clones
+//! it again — and at that call rate the id lookups and profile clones
 //! dominate the runtime. [`IndexedProfile`]
 //! flattens the instance **once** into contiguous arrays (CSR-style
 //! per-user `(task index, contribution)` entries plus per-task
@@ -83,11 +83,11 @@
 //! suites in `tests/engine_equivalence.rs` (including resumed against
 //! replayed exclusion runs) and `tests/index_delta.rs`.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use crate::multi_task::COVERAGE_MARGIN;
+use crate::types::order::IdOrder;
 use crate::types::{TaskId, TypeProfile, UserId, UserType, CONTRIBUTION_TOLERANCE};
 
 /// A fixed-capacity bit mask over dense positions, packed into `u64`
@@ -264,13 +264,10 @@ pub struct IndexedProfile {
     /// Requirement contribution `Q_j` per task, in publication order.
     requirements: Vec<f64>,
     task_ids: Vec<TaskId>,
-    /// Whether `user_ids` is strictly ascending, making `position_of` a
-    /// direct binary search (the common case: validated profiles list
-    /// users in id order).
-    ids_sorted: bool,
-    /// When `ids_sorted` is false: user positions sorted by user id, the
-    /// indirection `position_of` binary-searches instead.
-    lookup: Vec<u32>,
+    /// The id order `position_of` searches: nothing when `user_ids`
+    /// strictly ascends (the common case: validated profiles list users
+    /// in id order), user positions sorted by id otherwise.
+    user_order: IdOrder,
 }
 
 impl IndexedProfile {
@@ -284,8 +281,7 @@ impl IndexedProfile {
             entry_q: Vec::new(),
             requirements: Vec::new(),
             task_ids: Vec::new(),
-            ids_sorted: true,
-            lookup: Vec::new(),
+            user_order: IdOrder::default(),
         }
     }
 
@@ -300,11 +296,6 @@ impl IndexedProfile {
     /// buffer's capacity. Equivalent to `*self =
     /// IndexedProfile::from_profile(profile)` without the allocations.
     pub fn reflatten(&mut self, profile: &TypeProfile) {
-        let task_position: BTreeMap<TaskId, u32> = profile
-            .task_ids()
-            .enumerate()
-            .map(|(position, task)| (task, position as u32))
-            .collect();
         self.user_ids.clear();
         self.costs.clear();
         self.totals.clear();
@@ -323,9 +314,9 @@ impl IndexedProfile {
         self.task_ids.extend(profile.task_ids());
         let mut scratch = Vec::new();
         for user in profile.users() {
-            self.push_row(user, &task_position, &mut scratch);
+            self.push_row(user, profile, &mut scratch);
         }
-        self.rebuild_lookup();
+        self.rebuild_order();
     }
 
     /// Brings this index up to date with `profile` by patching in place
@@ -372,12 +363,6 @@ impl IndexedProfile {
             }
         }
 
-        let task_position: BTreeMap<TaskId, u32> = self
-            .task_ids
-            .iter()
-            .enumerate()
-            .map(|(position, &task)| (task, position as u32))
-            .collect();
         let mut scratch: Vec<(u32, f64)> = Vec::new();
         // Splices shift every later entry; `shift` tracks the running
         // displacement so each user's *current* span is derived from the
@@ -402,7 +387,7 @@ impl IndexedProfile {
                 self.totals[position] = total;
                 touched = true;
             }
-            flatten_row(user, &task_position, &mut scratch);
+            flatten_row(user, profile, &mut scratch);
             let same_shape = scratch.len() == cur_end - start
                 && scratch
                     .iter()
@@ -429,11 +414,11 @@ impl IndexedProfile {
             }
         }
         for user in &users[old_n..] {
-            self.push_row(user, &task_position, &mut scratch);
+            self.push_row(user, profile, &mut scratch);
             stats.users_appended += 1;
         }
         if stats.users_appended > 0 {
-            self.rebuild_lookup();
+            self.rebuild_order();
         }
         if stats.users_patched + stats.users_appended + stats.requirements_patched > 0 {
             stats.mode = SyncMode::Patched;
@@ -461,16 +446,11 @@ impl IndexedProfile {
                 })
     }
 
-    fn push_row(
-        &mut self,
-        user: &UserType,
-        task_position: &BTreeMap<TaskId, u32>,
-        scratch: &mut Vec<(u32, f64)>,
-    ) {
+    fn push_row(&mut self, user: &UserType, profile: &TypeProfile, scratch: &mut Vec<(u32, f64)>) {
         self.user_ids.push(user.id());
         self.costs.push(user.cost().value());
         self.totals.push(user.total_contribution().value());
-        flatten_row(user, task_position, scratch);
+        flatten_row(user, profile, scratch);
         for &(position, q) in scratch.iter() {
             self.entry_task.push(position);
             self.entry_q.push(q);
@@ -478,15 +458,9 @@ impl IndexedProfile {
         self.offsets.push(self.entry_task.len());
     }
 
-    fn rebuild_lookup(&mut self) {
-        self.ids_sorted = self.user_ids.windows(2).all(|w| w[0] < w[1]);
-        self.lookup.clear();
-        if !self.ids_sorted {
-            let ids = &self.user_ids;
-            self.lookup.extend(0..ids.len() as u32);
-            self.lookup
-                .sort_unstable_by_key(|&position| ids[position as usize]);
-        }
+    fn rebuild_order(&mut self) {
+        let ids = &self.user_ids;
+        self.user_order.rebuild(ids.len(), |i| ids[i].index());
     }
 
     /// Number of users `n`.
@@ -523,14 +497,9 @@ impl IndexedProfile {
     /// over the id-sorted view (direct when declarations arrived in id
     /// order, through a sorted permutation otherwise).
     pub fn position_of(&self, user: UserId) -> Option<usize> {
-        if self.ids_sorted {
-            self.user_ids.binary_search(&user).ok()
-        } else {
-            self.lookup
-                .binary_search_by(|&position| self.user_ids[position as usize].cmp(&user))
-                .ok()
-                .map(|found| self.lookup[found] as usize)
-        }
+        let ids = &self.user_ids;
+        self.user_order
+            .find(ids.len(), user.index(), |i| ids[i].index())
     }
 
     /// The contribution entries `q_i^j` of the user at `position`, in task
@@ -670,7 +639,8 @@ impl IndexedProfile {
             + (self.costs.capacity() + self.totals.capacity() + self.entry_q.capacity())
                 * size_of::<f64>()
             + self.offsets.capacity() * size_of::<usize>()
-            + (self.entry_task.capacity() + self.lookup.capacity()) * size_of::<u32>()
+            + self.entry_task.capacity() * size_of::<u32>()
+            + self.user_order.resident_bytes()
             + self.requirements.capacity() * size_of::<f64>()
             + self.task_ids.capacity() * size_of::<TaskId>()
     }
@@ -1056,22 +1026,20 @@ fn certainly_covers(tasks: &[u32], qs: &[f64], residual: &[f64], suffix: &[f64])
 }
 
 /// Flattens one user's `(task position, contribution)` row into `scratch`
-/// in task publication order.
+/// in task publication order; `profile` publishes the tasks.
 ///
 /// [`UserType::tasks`] iterates in ascending task-id order; when the
 /// publication order agrees (the overwhelmingly common case — tasks are
 /// published id-ascending), the row comes out already sorted and the sort
 /// is skipped entirely.
-fn flatten_row(
-    user: &UserType,
-    task_position: &BTreeMap<TaskId, u32>,
-    scratch: &mut Vec<(u32, f64)>,
-) {
+fn flatten_row(user: &UserType, profile: &TypeProfile, scratch: &mut Vec<(u32, f64)>) {
     scratch.clear();
-    scratch.extend(
-        user.tasks()
-            .map(|(task, pos)| (task_position[&task], pos.contribution().value())),
-    );
+    scratch.extend(user.tasks().map(|(task, pos)| {
+        let position = profile
+            .task_position(task)
+            .expect("a validated profile publishes every declared task");
+        (position as u32, pos.contribution().value())
+    }));
     if !scratch.windows(2).all(|w| w[0].0 < w[1].0) {
         scratch.sort_unstable_by_key(|&(position, _)| position);
     }
@@ -1924,7 +1892,7 @@ mod tests {
         let tasks = vec![Task::with_requirement(TaskId::new(0), 0.4).unwrap()];
         let p = TypeProfile::new(users, tasks).unwrap();
         let indexed = IndexedProfile::from_profile(&p);
-        assert!(!indexed.ids_sorted);
+        assert_ne!(indexed.user_order, IdOrder::default());
         assert_eq!(indexed.position_of(UserId::new(5)), Some(0));
         assert_eq!(indexed.position_of(UserId::new(0)), Some(1));
         assert_eq!(indexed.position_of(UserId::new(3)), Some(2));

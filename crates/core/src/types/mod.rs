@@ -7,6 +7,7 @@
 
 mod cost;
 mod ids;
+pub(crate) mod order;
 mod probability;
 mod profile;
 mod task;

@@ -1,10 +1,9 @@
 //! Type profiles: a validated auction instance (users + tasks).
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::error::{McsError, Result};
+use crate::types::order::IdOrder;
 use crate::types::{Contribution, Pos, Task, TaskId, UserId, UserType};
 
 /// A complete auction instance: the platform's tasks and all users' (true or
@@ -12,7 +11,10 @@ use crate::types::{Contribution, Pos, Task, TaskId, UserId, UserType};
 ///
 /// Construction validates the instance once — unique ids, non-empty sides,
 /// every declared task known to the platform — so the mechanism code can
-/// assume well-formedness (C-VALIDATE pushed to the boundary).
+/// assume well-formedness (C-VALIDATE pushed to the boundary). Users and
+/// tasks keep the order they were given in; lookups by id binary-search
+/// them, directly when their ids ascend and through a sorted list of
+/// positions otherwise.
 ///
 /// # Examples
 ///
@@ -36,8 +38,8 @@ use crate::types::{Contribution, Pos, Task, TaskId, UserId, UserType};
 pub struct TypeProfile {
     users: Vec<UserType>,
     tasks: Vec<Task>,
-    user_index: BTreeMap<UserId, usize>,
-    task_index: BTreeMap<TaskId, usize>,
+    user_order: IdOrder,
+    task_order: IdOrder,
 }
 
 /// Serialized form of [`TypeProfile`]; deserialization re-validates through
@@ -84,19 +86,25 @@ impl TypeProfile {
         if tasks.is_empty() {
             return Err(McsError::EmptyTasks);
         }
-        let mut task_index = BTreeMap::new();
-        for (idx, task) in tasks.iter().enumerate() {
-            if task_index.insert(task.id(), idx).is_some() {
-                return Err(McsError::DuplicateTask { task: task.id() });
-            }
+        let task_key = |i: usize| tasks[i].id().index();
+        let task_order = IdOrder::new(tasks.len(), task_key);
+        if let Some(repeat) = task_order.first_repeat(task_key) {
+            return Err(McsError::DuplicateTask {
+                task: tasks[repeat].id(),
+            });
         }
-        let mut user_index = BTreeMap::new();
-        for (idx, user) in users.iter().enumerate() {
-            if user_index.insert(user.id(), idx).is_some() {
-                return Err(McsError::DuplicateUser { user: user.id() });
-            }
+        let user_key = |i: usize| users[i].id().index();
+        let user_order = IdOrder::new(users.len(), user_key);
+        // The first offending user in declaration order: every user before
+        // the first repeated id is checked for unknown tasks, and that
+        // repeat itself is reported as a duplicate before its tasks are.
+        let repeat = user_order.first_repeat(user_key);
+        for user in &users[..repeat.unwrap_or(users.len())] {
             for task in user.task_ids() {
-                if !task_index.contains_key(&task) {
+                if task_order
+                    .find(tasks.len(), task.index(), task_key)
+                    .is_none()
+                {
                     return Err(McsError::UnknownTask {
                         user: user.id(),
                         task,
@@ -104,11 +112,16 @@ impl TypeProfile {
                 }
             }
         }
+        if let Some(repeat) = repeat {
+            return Err(McsError::DuplicateUser {
+                user: users[repeat].id(),
+            });
+        }
         Ok(TypeProfile {
             users,
             tasks,
-            user_index,
-            task_index,
+            user_order,
+            task_order,
         })
     }
 
@@ -153,10 +166,24 @@ impl TypeProfile {
     ///
     /// Returns [`McsError::NoSuchUser`] for unknown ids.
     pub fn user(&self, id: UserId) -> Result<&UserType> {
-        self.user_index
-            .get(&id)
-            .map(|&idx| &self.users[idx])
+        self.user_position(id)
+            .map(|position| &self.users[position])
             .ok_or(McsError::NoSuchUser { user: id })
+    }
+
+    /// The declaration-order position of user `id`.
+    fn user_position(&self, id: UserId) -> Option<usize> {
+        let users = &self.users;
+        self.user_order
+            .find(users.len(), id.index(), |i| users[i].id().index())
+    }
+
+    /// The publication-order position of task `id`, if the profile
+    /// publishes it.
+    pub(crate) fn task_position(&self, id: TaskId) -> Option<usize> {
+        let tasks = &self.tasks;
+        self.task_order
+            .find(tasks.len(), id.index(), |i| tasks[i].id().index())
     }
 
     /// Looks up a task by id.
@@ -165,9 +192,8 @@ impl TypeProfile {
     ///
     /// Returns [`McsError::NoSuchTask`] for unknown ids.
     pub fn task(&self, id: TaskId) -> Result<&Task> {
-        self.task_index
-            .get(&id)
-            .map(|&idx| &self.tasks[idx])
+        self.task_position(id)
+            .map(|position| &self.tasks[position])
             .ok_or(McsError::NoSuchTask { task: id })
     }
 
@@ -221,14 +247,13 @@ impl TypeProfile {
     /// belong to the profile, and propagates validation errors if the
     /// replacement declares unknown tasks.
     pub fn with_user_type(&self, replacement: UserType) -> Result<Self> {
-        let idx = *self
-            .user_index
-            .get(&replacement.id())
+        let idx = self
+            .user_position(replacement.id())
             .ok_or(McsError::NoSuchUser {
                 user: replacement.id(),
             })?;
         for task in replacement.task_ids() {
-            if !self.task_index.contains_key(&task) {
+            if self.task_position(task).is_none() {
                 return Err(McsError::UnknownTask {
                     user: replacement.id(),
                     task,
@@ -248,7 +273,7 @@ impl TypeProfile {
     /// Returns [`McsError::NoSuchUser`] for unknown ids, or
     /// [`McsError::EmptyUsers`] if the removed user was the only one.
     pub fn without_user(&self, id: UserId) -> Result<Self> {
-        if !self.user_index.contains_key(&id) {
+        if self.user_position(id).is_none() {
             return Err(McsError::NoSuchUser { user: id });
         }
         let users: Vec<UserType> = self

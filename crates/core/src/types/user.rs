@@ -10,14 +10,18 @@ use crate::types::{Contribution, Cost, Pos, TaskId, UserId};
 /// A user's *type* in the mechanism-design sense:
 /// `θ_i = (S_i, c_i, {p_i^j | j ∈ S_i})`.
 ///
-/// The task set `S_i` and per-task PoS values are stored together as a map
-/// from [`TaskId`] to [`Pos`]; the task set is exactly the map's key set.
+/// The task set `S_i` and per-task PoS values are stored together as one
+/// slice of `(task, PoS)` pairs, strictly ascending by [`TaskId`]; the task
+/// set is exactly the slice's ids. Lookups binary-search it, and iteration
+/// runs in ascending task id, so every sum over the tasks adds in one fixed
+/// order. A user costs one allocation.
 /// The cost `c_i` is the total cost of performing *all* tasks in `S_i`
 /// (users are single-minded in the multi-task model: they perform either
 /// their whole task set or nothing).
 ///
 /// A `UserType` can represent either a *true* type or a *declared* bid — the
-/// auction code takes both and never assumes they coincide.
+/// auction code takes both and never assumes they coincide. Its JSON form
+/// keeps the task set as an object keyed by task id.
 ///
 /// # Examples
 ///
@@ -34,10 +38,42 @@ use crate::types::{Contribution, Cost, Pos, TaskId, UserId};
 /// # Ok::<(), mcs_core::McsError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(into = "UserRepr", try_from = "UserRepr")]
 pub struct UserType {
     id: UserId,
     cost: Cost,
+    tasks: Box<[(TaskId, Pos)]>,
+}
+
+/// Serialized form of [`UserType`]: the task set as a map from task id to
+/// PoS. A map read from JSON lists its keys in any order and may repeat
+/// one; the map sorts them and keeps a repeated key's last value, and
+/// converting keeps that.
+#[derive(Serialize, Deserialize)]
+struct UserRepr {
+    id: UserId,
+    cost: Cost,
     tasks: BTreeMap<TaskId, Pos>,
+}
+
+impl From<UserType> for UserRepr {
+    fn from(user: UserType) -> Self {
+        UserRepr {
+            id: user.id,
+            cost: user.cost,
+            tasks: user.tasks.iter().copied().collect(),
+        }
+    }
+}
+
+impl From<UserRepr> for UserType {
+    fn from(repr: UserRepr) -> Self {
+        UserType {
+            id: repr.id,
+            cost: repr.cost,
+            tasks: repr.tasks.into_iter().collect(),
+        }
+    }
 }
 
 impl UserType {
@@ -46,7 +82,7 @@ impl UserType {
         UserTypeBuilder {
             id,
             cost: Cost::ZERO,
-            tasks: BTreeMap::new(),
+            tasks: Vec::new(),
         }
     }
 
@@ -59,7 +95,7 @@ impl UserType {
     pub fn single(id: UserId, cost: f64, pos: f64) -> Result<Self> {
         UserType::builder(id)
             .cost(Cost::new(cost)?)
-            .task(TaskId::new(0), Pos::new(pos)?)
+            .tasks([(TaskId::new(0), Pos::new(pos)?)])
             .build()
     }
 
@@ -80,23 +116,28 @@ impl UserType {
 
     /// Iterates over the task set `S_i` in ascending task-id order.
     pub fn task_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.tasks.keys().copied()
+        self.tasks.iter().map(|&(task, _)| task)
     }
 
     /// Iterates over `(task, PoS)` pairs in ascending task-id order.
     pub fn tasks(&self) -> impl Iterator<Item = (TaskId, Pos)> + '_ {
-        self.tasks.iter().map(|(&t, &p)| (t, p))
+        self.tasks.iter().copied()
+    }
+
+    /// Where `task` sits in the id-sorted task slice.
+    fn slot(&self, task: TaskId) -> Option<usize> {
+        self.tasks.binary_search_by_key(&task, |&(id, _)| id).ok()
     }
 
     /// Whether `task` belongs to the user's task set.
     pub fn covers(&self, task: TaskId) -> bool {
-        self.tasks.contains_key(&task)
+        self.slot(task).is_some()
     }
 
     /// The user's PoS `p_i^j` for `task`, or `None` if the task is not in
     /// her task set.
     pub fn pos_for(&self, task: TaskId) -> Option<Pos> {
-        self.tasks.get(&task).copied()
+        self.slot(task).map(|slot| self.tasks[slot].1)
     }
 
     /// The user's contribution `q_i^j = -ln(1 - p_i^j)` for `task`, or
@@ -113,13 +154,12 @@ impl UserType {
     /// This is the success event of the multi-task execution-contingent
     /// reward scheme (paper Equation (6)).
     pub fn any_task_pos(&self) -> Pos {
-        let total: Contribution = self.tasks.values().map(|p| p.contribution()).sum();
-        total.pos()
+        self.total_contribution().pos()
     }
 
     /// The total declared contribution `Σ_{j ∈ S_i} q_i^j`.
     pub fn total_contribution(&self) -> Contribution {
-        self.tasks.values().map(|p| p.contribution()).sum()
+        self.tasks.iter().map(|(_, pos)| pos.contribution()).sum()
     }
 
     /// Returns a copy of this type with the PoS for `task` replaced —
@@ -131,14 +171,12 @@ impl UserType {
     /// (misreporting a *task set* is modelled separately; see the paper's
     /// Theorem 4 argument reducing task-set lies to contribution lies).
     pub fn with_pos(&self, task: TaskId, pos: Pos) -> Result<Self> {
-        if !self.covers(task) {
-            return Err(McsError::UnknownTask {
-                user: self.id,
-                task,
-            });
-        }
+        let slot = self.slot(task).ok_or(McsError::UnknownTask {
+            user: self.id,
+            task,
+        })?;
         let mut clone = self.clone();
-        clone.tasks.insert(task, pos);
+        clone.tasks[slot].1 = pos;
         Ok(clone)
     }
 
@@ -155,7 +193,7 @@ impl UserType {
     pub fn with_scaled_contributions(&self, factor: f64) -> Self {
         assert!(factor >= 0.0, "scale factor must be non-negative");
         let mut clone = self.clone();
-        for pos in clone.tasks.values_mut() {
+        for (_, pos) in clone.tasks.iter_mut() {
             let scaled = pos.contribution().value() * factor;
             *pos = Contribution::new(scaled)
                 .map(Contribution::pos)
@@ -170,7 +208,8 @@ impl UserType {
 pub struct UserTypeBuilder {
     id: UserId,
     cost: Cost,
-    tasks: BTreeMap<TaskId, Pos>,
+    /// Pairs in the order they were added; `build` sorts them.
+    tasks: Vec<(TaskId, Pos)>,
 }
 
 impl UserTypeBuilder {
@@ -184,12 +223,16 @@ impl UserTypeBuilder {
     ///
     /// Adding the same task twice keeps the latest PoS.
     pub fn task(mut self, task: TaskId, pos: Pos) -> Self {
-        self.tasks.insert(task, pos);
+        self.tasks.push((task, pos));
         self
     }
 
-    /// Adds many `(task, pos)` pairs.
+    /// Adds many `(task, pos)` pairs. An iterator that knows its length
+    /// fills an exactly sized buffer, which [`UserTypeBuilder::build`]
+    /// keeps as the user's task slice: such a user costs one allocation.
     pub fn tasks<I: IntoIterator<Item = (TaskId, Pos)>>(mut self, tasks: I) -> Self {
+        let tasks = tasks.into_iter();
+        self.tasks.reserve_exact(tasks.size_hint().0);
         self.tasks.extend(tasks);
         self
     }
@@ -200,13 +243,26 @@ impl UserTypeBuilder {
     ///
     /// Returns [`McsError::EmptyTaskSet`] if no task was added.
     pub fn build(self) -> Result<UserType> {
-        if self.tasks.is_empty() {
+        let mut tasks = self.tasks;
+        if tasks.is_empty() {
             return Err(McsError::EmptyTaskSet { user: self.id });
+        }
+        if !tasks.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            // Stable, so a repeated task's declarations stay in the order
+            // they were added, and the dedup keeps the latest PoS.
+            tasks.sort_by_key(|&(task, _)| task);
+            tasks.dedup_by(|later, kept| {
+                let repeat = later.0 == kept.0;
+                if repeat {
+                    kept.1 = later.1;
+                }
+                repeat
+            });
         }
         Ok(UserType {
             id: self.id,
             cost: self.cost,
-            tasks: self.tasks,
+            tasks: tasks.into_boxed_slice(),
         })
     }
 }
@@ -299,6 +355,54 @@ mod tests {
         let json = serde_json::to_string(&user).unwrap();
         let back: UserType = serde_json::from_str(&json).unwrap();
         assert_eq!(user, back);
+    }
+
+    #[test]
+    fn json_keeps_its_map_shape() {
+        let user = UserType::builder(UserId::new(7))
+            .cost(Cost::new(12.5).unwrap())
+            .task(TaskId::new(9), Pos::new(0.25).unwrap())
+            .task(TaskId::new(2), Pos::new(0.1).unwrap())
+            .task(TaskId::new(40), Pos::new(0.875).unwrap())
+            .build()
+            .unwrap();
+        let json = r#"{"id":7,"cost":12.5,"tasks":{"2":0.1,"9":0.25,"40":0.875}}"#;
+        assert_eq!(serde_json::to_string(&user).unwrap(), json);
+        assert_eq!(serde_json::from_str::<UserType>(json).unwrap(), user);
+    }
+
+    #[test]
+    fn json_map_keys_sort_and_the_last_repeat_wins() {
+        let read = |json: &str| -> Vec<(usize, f64)> {
+            let user: UserType = serde_json::from_str(json).unwrap();
+            user.tasks().map(|(t, p)| (t.index(), p.value())).collect()
+        };
+        assert_eq!(
+            read(r#"{"id":3,"cost":4.0,"tasks":{"5":0.5,"1":0.25,"3":0.125}}"#),
+            [(1, 0.25), (3, 0.125), (5, 0.5)]
+        );
+        assert_eq!(
+            read(r#"{"id":3,"cost":4.0,"tasks":{"5":0.5,"1":0.25,"5":0.75,"1":0.0}}"#),
+            [(1, 0.0), (5, 0.75)]
+        );
+        // An empty map reads as an empty task set, as it always has.
+        assert_eq!(read(r#"{"id":3,"cost":4.0,"tasks":{}}"#), []);
+    }
+
+    #[test]
+    fn builder_keeps_the_latest_pos_of_a_repeated_task() {
+        let p = |v: f64| Pos::new(v).unwrap();
+        let user = UserType::builder(UserId::new(0))
+            .task(TaskId::new(4), p(0.1))
+            .task(TaskId::new(1), p(0.2))
+            .tasks([(TaskId::new(4), p(0.3)), (TaskId::new(1), p(0.4))])
+            .task(TaskId::new(4), p(0.5))
+            .build()
+            .unwrap();
+        let tasks: Vec<(TaskId, Pos)> = user.tasks().collect();
+        assert_eq!(tasks, [(TaskId::new(1), p(0.4)), (TaskId::new(4), p(0.5))]);
+        assert!(!user.covers(TaskId::new(2)));
+        assert_eq!(user.pos_for(TaskId::new(4)), Some(p(0.5)));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   value, stores the six event words, then publishes the (even)
 //!   done-version. Slot indices come from one `fetch_add` on a global
 //!   head counter, so writers on different slots never touch the same
-//!   memory.
+//!   memory. A run of events ([`FlightRecorder::record_run`], one bid's
+//!   admission and its tasks) takes consecutive sequence numbers with
+//!   one `fetch_add`, so no other writer's events land inside it.
 //! * A reader snapshots a slot by reading the version, the words, and
 //!   the version again; a changed or odd version means a write was in
 //!   flight and the slot is retried, then skipped. Because every word is
@@ -27,7 +29,8 @@
 //! ## Clocks
 //!
 //! In [`ClockMode::Wall`] events carry nanoseconds since the recorder's
-//! creation — what an operator wants. In [`ClockMode::Logical`] the
+//! creation — what an operator wants; a run reads the clock once and
+//! stamps all its events with that reading. In [`ClockMode::Logical`] the
 //! timestamp *is* the sequence number: traces become a pure function of
 //! the recorded event order, so deterministic harnesses (see
 //! `mcs-harness`) get bitwise-stable dumps for any worker count.
@@ -106,8 +109,9 @@ impl FlightRecorder {
         self.mode == ClockMode::Logical
     }
 
-    /// Total events ever handed to [`FlightRecorder::record`] (including
-    /// any that were dropped on a lap collision or overwritten since).
+    /// Total events ever handed to [`FlightRecorder::record`] and
+    /// [`FlightRecorder::record_run`] (including any that were dropped on a
+    /// lap collision or overwritten since).
     pub fn recorded(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
     }
@@ -134,16 +138,40 @@ impl FlightRecorder {
     /// Records one event. Lock-free, allocation-free; a no-op on a
     /// disabled recorder.
     pub fn record(&self, event: RawEvent) {
+        self.record_run(event, [])
+    }
+
+    /// Records `head` and then every event of `rest` under `1 + rest.len()`
+    /// consecutive sequence numbers, claimed with one `fetch_add`: the run
+    /// stays contiguous in sequence order under concurrent writers. In wall
+    /// mode every event of the run carries one clock reading. Each event
+    /// still takes its own slot claim, so a lapped slot drops (and counts)
+    /// only its own event. Lock-free, allocation-free; a no-op on a
+    /// disabled recorder.
+    pub fn record_run<I>(&self, head: RawEvent, rest: I)
+    where
+        I: IntoIterator<Item = RawEvent>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let capacity = self.slots.len() as u64;
         if capacity == 0 {
             return;
         }
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let at = match self.mode {
-            ClockMode::Logical => seq,
-            ClockMode::Wall => u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        let rest = rest.into_iter();
+        let len = 1 + rest.len() as u64;
+        let first = self.head.fetch_add(len, Ordering::Relaxed);
+        let wall = match self.mode {
+            ClockMode::Logical => None,
+            ClockMode::Wall => Some(self.epoch_elapsed_ns()),
         };
-        let slot = &self.slots[(seq % capacity) as usize];
+        for (seq, event) in (first..first + len).zip(std::iter::once(head).chain(rest)) {
+            self.write(seq, wall.unwrap_or(seq), &event);
+        }
+    }
+
+    /// Writes event `seq` into its slot under the slot's seqlock.
+    fn write(&self, seq: u64, at: u64, event: &RawEvent) {
+        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         let writing = (seq << 1) | 1;
         let done = (seq + 1) << 1;
         let previous = slot.version.load(Ordering::Relaxed);
@@ -159,7 +187,7 @@ impl FlightRecorder {
             self.collisions.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        for (word, value) in slot.words.iter().zip(TraceEvent::encode(&event, at)) {
+        for (word, value) in slot.words.iter().zip(TraceEvent::encode(event, at)) {
             word.store(value, Ordering::Relaxed);
         }
         slot.version.store(done, Ordering::Release);
@@ -291,6 +319,87 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert!(events[0].at <= events[1].at);
         assert!(!recorder.is_logical());
+    }
+
+    fn task_event(round: u64, user: u64, task: u32) -> RawEvent {
+        RawEvent::new(EventKind::BidTask, round, user, task.into(), 0)
+    }
+
+    #[test]
+    fn a_run_takes_consecutive_sequence_numbers() {
+        let recorder = FlightRecorder::new(16, ClockMode::Logical);
+        recorder.record(bid_event(0, 9));
+        recorder.record_run(bid_event(1, 4), (0..3).map(|task| task_event(1, 4, task)));
+        recorder.record(bid_event(2, 5));
+        let events = recorder.snapshot();
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(events[1].kind, EventKind::BidAdmitted);
+        let tasks: Vec<u64> = events[2..5].iter().map(|e| e.b).collect();
+        assert_eq!(tasks, [0, 1, 2]);
+        // Logical mode: every event keeps `at = seq`.
+        assert!(events.iter().all(|e| e.at == e.seq));
+        assert_eq!(recorder.recorded(), 6);
+    }
+
+    #[test]
+    fn a_wall_clock_run_carries_one_timestamp() {
+        let recorder = FlightRecorder::new(16, ClockMode::Wall);
+        recorder.record_run(bid_event(0, 1), (0..5).map(|task| task_event(0, 1, task)));
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        recorder.record(bid_event(0, 2));
+        let events = recorder.snapshot();
+        assert_eq!(events.len(), 7);
+        assert!(events[..6].iter().all(|e| e.at == events[0].at));
+        assert!(events[6].at > events[0].at);
+    }
+
+    #[test]
+    fn a_run_on_a_disabled_recorder_is_a_noop() {
+        let recorder = FlightRecorder::disabled();
+        recorder.record_run(bid_event(0, 0), (0..4).map(|task| task_event(0, 0, task)));
+        assert!(recorder.snapshot().is_empty());
+        assert_eq!(recorder.recorded(), 0);
+        assert_eq!(recorder.collisions(), 0);
+    }
+
+    #[test]
+    fn a_run_longer_than_the_ring_wraps_like_single_records() {
+        let run = FlightRecorder::new(4, ClockMode::Logical);
+        run.record_run(bid_event(0, 0), (1..10).map(|task| task_event(0, 0, task)));
+        let single = FlightRecorder::new(4, ClockMode::Logical);
+        single.record(bid_event(0, 0));
+        for task in 1..10 {
+            single.record(task_event(0, 0, task));
+        }
+        assert_eq!(run.snapshot(), single.snapshot());
+        let tasks: Vec<u64> = run.snapshot().iter().map(|e| e.b).collect();
+        assert_eq!(tasks, [6, 7, 8, 9]);
+        assert_eq!(run.recorded(), 10);
+        assert!(run.wrapped());
+    }
+
+    #[test]
+    fn a_lapped_slot_in_a_run_counts_one_collision_like_single_records() {
+        // A writer one lap ahead already holds slot 1 (its event 5), so the
+        // run's event 1 loses its claim; the rest of the run lands.
+        let lapped = || {
+            let recorder = FlightRecorder::new(4, ClockMode::Logical);
+            recorder.write(5, 5, &bid_event(9, 9));
+            recorder
+        };
+        let run = lapped();
+        run.record_run(bid_event(0, 0), (1..4).map(|task| task_event(0, 0, task)));
+        let single = lapped();
+        single.record(bid_event(0, 0));
+        for task in 1..4 {
+            single.record(task_event(0, 0, task));
+        }
+        assert_eq!(run.collisions(), 1);
+        assert_eq!(single.collisions(), 1);
+        assert_eq!(run.snapshot(), single.snapshot());
+        let seqs: Vec<u64> = run.snapshot().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 2, 3, 5]);
     }
 
     #[test]

@@ -146,3 +146,56 @@ fn pinned_seeds_make_the_workload_reproducible() {
     };
     assert_eq!(run(), run());
 }
+
+/// Concurrent writers recording whole runs (one bid's admission event
+/// and its task events), each writer giving up its CPU between the events
+/// of a run, so the others write while its run is half done: every run
+/// still sits on consecutive sequence numbers, in its own order, with no
+/// other writer's event inside it.
+#[test]
+fn concurrent_runs_stay_contiguous_in_sequence_order() {
+    const RUN: u32 = 16;
+    const RUNS_PER_WRITER: u64 = 200;
+    let total = WRITERS * RUNS_PER_WRITER * u64::from(RUN);
+    let recorder = Arc::new(FlightRecorder::new(total as usize, ClockMode::Logical));
+    let start = Arc::new(std::sync::Barrier::new(WRITERS as usize));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let recorder = Arc::clone(&recorder);
+            let start = Arc::clone(&start);
+            thread::spawn(move || {
+                start.wait();
+                for i in 0..RUNS_PER_WRITER {
+                    let run = w * RUNS_PER_WRITER + i;
+                    recorder.record_run(
+                        RawEvent::new(EventKind::BidAdmitted, run, w, 0, u64::from(RUN)),
+                        (1..RUN).map(|offset| {
+                            thread::yield_now();
+                            RawEvent::new(EventKind::BidTask, run, w, offset.into(), 0)
+                        }),
+                    );
+                }
+            })
+        })
+        .collect();
+    for writer in writers {
+        writer.join().unwrap();
+    }
+    assert_eq!(recorder.recorded(), total);
+    assert_eq!(recorder.collisions(), 0);
+    let events = recorder.snapshot();
+    assert_eq!(events.len() as u64, total);
+    // Within a run, `seq - offset` is one number: its first sequence
+    // number. A foreign event inside the run would break that.
+    let mut first_seq = std::collections::BTreeMap::new();
+    for event in &events {
+        let offset = if event.kind == EventKind::BidAdmitted {
+            0
+        } else {
+            event.b
+        };
+        let first = *first_seq.entry(event.round).or_insert(event.seq - offset);
+        assert_eq!(event.seq - offset, first, "run {} is split", event.round);
+    }
+    assert_eq!(first_seq.len() as u64, WRITERS * RUNS_PER_WRITER);
+}

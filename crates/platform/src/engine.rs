@@ -316,11 +316,13 @@ impl Engine {
     pub fn submit(&mut self, bid: &Bid) -> Result<Admission, IngestError> {
         self.metrics.bid_received();
         let backlog = self.backlog_bids();
-        let shed_start = Instant::now();
+        // Only an enabled controller sheds, so only then is the clock read.
+        let shed_start = self.config.admission.is_enabled().then(Instant::now);
         let (arrival, decision) = self.admission.admit(backlog);
         if let Admission::Shed(reason) = decision {
             self.metrics.bid_shed();
-            self.metrics.record(Stage::Shed, shed_start.elapsed());
+            let elapsed = shed_start.map(|start| start.elapsed()).unwrap_or_default();
+            self.metrics.record(Stage::Shed, elapsed);
             self.recorder.record(RawEvent::new(
                 EventKind::BidShed,
                 self.batcher.next_round_id(),
@@ -340,22 +342,26 @@ impl Engine {
         match outcome {
             Ok(closed) => {
                 self.injector.observe_admitted(RoundId(round_id), bid);
-                self.recorder.record(RawEvent::new(
-                    EventKind::BidAdmitted,
-                    round_id,
-                    bid.user as u64,
-                    bid.cost.to_bits(),
-                    bid.tasks.len() as u64,
-                ));
-                for &(task, pos) in &bid.tasks {
-                    self.recorder.record(RawEvent::new(
-                        EventKind::BidTask,
+                // One run: the bid's events stay contiguous and share
+                // one ring claim and one clock reading.
+                self.recorder.record_run(
+                    RawEvent::new(
+                        EventKind::BidAdmitted,
                         round_id,
                         bid.user as u64,
-                        task as u64,
-                        pos.to_bits(),
-                    ));
-                }
+                        bid.cost.to_bits(),
+                        bid.tasks.len() as u64,
+                    ),
+                    bid.tasks.iter().map(|&(task, pos)| {
+                        RawEvent::new(
+                            EventKind::BidTask,
+                            round_id,
+                            bid.user as u64,
+                            task as u64,
+                            pos.to_bits(),
+                        )
+                    }),
+                );
                 self.enqueue(closed);
                 Ok(Admission::Admitted)
             }

@@ -1,12 +1,16 @@
 //! Bid intake: validation and per-round deduplication.
 //!
 //! The engine receives raw, untrusted [`Bid`]s from the outside world.
-//! [`IngestQueue`] turns them into validated
+//! [`Bid::check`] is the one bid rule: it rejects a malformed bid with a
+//! typed [`IngestError`] instead of letting invalid values reach winner
+//! determination. [`IngestQueue`] applies it against the round's published
+//! tasks and turns admitted bids into
 //! [`UserType`](mcs_core::types::UserType)s for the round currently being
-//! filled, rejecting malformed bids with a typed [`IngestError`] instead
-//! of letting invalid values reach winner determination.
+//! filled; the cluster's router applies the same rule against its
+//! topology. Checking a bid allocates nothing, and admitting one allocates
+//! only its `UserType`.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::fmt;
 
 use mcs_core::types::{Cost, Pos, TaskId, UserId, UserType};
@@ -86,23 +90,80 @@ impl fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
+impl Bid {
+    /// The one bid rule, checked in this order: a non-empty task set, a
+    /// valid cost, then for each declared task in turn that `known(task)`
+    /// holds, that the task is not declared twice, and that its PoS is
+    /// valid. A user's duplicate bid is the caller's to reject, before this
+    /// check: the engine dedups within one round, the cluster's router
+    /// across the whole cluster.
+    ///
+    /// Allocation-free. A repeated task is found on the bid's own list, at
+    /// O(1) per task while the list ascends (the usual shape of a bid) and
+    /// by a scan of the earlier tasks after.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the bid breaks.
+    pub fn check(&self, mut known: impl FnMut(u32) -> bool) -> Result<(), IngestError> {
+        if self.tasks.is_empty() {
+            return Err(IngestError::EmptyTaskSet);
+        }
+        if Cost::new(self.cost).is_err() {
+            return Err(IngestError::InvalidCost { value: self.cost });
+        }
+        let mut ascending = true;
+        for (k, &(task, pos)) in self.tasks.iter().enumerate() {
+            if !known(task) {
+                return Err(IngestError::UnknownTask { task });
+            }
+            // A task above every earlier one repeats none of them.
+            ascending &= k == 0 || self.tasks[k - 1].0 < task;
+            if !ascending && self.tasks[..k].iter().any(|&(earlier, _)| earlier == task) {
+                return Err(IngestError::DuplicateTask { task });
+            }
+            if Pos::new(pos).is_err() {
+                return Err(IngestError::InvalidPos { task, value: pos });
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Validates bids against the round's published task list and accumulates
 /// them, deduplicating user ids within the round.
 #[derive(Debug)]
 pub struct IngestQueue {
-    published: BTreeSet<TaskId>,
-    seen: BTreeSet<u32>,
+    /// Published task ids, ascending.
+    published: Box<[u32]>,
+    /// Users with a bid in the open round; cleared, not freed, between
+    /// rounds.
+    seen: HashSet<u32>,
     accepted: Vec<UserType>,
 }
 
 impl IngestQueue {
     /// Creates a queue for a round publishing `tasks`.
     pub fn new<I: IntoIterator<Item = TaskId>>(tasks: I) -> Self {
+        let mut published: Vec<u32> = tasks.into_iter().map(|task| task.index() as u32).collect();
+        published.sort_unstable();
+        published.dedup();
         IngestQueue {
-            published: tasks.into_iter().collect(),
-            seen: BTreeSet::new(),
+            published: published.into_boxed_slice(),
+            seen: HashSet::new(),
             accepted: Vec::new(),
         }
+    }
+
+    /// Whether the round publishes `task`.
+    fn publishes(&self, task: u32) -> bool {
+        let Some(&first) = self.published.first() else {
+            return false;
+        };
+        // Published ids are usually consecutive, which puts `task` at
+        // `task - first`: one probe before the search.
+        let guess = task.wrapping_sub(first) as usize;
+        self.published.get(guess) == Some(&task) || self.published.binary_search(&task).is_ok()
     }
 
     /// How many bids have been accepted into the current round.
@@ -124,35 +185,28 @@ impl IngestQueue {
         if self.seen.contains(&bid.user) {
             return Err(IngestError::DuplicateUser { user: bid.user });
         }
-        if bid.tasks.is_empty() {
-            return Err(IngestError::EmptyTaskSet);
-        }
-        let cost = Cost::new(bid.cost).map_err(|_| IngestError::InvalidCost { value: bid.cost })?;
-        let mut declared = BTreeSet::new();
-        let mut builder = UserType::builder(UserId::new(bid.user)).cost(cost);
-        for &(task, pos) in &bid.tasks {
-            let id = TaskId::new(task);
-            if !self.published.contains(&id) {
-                return Err(IngestError::UnknownTask { task });
-            }
-            if !declared.insert(task) {
-                return Err(IngestError::DuplicateTask { task });
-            }
-            let pos = Pos::new(pos).map_err(|_| IngestError::InvalidPos { task, value: pos })?;
-            builder = builder.task(id, pos);
-        }
-        let user = builder
+        bid.check(|task| self.publishes(task))?;
+        let valid = "a checked bid holds valid values";
+        let user = UserType::builder(UserId::new(bid.user))
+            .cost(Cost::new(bid.cost).expect(valid))
+            .tasks(
+                bid.tasks
+                    .iter()
+                    .map(|&(task, pos)| (TaskId::new(task), Pos::new(pos).expect(valid))),
+            )
             .build()
-            .expect("validated bid builds a well-formed user type");
+            .expect(valid);
         self.seen.insert(bid.user);
         self.accepted.push(user);
         Ok(())
     }
 
-    /// Takes the accepted bids and resets the queue for the next round.
+    /// Takes the accepted bids and resets the queue for the next round,
+    /// sized for as many bids as this one took.
     pub fn drain(&mut self) -> Vec<UserType> {
         self.seen.clear();
-        std::mem::take(&mut self.accepted)
+        let next = Vec::with_capacity(self.accepted.len());
+        std::mem::replace(&mut self.accepted, next)
     }
 }
 

@@ -1,15 +1,21 @@
 //! Property tests for bid intake and admission control.
 //!
-//! Three contracts, each over arbitrary streams:
+//! Four contracts, each over arbitrary streams:
 //! 1. every [`IngestError`] variant is reachable from a malformed bid
 //!    (and rejection leaves the queue untouched),
 //! 2. rejected and shed bids never appear in any cleared round,
 //! 3. admission is order-deterministic — the same stream produces the
-//!    same per-bid outcomes and the same cleared rounds, bitwise.
+//!    same per-bid outcomes and the same cleared rounds, bitwise,
+//! 4. the one bid rule, as the engine's queue and the cluster's router
+//!    apply it, gives exactly the verdicts of the set-based rule it
+//!    replaced (kept below as [`reference`]).
 
 use std::collections::BTreeSet;
 
+use mcs_cluster::{route_bids, TaskSite, Topology};
 use mcs_core::types::{Task, TaskId};
+use mcs_mobility::grid::{Cell, CityGrid};
+use mcs_platform::ingest::IngestQueue;
 use mcs_platform::prelude::*;
 use proptest::prelude::*;
 
@@ -21,8 +27,8 @@ fn published_tasks() -> Vec<Task> {
         .collect()
 }
 
-fn queue() -> mcs_platform::ingest::IngestQueue {
-    mcs_platform::ingest::IngestQueue::new((0..PUBLISHED).map(TaskId::new))
+fn queue() -> IngestQueue {
+    IngestQueue::new((0..PUBLISHED).map(TaskId::new))
 }
 
 fn valid_bid(user: u32) -> Bid {
@@ -249,5 +255,205 @@ proptest! {
         prop_assert_eq!(first.results(), second.results());
         prop_assert_eq!(first.settlements(), second.settlements());
         prop_assert_eq!(first.quarantine(), second.quarantine());
+    }
+}
+
+/// The bid rule as it was first written, with a B-tree set per check:
+/// the reference both appliers of [`Bid::check`] must equal.
+mod reference {
+    use std::collections::BTreeSet;
+
+    use mcs_cluster::{RoutedRound, Topology};
+    use mcs_core::types::{Cost, Pos, TaskId, UserId, UserType};
+    use mcs_platform::ingest::{Bid, IngestError};
+
+    /// The engine's intake queue.
+    pub struct Queue {
+        published: BTreeSet<TaskId>,
+        seen: BTreeSet<u32>,
+        accepted: Vec<UserType>,
+    }
+
+    impl Queue {
+        pub fn new<I: IntoIterator<Item = TaskId>>(tasks: I) -> Self {
+            Queue {
+                published: tasks.into_iter().collect(),
+                seen: BTreeSet::new(),
+                accepted: Vec::new(),
+            }
+        }
+
+        pub fn push(&mut self, bid: &Bid) -> Result<(), IngestError> {
+            if self.seen.contains(&bid.user) {
+                return Err(IngestError::DuplicateUser { user: bid.user });
+            }
+            if bid.tasks.is_empty() {
+                return Err(IngestError::EmptyTaskSet);
+            }
+            let cost =
+                Cost::new(bid.cost).map_err(|_| IngestError::InvalidCost { value: bid.cost })?;
+            let mut declared = BTreeSet::new();
+            let mut builder = UserType::builder(UserId::new(bid.user)).cost(cost);
+            for &(task, pos) in &bid.tasks {
+                let id = TaskId::new(task);
+                if !self.published.contains(&id) {
+                    return Err(IngestError::UnknownTask { task });
+                }
+                if !declared.insert(task) {
+                    return Err(IngestError::DuplicateTask { task });
+                }
+                let pos =
+                    Pos::new(pos).map_err(|_| IngestError::InvalidPos { task, value: pos })?;
+                builder = builder.task(id, pos);
+            }
+            self.seen.insert(bid.user);
+            self.accepted.push(builder.build().unwrap());
+            Ok(())
+        }
+
+        pub fn drain(&mut self) -> Vec<UserType> {
+            self.seen.clear();
+            std::mem::take(&mut self.accepted)
+        }
+    }
+
+    /// The cluster's router.
+    pub fn route_bids(topology: &Topology, bids: &[Bid]) -> RoutedRound {
+        let mut routed = RoutedRound::default();
+        let mut seen = BTreeSet::new();
+        for (index, bid) in bids.iter().enumerate() {
+            match route_one(topology, bid, &mut seen) {
+                Ok(Some(region)) => routed.regional.entry(region).or_default().push(bid.clone()),
+                Ok(None) => routed.straddlers.push(bid.clone()),
+                Err(error) => routed.rejected.push((index, error)),
+            }
+        }
+        routed
+    }
+
+    fn route_one(
+        topology: &Topology,
+        bid: &Bid,
+        seen: &mut BTreeSet<u32>,
+    ) -> Result<Option<u32>, IngestError> {
+        if seen.contains(&bid.user) {
+            return Err(IngestError::DuplicateUser { user: bid.user });
+        }
+        if bid.tasks.is_empty() {
+            return Err(IngestError::EmptyTaskSet);
+        }
+        if !(bid.cost.is_finite() && bid.cost >= 0.0) {
+            return Err(IngestError::InvalidCost { value: bid.cost });
+        }
+        let mut declared = BTreeSet::new();
+        let mut regions = BTreeSet::new();
+        for &(task, pos) in &bid.tasks {
+            let Some(region) = topology.region_of_task(task) else {
+                return Err(IngestError::UnknownTask { task });
+            };
+            if !declared.insert(task) {
+                return Err(IngestError::DuplicateTask { task });
+            }
+            if !(pos.is_finite() && (0.0..1.0).contains(&pos)) {
+                return Err(IngestError::InvalidPos { task, value: pos });
+            }
+            regions.insert(region);
+        }
+        seen.insert(bid.user);
+        if regions.len() == 1 {
+            Ok(regions.into_iter().next())
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// A value from the edges a check must tell apart — NaN, ±0.0, 1.0, the
+/// infinities, negatives, values above 1 — or, half the time, an
+/// ordinary value in `[0, 1)`.
+fn edgy_value() -> impl Strategy<Value = f64> {
+    (0u8..16, 0.0..1.0f64).prop_map(|(flavor, x)| match flavor {
+        0 => f64::NAN,
+        1 => 0.0,
+        2 => -0.0,
+        3 => 1.0,
+        4 => -x - f64::MIN_POSITIVE,
+        5 => f64::INFINITY,
+        6 => f64::NEG_INFINITY,
+        7 => 1.0 + 8.0 * x,
+        _ => x,
+    })
+}
+
+/// Arbitrary bids over a few users (so users repeat) and tasks `0..5`,
+/// of which only `0..PUBLISHED` are published: empty, unknown, repeated
+/// and out-of-order task lists all occur, and half the lists are sorted
+/// so the ascending path is taken too.
+fn arbitrary_bids() -> impl Strategy<Value = Vec<Bid>> {
+    let bid = (
+        0u32..6,
+        edgy_value(),
+        proptest::collection::vec((0u32..PUBLISHED + 2, edgy_value()), 0..6),
+        any::<bool>(),
+    )
+        .prop_map(|(user, cost, mut tasks, sorted)| {
+            if sorted {
+                tasks.sort_by_key(|&(task, _)| task);
+            }
+            Bid { user, cost, tasks }
+        });
+    proptest::collection::vec(bid, 0..24)
+}
+
+/// Tasks 0 and 1 in the west band, task 2 in the east band.
+fn two_band_topology() -> Topology {
+    let site = |task: u32, x: u32| TaskSite {
+        task: Task::with_requirement(TaskId::new(task), 0.6).unwrap(),
+        cell: Cell { x, y: 0 },
+    };
+    Topology::bands(
+        CityGrid::new(4, 2, 1.0),
+        2,
+        vec![site(0, 0), site(1, 1), site(2, 3)],
+    )
+    .unwrap()
+}
+
+/// A verdict compared exactly: `Debug` spells out every float, `-0.0`
+/// and NaN included, where `PartialEq` would call NaN unequal to itself.
+fn verdict<T: std::fmt::Debug>(value: &T) -> String {
+    format!("{value:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Contract 4, engine side: `IngestQueue::push` returns the
+    /// reference's exact verdict for every bid, and the rounds it drains
+    /// hold the same user types.
+    #[test]
+    fn ingest_queue_matches_the_reference_rule(bids in arbitrary_bids(), split in 0usize..24) {
+        let mut queue = queue();
+        let mut reference = reference::Queue::new((0..PUBLISHED).map(TaskId::new));
+        for (k, bid) in bids.iter().enumerate() {
+            if k == split {
+                // A round boundary: users may bid again.
+                prop_assert_eq!(queue.drain(), reference.drain());
+            }
+            prop_assert_eq!(verdict(&queue.push(bid)), verdict(&reference.push(bid)));
+        }
+        prop_assert_eq!(queue.drain(), reference.drain());
+    }
+
+    /// Contract 4, cluster side: `route_bids` rejects exactly what the
+    /// reference rejects, with the same errors, and splits the rest into
+    /// the same regional and straddler sets.
+    #[test]
+    fn routing_matches_the_reference_rule(bids in arbitrary_bids()) {
+        let topology = two_band_topology();
+        prop_assert_eq!(
+            verdict(&route_bids(&topology, &bids)),
+            verdict(&reference::route_bids(&topology, &bids))
+        );
     }
 }

@@ -43,6 +43,23 @@ if [ "$(printf '%s' "${MIX_FILES}" | grep -c .)" -gt 1 ]; then
   exit 1
 fi
 
+echo "==> one bid rule (IngestError's bid variants named only in mcs_platform::ingest)"
+# The engine's intake and the cluster's router apply one bid rule,
+# mcs_platform::ingest::Bid::check; a hand copy of it could drift from the
+# original. Outside test code, only crates/platform/src/ingest.rs may name
+# (so construct) the variants the rule returns. Each file under a src/
+# directory counts up to its first #[cfg(test)] line; tests/ directories
+# are test code throughout.
+RULE_FILES="$(find crates -path '*/src/*' -name '*.rs' | sort | while read -r file; do
+  awk '/#\[cfg\(test\)\]/ { exit }
+       /IngestError::(InvalidCost|InvalidPos|EmptyTaskSet|UnknownTask|DuplicateTask)/ { print FILENAME; exit }' "${file}"
+done)"
+if [ -n "${RULE_FILES}" ] && [ "${RULE_FILES}" != "crates/platform/src/ingest.rs" ]; then
+  echo "IngestError bid-rule variants named outside crates/platform/src/ingest.rs:"
+  echo "${RULE_FILES}"
+  exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
