@@ -31,16 +31,19 @@
 //! must stay ≤ 5%.
 //!
 //! Modes: `--test` asserts fast/reference bitwise equivalence on a small
-//! multi-task instance and on the single-task sizes; `--smoke` adds a warm-vs-cold bitwise check plus a timed
-//! n=10k clear and the profiling-overhead bound (the CI tier);
-//! `--profile [n]` pins a hot clear loop for `scripts/profile.sh` to
-//! hang perf on.
+//! multi-task instance and on the single-task sizes, warm against cold on
+//! one context, and four rounds at 2 % row churn on a persistent context
+//! against a fresh one at 1 and 4 threads, printing the winners whose
+//! critical bids carried over; `--smoke` adds a timed n=10k clear and the
+//! profiling-overhead bound (the CI tier);
+//! `--profile [n]` pins a hot loop of churned warm clears for
+//! `scripts/profile.sh` to hang perf on.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use criterion::{BenchmarkId, Criterion};
-use mcs_bench::{synthetic_multi_task, synthetic_single_task};
+use mcs_bench::{rebid, synthetic_multi_task, synthetic_single_task};
 use mcs_core::indexed::{ClearContext, ProfCounters};
 use mcs_core::mechanism::{contingent_reward, Allocation, WinnerDetermination};
 use mcs_core::multi_task::{reference, MultiTaskMechanism};
@@ -181,7 +184,9 @@ fn allocate_fast(profile: &TypeProfile, context: &mut ClearContext) -> usize {
 fn profiling_overhead(n: usize, pairs: usize) -> (u128, u128, f64) {
     let profile = synthetic_multi_task(n, TASKS, REQUIREMENT, 1000 + n as u64);
     let mut context = ClearContext::new();
-    // Warm the arena so both measurements see the steady state.
+    // Warm the arena so both measurements see the steady state: the
+    // profile never changes, so every later clear carries each winner's
+    // critical bid over and costs a sync and an allocation run.
     black_box(clear_fast_warm(&profile, 1, &mut context));
     let mut clear = |profiled: bool| {
         let start = Instant::now();
@@ -308,6 +313,70 @@ fn write_json(rows: &[Row]) {
     println!("wrote {path}");
 }
 
+/// Users of the churn smoke's population.
+const CHURN_USERS: usize = 1_000;
+/// Churned rounds after the churn smoke's first one.
+const CHURN_ROUNDS: usize = 4;
+/// Every this many users re-bids in a churned round: 2 % of the rows.
+const CHURN_EVERY: usize = 50;
+
+/// Rounds of one `n`-user population in which a different 2 % of the
+/// users re-bid each round, in place (the `steady-large` shape): the
+/// first round, then `churned` churned ones.
+fn churned_rounds(n: usize, churned: usize, seed: u64) -> Vec<TypeProfile> {
+    let mut profile = synthetic_multi_task(n, TASKS, REQUIREMENT, seed);
+    let mut rounds = vec![profile.clone()];
+    for round in 1..=churned {
+        let redrawn = synthetic_multi_task(n, TASKS, REQUIREMENT, seed + round as u64);
+        profile = rebid(&profile, &redrawn, |i| {
+            i % CHURN_EVERY == round % CHURN_EVERY
+        });
+        rounds.push(profile.clone());
+    }
+    rounds
+}
+
+/// The churned rounds cleared on one persistent context per thread
+/// count, each bitwise equal to a fresh context's clear, and carrying
+/// over the same winners' critical bids at 1 and 4 threads, some of
+/// them at least. Prints the winners carried over per round.
+fn churn_smoke() {
+    let rounds = churned_rounds(CHURN_USERS, CHURN_ROUNDS, 77);
+    let mut carried_at = Vec::new();
+    for threads in [1usize, 4] {
+        let mut context = ClearContext::new();
+        let mut carried = Vec::new();
+        for (round, profile) in rounds.iter().enumerate() {
+            let warm = clear_fast_warm(profile, threads, &mut context);
+            let fresh = clear_fast(profile, threads);
+            assert_quotes_bitwise_equal(
+                &warm,
+                &fresh,
+                &format!("churned round {round}, {threads} threads"),
+            );
+            carried.push((context.take_prof().criticals_reused, warm.len()));
+        }
+        carried_at.push(carried);
+    }
+    assert_eq!(
+        carried_at[0], carried_at[1],
+        "carried-over critical bids depend on the thread count"
+    );
+    assert!(
+        carried_at[0].iter().any(|&(reused, _)| reused > 0),
+        "no churned round carried a critical bid over"
+    );
+    let per_round: Vec<String> = carried_at[0]
+        .iter()
+        .map(|(reused, winners)| format!("{reused}/{winners}"))
+        .collect();
+    println!(
+        "payment_scaling smoke: {CHURN_ROUNDS} rounds at 2% churn match a fresh context at 1 and 4 threads; \
+         winners reused per round {}. ok",
+        per_round.join(" ")
+    );
+}
+
 /// `--test`: one small instance, both paths, bitwise-identical quotes.
 fn smoke() {
     let profile = synthetic_multi_task(48, 12, 0.7, 42);
@@ -338,6 +407,7 @@ fn smoke() {
         assert_quotes_bitwise_equal(&fast, &reference_quotes, &format!("single task n={n}"));
     }
     println!("payment_scaling smoke: fast engine matches reference bitwise. ok");
+    churn_smoke();
 }
 
 /// Same winners, and every quote's success and failure bits equal.
@@ -382,20 +452,27 @@ fn ci_smoke() {
 }
 
 /// `--profile [n]`: a pinned hot loop (no JSON, no Criterion) for perf /
-/// flamegraph attachment; defaults to n=10k, warm-context clears.
+/// flamegraph attachment; defaults to n=10k. Warm clears on one context
+/// alternate between a profile and its churned round (2 % of the users
+/// re-bid), so each sync patches 2 % of the rows and the winners that
+/// churn reaches are searched again; re-clearing one unchanged profile
+/// would carry every critical bid over and never sample the search.
+/// Prints how many bids carried over.
 fn profile_loop(n: usize) {
-    let profile = synthetic_multi_task(n, TASKS, REQUIREMENT, 1000 + n as u64);
+    let rounds = churned_rounds(n, 1, 1000 + n as u64);
     let mut context = ClearContext::new();
-    println!("profiling warm clears at n={n}, tasks={TASKS}; ctrl-C when sampled enough");
+    println!("profiling warm clears at 2% churn, n={n}, tasks={TASKS}; ctrl-C when sampled enough");
     let started = Instant::now();
-    let mut iterations = 0u64;
+    let (mut iterations, mut winners) = (0usize, 0usize);
     while started.elapsed().as_secs() < 60 {
-        black_box(clear_fast_warm(black_box(&profile), 1, &mut context));
+        let profile = &rounds[iterations % 2];
+        winners += black_box(clear_fast_warm(black_box(profile), 1, &mut context)).len();
         iterations += 1;
     }
     println!(
-        "profiled {iterations} clears in {:.1} s",
-        started.elapsed().as_secs_f64()
+        "profiled {iterations} clears in {:.1} s; {} of {winners} critical bids carried over",
+        started.elapsed().as_secs_f64(),
+        context.take_prof().criticals_reused
     );
 }
 

@@ -89,3 +89,22 @@ pub fn synthetic_multi_task(n: usize, t: usize, requirement: f64, seed: u64) -> 
         .collect();
     TypeProfile::new(users, tasks).expect("valid synthetic profile")
 }
+
+/// `profile` after some of its users re-bid in place: each user whose
+/// position `rebids` picks takes her row in `redrawn` (a profile of the
+/// same users and tasks, such as [`synthetic_multi_task`] at another
+/// seed); every other row stays as it was.
+pub fn rebid(
+    profile: &TypeProfile,
+    redrawn: &TypeProfile,
+    rebids: impl Fn(usize) -> bool,
+) -> TypeProfile {
+    let users = profile
+        .users()
+        .iter()
+        .zip(redrawn.users())
+        .enumerate()
+        .map(|(i, (kept, churned))| if rebids(i) { churned } else { kept }.clone())
+        .collect();
+    TypeProfile::new(users, profile.tasks().to_vec()).expect("re-bids keep the profile valid")
+}

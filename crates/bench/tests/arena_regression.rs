@@ -5,11 +5,12 @@
 //! tie-breaking, or delta-patch logic shows up here as a digest mismatch
 //! long before it would surface in a campaign. Beside each digest, the
 //! kernel's counted work (heap pops, stale re-evaluations, probes, index
-//! syncs) is pinned exactly: one context clears sequentially here, so the
-//! counts are deterministic, and a change that adds work fails this test
-//! even when every outcome bit holds.
+//! syncs, critical bids carried over) is pinned exactly: one context
+//! clears sequentially here, so the counts are deterministic, and a
+//! change that adds work fails this test even when every outcome bit
+//! holds.
 
-use mcs_bench::synthetic_multi_task;
+use mcs_bench::{rebid, synthetic_multi_task};
 use mcs_core::indexed::{ClearContext, ProfCounters};
 use mcs_core::multi_task::MultiTaskMechanism;
 use mcs_core::types::TypeProfile;
@@ -93,7 +94,8 @@ fn arena_clear_at_ten_thousand_users_is_pinned() {
     // a fresh context is the oracle.
     let relaxed = synthetic_multi_task(N, TASKS, 0.75, SEED);
     let warm = clear_digest(&mechanism, &mut context, &relaxed);
-    // Only requirements changed, so the sync patches no user row.
+    // Only requirements changed, so the sync patches no user row, and
+    // no critical bid of round 1 carries over.
     assert_eq!(
         counted_work(&mut context),
         ProfCounters {
@@ -110,4 +112,33 @@ fn arena_clear_at_ten_thousand_users_is_pinned() {
     );
     let fresh = clear_digest(&mechanism, &mut ClearContext::new(), &relaxed);
     assert_eq!(warm, fresh, "delta-patched round diverged from rebuild");
+
+    // Round 3: 2 % of the rows re-bid in place (every 50th user takes the
+    // row another draw gives her), requirements as round 2 left them.
+    // Winners whose θ₋ᵢ run no churned row reaches keep their critical
+    // bids; the rest are searched again. Here no churned row is a pick of
+    // any winner's run or beats one, so all ten bids carry over and the
+    // round costs its allocation run alone.
+    let redrawn = synthetic_multi_task(N, TASKS, 0.75, SEED + 1);
+    let churned = rebid(&relaxed, &redrawn, |i| i % 50 == 0);
+    let carried = clear_digest(&mechanism, &mut context, &churned);
+    assert_eq!(
+        counted_work(&mut context),
+        ProfCounters {
+            prepares: 1,
+            sync_patched: 1,
+            seed_rebuilds: 1,
+            users_patched: 200,
+            heap_pops: 17_581,
+            stale_reevals: 17_571,
+            criticals_reused: 10,
+            ..ProfCounters::default()
+        },
+        "churned clear's kernel work moved at n = {N}"
+    );
+    let fresh = clear_digest(&mechanism, &mut ClearContext::new(), &churned);
+    assert_eq!(
+        carried, fresh,
+        "carried-over critical bids diverged from rebuild"
+    );
 }

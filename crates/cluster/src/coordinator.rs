@@ -334,8 +334,8 @@ impl<T: NodeTransport> Cluster<T> {
     pub fn run_round(&mut self, bids: &[Bid]) -> Result<RoundReport, ClusterError> {
         let round = self.next_round;
         self.next_round += 1;
-        let routed = route_bids_with(&self.topology, bids, &mut self.seen);
-        let rejected = routed.rejected.len();
+        let mut routed = route_bids_with(&self.topology, bids, &mut self.seen);
+        let (accepted, rejected) = (routed.accepted(), routed.rejected.len());
         let mut promoted = Vec::new();
         let mut down: Vec<u32> = Vec::new();
         let mut phase1: BTreeMap<u32, ClearedRound> = BTreeMap::new();
@@ -350,13 +350,21 @@ impl<T: NodeTransport> Cluster<T> {
             if down.contains(&node) {
                 continue;
             }
-            let bids = routed.regional.get(&region).cloned().unwrap_or_default();
+            // The region's bids travel in the request and come back for
+            // the phase-2 residuals: no bid is copied.
+            let routed_bids = routed.regional.get_mut(&region);
             let request = Request::Clear {
                 region,
                 round,
-                bids,
+                bids: routed_bids.map(std::mem::take).unwrap_or_default(),
             };
-            match self.call_with_failover(node, &request, &mut promoted)? {
+            let call = self.call_with_failover(node, &request, &mut promoted);
+            if let (Some(routed_bids), Request::Clear { bids, .. }) =
+                (routed.regional.get_mut(&region), request)
+            {
+                *routed_bids = bids;
+            }
+            match call? {
                 NodeCall::Ok(Response::Cleared { cleared, .. }) => {
                     phase1.insert(region, cleared);
                 }
@@ -393,7 +401,7 @@ impl<T: NodeTransport> Cluster<T> {
                     node,
                     unreached_regions: node_regions,
                     discarded_regions: phase1.keys().copied().collect(),
-                    accepted_bids: routed.accepted() as u64,
+                    accepted_bids: accepted as u64,
                     rejected_bids: rejected as u64,
                     straddlers: routed.straddlers.len() as u64,
                 })

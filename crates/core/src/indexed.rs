@@ -66,6 +66,17 @@
 //!   persistent index, its seeds, its recorded run, and a
 //!   [`WorkspacePool`]; shard workers and campaign rounds check contexts
 //!   out of a shared [`ContextPool`].
+//! * **Scanned late steps.** Late in a run, when the residual caps bind,
+//!   one pick lowers most candidates' capped contributions and a step
+//!   refreshes up to thousands of stale bounds, one sift each. Once a
+//!   step has popped `scan_after` entries, the run goes on with one pass
+//!   over the candidates per step (`IndexedProfile::scan_greedy`), which
+//!   picks, counts and logs exactly what the lazy loop would.
+//! * **Critical bids carried across rounds.** `sync_with` reports the
+//!   positions it patched or appended, and a [`ClearContext`] keeps last
+//!   round's critical bids with their θ₋ᵢ runs' picks and capped values.
+//!   A winner whose run no touched row reaches keeps her bid instead of
+//!   searching it again (`PricedWinners`).
 //!
 //! ## Bitwise equivalence
 //!
@@ -88,7 +99,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::multi_task::COVERAGE_MARGIN;
 use crate::types::order::IdOrder;
-use crate::types::{TaskId, TypeProfile, UserId, UserType, CONTRIBUTION_TOLERANCE};
+use crate::types::{Contribution, TaskId, TypeProfile, UserId, UserType, CONTRIBUTION_TOLERANCE};
 
 /// A fixed-capacity bit mask over dense positions, packed into `u64`
 /// words. Backs the winner mask of a greedy run: membership tests are one
@@ -197,6 +208,10 @@ pub struct ProfCounters {
     /// Steps decided from the θ₋ᵢ base run: certain losses and certified
     /// wins (`IndexedProfile::probe_verdict`).
     pub probes_saved_loss_scan: u64,
+    /// Winners whose critical bid was carried over from the previous
+    /// round instead of searched again: the sync since left her θ₋ᵢ run
+    /// bit for bit as it was ([`ClearContext`]'s priced winners).
+    pub criticals_reused: u64,
 }
 
 impl ProfCounters {
@@ -219,6 +234,7 @@ impl ProfCounters {
         self.probes_run += other.probes_run;
         self.probes_saved_warm_start += other.probes_saved_warm_start;
         self.probes_saved_loss_scan += other.probes_saved_loss_scan;
+        self.criticals_reused += other.criticals_reused;
     }
 
     /// Total bisection steps skipped without running the greedy.
@@ -332,7 +348,13 @@ impl IndexedProfile {
     /// [`IndexedProfile::from_profile`] rebuild — value comparisons are
     /// done on raw bits, so even a `-0.0`/`+0.0` flip is patched through —
     /// which `tests/index_delta.rs` proves by proptest.
-    pub fn sync_with(&mut self, profile: &TypeProfile) -> SyncStats {
+    ///
+    /// `touched` receives the positions of the rows a patch changed or
+    /// appended, ascending; it is left empty when nothing changed and
+    /// when the index was re-flattened (every position may then hold
+    /// another user).
+    pub fn sync_with(&mut self, profile: &TypeProfile, touched: &mut Vec<usize>) -> SyncStats {
+        touched.clear();
         let tasks_match = profile.tasks().len() == self.task_ids.len()
             && profile
                 .task_ids()
@@ -376,16 +398,16 @@ impl IndexedProfile {
                 self.offsets[position + 1] = cur_end;
                 continue;
             }
-            let mut touched = false;
+            let mut changed = false;
             let cost = user.cost().value();
             if cost.to_bits() != self.costs[position].to_bits() {
                 self.costs[position] = cost;
-                touched = true;
+                changed = true;
             }
             let total = user.total_contribution().value();
             if total.to_bits() != self.totals[position].to_bits() {
                 self.totals[position] = total;
-                touched = true;
+                changed = true;
             }
             flatten_row(user, profile, &mut scratch);
             let same_shape = scratch.len() == cur_end - start
@@ -397,7 +419,7 @@ impl IndexedProfile {
                 for (k, &(_, q)) in scratch.iter().enumerate() {
                     if q.to_bits() != self.entry_q[start + k].to_bits() {
                         self.entry_q[start + k] = q;
-                        touched = true;
+                        changed = true;
                     }
                 }
             } else {
@@ -406,14 +428,16 @@ impl IndexedProfile {
                 self.entry_q
                     .splice(start..cur_end, scratch.iter().map(|&(_, q)| q));
                 shift += scratch.len() as isize - (cur_end - start) as isize;
-                touched = true;
+                changed = true;
             }
             self.offsets[position + 1] = (old_end as isize + shift) as usize;
-            if touched {
+            if changed {
                 stats.users_patched += 1;
+                touched.push(position);
             }
         }
         for user in &users[old_n..] {
+            touched.push(self.user_count());
             self.push_row(user, profile, &mut scratch);
             stats.users_appended += 1;
         }
@@ -513,13 +537,20 @@ impl IndexedProfile {
     /// accumulated exactly like the reference (`Contribution::min` picks
     /// `q` on ties; absent tasks contribute an exact `0.0`, skipped here).
     fn capped(&self, position: usize, residual: &[f64], options: &RunOptions<'_>) -> f64 {
+        let (tasks, qs) = self.row(position, options);
+        capped_span(tasks, qs, residual)
+    }
+
+    /// The task positions and entries the run sees for the user at
+    /// `position`: her own, or the substitute's.
+    fn row<'s>(&'s self, position: usize, options: &RunOptions<'s>) -> (&'s [u32], &'s [f64]) {
         let span = self.offsets[position]..self.offsets[position + 1];
         let tasks = &self.entry_task[span.clone()];
         let qs: &[f64] = match options.substitute {
             Some((substituted, qs)) if substituted == position => qs,
             _ => &self.entry_q[span],
         };
-        capped_span(tasks, qs, residual)
+        (tasks, qs)
     }
 
     /// Precomputes the initial heap for runs against the *full*
@@ -657,7 +688,8 @@ impl IndexedProfile {
         record: Record,
     ) -> RunView<'w> {
         self.start_in(workspace, &options);
-        let uncovered = self.greedy(workspace, &options, record, None, 0);
+        let heavy = scan_after(workspace.heap.len());
+        let uncovered = self.greedy(workspace, &options, record, None, 0, heavy);
         workspace.view(self.task_count(), uncovered)
     }
 
@@ -696,7 +728,8 @@ impl IndexedProfile {
         let resumable = record == Record::Full;
         recorded.reevals.clear();
         let log = resumable.then_some(&mut recorded.reevals);
-        recorded.uncovered = self.greedy(workspace, &options, record, log, 0);
+        let heavy = scan_after(workspace.heap.len());
+        recorded.uncovered = self.greedy(workspace, &options, record, log, 0, heavy);
         recorded.resumable = resumable;
         recorded.stride = self.task_count();
         recorded.selection.clear();
@@ -788,14 +821,27 @@ impl IndexedProfile {
                 && position != excluded
                 && !picked.contains(position)
         });
-        heapify(heap);
-
+        // Where the recorded run was already scanning, the run without
+        // her scans from here on too: it skips the heapify, and its
+        // candidates stay in position order, as the seeds are.
+        let refreshed_here = logged
+            - recorded
+                .reevals
+                .partition_point(|reeval| (reeval.step as usize) < step);
+        let heavy = match scan_after(heap.len()) {
+            heavy if refreshed_here >= heavy => 0,
+            heavy => {
+                heapify(heap);
+                heavy
+            }
+        };
         let uncovered = self.greedy(
             workspace,
             &RunOptions::default(),
             Record::Full,
             None,
             step as u32,
+            heavy,
         );
         workspace.view(stride, uncovered)
     }
@@ -804,6 +850,12 @@ impl IndexedProfile {
     /// and outputs already in `workspace`; returns the first task left
     /// uncovered if the candidates run out. With `log`, every stale
     /// re-evaluation is appended to it.
+    ///
+    /// Once one step has popped `heavy` entries (callers pass
+    /// [`scan_after`] of the heap's size, or 0 to scan from the start
+    /// over a heap they did not heapify), the rest of the run goes on in
+    /// [`IndexedProfile::scan_greedy`], which counts, logs and picks
+    /// exactly what this loop would.
     fn greedy(
         &self,
         workspace: &mut Workspace,
@@ -811,13 +863,18 @@ impl IndexedProfile {
         record: Record,
         mut log: Option<&mut Vec<Reeval>>,
         mut version: u32,
+        heavy: usize,
     ) -> Option<usize> {
         let mut unmet = workspace
             .residual
             .iter()
             .filter(|&&r| r > CONTRIBUTION_TOLERANCE)
             .count();
+        let mut step_pops = 0;
         while unmet > 0 {
+            if step_pops == heavy {
+                return self.scan_greedy(workspace, options, record, log, version, unmet);
+            }
             let Some(&top) = workspace.heap.first() else {
                 return workspace
                     .residual
@@ -825,6 +882,7 @@ impl IndexedProfile {
                     .position(|&r| r > CONTRIBUTION_TOLERANCE);
             };
             workspace.prof.heap_pops += 1;
+            step_pops += 1;
             if top.version != version {
                 workspace.prof.stale_reevals += 1;
                 // Stale upper bound: refresh it in place against the
@@ -849,33 +907,172 @@ impl IndexedProfile {
             // Fresh bound at the top of the heap: `top` is the exact argmax
             // of the capped-contribution–cost ratio — select it.
             heap_pop(&mut workspace.heap);
-            let position = top.position as usize;
-            if record >= Record::Full {
-                let residual = &workspace.residual;
-                workspace.snapshots.extend_from_slice(residual);
-            }
-            if record >= Record::Iterations {
-                workspace.capped.push(top.capped);
-            }
-            workspace.selection.push(position);
-            workspace.winner_mask.insert(position);
-            let span = self.offsets[position]..self.offsets[position + 1];
-            let tasks = &self.entry_task[span.clone()];
-            let qs: &[f64] = match options.substitute {
-                Some((substituted, qs)) if substituted == position => qs,
-                _ => &self.entry_q[span],
-            };
-            for (&task, &q) in tasks.iter().zip(qs) {
-                let r = &mut workspace.residual[task as usize];
-                let was_unmet = *r > CONTRIBUTION_TOLERANCE;
-                *r = (*r - q).max(0.0);
-                if was_unmet && *r <= CONTRIBUTION_TOLERANCE {
-                    unmet -= 1;
-                }
-            }
+            self.select(workspace, options, record, &top, &mut unmet);
             version += 1;
+            step_pops = 0;
         }
         None
+    }
+
+    /// The rest of a [`IndexedProfile::greedy`] run after a heavy step,
+    /// one pass over the candidates per step instead of one sift per
+    /// stale bound. Late in a run the residual caps bind, every pick
+    /// lowers most candidates' capped contributions, and a step refreshes
+    /// hundreds to thousands of bounds; a pass costs about what a few
+    /// hundred sifts do.
+    ///
+    /// Each step does what the lazy loop does, bound for bound. The lazy
+    /// loop picks the argmax `p` of the exact values, and before it does
+    /// it refreshes exactly the stale entries whose bound beats `p` (and
+    /// `p`'s own entry, if stale): an entry popped first beat everything
+    /// left, `p`'s entry or its bound among them, and an entry whose
+    /// bound beats `p` must leave the top before `p` can reach it. The
+    /// pass finds `p` by evaluating every stale entry whose bound beats
+    /// the best exact value seen so far (an entry it skips is beaten by
+    /// that value, so by `p`); then, of the entries it evaluated, it
+    /// refreshes those the lazy loop would have, drops those that fell to
+    /// the tolerance, counts each as one pop and one stale
+    /// re-evaluation, and logs it. The entries it evaluated in vain keep
+    /// their bounds. Within a step the log is in slot order rather than
+    /// pop order, which [`IndexedProfile::resume_in`] does not read.
+    ///
+    /// The heap array is a plain list here: picked and dropped entries
+    /// stay in place with a capped value at the tolerance, and passes
+    /// skip them.
+    fn scan_greedy(
+        &self,
+        workspace: &mut Workspace,
+        options: &RunOptions<'_>,
+        record: Record,
+        mut log: Option<&mut Vec<Reeval>>,
+        mut version: u32,
+        mut unmet: usize,
+    ) -> Option<usize> {
+        let mut evaluated = std::mem::take(&mut workspace.evaluated);
+        let uncovered = loop {
+            if unmet == 0 {
+                break None;
+            }
+            evaluated.clear();
+            let mut best: Option<(usize, HeapEntry)> = None;
+            // A chunk at a time: first the stale entries whose bound beats
+            // the best so far, then their evaluations, which do not wait
+            // on one another.
+            for (start, chunk) in (0..)
+                .step_by(SCAN_CHUNK)
+                .zip(workspace.heap.chunks(SCAN_CHUNK))
+            {
+                let mut due = [0u32; SCAN_CHUNK];
+                let mut count = 0;
+                for (offset, entry) in chunk.iter().enumerate() {
+                    let live = entry.capped > CONTRIBUTION_TOLERANCE;
+                    if live && entry.version == version {
+                        if best.is_none_or(|(_, best)| beats(entry, &best)) {
+                            best = Some((start + offset, *entry));
+                        }
+                        continue;
+                    }
+                    due[count] = offset as u32;
+                    count += usize::from(live && best.is_none_or(|(_, best)| beats(entry, &best)));
+                }
+                let first = evaluated.len();
+                let mut lanes = due[..count].chunks_exact(LANES);
+                for group in &mut lanes {
+                    let rows = std::array::from_fn(|lane| {
+                        self.row(chunk[group[lane] as usize].position as usize, options)
+                    });
+                    let capped = capped_spans(rows, &workspace.residual);
+                    for (&offset, capped) in group.iter().zip(capped) {
+                        evaluated.push((start + offset as usize, capped));
+                    }
+                }
+                for &offset in lanes.remainder() {
+                    let entry = &chunk[offset as usize];
+                    let capped = self.capped(entry.position as usize, &workspace.residual, options);
+                    evaluated.push((start + offset as usize, capped));
+                }
+                for &(slot, capped) in &evaluated[first..] {
+                    let exact = HeapEntry {
+                        capped,
+                        version,
+                        ..workspace.heap[slot]
+                    };
+                    if capped > CONTRIBUTION_TOLERANCE
+                        && best.is_none_or(|(_, best)| beats(&exact, &best))
+                    {
+                        best = Some((slot, exact));
+                    }
+                }
+            }
+            for &(slot, capped) in &evaluated {
+                let entry = &mut workspace.heap[slot];
+                let refreshed = match best {
+                    Some((pick_slot, pick)) => slot == pick_slot || beats(entry, &pick),
+                    None => true,
+                };
+                if !refreshed {
+                    continue;
+                }
+                workspace.prof.heap_pops += 1;
+                workspace.prof.stale_reevals += 1;
+                if let Some(log) = log.as_deref_mut() {
+                    log.push(Reeval {
+                        step: version,
+                        position: entry.position,
+                        capped,
+                    });
+                }
+                // A capped value at the tolerance marks the entry dropped.
+                entry.capped = capped;
+                entry.version = version;
+            }
+            let Some((pick_slot, pick)) = best else {
+                workspace.heap.clear();
+                break workspace
+                    .residual
+                    .iter()
+                    .position(|&r| r > CONTRIBUTION_TOLERANCE);
+            };
+            workspace.prof.heap_pops += 1;
+            workspace.heap[pick_slot].capped = 0.0;
+            self.select(workspace, options, record, &pick, &mut unmet);
+            version += 1;
+        };
+        workspace.evaluated = evaluated;
+        uncovered
+    }
+
+    /// Selects `pick` (her exact capped value, at the current step):
+    /// records the step at the `record` level and subtracts her entries
+    /// from the residuals, counting the tasks that become covered off
+    /// `unmet`.
+    fn select(
+        &self,
+        workspace: &mut Workspace,
+        options: &RunOptions<'_>,
+        record: Record,
+        pick: &HeapEntry,
+        unmet: &mut usize,
+    ) {
+        let position = pick.position as usize;
+        if record >= Record::Full {
+            let residual = &workspace.residual;
+            workspace.snapshots.extend_from_slice(residual);
+        }
+        if record >= Record::Iterations {
+            workspace.capped.push(pick.capped);
+        }
+        workspace.selection.push(position);
+        workspace.winner_mask.insert(position);
+        let (tasks, qs) = self.row(position, options);
+        for (&task, &q) in tasks.iter().zip(qs) {
+            let r = &mut workspace.residual[task as usize];
+            let was_unmet = *r > CONTRIBUTION_TOLERANCE;
+            *r = (*r - q).max(0.0);
+            if was_unmet && *r <= CONTRIBUTION_TOLERANCE {
+                *unmet -= 1;
+            }
+        }
     }
 
     /// Records `run` — the greedy without the winner being priced — as
@@ -972,19 +1169,51 @@ impl IndexedProfile {
         if !base.complete {
             return None;
         }
-        let span = self.offsets[position]..self.offsets[position + 1];
-        let tasks = &self.entry_task[span];
-        let cost = self.costs[position];
-        let id = self.user_ids[position];
-        for (step, (&rival, &rival_capped)) in base.selection.iter().zip(&base.capped).enumerate() {
-            let row = step * base.stride..(step + 1) * base.stride;
-            let residual = &base.snapshots[row.clone()];
-            let capped = capped_span(tasks, scaled, residual);
-            if capped <= CONTRIBUTION_TOLERANCE {
-                return Some(false);
+        let beaten = |tasks: &[u32], step: usize, residual: &[f64]| {
+            let suffix = &base.suffix[step * base.stride..(step + 1) * base.stride];
+            certainly_covers(tasks, scaled, residual, suffix).then_some(true)
+        };
+        self.loss_scan(
+            position,
+            scaled,
+            &base.selection,
+            &base.capped,
+            &base.snapshots,
+            beaten,
+        )
+        .unwrap_or(Some(false))
+    }
+
+    /// The loss scan of [`IndexedProfile::probe_verdict`] over a recorded
+    /// run (`selection`, `capped`, and the residual before each pick in
+    /// `snapshots`): at the first step where the user at `position`,
+    /// declaring the entries `qs`, beats the pick under [`beats`],
+    /// `beaten` is called with her task positions, the step and its
+    /// residual. `None` means she never beats a pick: her capped
+    /// contribution falls to the tolerance first, which drops her for
+    /// good since it only shrinks with the residuals, or the run ends.
+    /// The run then goes on exactly as recorded with her as a candidate.
+    #[inline]
+    fn loss_scan<R>(
+        &self,
+        position: usize,
+        qs: &[f64],
+        selection: &[usize],
+        capped: &[f64],
+        snapshots: &[f64],
+        beaten: impl FnOnce(&[u32], usize, &[f64]) -> R,
+    ) -> Option<R> {
+        let stride = self.task_count();
+        let tasks = &self.entry_task[self.offsets[position]..self.offsets[position + 1]];
+        let (cost, id) = (self.costs[position], self.user_ids[position]);
+        for (step, (&rival, &rival_capped)) in selection.iter().zip(capped).enumerate() {
+            let residual = &snapshots[step * stride..(step + 1) * stride];
+            let own = capped_span(tasks, qs, residual);
+            if own <= CONTRIBUTION_TOLERANCE {
+                return None;
             }
-            let probed = HeapEntry {
-                capped,
+            let candidate = HeapEntry {
+                capped: own,
                 cost,
                 id,
                 position: position as u32,
@@ -997,12 +1226,38 @@ impl IndexedProfile {
                 position: rival as u32,
                 version: 0,
             };
-            if beats(&probed, &pick) {
-                return certainly_covers(tasks, scaled, residual, &base.suffix[row])
-                    .then_some(true);
+            if beats(&candidate, &pick) {
+                return Some(beaten(tasks, step, residual));
             }
         }
-        Some(false)
+        None
+    }
+
+    /// Writes into `snapshots` the residual before each of `picks`, row
+    /// by row: the requirements, then the greedy's own saturating
+    /// subtraction of each pick's entries. A run's recorded snapshots
+    /// come out bit for bit when its picks' rows and the requirements are
+    /// as they were when it ran.
+    fn replay_snapshots(&self, picks: &[usize], snapshots: &mut Vec<f64>) {
+        let stride = self.task_count();
+        snapshots.clear();
+        snapshots.extend_from_slice(&self.requirements);
+        // The residual after the last pick is no snapshot.
+        let Some((_, earlier)) = picks.split_last() else {
+            return;
+        };
+        for (step, &pick) in earlier.iter().enumerate() {
+            snapshots.extend_from_within(step * stride..(step + 1) * stride);
+            let residual = &mut snapshots[(step + 1) * stride..];
+            let span = self.offsets[pick]..self.offsets[pick + 1];
+            for (&task, &q) in self.entry_task[span.clone()]
+                .iter()
+                .zip(&self.entry_q[span])
+            {
+                let r = &mut residual[task as usize];
+                *r = (*r - q).max(0.0);
+            }
+        }
     }
 }
 
@@ -1075,6 +1330,30 @@ fn capped_span(tasks: &[u32], qs: &[f64], residual: &[f64]) -> f64 {
         i += 1;
     }
     sum
+}
+
+/// Rows [`capped_spans`] sums side by side.
+const LANES: usize = 4;
+
+/// [`capped_span`] of [`LANES`] rows at once, bit for bit: each lane
+/// adds its own minima in its own order, from `0.0`, and a lane past the
+/// end of its row adds nothing. The lanes' sums do not wait on one
+/// another, so their adds overlap.
+fn capped_spans(rows: [(&[u32], &[f64]); LANES], residual: &[f64]) -> [f64; LANES] {
+    let lens = rows.map(|(tasks, qs)| tasks.len().min(qs.len()));
+    let longest = lens.into_iter().max().unwrap_or(0);
+    let mut sums = [0.0f64; LANES];
+    for i in 0..longest {
+        for lane in 0..LANES {
+            if i < lens[lane] {
+                let (tasks, qs) = rows[lane];
+                let q = qs[i];
+                let r = residual[tasks[i] as usize];
+                sums[lane] += if q <= r { q } else { r };
+            }
+        }
+    }
+    sums
 }
 
 /// Instance modifications for a greedy re-run, replacing the profile
@@ -1151,8 +1430,8 @@ impl RunView<'_> {
 /// so the steady state stays allocation-free.
 #[derive(Debug, Default)]
 pub(crate) struct BaseRun {
-    selection: Vec<usize>,
-    capped: Vec<f64>,
+    pub(crate) selection: Vec<usize>,
+    pub(crate) capped: Vec<f64>,
     snapshots: Vec<f64>,
     /// Coverage suffix sums, row-major at `stride` floats per step: row
     /// `t` sums the above-tolerance entries of picks `t, t+1, …` per task.
@@ -1181,6 +1460,9 @@ pub struct Workspace {
     capped: Vec<f64>,
     snapshots: Vec<f64>,
     winner_mask: BitSet,
+    /// Scratch for a scanned greedy step's evaluated slots and their
+    /// exact capped values ([`IndexedProfile::scan_greedy`]).
+    evaluated: Vec<(usize, f64)>,
     /// Scratch for bisection probes' scaled contribution rows.
     pub(crate) scaled: Vec<f64>,
     /// The θ₋ᵢ base run the payment probes are decided from.
@@ -1210,6 +1492,7 @@ impl Workspace {
             * size_of::<f64>()
             + (self.selection.capacity() + base.selection.capacity()) * size_of::<usize>()
             + self.heap.capacity() * size_of::<HeapEntry>()
+            + self.evaluated.capacity() * size_of::<(usize, f64)>()
             + self.winner_mask.words.capacity() * size_of::<u64>()
     }
 
@@ -1288,6 +1571,184 @@ impl RecordedRun {
     }
 }
 
+/// Critical bids priced on a [`ClearContext`], each with the θ₋ᵢ record
+/// that decided it: the pick positions and capped values of the run
+/// without the winner. Only bids that a later round may carry over are
+/// kept: their record was complete and decided every bisection probe
+/// without a fallback greedy run, so the bid is a function of that record
+/// and of the rows of the winner and her record's picks.
+#[derive(Debug, Default)]
+pub(crate) struct PricedSet {
+    /// Sorted by position once the set is complete.
+    winners: Vec<PricedWinner>,
+    picks: Vec<usize>,
+    capped: Vec<f64>,
+}
+
+#[derive(Debug, Clone)]
+struct PricedWinner {
+    position: usize,
+    critical: Contribution,
+    /// The winner's θ₋ᵢ record in `picks` and `capped`.
+    record: Range<usize>,
+}
+
+impl PricedSet {
+    /// Keeps the critical bid of the winner at `position` with its θ₋ᵢ
+    /// record: the run's `picks` and their `capped` values.
+    pub(crate) fn push(
+        &mut self,
+        position: usize,
+        critical: Contribution,
+        picks: &[usize],
+        capped: &[f64],
+    ) {
+        let start = self.picks.len();
+        self.picks.extend_from_slice(picks);
+        self.capped.extend_from_slice(capped);
+        self.winners.push(PricedWinner {
+            position,
+            critical,
+            record: start..self.picks.len(),
+        });
+    }
+
+    /// Appends every bid `other` keeps.
+    pub(crate) fn append(&mut self, other: &PricedSet) {
+        for winner in &other.winners {
+            let record = winner.record.clone();
+            self.push(
+                winner.position,
+                winner.critical,
+                &other.picks[record.clone()],
+                &other.capped[record],
+            );
+        }
+    }
+
+    fn clear(&mut self) {
+        self.winners.clear();
+        self.picks.clear();
+        self.capped.clear();
+    }
+
+    fn find(&self, position: usize) -> Option<&PricedWinner> {
+        self.winners
+            .binary_search_by_key(&position, |winner| winner.position)
+            .ok()
+            .map(|at| &self.winners[at])
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.winners.capacity() * size_of::<PricedWinner>()
+            + self.picks.capacity() * size_of::<usize>()
+            + self.capped.capacity() * size_of::<f64>()
+    }
+}
+
+/// The previous round's priced winners, kept by a [`ClearContext`] so a
+/// round re-prices only the winners its churn can reach.
+///
+/// A winner's critical bid depends on her rivals only through her θ₋ᵢ
+/// run. After a sync that kept every requirement and every position, her
+/// run is bit for bit the one recorded last round when no row of its
+/// picks changed and every changed or appended row loses to the pick at
+/// every step (the loss scan of [`IndexedProfile::probe_verdict`], run
+/// with the rival's own entries on the residuals the greedy's own
+/// subtraction replays from the requirements). Her own row unchanged, and
+/// every probe decided from that run alone, her bid is then the same bit
+/// for bit. DESIGN.md §12 has the proof.
+#[derive(Debug, Default)]
+pub(crate) struct PricedWinners {
+    /// The winners priced on the previous prepare's index.
+    last: PricedSet,
+    /// The winners priced on the current one, filled while pricing.
+    next: PricedSet,
+    /// Positions the latest sync patched or appended, ascending.
+    touched: Vec<usize>,
+    /// Whether this round's bids are kept: its sync kept every
+    /// position's user. A re-flattened round (fresh bidders, or a
+    /// context's first round) has no population to carry them into.
+    keeping: bool,
+    /// Whether `last` priced the index as it stands after the latest
+    /// prepare; the next prepare clears it.
+    current: bool,
+    /// Replayed residual snapshots of the record being checked.
+    snapshots: Vec<f64>,
+    /// Critical bids carried over since the last counter drain.
+    reused: u64,
+}
+
+impl PricedWinners {
+    /// Takes in the latest sync (`sync`, and the positions it reported in
+    /// `touched`).
+    fn synced(&mut self, sync: &SyncStats) {
+        self.keeping = sync.mode != SyncMode::Reflattened;
+        // Only the set that priced the round prepared right before may
+        // carry over, and only across a sync that kept every position's
+        // user and every requirement.
+        let current = std::mem::replace(&mut self.current, false);
+        if !(current && self.keeping && sync.requirements_patched == 0) {
+            self.last.clear();
+        }
+    }
+
+    /// The previous round's critical bid of `winner`, if it carries over
+    /// to `index`; a carried bid is kept for the round after.
+    pub(crate) fn reuse(&mut self, index: &IndexedProfile, winner: UserId) -> Option<Contribution> {
+        if self.last.winners.is_empty() {
+            return None;
+        }
+        let position = index.position_of(winner)?;
+        let kept = self.last.find(position)?;
+        let picks = &self.last.picks[kept.record.clone()];
+        let capped = &self.last.capped[kept.record.clone()];
+        let touched = |p: &usize| self.touched.binary_search(p).is_ok();
+        if touched(&position) || picks.iter().any(touched) {
+            return None;
+        }
+        index.replay_snapshots(picks, &mut self.snapshots);
+        let rivals_lose = self.touched.iter().all(|&rival| {
+            let qs = index.contributions_of(rival);
+            let beats_a_pick = |_: &[u32], _, _: &[f64]| ();
+            index
+                .loss_scan(rival, qs, picks, capped, &self.snapshots, beats_a_pick)
+                .is_none()
+        });
+        if !rivals_lose {
+            return None;
+        }
+        let critical = kept.critical;
+        self.next.push(position, critical, picks, capped);
+        self.reused += 1;
+        Some(critical)
+    }
+
+    /// The bids kept this round, to fill with newly priced ones, if
+    /// this round keeps any.
+    pub(crate) fn keep(&mut self) -> Option<&mut PricedSet> {
+        self.keeping.then_some(&mut self.next)
+    }
+
+    /// Ends the round's pricing: what it kept becomes the set the next
+    /// round may carry over.
+    pub(crate) fn finish(&mut self) {
+        self.next
+            .winners
+            .sort_unstable_by_key(|winner| winner.position);
+        std::mem::swap(&mut self.last, &mut self.next);
+        self.next.clear();
+        self.current = true;
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.last.resident_bytes()
+            + self.next.resident_bytes()
+            + self.touched.capacity() * size_of::<usize>()
+            + self.snapshots.capacity() * size_of::<f64>()
+    }
+}
+
 /// The precomputed initial heap of a full-requirements greedy run: every
 /// candidate whose capped contribution clears the tolerance, in position
 /// order, plus the position→slot map the per-probe patches use.
@@ -1354,6 +1815,18 @@ fn beats(a: &HeapEntry, b: &HeapEntry) -> bool {
     }
     greater | (equal & (a.id < b.id))
 }
+
+/// Pops within one greedy step after which the run scans instead of
+/// popping ([`IndexedProfile::scan_greedy`]): about where one pass over
+/// `candidates` entries costs what that many sifts through their heap do.
+/// A step of a small heap never gets there.
+fn scan_after(candidates: usize) -> usize {
+    (candidates / 32).max(16)
+}
+
+/// Entries a scanned greedy step screens before it evaluates the ones
+/// due ([`IndexedProfile::scan_greedy`]).
+const SCAN_CHUNK: usize = 64;
 
 /// Children per heap node. A 4-ary heap is half as deep as a binary one,
 /// and a node's four 32-byte children sit side by side, so a sift-down
@@ -1533,10 +2006,11 @@ impl WorkspacePool {
 }
 
 /// The per-round clearing arena: a persistent [`IndexedProfile`], its
-/// [`HeapSeeds`], and a [`WorkspacePool`] — everything a round's
-/// allocation and whole-round payment computation touch, kept alive
-/// across rounds so the steady state performs no per-round rebuilds and
-/// no per-probe allocations.
+/// [`HeapSeeds`], a [`WorkspacePool`], and the last round's priced
+/// winners — everything a round's allocation and whole-round payment
+/// computation touch, kept alive across rounds so the steady state
+/// performs no per-round rebuilds and no per-probe allocations, and
+/// re-prices only the winners a round's churn can reach.
 #[derive(Debug, Default)]
 pub struct ClearContext {
     index: Option<IndexedProfile>,
@@ -1544,6 +2018,9 @@ pub struct ClearContext {
     workspaces: WorkspacePool,
     /// The prepared round's allocation run ([`ClearContext::prepare`]).
     recorded: RecordedRun,
+    /// The previous round's critical bids, carried into this round where
+    /// the sync left a winner's θ₋ᵢ run as it was.
+    priced: PricedWinners,
     /// Context-level profiling: prepare/sync/seed accounting; workspace
     /// counters merge in on [`ClearContext::take_prof`].
     prof: ProfCounters,
@@ -1574,18 +2051,21 @@ impl ClearContext {
             workspaces: &self.workspaces,
             sync,
             recorded: &self.recorded,
+            priced: &mut self.priced,
         }
     }
 
     fn sync(&mut self, profile: &TypeProfile) -> SyncStats {
+        let priced = &mut self.priced;
         let sync = match self.index.as_mut() {
-            Some(index) => index.sync_with(profile),
+            Some(index) => index.sync_with(profile, &mut priced.touched),
             None => {
                 self.index = Some(IndexedProfile::from_profile(profile));
                 SyncStats::reflattened()
             }
         };
         let index = self.index.as_ref().expect("index just ensured");
+        priced.synced(&sync);
         if sync.mode != SyncMode::Unchanged {
             index.rebuild_seeds(&mut self.seeds);
             self.prof.seed_rebuilds += 1;
@@ -1604,6 +2084,7 @@ impl ClearContext {
             + self.seeds.entries.capacity() * size_of::<HeapEntry>()
             + self.seeds.slot_of.capacity() * size_of::<u32>()
             + self.recorded.resident_bytes()
+            + priced.resident_bytes()
             + self.workspaces.resident_bytes()) as u64;
         sync
     }
@@ -1621,6 +2102,7 @@ impl ClearContext {
     pub fn take_prof(&mut self) -> ProfCounters {
         let mut counters = std::mem::take(&mut self.prof);
         counters.merge(&self.workspaces.drain_prof());
+        counters.criticals_reused += std::mem::take(&mut self.priced.reused);
         counters
     }
 }
@@ -1639,6 +2121,9 @@ pub struct PreparedRound<'a> {
     /// The round's allocation run, recorded at the level
     /// [`ClearContext::prepare`] was asked for.
     pub(crate) recorded: &'a RecordedRun,
+    /// The previous round's critical bids that may carry over to this
+    /// one ([`crate::multi_task::AllocatedRound::criticals`]).
+    pub(crate) priced: &'a mut PricedWinners,
 }
 
 /// A shared free list of [`ClearContext`]s. Shard workers and campaign
@@ -2026,7 +2511,7 @@ mod tests {
         let mut indexed = IndexedProfile::from_profile(&base);
 
         // Same profile again: untouched.
-        let stats = indexed.sync_with(&base);
+        let stats = indexed.sync_with(&base, &mut Vec::new());
         assert_eq!(stats.mode, SyncMode::Unchanged);
 
         // One user's PoS changes: a row patch, bitwise equal to a rebuild.
@@ -2038,7 +2523,7 @@ mod tests {
                     .unwrap(),
             )
             .unwrap();
-        let stats = indexed.sync_with(&changed);
+        let stats = indexed.sync_with(&changed, &mut Vec::new());
         assert_eq!(stats.mode, SyncMode::Patched);
         assert_eq!(stats.users_patched, 1);
         assert_eq!(indexed, IndexedProfile::from_profile(&changed));
@@ -2053,13 +2538,13 @@ mod tests {
                     .unwrap(),
             )
             .unwrap();
-        let stats = indexed.sync_with(&reshaped);
+        let stats = indexed.sync_with(&reshaped, &mut Vec::new());
         assert_eq!(stats.mode, SyncMode::Patched);
         assert_eq!(indexed, IndexedProfile::from_profile(&reshaped));
 
         // A different task list forces a reflatten.
         let shrunk = profile(&[(2.0, &[(0, 0.3)]), (1.5, &[(0, 0.2)])], &[(0, 0.5)]);
-        let stats = indexed.sync_with(&shrunk);
+        let stats = indexed.sync_with(&shrunk, &mut Vec::new());
         assert_eq!(stats.mode, SyncMode::Reflattened);
         assert_eq!(indexed, IndexedProfile::from_profile(&shrunk));
     }
@@ -2078,7 +2563,7 @@ mod tests {
         ];
         let mut indexed = IndexedProfile::from_profile(&profile(&users, &[(7, 0.6), (1, 0.5)]));
         let relaxed = profile(&users, &[(7, 0.55), (1, 0.5)]);
-        let stats = indexed.sync_with(&relaxed);
+        let stats = indexed.sync_with(&relaxed, &mut Vec::new());
         assert_eq!(stats.mode, SyncMode::Patched);
         assert_eq!((stats.users_patched, stats.requirements_patched), (0, 1));
         assert_eq!(indexed, IndexedProfile::from_profile(&relaxed));
@@ -2094,7 +2579,7 @@ mod tests {
                         .unwrap(),
                 )
                 .unwrap();
-            let stats = indexed.sync_with(&changed);
+            let stats = indexed.sync_with(&changed, &mut Vec::new());
             assert_eq!(stats.users_patched, 1, "user {user}");
             assert_eq!(indexed, IndexedProfile::from_profile(&changed));
         }
@@ -2178,20 +2663,23 @@ mod tests {
         let mechanism = crate::multi_task::MultiTaskMechanism::new(10.0).unwrap();
         let mut context = ClearContext::new();
         for _ in 0..2 {
-            let round = mechanism.allocate_with(&mut context, &p).unwrap();
+            let mut round = mechanism.allocate_with(&mut context, &p).unwrap();
             assert!(!round.criticals().unwrap().is_empty());
         }
-        // The second prepare found the first round's record and the
-        // workspaces its pricing grew; the gauge counts them all.
+        // The third prepare finds the last round's record, the winners
+        // priced in both rounds and the workspaces their pricing grew; the
+        // gauge counts them all.
+        context.prepare(&p, Record::Full);
         let index_and_seeds = context.index.as_ref().unwrap().resident_bytes()
             + context.seeds.entries.capacity() * size_of::<HeapEntry>()
             + context.seeds.slot_of.capacity() * size_of::<u32>();
         let recorded = context.recorded.resident_bytes();
+        let priced = context.priced.resident_bytes();
         let pooled = context.workspaces.resident_bytes();
-        assert!(recorded > 0 && pooled > 0);
+        assert!(recorded > 0 && priced > 0 && pooled > 0);
         assert_eq!(
             context.take_prof().resident_bytes as usize,
-            index_and_seeds + recorded + pooled
+            index_and_seeds + recorded + priced + pooled
         );
     }
 
@@ -2226,5 +2714,160 @@ mod tests {
         // A zero gauge never clobbers the latest value.
         a.merge(&ProfCounters::default());
         assert_eq!(a.resident_bytes, 128);
+    }
+
+    /// Everything a greedy run yields: picks, capped values and residual
+    /// snapshots (as bits), the uncovered task, the pop and stale
+    /// re-evaluation counts, and the re-evaluation log sorted by step and
+    /// position.
+    type RunTrace = (
+        Vec<usize>,
+        Vec<u64>,
+        Vec<u64>,
+        Option<usize>,
+        (u64, u64),
+        Vec<(u32, u32, u64)>,
+    );
+
+    fn trace(workspace: &Workspace, uncovered: Option<usize>, log: &[Reeval]) -> RunTrace {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut log: Vec<_> = log
+            .iter()
+            .map(|r| (r.step, r.position, r.capped.to_bits()))
+            .collect();
+        log.sort_unstable();
+        (
+            workspace.selection.clone(),
+            bits(&workspace.capped),
+            bits(&workspace.snapshots),
+            uncovered,
+            (workspace.prof.heap_pops, workspace.prof.stale_reevals),
+            log,
+        )
+    }
+
+    /// A run from step 0 that starts scanning once a step pops `heavy`
+    /// entries (`usize::MAX`: the lazy loop alone).
+    fn run_scanning_after(
+        index: &IndexedProfile,
+        options: &RunOptions<'_>,
+        heavy: usize,
+    ) -> RunTrace {
+        let mut workspace = Workspace::new();
+        index.start_in(&mut workspace, options);
+        let mut log = Vec::new();
+        let uncovered = index.greedy(
+            &mut workspace,
+            options,
+            Record::Full,
+            Some(&mut log),
+            0,
+            heavy,
+        );
+        trace(&workspace, uncovered, &log)
+    }
+
+    /// `users` random bidders over `tasks` tasks at `requirement`, each
+    /// declaring 2–7 tasks; costs and PoS from small sets, so ratio ties
+    /// are common.
+    fn random_profile(seed: u64, users: usize, tasks: u32, requirement: f64) -> TypeProfile {
+        let mut state = seed | 1;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let rows: Vec<(f64, Vec<(u32, f64)>)> = (0..users)
+            .map(|_| {
+                let cost = [1.0, 2.0, 3.0, 5.0, 8.0][next(5) as usize];
+                let mut row: Vec<(u32, f64)> = Vec::new();
+                for _ in 0..2 + next(6) {
+                    let task = next(u64::from(tasks)) as u32;
+                    if row.iter().all(|&(t, _)| t != task) {
+                        row.push((task, [0.05, 0.1, 0.2, 0.3, 0.45][next(5) as usize]));
+                    }
+                }
+                row.sort_unstable_by_key(|entry| entry.0);
+                (cost, row)
+            })
+            .collect();
+        let rows: Vec<(f64, &[(u32, f64)])> = rows
+            .iter()
+            .map(|(cost, row)| (*cost, row.as_slice()))
+            .collect();
+        let tasks: Vec<(u32, f64)> = (0..tasks).map(|t| (t, requirement)).collect();
+        profile(&rows, &tasks)
+    }
+
+    #[test]
+    fn scanned_steps_pick_count_and_log_what_the_lazy_loop_does() {
+        // Scanning from the first step, after a few pops, at the default
+        // threshold, and never must agree bit for bit, counters and
+        // re-evaluation log included: on full runs, exclusion runs,
+        // substituted probes, and an instance the candidates cannot cover.
+        for (seed, users, requirement) in [(7, 600, 0.9), (11, 400, 0.97), (13, 40, 0.999)] {
+            let index = IndexedProfile::from_profile(&random_profile(seed, users, 24, requirement));
+            let seeds = index.heap_seeds();
+            let scaled: Vec<f64> = index.contributions_of(5).iter().map(|q| q * 0.5).collect();
+            let runs = [
+                RunOptions {
+                    seeds: Some(&seeds),
+                    ..RunOptions::default()
+                },
+                RunOptions {
+                    excluded: Some(3),
+                    seeds: Some(&seeds),
+                    ..RunOptions::default()
+                },
+                RunOptions {
+                    substitute: Some((5, scaled.as_slice())),
+                    seeds: Some(&seeds),
+                    ..RunOptions::default()
+                },
+            ];
+            for options in &runs {
+                let lazy = run_scanning_after(&index, options, usize::MAX);
+                for heavy in [0, 1, 4, scan_after(seeds.candidate_count())] {
+                    assert_eq!(
+                        run_scanning_after(&index, options, heavy),
+                        lazy,
+                        "seed {seed}, scanning after {heavy} pops"
+                    );
+                }
+            }
+            if users == 40 {
+                assert!(run_scanning_after(&index, &runs[0], 0).3.is_some());
+                continue;
+            }
+            // Resumed exclusion runs scan at the default threshold.
+            let mut workspace = Workspace::new();
+            let mut recorded = RecordedRun::new();
+            index.record_in(&mut workspace, &seeds, Record::Full, &mut recorded);
+            for &winner in recorded.selection().to_vec().iter().step_by(3) {
+                let options = RunOptions {
+                    excluded: Some(winner),
+                    seeds: Some(&seeds),
+                    ..RunOptions::default()
+                };
+                let lazy = run_scanning_after(&index, &options, usize::MAX);
+                let mut resumed = Workspace::new();
+                let uncovered = index
+                    .resume_in(&mut resumed, &seeds, &recorded, winner)
+                    .uncovered;
+                let picks = (
+                    &resumed.selection,
+                    &resumed.capped,
+                    &resumed.snapshots,
+                    uncovered,
+                );
+                let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    (picks.0.clone(), bits(picks.1), bits(picks.2), picks.3),
+                    (lazy.0, lazy.1, lazy.2, lazy.3),
+                    "seed {seed}, resumed without {winner}"
+                );
+            }
+        }
     }
 }

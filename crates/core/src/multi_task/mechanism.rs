@@ -146,6 +146,9 @@ impl AllocatedRound<'_> {
     /// bisections fanned out over
     /// [`MultiTaskMechanism::payment_threads`] threads.
     ///
+    /// A winner whose θ₋ᵢ run the context's last sync left as it was
+    /// keeps the critical bid the previous round on this context priced
+    /// for her; the others are searched (DESIGN.md §12, "Across rounds").
     /// Values are bitwise identical to the per-user
     /// [`RewardScheme::critical_pos`] and identical for every thread
     /// count.
@@ -154,10 +157,10 @@ impl AllocatedRound<'_> {
     ///
     /// Any error of a winner's critical-bid search; when several winners
     /// fail, the error for the smallest winner id is returned.
-    pub fn criticals(&self) -> Result<BTreeMap<UserId, Pos>> {
+    pub fn criticals(&mut self) -> Result<BTreeMap<UserId, Pos>> {
         let winners: Vec<UserId> = self.allocation.winners().collect();
         let criticals =
-            critical_contributions_parallel(&self.prepared, &winners, self.payment_threads);
+            critical_contributions_parallel(&mut self.prepared, &winners, self.payment_threads);
         winners
             .into_iter()
             .zip(criticals)
@@ -334,7 +337,7 @@ mod tests {
         let mechanism = MultiTaskMechanism::new(10.0).unwrap();
         let allocation = mechanism.select_winners(&profile).unwrap();
         let mut context = ClearContext::new();
-        let round = mechanism.allocate_with(&mut context, &profile).unwrap();
+        let mut round = mechanism.allocate_with(&mut context, &profile).unwrap();
         assert_eq!(*round.allocation(), allocation);
         let sequential = round.criticals().unwrap();
         assert_eq!(sequential.len(), allocation.winner_count());
@@ -347,7 +350,7 @@ mod tests {
         for threads in [2, 4, 8] {
             let parallel = mechanism.clone().with_payment_threads(threads);
             let mut context = ClearContext::new();
-            let round = parallel.allocate_with(&mut context, &profile).unwrap();
+            let mut round = parallel.allocate_with(&mut context, &profile).unwrap();
             assert_eq!(
                 round.criticals().unwrap(),
                 sequential,

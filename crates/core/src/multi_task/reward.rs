@@ -57,6 +57,18 @@
 //! * **Fallback.** Only when the certificate declines (near-exact
 //!   coverage, or covering entries at or below the tolerance) or the base
 //!   run is itself infeasible does the probe run the full greedy.
+//! * **Across rounds: reused critical bids.** A winner's bid depends on
+//!   her rivals only through her θ₋ᵢ run. A [`ClearContext`] keeps last
+//!   round's bids that were decided from a complete θ₋ᵢ run without a
+//!   fallback probe, with that run's picks and capped values. After a
+//!   sync that re-flattened nothing and patched no requirement, such a
+//!   bid carries over bit for bit when the winner's row and her run's
+//!   picks are untouched and every touched or appended row loses at
+//!   every step of her run (the loss scan above, run with the rival's
+//!   own row on snapshots replayed from the requirements): her run is
+//!   then the one recorded, step by step, and every probe decides as
+//!   before. Every other winner is searched again. DESIGN.md §12
+//!   ("Across rounds") has the proof and the invalidation rules.
 //!
 //! The answer is **bitwise identical** to the reference search
 //! ([`crate::multi_task::reference::critical_contribution`]); the proptest
@@ -75,7 +87,9 @@ use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::{McsError, Result};
-use crate::indexed::{ClearContext, PreparedRound, Record, RunOptions, Workspace};
+use crate::indexed::{
+    ClearContext, PreparedRound, PricedSet, PricedWinners, Record, RunOptions, Workspace,
+};
 use crate::mechanism::{Allocation, BISECTION_STEPS};
 use crate::multi_task::GreedyWinnerDetermination;
 use crate::types::{Contribution, Pos, TypeProfile, UserId, CONTRIBUTION_TOLERANCE};
@@ -120,7 +134,7 @@ pub fn critical_contribution(
     if !current.contains(user) {
         return Err(McsError::NotAWinner { user });
     }
-    critical_of_winner(&prepared, &mut Workspace::new(), user)
+    critical_of_winner(&prepared, &mut Workspace::new(), user, None)
 }
 
 /// The fast critical-bid search for a user already verified to win the
@@ -131,10 +145,15 @@ pub fn critical_contribution(
 /// `prepared` must hold the round's [`Record::Full`] allocation run: the
 /// θ₋ᵢ base run resumes from it at the winner's pick step, and every
 /// probe that runs the greedy starts from the round's heap seeds.
+///
+/// With `carry`, a bid decided from a complete θ₋ᵢ run without a single
+/// fallback probe is kept there with that run's record, for the next
+/// round to reuse.
 pub(crate) fn critical_of_winner(
     prepared: &PreparedRound<'_>,
     workspace: &mut Workspace,
     user: UserId,
+    carry: Option<&mut PricedSet>,
 ) -> Result<Contribution> {
     let (indexed, seeds) = (prepared.index, prepared.seeds);
     let position = indexed
@@ -182,6 +201,7 @@ pub(crate) fn critical_of_winner(
     let mut scaled = std::mem::take(&mut workspace.scaled);
     let mut lo = 0.0f64;
     let mut hi = 1.0f64;
+    let mut fallbacks = 0;
     for _ in 0..BISECTION_STEPS {
         let mid = 0.5 * (lo + hi);
         workspace.prof.probes_requested += 1;
@@ -206,6 +226,7 @@ pub(crate) fn critical_of_winner(
                 }
                 None => {
                     workspace.prof.probes_run += 1;
+                    fallbacks += 1;
                     let probe = indexed.run_in(
                         workspace,
                         RunOptions {
@@ -228,8 +249,14 @@ pub(crate) fn critical_of_winner(
         }
     }
     workspace.scaled = scaled;
+    let critical = Contribution::new(hi * declared_total)?;
+    // No fallback probe means every probe was decided from a complete
+    // base run.
+    if let Some(carry) = carry.filter(|_| fallbacks == 0) {
+        carry.push(position, critical, &base.selection, &base.capped);
+    }
     workspace.base = base;
-    Contribution::new(hi * declared_total)
+    Ok(critical)
 }
 
 /// One contribution entry of a probe declaration: `q` scaled by `scale`,
@@ -247,60 +274,103 @@ fn scaled_entry(q: f64, scale: f64) -> f64 {
 /// Critical contributions for a batch of verified winners of `prepared`,
 /// fanned out over `threads` OS threads (`std::thread::scope`).
 ///
-/// A winner's exclusion run resumes at her pick step, so the earliest
-/// picks carry the longest runs. Threads therefore take winners one at a
-/// time, earliest pick first, rather than in fixed chunks. Each winner's
-/// search is an independent pure function of the shared prepared round,
-/// and each result lands in its winner's own slot — so the output is
-/// bitwise identical for every thread count and every interleaving,
-/// including the inlined `threads == 1` path.
+/// Winners whose bid carries over from the previous round on this
+/// context ([`PricedWinners::reuse`]) are resolved first, on the calling
+/// thread; only the rest are searched, and the bids the next round may
+/// carry over are kept as each thread finds them. A round of fresh
+/// bidders (its sync re-flattened the index) has nothing to reuse or
+/// keep and only searches. A winner's exclusion run resumes at her pick
+/// step, so the earliest picks carry the longest runs. Threads therefore
+/// take winners one at a time, earliest pick first, rather than in fixed
+/// chunks. Each winner's search is an independent pure function of the
+/// shared prepared round, and each result lands in its winner's own slot
+/// — so the output is bitwise identical for every thread count and every
+/// interleaving, including the inlined `threads == 1` path. What carries
+/// over to the next round is the same set in every case too.
 pub(crate) fn critical_contributions_parallel(
-    prepared: &PreparedRound<'_>,
+    prepared: &mut PreparedRound<'_>,
     winners: &[UserId],
     threads: usize,
 ) -> Vec<Result<Contribution>> {
-    let workspaces = prepared.workspaces;
-    let threads = threads.max(1).min(winners.len().max(1));
-    if threads == 1 {
-        let mut workspace = workspaces.checkout();
+    // Taken out, so the searches share the round and a panicking one
+    // leaves an empty set behind.
+    let mut priced = std::mem::take(&mut *prepared.priced);
+    let round = &*prepared;
+    let results = if threads <= 1 || winners.len() <= 1 {
+        let mut workspace = round.workspaces.checkout();
         let results = winners
             .iter()
-            .map(|&winner| critical_of_winner(prepared, &mut workspace, winner))
+            .map(|&winner| match priced.reuse(round.index, winner) {
+                Some(critical) => Ok(critical),
+                None => critical_of_winner(round, &mut workspace, winner, priced.keep()),
+            })
             .collect();
-        workspaces.give_back(workspace);
-        return results;
+        round.workspaces.give_back(workspace);
+        results
+    } else {
+        search_in_parallel(round, winners, threads, &mut priced)
+    };
+    priced.finish();
+    *prepared.priced = priced;
+    results
+}
+
+/// The fan-out of [`critical_contributions_parallel`]: carried bids are
+/// resolved on the calling thread, the other winners are searched on up
+/// to `threads` threads, earliest pick first, and each thread's bids to
+/// carry join `priced` as it is joined.
+fn search_in_parallel(
+    prepared: &PreparedRound<'_>,
+    winners: &[UserId],
+    threads: usize,
+    priced: &mut PricedWinners,
+) -> Vec<Result<Contribution>> {
+    let (index, workspaces) = (prepared.index, prepared.workspaces);
+    let mut results: Vec<Option<Result<Contribution>>> = vec![None; winners.len()];
+    let mut order = Vec::new();
+    for (slot, &winner) in winners.iter().enumerate() {
+        match priced.reuse(index, winner) {
+            Some(critical) => results[slot] = Some(Ok(critical)),
+            None => order.push(slot),
+        }
     }
-    let mut order: Vec<usize> = (0..winners.len()).collect();
+    let keeping = priced.keep().is_some();
     order.sort_by_key(|&slot| {
-        prepared
-            .index
+        index
             .position_of(winners[slot])
             .map_or(usize::MAX, |position| prepared.recorded.step_of(position))
     });
     // Hands out slots only; the results come back through `join`.
     let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<Result<Contribution>>> = vec![None; winners.len()];
     std::thread::scope(|scope| {
-        let threads: Vec<_> = (0..threads)
+        let threads: Vec<_> = (0..threads.min(order.len()))
             .map(|_| {
                 scope.spawn(|| {
                     let mut workspace = workspaces.checkout();
-                    let mut priced = Vec::new();
+                    let (mut searched, mut carry) = (Vec::new(), PricedSet::default());
                     while let Some(&slot) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let critical = critical_of_winner(prepared, &mut workspace, winners[slot]);
-                        priced.push((slot, critical));
+                        let critical = critical_of_winner(
+                            prepared,
+                            &mut workspace,
+                            winners[slot],
+                            keeping.then_some(&mut carry),
+                        );
+                        searched.push((slot, critical));
                     }
                     workspaces.give_back(workspace);
-                    priced
+                    (searched, carry)
                 })
             })
             .collect();
         for thread in threads {
             // A panicking search re-raises its own payload, as it would
             // on the inlined single-thread path.
-            let priced = thread.join().unwrap_or_else(|panic| resume_unwind(panic));
-            for (slot, critical) in priced {
+            let (searched, carry) = thread.join().unwrap_or_else(|panic| resume_unwind(panic));
+            for (slot, critical) in searched {
                 results[slot] = Some(critical);
+            }
+            if let Some(kept) = priced.keep() {
+                kept.append(&carry);
             }
         }
     });

@@ -149,22 +149,48 @@ proptest! {
     /// persistent synced index equals a fresh rebuild (structural
     /// equality over the whole CSR), and both drive the engine to bitwise
     /// identical selections and capped logs — seeded or scanned.
+    ///
+    /// The positions a patch reports as touched are exactly the rows it
+    /// changed: every row whose cost, total or contributions moved, and
+    /// every appended row, is reported, and a reported retained row's
+    /// declaration did change.
     #[test]
     fn delta_patched_index_is_identical_to_fresh_rebuild(
         base in instance(),
         rounds in proptest::collection::vec(churn_ops(), 1..6),
     ) {
         let mut state = base;
-        let mut persistent = IndexedProfile::from_profile(&state.profile());
+        let mut before = state.profile();
+        let mut persistent = IndexedProfile::from_profile(&before);
+        let mut touched = Vec::new();
         for ops in rounds {
             for (kind, user_sel, task_sel, value) in ops {
                 state.apply(kind, user_sel, task_sel, value);
             }
             let profile = state.profile();
-            persistent.sync_with(&profile);
+            let old = persistent.clone();
+            let stats = persistent.sync_with(&profile, &mut touched);
             let fresh = IndexedProfile::from_profile(&profile);
             prop_assert_eq!(&persistent, &fresh);
             prop_assert_eq!(fingerprint_runs(&persistent), fingerprint_runs(&fresh));
+            prop_assert!(touched.windows(2).all(|pair| pair[0] < pair[1]));
+            if stats.mode != SyncMode::Patched {
+                prop_assert!(touched.is_empty());
+            } else {
+                let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                for position in 0..fresh.user_count() {
+                    let moved = position >= old.user_count()
+                        || old.cost(position).to_bits() != fresh.cost(position).to_bits()
+                        || old.total(position).to_bits() != fresh.total(position).to_bits()
+                        || bits(old.contributions_of(position)) != bits(fresh.contributions_of(position));
+                    let reported = touched.binary_search(&position).is_ok();
+                    prop_assert!(!moved || reported, "row {} changed unreported", position);
+                    if reported && position < old.user_count() {
+                        prop_assert_ne!(&before.users()[position], &profile.users()[position]);
+                    }
+                }
+            }
+            before = profile;
         }
     }
 
@@ -178,11 +204,13 @@ proptest! {
     ) {
         let mut state = base;
         let mut persistent = IndexedProfile::from_profile(&state.profile());
-        let unchanged = persistent.sync_with(&state.profile());
+        let mut touched = Vec::new();
+        let unchanged = persistent.sync_with(&state.profile(), &mut touched);
         prop_assert_eq!(unchanged.mode, SyncMode::Unchanged);
         state.requirements[0] = 0.3 + bump;
         let profile = state.profile();
-        let stats = persistent.sync_with(&profile);
+        let stats = persistent.sync_with(&profile, &mut touched);
+        prop_assert!(touched.is_empty(), "a requirement change touches no row");
         prop_assert!(stats.mode != SyncMode::Reflattened);
         prop_assert_eq!(&persistent, &IndexedProfile::from_profile(&profile));
     }

@@ -434,7 +434,9 @@ impl Engine {
         for round in &mut rounds {
             self.enforce_clear_budget(round);
         }
-        let outcomes = self.pool.clear_all(rounds);
+        let outcomes = self.pool.clear_all(rounds.drain(..));
+        // The emptied vector keeps its capacity for the next rounds.
+        self.pending = rounds;
         let mut cleared = 0;
         // BTreeMap iteration settles in round-id order no matter which
         // worker finished first, keeping the ledger deterministic.

@@ -131,7 +131,7 @@ fn price_round(
     } else {
         let mechanism =
             MultiTaskMechanism::new(config.alpha)?.with_payment_threads(config.payment_threads);
-        let allocated = timed(Stage::Allocate, id, metrics, trace, || {
+        let mut allocated = timed(Stage::Allocate, id, metrics, trace, || {
             mechanism.allocate_with(context, profile)
         })?;
         let criticals = timed(Stage::Pay, id, metrics, trace, || allocated.criticals())?;
@@ -249,7 +249,7 @@ impl Shared {
     /// the arena back. One arena per worker for the whole drain:
     /// consecutive rounds on this worker delta-patch its persistent
     /// index.
-    fn work(&self, rounds: &Queue) -> Vec<Cleared> {
+    fn work(&self, rounds: &Mutex<impl Iterator<Item = Round>>) -> Vec<Cleared> {
         let mut context = self.contexts.checkout();
         let mut cleared = Vec::new();
         loop {
@@ -366,7 +366,10 @@ impl ShardPool {
     /// [`NoFaults`](crate::fault::NoFaults).
     ///
     /// The calling thread clears rounds too; a drain of one round, or a
-    /// pool of one worker, runs entirely on it.
+    /// pool of one worker, runs entirely on it, taking the rounds straight
+    /// off `rounds` — so a caller draining its own vector
+    /// (`pending.drain(..)`) keeps that vector's capacity. A drain that
+    /// wakes helpers first collects the rounds into their shared queue.
     ///
     /// The result map is keyed by round id and is identical for every
     /// worker count (see the module docs). The second tuple element is
@@ -382,16 +385,21 @@ impl ShardPool {
     /// guard, so no round goes missing in silence. The pool stays
     /// usable: the next drain of more than one round spawns fresh
     /// helpers.
-    pub fn clear_all(
+    pub fn clear_all<R>(
         &mut self,
-        rounds: Vec<Round>,
-    ) -> BTreeMap<RoundId, (usize, Result<ClearedRound, RoundError>)> {
+        rounds: R,
+    ) -> BTreeMap<RoundId, (usize, Result<ClearedRound, RoundError>)>
+    where
+        R: IntoIterator<Item = Round>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        let rounds = rounds.into_iter();
         // A worker beyond the round count would find the queue empty.
         let woken = self.workers.min(rounds.len()).saturating_sub(1);
-        let queue = Arc::new(Mutex::new(rounds.into_iter()));
         if woken == 0 {
-            return self.shared.work(&queue).into_iter().collect();
+            return self.shared.work(&Mutex::new(rounds)).into_iter().collect();
         }
+        let queue: Arc<Queue> = Arc::new(Mutex::new(rounds.collect::<Vec<_>>().into_iter()));
         if self.helpers.is_empty() {
             self.spawn_helpers();
         }
@@ -936,7 +944,7 @@ mod tests {
     fn dropping_the_pool_joins_its_helpers() {
         let config = EngineConfig::default().with_seed(3);
         let mut pool = pool(3, config);
-        pool.clear_all((0..5).map(feasible_round).collect());
+        pool.clear_all((0..5).map(feasible_round).collect::<Vec<_>>());
         assert_eq!(pool.helpers.len(), 2);
         // The pool and each helper hold the shared state.
         assert_eq!(Arc::strong_count(&pool.shared), 3);

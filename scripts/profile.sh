@@ -2,16 +2,20 @@
 # Profiles the payment_scaling hot loop under `perf`, so PRs can cite
 # flamegraph-driven deltas instead of guessing at hotspots.
 #
-# The bench's `--profile [n]` mode pins one synthetic instance and clears
-# it on a persistent arena in a tight loop for ~60 s — a stable target to
-# hang a sampler on. With `perf` installed this records and reports; with
+# The bench's `--profile [n]` mode pins one synthetic instance and its
+# churned round (2 % of the users re-bid) and clears them in turn on a
+# persistent arena in a tight loop for ~60 s — a stable target to hang a
+# sampler on. Each clear delta-patches the index, re-runs the allocation
+# and searches the critical bids of the winners the churn reaches; the
+# others carry over from the round before, and the loop prints how many
+# did. With `perf` installed this records and reports; with
 # FLAMEGRAPH_DIR pointing at Brendan Gregg's FlameGraph scripts it also
 # renders an SVG. Without `perf` it still runs the loop and prints
 # wall-clock throughput, so the script degrades gracefully in containers
 # without perf_event access.
 #
 # Usage:
-#   scripts/profile.sh [n]        # profile warm clears at n users (default 10k)
+#   scripts/profile.sh [n]        # profile churned warm clears at n users (default 10k)
 #   PERF_OUT=perf.data scripts/profile.sh 100000
 #
 # For stage-level flames of a *recorded run* (no perf needed), feed a
