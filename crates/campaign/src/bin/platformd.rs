@@ -12,7 +12,7 @@
 //! instead: the city grid is split into vertical bands, tasks pin to
 //! band regions, each round is routed, two-phase cleared, and settled by
 //! the `mcs-cluster` coordinator over a loopback transport spanning `N`
-//! nodes (each with a replicated follower). The run prints throughput
+//! nodes (each with a stateless spare). The run prints throughput
 //! plus the deployment-invariant cluster fingerprint — the same seed at
 //! `--nodes 1` and `--nodes 8` must print the same fingerprint.
 //!
@@ -547,7 +547,7 @@ fn run_cluster(options: &Options) -> ExitCode {
     let config = ClusterConfig::new(options.nodes).with_params(cluster_params);
     let mut cluster = Cluster::loopback(topology, config);
     println!(
-        "cluster: {} nodes (replicated), {} bands, {} active region shards: {:?}",
+        "cluster: {} nodes (each with a spare), {} bands, {} active region shards: {:?}",
         options.nodes,
         bands,
         regions.len(),

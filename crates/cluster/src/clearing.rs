@@ -2,9 +2,10 @@
 //!
 //! These helpers define *what* the cluster computes; `node`/`coordinator`
 //! define *where*. The mirror oracle calls them directly in one process,
-//! the node path reaches the same [`clear_round`] through its shard
-//! engines — and because each helper is a pure function of the topology,
-//! the round id, and the routed bids, the two paths agree bit for bit.
+//! and a node builds its sub-rounds with the same [`regional_round`] and
+//! clears them through the platform's one guarded clear body — and
+//! because each helper is a pure function of the topology, the round id,
+//! and the routed bids, the two paths agree bit for bit.
 //!
 //! ## Phase 2: the straddler clear
 //!
@@ -22,12 +23,10 @@
 
 use std::collections::BTreeMap;
 
-use mcs_core::types::{Contribution, Cost, Pos, TaskId, TypeProfile, UserId, UserType};
+use mcs_core::types::{Contribution, Cost, Pos, Task, TaskId, TypeProfile, UserId, UserType};
 use mcs_platform::batch::{residual_tasks, restrict_bids, Round, RoundId};
-use mcs_platform::config::EngineConfig;
-use mcs_platform::degrade::RoundError;
 use mcs_platform::ingest::Bid;
-use mcs_platform::shard::{clear_round, ClearedRound};
+use mcs_platform::shard::ClearedRound;
 
 use crate::topology::Topology;
 
@@ -47,29 +46,17 @@ pub(crate) fn user_type_of(bid: &Bid) -> UserType {
         .expect("routed bids build well-formed types")
 }
 
-/// The regional sub-round of cluster round `round` for `region`: its
-/// routed bids (submission order) against the region's tasks.
-pub(crate) fn regional_round(topology: &Topology, region: u32, round: u64, bids: &[Bid]) -> Round {
+/// A regional sub-round of cluster round `round`: its routed bids
+/// (submission order) against the region's `tasks`. The mirror and
+/// every node build their sub-rounds here.
+pub(crate) fn regional_round(tasks: &[Task], round: u64, bids: &[Bid]) -> Round {
     let users = bids.iter().map(user_type_of).collect();
-    let profile = TypeProfile::new(users, topology.region_tasks(region).to_vec())
-        .expect("routed regional bids form a valid profile");
+    let profile =
+        TypeProfile::new(users, tasks.to_vec()).expect("routed regional bids form a valid profile");
     Round {
         id: RoundId(round),
         profile,
     }
-}
-
-/// Clears a regional sub-round as a pure function — the mirror path.
-/// The node path reaches the same [`clear_round`] through its shard
-/// engine with the same `(config, round id, profile)` triple.
-pub(crate) fn clear_regional(
-    topology: &Topology,
-    config: &EngineConfig,
-    region: u32,
-    round: u64,
-    bids: &[Bid],
-) -> Result<ClearedRound, RoundError> {
-    clear_round(&regional_round(topology, region, round, bids), config)
 }
 
 /// Accumulates the phase-1 coverage of each task: the sum of every
@@ -144,7 +131,6 @@ mod tests {
     use super::*;
     use crate::topology::TaskSite;
     use mcs_core::mechanism::Allocation;
-    use mcs_core::types::Task;
     use mcs_mobility::grid::{Cell, CityGrid};
 
     fn topology() -> Topology {

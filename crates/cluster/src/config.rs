@@ -1,27 +1,29 @@
 //! Cluster configuration.
 
-use mcs_platform::config::{BatchPolicy, EngineConfig, TraceConfig};
+use mcs_platform::config::EngineConfig;
 
 use crate::topology::shard_seed;
 
-/// The mechanism/engine parameters every shard engine shares. The only
-/// per-shard difference is the seed, derived via
+/// The mechanism parameters every shard shares. The only per-shard
+/// difference is the seed, derived via
 /// [`shard_seed`](crate::topology::shard_seed) — everything else must be
 /// identical or the 1-node ≡ N-node equivalence proof would be comparing
 /// different auctions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterParams {
-    /// Cluster master seed; shard engine seeds derive from it.
+    /// Cluster master seed; shard seeds derive from it.
     pub seed: u64,
-    /// Shard workers per engine (outcome-invariant).
+    /// Ignored: a node clears each sub-round inline, on one thread. Kept
+    /// only because perfbench (`perfbench/src/main.rs`) names it in a
+    /// struct literal; delete it together with that reference.
     pub workers: usize,
-    /// Payment fan-out per engine (outcome-invariant).
+    /// Payment fan-out per sub-round clear (outcome-invariant).
     pub payment_threads: usize,
     /// Reward scaling factor `α`.
     pub alpha: f64,
     /// FPTAS approximation parameter `ε` (single-task sub-rounds).
     pub epsilon: f64,
-    /// Flight-recorder ring capacity per shard engine.
+    /// Span-ring capacity per node shard (logical clock).
     pub trace_capacity: usize,
 }
 
@@ -46,41 +48,33 @@ impl ClusterParams {
         self
     }
 
-    /// The engine configuration of shard `shard`: the shared parameters
-    /// with the shard-derived seed, the flush-only batch policy (the node
-    /// closes each sub-round explicitly, however many bids it routes),
-    /// and a logical-clock trace ring so per-shard traces stay
-    /// deterministic.
+    /// The clearing configuration of shard `shard`: the shared
+    /// parameters with the shard-derived seed. Only the fields a clear
+    /// reads are set: seed, payment threads, `α` and `ε`.
     pub fn engine_config(&self, shard: u32) -> EngineConfig {
         let mut config = EngineConfig::default()
             .with_seed(shard_seed(self.seed, shard))
-            .with_workers(self.workers)
-            .with_payment_threads(self.payment_threads)
-            .with_trace(TraceConfig {
-                capacity: self.trace_capacity,
-                logical_clock: true,
-            });
+            .with_payment_threads(self.payment_threads);
         config.alpha = self.alpha;
         config.epsilon = self.epsilon;
-        config.batch = BatchPolicy::FLUSH_ONLY;
         config
     }
 }
 
 /// A full cluster deployment description. Every node runs a primary and
-/// a follower, and the coordinator replicates checkpoint deltas to each
-/// follower after every round, so promote-on-loss failover preserves
-/// outcomes.
+/// a stateless spare; on losing the primary the coordinator promotes the
+/// spare and sends it the same request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Node count (placement only — outcomes are invariant to it).
     pub nodes: u32,
-    /// Shared shard-engine parameters.
+    /// Shared shard parameters.
     pub params: ClusterParams,
 }
 
 impl ClusterConfig {
-    /// A replicated deployment of `nodes` nodes with default parameters.
+    /// A deployment of `nodes` nodes, each with a spare, with default
+    /// parameters.
     pub fn new(nodes: u32) -> Self {
         ClusterConfig {
             nodes,
@@ -108,9 +102,8 @@ mod tests {
         let mut b_with_a_seed = b;
         b_with_a_seed.seed = a.seed;
         assert_eq!(a, b_with_a_seed);
-        assert!(a.trace.logical_clock);
-        assert!(a.batch.max_bids >= 1 << 20);
-        // Node engines never close a sub-round on their own.
-        assert_eq!(a.batch, BatchPolicy::FLUSH_ONLY);
+        assert_eq!(a.payment_threads, params.payment_threads);
+        assert_eq!(a.alpha.to_bits(), params.alpha.to_bits());
+        assert_eq!(a.epsilon.to_bits(), params.epsilon.to_bits());
     }
 }

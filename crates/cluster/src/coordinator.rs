@@ -1,25 +1,26 @@
 //! The cluster coordinator: routes each round, drives the two-phase
-//! clear across nodes, settles on the authoritative ledger, and
-//! replicates checkpoint deltas to followers.
+//! clear across nodes, and settles on the authoritative ledger, the
+//! only state that outlives a round.
 //!
 //! ## Failure handling
 //!
-//! *Node loss.* An `Unreachable` primary triggers promote-on-loss: the
-//! follower gets `Promote`, becomes the node's active replica, and the
-//! call is retried there. Because clearing is a pure function of
-//! `(shard seed, round id, routed bids)`, the promoted follower produces
-//! byte-identical outcomes — the chaos tests pin an unchanged cluster
-//! fingerprint across a mid-round loss.
+//! *Node loss.* An `Unreachable` primary triggers failover to the
+//! node's stateless spare: the spare gets `Promote`, becomes the node's
+//! active replica, and the same `Clear` is sent there. Nothing is
+//! replicated beforehand: clearing is a pure function of `(shard seed,
+//! round id, routed bids)`, so the spare produces byte-identical
+//! outcomes — the chaos tests pin an unchanged cluster fingerprint
+//! across a mid-round loss.
 //!
-//! *Partition.* When a node's primary *and* follower are unreachable,
-//! the whole logical round is quarantined with a typed cause and a JSON
-//! post-mortem. Healthy regions still receive their `Clear` (keeping
-//! every stream's dedup cache and engine state aligned), but their
+//! *Partition.* When a node's primary *and* spare are unreachable, the
+//! whole logical round is quarantined with a typed cause and a JSON
+//! post-mortem. Healthy regions still receive their `Clear`, but their
 //! outcomes are discarded, phase 2 is skipped, and nothing settles —
 //! a quarantined round is all-or-nothing, never silently partial.
 //!
-//! *Duplicate delivery.* Handled node-side by the idempotency cache;
-//! the coordinator needs no special casing.
+//! *Duplicate delivery.* A node answers a redelivered `Clear` from its
+//! cache of the last round it served; the coordinator needs no special
+//! casing.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -28,7 +29,7 @@ use mcs_obs::TraceEvent;
 use mcs_platform::degrade::RoundError;
 use mcs_platform::ingest::Bid;
 use mcs_platform::metrics::RoundEconomics;
-use mcs_platform::settle::{Ledger, RoundSettlement};
+use mcs_platform::settle::{fold_rounds, Ledger, RoundSettlement};
 use mcs_platform::shard::{clear_round, ClearedRound};
 
 use crate::clearing::{covered_contributions, straddler_round};
@@ -90,34 +91,22 @@ pub struct ClusterOutcome {
 
 impl ClusterOutcome {
     /// The FNV-1a fingerprint of everything economically meaningful:
-    /// winners, quote bits, report bits, social-cost bits, settlement
-    /// totals, and ledger balances. Node placement, transports, and
-    /// failovers never enter the hash — so 1-node and N-node runs of the
-    /// same profile must agree bit for bit.
+    /// each `(round, shard)` sub-round and settlement through the
+    /// platform's one per-round fold ([`fold_rounds`]), then quarantine
+    /// causes, ledger balances and totals. Node placement, transports,
+    /// and failovers never enter the hash — so 1-node and N-node runs of
+    /// the same profile must agree bit for bit.
     pub fn fingerprint(&self) -> u64 {
         let mut fnv = Fnv1a::new();
-        for (&(round, shard), cleared) in &self.results {
-            fnv.write_u64(round);
-            fnv.write_u32(shard);
-            for winner in cleared.allocation.winners() {
-                fnv.write_u32(winner.index() as u32);
-            }
-            for (user, quote) in &cleared.quotes {
-                fnv.write_u32(user.index() as u32);
-                fnv.write_u64(quote.success.to_bits());
-                fnv.write_u64(quote.failure.to_bits());
-            }
-            for (user, &completed) in &cleared.reports {
-                fnv.write_u32(user.index() as u32);
-                fnv.write_u8(completed as u8);
-            }
-            fnv.write_u64(cleared.social_cost.to_bits());
-        }
-        for (&(round, shard), settlement) in &self.settlements {
-            fnv.write_u64(round);
-            fnv.write_u32(shard);
-            fnv.write_u64(settlement.total.to_bits());
-        }
+        fold_rounds(
+            &mut fnv,
+            &self.results,
+            &self.settlements,
+            |fnv, &(round, shard)| {
+                fnv.write_u64(round);
+                fnv.write_u64(u64::from(shard));
+            },
+        );
         for quarantine in &self.quarantines {
             fnv.write_u64(quarantine.round);
             let (shard, code) = match &quarantine.cause {
@@ -158,7 +147,7 @@ pub struct RoundReport {
     pub quarantined: bool,
     /// Bids rejected by cluster-wide validation.
     pub rejected: usize,
-    /// Nodes that failed over to their follower during this round.
+    /// Nodes that failed over to their spare during this round.
     pub promoted: Vec<u32>,
 }
 
@@ -241,9 +230,6 @@ pub struct Cluster<T: NodeTransport> {
     transport: T,
     /// Per node: which replica is active.
     active: BTreeMap<u32, Role>,
-    /// Replication watermark per `(node, region)`: the last settled
-    /// round already applied to the follower.
-    watermarks: BTreeMap<(u32, u32), Option<u64>>,
     next_round: u64,
     outcome: ClusterOutcome,
     /// The routing dedup set, kept across rounds for its capacity.
@@ -251,9 +237,9 @@ pub struct Cluster<T: NodeTransport> {
 }
 
 impl Cluster<LoopbackTransport> {
-    /// An in-process deployment: every node's primary and follower live
-    /// behind a loopback transport that still round-trips the full wire
-    /// codec.
+    /// An in-process deployment: every node's primary and stateless spare
+    /// (its `Follower` endpoint) live behind a loopback transport that
+    /// still round-trips the full wire codec.
     pub fn loopback(topology: Topology, config: ClusterConfig) -> Self {
         let params = config.params;
         let nodes = (0..config.nodes)
@@ -281,7 +267,6 @@ impl<T: NodeTransport> Cluster<T> {
             config,
             transport,
             active,
-            watermarks: BTreeMap::new(),
             next_round: 0,
             outcome: ClusterOutcome::default(),
             seen: HashSet::new(),
@@ -342,8 +327,8 @@ impl<T: NodeTransport> Cluster<T> {
         let mut shard_quarantines: Vec<(u32, u64, RoundError)> = Vec::new();
 
         // Phase 1: every active region clears its sub-round, regions
-        // ascending. Regions without bids still get an (empty) Clear so
-        // every stream sees every round id.
+        // ascending. Regions without bids still get an (empty) Clear: it
+        // is how a round finds out a node is down.
         let regions: Vec<u32> = self.topology.active_regions().collect();
         for &region in &regions {
             let node = self.topology.node_of_region(region, self.config.nodes);
@@ -383,9 +368,7 @@ impl<T: NodeTransport> Cluster<T> {
         }
 
         // A partitioned node quarantines the whole round: discard every
-        // outcome, settle nothing. The healthy regions already cleared —
-        // which is exactly what keeps their engines aligned for the
-        // rounds after the partition heals.
+        // outcome, settle nothing.
         if !down.is_empty() {
             for &node in &down {
                 let node_regions: Vec<u32> = regions
@@ -412,7 +395,6 @@ impl<T: NodeTransport> Cluster<T> {
                     post_mortem,
                 });
             }
-            self.replicate(&promoted);
             return Ok(RoundReport {
                 round,
                 cleared_shards: Vec::new(),
@@ -476,7 +458,6 @@ impl<T: NodeTransport> Cluster<T> {
             self.outcome.settlements.insert((round, shard), settlement);
         }
 
-        self.replicate(&promoted);
         Ok(RoundReport {
             round,
             cleared_shards,
@@ -487,7 +468,7 @@ impl<T: NodeTransport> Cluster<T> {
     }
 
     /// Calls the node's active replica; on an unreachable primary,
-    /// promotes the follower and retries there.
+    /// promotes the spare and sends it the same request.
     fn call_with_failover(
         &mut self,
         node: u32,
@@ -522,57 +503,6 @@ impl<T: NodeTransport> Cluster<T> {
                 }
             }
             Err(TransportError::Unreachable(_)) => Ok(NodeCall::Down),
-        }
-    }
-
-    /// Replicates each primary's new settlements to its follower. Nodes
-    /// already failed over (or promoted this round) have no standby left
-    /// and are skipped; replication is best-effort — a missed delta only
-    /// means the follower restores from an older watermark and re-clears
-    /// the gap, bit-identically, on promotion.
-    fn replicate(&mut self, promoted: &[u32]) {
-        let regions: Vec<u32> = self.topology.active_regions().collect();
-        for region in regions {
-            let node = self.topology.node_of_region(region, self.config.nodes);
-            if self.active.get(&node) != Some(&Role::Primary) || promoted.contains(&node) {
-                continue;
-            }
-            let since = self
-                .watermarks
-                .get(&(node, region))
-                .copied()
-                .unwrap_or(None);
-            let primary = Endpoint {
-                node,
-                role: Role::Primary,
-            };
-            let pulled = self
-                .transport
-                .call(primary, &Request::PullDelta { region, since });
-            let Ok(Response::Delta(delta)) = pulled else {
-                continue;
-            };
-            if delta.settlements.is_empty() {
-                continue;
-            }
-            let new_watermark = delta
-                .settlements
-                .iter()
-                .map(|settlement| settlement.round.0)
-                .max();
-            let follower = Endpoint {
-                node,
-                role: Role::Follower,
-            };
-            let applied = self
-                .transport
-                .call(follower, &Request::ApplyDelta { region, delta });
-            if matches!(applied, Ok(Response::Applied)) {
-                if let Some(high) = new_watermark {
-                    let entry = self.watermarks.entry((node, region)).or_insert(None);
-                    *entry = Some(entry.map_or(high, |w| w.max(high)));
-                }
-            }
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Scales the crowdsensing auction horizontally without surrendering a
 //! single bit of determinism. The city grid is split into task regions;
-//! each region is a *shard* cleared by its own [`Engine`] seed
+//! each region is a *shard* cleared under its own seed
 //! (`shard_seed(cluster_seed, region)`), and a deployment of N nodes is
 //! nothing but a contiguous placement of shards onto nodes — placement
 //! never enters any seed, any round id, or any float accumulation
@@ -26,20 +26,22 @@
 //! Both phases are pure functions of `(topology, round id, routed
 //! bids)`, so the in-process mirror oracle ([`mirror::ground_truth`])
 //! reproduces any deployment's outcome without nodes or transports.
+//! Every sub-round, on a node or in the mirror, clears through the
+//! platform's one guarded clear body
+//! ([`clear_guarded`](mcs_platform::shard::clear_guarded)), so a
+//! panicking sub-round is quarantined the same way everywhere.
 //!
-//! ## Replication and faults
+//! ## Stateless nodes and faults
 //!
-//! Every node has a standby follower fed [`CheckpointDelta`]s after
-//! each round. Node loss promotes the follower, which lazily restores
-//! engines from its checkpoint and re-clears — bit-identically, because
-//! clearing never depends on anything the checkpoint could lag on. A
-//! full partition (both replicas down) quarantines the whole round with
-//! a typed cause and a JSON post-mortem; duplicate deliveries are
-//! absorbed by a per-shard idempotency cache. The chaos suite pins all
-//! three behaviors against recorded fingerprints.
-//!
-//! [`Engine`]: mcs_platform::engine::Engine
-//! [`CheckpointDelta`]: mcs_platform::engine::CheckpointDelta
+//! A node keeps nothing an outcome depends on: per region a clearing
+//! arena, a span ring and the last response it served. The coordinator's
+//! ledger is the only settled state. Every node has a stateless spare;
+//! node loss promotes the spare, which answers the same `Clear`
+//! bit-identically without any replicated state. A full partition (both
+//! replicas down) quarantines the whole round with a typed cause and a
+//! JSON post-mortem; a duplicate delivery is answered from the node's
+//! one-round response cache. The chaos suite pins all three behaviors
+//! against recorded fingerprints.
 
 #![forbid(unsafe_code)]
 

@@ -3,11 +3,12 @@
 //!
 //! [`ground_truth`] runs the identical decomposition — route, per-region
 //! phase-1 clears, residual straddler phase 2, ascending settlement —
-//! with no engines, no transports, no nodes: just the pure
-//! [`clear_round`](mcs_platform::shard::clear_round) helpers from
-//! [`crate::clearing`]. The equivalence and chaos suites compare real
-//! cluster runs (any node count, any transport, any survivable fault
-//! schedule) against this oracle bit for bit.
+//! with no transports and no nodes: the round builders of
+//! [`crate::clearing`], each round cleared by the pure
+//! [`clear_round`](mcs_platform::shard::clear_round) on a fresh arena.
+//! The equivalence and chaos suites compare real cluster runs (any node
+//! count, any transport, any survivable fault schedule) against this
+//! oracle bit for bit.
 
 use std::collections::BTreeMap;
 
@@ -15,7 +16,7 @@ use mcs_platform::ingest::Bid;
 use mcs_platform::metrics::RoundEconomics;
 use mcs_platform::shard::{clear_round, ClearedRound};
 
-use crate::clearing::{clear_regional, covered_contributions, straddler_round};
+use crate::clearing::{covered_contributions, regional_round, straddler_round};
 use crate::config::ClusterParams;
 use crate::coordinator::{shard_post_mortem, ClusterOutcome, ClusterQuarantine, QuarantineCause};
 use crate::route::route_bids;
@@ -36,7 +37,8 @@ pub fn ground_truth(
 
         for (&region, bids) in &routed.regional {
             let config = params.engine_config(region);
-            match clear_regional(topology, &config, region, round, bids) {
+            let sub_round = regional_round(topology.region_tasks(region), round, bids);
+            match clear_round(&sub_round, &config) {
                 Ok(cleared) => {
                     results.insert(region, cleared);
                 }

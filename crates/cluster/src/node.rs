@@ -1,55 +1,69 @@
-//! A cluster node: hosts one shard [`Engine`] per region in its slice,
-//! serves the wire protocol, and keeps an idempotency cache so duplicate
-//! deliveries can never double-clear a round.
+//! A cluster node: clears the sub-rounds of the regions in its slice
+//! and serves the wire protocol.
 //!
-//! A node is constructed in one of two roles. A *primary* starts from
-//! the empty checkpoint and clears from round zero. A *follower* holds
-//! only standby [`EngineCheckpoint`]s, fed by `ApplyDelta`; engines are
-//! materialized lazily — [`Engine::restore`] on the first `Clear` after
-//! promotion — which is exactly the failover path the chaos tests pin.
-//! Primaries build their engines through the very same lazy-restore
-//! path (from the empty checkpoint), so failover exercises no special
-//! code.
+//! A node is stateless in everything that decides an outcome. Each
+//! `Clear` builds the region's sub-round with the mirror's round builder
+//! ([`regional_round`]) and clears it through the platform's one guarded
+//! clear body ([`clear_guarded`]), so the response is a pure function of
+//! `(shard seed, round id, routed bids)`. Between rounds a region shard
+//! keeps only its clearing arena (which changes how fast it clears, never
+//! what), a span ring, and the last response it served.
+//!
+//! That last response answers a redelivered `Clear` for the same round,
+//! the only round a coordinator retries. Re-clearing any other round
+//! would return the same bits anyway, so a duplicate is harmless either
+//! way. A node is built as a *primary* or as a *spare* (follower). The
+//! spare needs nothing from the primary: on failover the coordinator
+//! sends it `Promote` and then the same `Clear`, and it answers as the
+//! primary would have.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use mcs_platform::batch::RoundId;
-use mcs_platform::engine::{CheckpointDelta, Engine, EngineCheckpoint};
+use mcs_core::indexed::ClearContext;
+use mcs_core::types::Task;
+use mcs_obs::{ClockMode, FlightRecorder};
+use mcs_platform::config::EngineConfig;
 use mcs_platform::fault::NoFaults;
 use mcs_platform::ingest::Bid;
 use mcs_platform::metrics::RoundEconomics;
+use mcs_platform::shard::clear_guarded;
 
+use crate::clearing::regional_round;
 use crate::config::ClusterParams;
 use crate::topology::Topology;
 use crate::wire::{Request, Response};
 
-/// One region shard hosted by a node.
+/// One region shard hosted by a node: everything it keeps between
+/// rounds.
 #[derive(Debug)]
 struct Shard {
     /// The region's published tasks (ascending id).
-    tasks: Vec<mcs_core::types::Task>,
-    /// Standby state: the checkpoint the engine restores from. Kept in
-    /// sync by `ApplyDelta` while the shard is a follower.
-    checkpoint: EngineCheckpoint,
-    /// The live engine, materialized on first `Clear`.
-    engine: Option<Engine>,
-    /// Idempotency cache: round id → the response already served.
-    cleared: BTreeMap<u64, Response>,
+    tasks: Vec<Task>,
+    /// The shard's clearing configuration (its seed derives from the
+    /// region).
+    config: EngineConfig,
+    /// The clearing arena, delta-patched from one sub-round to the next.
+    context: ClearContext,
+    /// The span ring: the `Shard`, `Allocate` and `Pay` spans of every
+    /// sub-round cleared here, on a logical clock.
+    recorder: FlightRecorder,
+    /// The last round served and its response.
+    last: Option<(u64, Response)>,
 }
 
 /// A node server: the request handler behind every transport.
 #[derive(Debug)]
 pub struct NodeServer {
     node: u32,
-    params: ClusterParams,
     primary: bool,
     shards: BTreeMap<u32, Shard>,
 }
 
 impl NodeServer {
     /// Builds the server for node `node` of an `nodes`-node deployment:
-    /// one shard per active region placed on this node.
+    /// one shard per active region placed on this node. `primary` only
+    /// decides what `Ping` reports until a `Promote`: primary and spare
+    /// clear alike.
     pub fn new(
         topology: &Topology,
         params: ClusterParams,
@@ -65,16 +79,16 @@ impl NodeServer {
                     region,
                     Shard {
                         tasks: topology.region_tasks(region).to_vec(),
-                        checkpoint: EngineCheckpoint::empty(),
-                        engine: None,
-                        cleared: BTreeMap::new(),
+                        config: params.engine_config(region),
+                        context: ClearContext::new(),
+                        recorder: FlightRecorder::new(params.trace_capacity, ClockMode::Logical),
+                        last: None,
                     },
                 )
             })
             .collect();
         NodeServer {
             node,
-            params,
             primary,
             shards,
         }
@@ -96,7 +110,8 @@ impl NodeServer {
     }
 
     /// Serves one request. Never panics on protocol-level misuse — an
-    /// unknown region is a typed [`Response::Error`].
+    /// unknown region or a retired request is a typed
+    /// [`Response::Error`].
     pub fn handle(&mut self, request: &Request) -> Response {
         match request {
             Request::Ping => Response::Pong {
@@ -108,111 +123,59 @@ impl NodeServer {
                 round,
                 bids,
             } => self.clear(*region, *round, bids),
-            Request::PullDelta { region, since } => self.pull_delta(*region, *since),
-            Request::ApplyDelta { region, delta } => self.apply_delta(*region, delta),
+            Request::PullDelta | Request::ApplyDelta => Response::Error {
+                message: "checkpoint replication is retired".to_string(),
+            },
             Request::Promote => {
                 self.primary = true;
                 Response::Promoted
             }
             Request::TraceSnapshot { region } => match self.shards.get(region) {
-                Some(shard) => Response::Trace(
-                    shard
-                        .engine
-                        .as_ref()
-                        .map(Engine::trace_events)
-                        .unwrap_or_default(),
-                ),
+                Some(shard) => Response::Trace(shard.recorder.snapshot()),
                 None => unknown_region(*region),
             },
         }
     }
 
     fn clear(&mut self, region: u32, round: u64, bids: &[Bid]) -> Response {
-        let params = self.params;
         let Some(shard) = self.shards.get_mut(&region) else {
             return unknown_region(region);
         };
-        // Duplicate delivery: serve the cached response, touch nothing.
-        if let Some(cached) = shard.cleared.get(&round) {
+        // Redelivery of the last round: serve the cached response.
+        if let Some((_, cached)) = shard.last.as_ref().filter(|(last, _)| *last == round) {
             return cached.clone();
         }
-        let engine = shard.engine.get_or_insert_with(|| {
-            Engine::restore(
-                params.engine_config(region),
-                shard.tasks.clone(),
-                shard.checkpoint.clone(),
-                Arc::new(NoFaults),
-            )
-        });
-        engine.skip_to_round(round);
         let response = if bids.is_empty() {
-            // An empty sub-round clears nothing and consumes nothing —
-            // identically in every deployment.
+            // An empty sub-round clears nothing, identically in every
+            // deployment.
             Response::ClearedEmpty { region, round }
         } else {
-            for bid in bids {
-                // Routing already validated the bid; the engine's own
-                // validation is a no-op re-check.
-                let _ = engine.submit(bid);
-            }
-            engine.flush();
-            engine.drain();
-            if let Some(cleared) = engine.results().get(&RoundId(round)) {
-                // Economics stay off the wire; normalizing them here keeps
-                // the cached and the decoded response equal.
-                let mut cleared = cleared.clone();
-                cleared.economics = RoundEconomics::default();
-                Response::Cleared { region, cleared }
-            } else if let Some(quarantined) = engine
-                .quarantine()
-                .iter()
-                .find(|quarantined| quarantined.id == RoundId(round))
-            {
-                Response::Quarantined {
+            let sub_round = regional_round(&shard.tasks, round, bids);
+            let cleared = clear_guarded(
+                &sub_round,
+                &shard.config,
+                &mut shard.context,
+                &NoFaults,
+                None,
+                Some(&shard.recorder),
+            );
+            match cleared {
+                Ok(mut cleared) => {
+                    // Economics stay off the wire; normalizing them here
+                    // keeps the cached and the decoded response equal.
+                    cleared.economics = RoundEconomics::default();
+                    Response::Cleared { region, cleared }
+                }
+                Err(error) => Response::Quarantined {
                     region,
                     round,
-                    bidders: quarantined.bidders as u64,
-                    error: quarantined.error.clone(),
-                }
-            } else {
-                Response::Error {
-                    message: format!("round {round} neither cleared nor quarantined"),
-                }
+                    bidders: bids.len() as u64,
+                    error,
+                },
             }
         };
-        shard.cleared.insert(round, response.clone());
+        shard.last = Some((round, response.clone()));
         response
-    }
-
-    fn pull_delta(&mut self, region: u32, since: Option<u64>) -> Response {
-        let Some(shard) = self.shards.get(&region) else {
-            return unknown_region(region);
-        };
-        let delta = match &shard.engine {
-            Some(engine) => engine.checkpoint_delta(since.map(RoundId)),
-            // No engine yet: nothing cleared beyond the standby
-            // checkpoint.
-            None => CheckpointDelta {
-                settlements: Vec::new(),
-                next_round_id: shard.checkpoint.next_round_id,
-            },
-        };
-        Response::Delta(delta)
-    }
-
-    fn apply_delta(&mut self, region: u32, delta: &CheckpointDelta) -> Response {
-        let Some(shard) = self.shards.get_mut(&region) else {
-            return unknown_region(region);
-        };
-        if shard.engine.is_some() {
-            // A live engine is already past its checkpoint; folding a
-            // delta under it would fork history.
-            return Response::Error {
-                message: format!("region {region} already has a live engine"),
-            };
-        }
-        shard.checkpoint.apply_delta(delta);
-        Response::Applied
     }
 }
 
@@ -226,8 +189,11 @@ fn unknown_region(region: u32) -> Response {
 mod tests {
     use super::*;
     use crate::topology::TaskSite;
-    use mcs_core::types::{Task, TaskId};
+    use mcs_core::types::TaskId;
     use mcs_mobility::grid::{Cell, CityGrid};
+    use mcs_obs::{EventKind, Stage};
+    use mcs_platform::batch::RoundId;
+    use mcs_platform::degrade::RoundError;
 
     fn topology() -> Topology {
         let grid = CityGrid::new(4, 2, 1.0);
@@ -287,26 +253,22 @@ mod tests {
     fn duplicate_delivery_returns_the_cached_response() {
         let topology = topology();
         let mut server = NodeServer::new(&topology, ClusterParams::default(), 1, 0, true);
-        let request = Request::Clear {
+        let clear = |round| Request::Clear {
             region: 0,
-            round: 0,
+            round,
             bids: feasible_bids(),
         };
-        let first = server.handle(&request);
-        let second = server.handle(&request);
+        let first = server.handle(&clear(0));
+        let spans = server.handle(&Request::TraceSnapshot { region: 0 });
+        let second = server.handle(&clear(0));
         assert_eq!(first, second);
-        // The engine really cleared only once: round 1 is next.
-        let delta = server.handle(&Request::PullDelta {
-            region: 0,
-            since: None,
-        });
-        match delta {
-            Response::Delta(delta) => {
-                assert_eq!(delta.settlements.len(), 1);
-                assert_eq!(delta.next_round_id, 1);
-            }
-            other => panic!("expected Delta, got {other:?}"),
-        }
+        // The redelivery hit the cache: it cleared nothing, so it traced
+        // nothing.
+        assert_eq!(server.handle(&Request::TraceSnapshot { region: 0 }), spans);
+        // The cache holds the last round only. A stale redelivery clears
+        // again, to the same bits.
+        server.handle(&clear(1));
+        assert_eq!(server.handle(&clear(0)), first);
     }
 
     #[test]
@@ -314,42 +276,102 @@ mod tests {
         let topology = topology();
         let params = ClusterParams::default();
         let mut primary = NodeServer::new(&topology, params, 1, 0, true);
-        let mut follower = NodeServer::new(&topology, params, 1, 0, false);
+        let mut spare = NodeServer::new(&topology, params, 1, 0, false);
+        let clear = |round| Request::Clear {
+            region: 0,
+            round,
+            bids: feasible_bids(),
+        };
 
-        // Primary clears rounds 0 and 1 on region 0.
+        // The primary clears rounds 0 and 1; the spare sees neither, and
+        // nothing is replicated to it: the delta it rebuilds from is empty.
         for round in 0..2u64 {
-            let response = primary.handle(&Request::Clear {
+            let response = primary.handle(&clear(round));
+            assert!(matches!(response, Response::Cleared { .. }), "{response:?}");
+        }
+        assert_eq!(spare.handle(&Request::Promote), Response::Promoted);
+        assert!(spare.is_primary());
+
+        // Round 2 clears bit for bit alike on both: its execution draws
+        // come from (shard seed, round id), not from the rounds before.
+        let response = primary.handle(&clear(2));
+        match &response {
+            Response::Cleared { cleared, .. } => {
+                assert_eq!(cleared.id, RoundId(2));
+                assert!(cleared.allocation.winner_count() > 0);
+            }
+            other => panic!("expected Cleared, got {other:?}"),
+        }
+        assert_eq!(spare.handle(&clear(2)), response);
+    }
+
+    #[test]
+    fn a_failed_clear_quarantines_the_routed_bids() {
+        let topology = topology();
+        let mut server = NodeServer::new(&topology, ClusterParams::default(), 1, 0, true);
+        // PoS 0.1 cannot cover task 0's requirement of 0.8.
+        let thin = vec![Bid {
+            user: 4,
+            cost: 1.0,
+            tasks: vec![(0, 0.1)],
+        }];
+        let response = server.handle(&Request::Clear {
+            region: 0,
+            round: 5,
+            bids: thin,
+        });
+        match response {
+            Response::Quarantined {
+                region: 0,
+                round: 5,
+                bidders: 1,
+                error: RoundError::Infeasible { .. },
+            } => {}
+            other => panic!("expected an infeasible quarantine, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_span_ring_holds_each_cleared_sub_round_and_no_bids() {
+        let topology = topology();
+        let mut server = NodeServer::new(&topology, ClusterParams::default(), 1, 0, true);
+        for round in [0u64, 1] {
+            server.handle(&Request::Clear {
                 region: 0,
                 round,
                 bids: feasible_bids(),
             });
-            assert!(matches!(response, Response::Cleared { .. }), "{response:?}");
         }
-        // Replicate the full delta to the follower.
-        let delta = match primary.handle(&Request::PullDelta {
-            region: 0,
-            since: None,
-        }) {
-            Response::Delta(delta) => delta,
-            other => panic!("expected Delta, got {other:?}"),
+        let Response::Trace(events) = server.handle(&Request::TraceSnapshot { region: 0 }) else {
+            panic!("expected a trace");
         };
-        assert_eq!(
-            follower.handle(&Request::ApplyDelta {
-                region: 0,
-                delta: delta.clone(),
-            }),
-            Response::Applied
-        );
-        assert_eq!(follower.handle(&Request::Promote), Response::Promoted);
-        assert!(follower.is_primary());
+        let spans: Vec<(EventKind, Option<Stage>, u64)> = events
+            .iter()
+            .map(|event| (event.kind, event.stage, event.round))
+            .collect();
+        let mut expected = Vec::new();
+        for round in [0u64, 1] {
+            for (kind, stage) in [
+                (EventKind::StageEnter, Stage::Shard),
+                (EventKind::StageEnter, Stage::Allocate),
+                (EventKind::StageExit, Stage::Allocate),
+                (EventKind::StageEnter, Stage::Pay),
+                (EventKind::StageExit, Stage::Pay),
+                (EventKind::StageExit, Stage::Shard),
+            ] {
+                expected.push((kind, Some(stage), round));
+            }
+        }
+        assert_eq!(spans, expected);
+    }
 
-        // Round 2 clears bitwise-identically on both.
-        let request = Request::Clear {
-            region: 0,
-            round: 2,
-            bids: feasible_bids(),
-        };
-        assert_eq!(primary.handle(&request), follower.handle(&request));
+    #[test]
+    fn retired_replication_requests_are_typed_errors() {
+        let topology = topology();
+        let mut server = NodeServer::new(&topology, ClusterParams::default(), 1, 0, false);
+        for request in [Request::PullDelta, Request::ApplyDelta] {
+            assert!(matches!(server.handle(&request), Response::Error { .. }));
+        }
     }
 
     #[test]

@@ -217,7 +217,7 @@ impl Topology {
     }
 }
 
-/// Per-shard engine seed: a SplitMix64-style mix of the cluster seed and
+/// Per-shard clearing seed: a SplitMix64-style mix of the cluster seed and
 /// the shard index, so every region shard (and the straddler shard)
 /// draws from an independent, reproducible stream that does not depend
 /// on which node hosts it.

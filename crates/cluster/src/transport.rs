@@ -26,7 +26,7 @@ use crate::wire::{
 pub enum Role {
     /// The replica that starts as primary.
     Primary,
-    /// The standby replica.
+    /// The node's stateless spare, promoted when the primary is lost.
     Follower,
 }
 
@@ -91,8 +91,8 @@ fn role_key(role: Role) -> u8 {
 }
 
 impl LoopbackTransport {
-    /// Builds a loopback cluster from `(node id, primary, follower)`
-    /// server triples.
+    /// Builds a loopback cluster from `(node id, primary, spare)` server
+    /// triples.
     pub fn new(nodes: Vec<(u32, NodeServer, NodeServer)>) -> Self {
         let mut replicas = BTreeMap::new();
         for (node, primary, follower) in nodes {

@@ -14,13 +14,12 @@
 //! cluster's headline guarantee is *bitwise* outcome equality, and a
 //! codec that formats floats would forfeit it before a single bid
 //! clears. Messages carry the platform's own types ([`Bid`],
-//! [`ClearedRound`], [`RoundError`], [`CheckpointDelta`]); there is no
-//! mirror layer to convert through. The trailing checksum makes every
+//! [`ClearedRound`], [`RoundError`], [`TraceEvent`]); there is no mirror
+//! layer to convert through. The trailing checksum makes every
 //! single-byte corruption a typed decode error instead of a garbage
 //! outcome (property-tested below). The checksum is the workspace's one
 //! FNV-1a, [`mcs_obs::digest`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -31,9 +30,8 @@ use mcs_obs::digest::fnv1a;
 use mcs_obs::{EventKind, Stage, TraceEvent};
 use mcs_platform::batch::RoundId;
 use mcs_platform::degrade::RoundError;
-use mcs_platform::engine::CheckpointDelta;
 use mcs_platform::ingest::Bid;
-use mcs_platform::settle::{RewardQuote, RoundSettlement};
+use mcs_platform::settle::RewardQuote;
 use mcs_platform::shard::ClearedRound;
 
 /// Frame magic: protocol name + version.
@@ -111,24 +109,17 @@ pub enum Request {
         /// The routed bids, coordinator submission order.
         bids: Vec<Bid>,
     },
-    /// Pull the settlement delta newer than `since` for one region.
-    PullDelta {
-        /// Target region shard.
-        region: u32,
-        /// Replication watermark: highest round already replicated
-        /// (`u64::MAX` encodes "nothing yet").
-        since: Option<u64>,
-    },
-    /// Fold a delta into a follower's standby checkpoint.
-    ApplyDelta {
-        /// Target region shard.
-        region: u32,
-        /// The delta pulled from the primary.
-        delta: CheckpointDelta,
-    },
-    /// Promote a follower to primary (idempotent).
+    /// Retired (checkpoint replication is gone): kept, with no payload,
+    /// only because perfbench's traced transport
+    /// (`perfbench/src/cluster_run.rs`) names it. It holds wire tag 2,
+    /// nothing sends it, and a node answers it with [`Response::Error`].
+    /// Delete it together with that reference.
+    PullDelta,
+    /// Retired like [`Request::PullDelta`], on wire tag 3.
+    ApplyDelta,
+    /// Promote a spare to primary (idempotent).
     Promote,
-    /// Snapshot one region engine's flight-recorder trace.
+    /// Snapshot one region shard's span ring.
     TraceSnapshot {
         /// Target region shard.
         region: u32,
@@ -172,13 +163,9 @@ pub enum Response {
         /// Why clearing failed.
         error: RoundError,
     },
-    /// The requested delta.
-    Delta(CheckpointDelta),
-    /// The delta was folded into the standby checkpoint.
-    Applied,
     /// The node now serves as primary.
     Promoted,
-    /// The region engine's trace events.
+    /// The region shard's trace events.
     Trace(Vec<TraceEvent>),
     /// The node rejected the request.
     Error {
@@ -212,18 +199,6 @@ fn get_user(r: &mut Reader<'_>) -> Result<UserId, CodecError> {
     r.u32().map(UserId::new)
 }
 
-/// Per-user flags (execution reports, settled outcomes), one byte each.
-fn put_flags(out: &mut Writer, flags: &BTreeMap<UserId, bool>) {
-    out.seq(flags, |out, (&user, &flag)| {
-        put_user(out, user);
-        out.u8(flag as u8);
-    });
-}
-
-fn get_flags(r: &mut Reader<'_>) -> Decoded<BTreeMap<UserId, bool>> {
-    r.seq(5, |r| -> Decoded<_> { Ok((get_user(r)?, r.u8()? != 0)) })
-}
-
 fn put_cleared(out: &mut Writer, region: u32, cleared: &ClearedRound) {
     out.u32(region);
     out.u64(cleared.id.0);
@@ -234,7 +209,10 @@ fn put_cleared(out: &mut Writer, region: u32, cleared: &ClearedRound) {
         out.f64(quote.success);
         out.f64(quote.failure);
     });
-    put_flags(out, &cleared.reports);
+    out.seq(&cleared.reports, |out, (&user, &completed)| {
+        put_user(out, user);
+        out.u8(completed as u8);
+    });
     out.f64(cleared.social_cost);
 }
 
@@ -252,7 +230,7 @@ fn get_cleared(r: &mut Reader<'_>) -> Decoded<Response> {
                 let (success, failure) = (r.f64()?, r.f64()?);
                 Ok((user, RewardQuote { success, failure }))
             })?,
-            reports: get_flags(r)?,
+            reports: r.seq(5, |r| -> Decoded<_> { Ok((get_user(r)?, r.u8()? != 0)) })?,
             social_cost: r.f64()?,
             economics: Default::default(),
         },
@@ -306,37 +284,6 @@ fn get_round_error(r: &mut Reader<'_>) -> Decoded<RoundError> {
     })
 }
 
-fn put_settlement(out: &mut Writer, settlement: &RoundSettlement) {
-    out.u64(settlement.round.0);
-    out.seq(&settlement.payouts, |out, (&user, &payout)| {
-        put_user(out, user);
-        out.f64(payout);
-    });
-    out.f64(settlement.total);
-    put_flags(out, &settlement.outcomes);
-}
-
-fn get_settlement(r: &mut Reader<'_>) -> Decoded<RoundSettlement> {
-    Ok(RoundSettlement {
-        round: RoundId(r.u64()?),
-        payouts: r.seq(12, |r| -> Decoded<_> { Ok((get_user(r)?, r.f64()?)) })?,
-        total: r.f64()?,
-        outcomes: get_flags(r)?,
-    })
-}
-
-fn put_delta(out: &mut Writer, delta: &CheckpointDelta) {
-    out.seq(&delta.settlements, put_settlement);
-    out.u64(delta.next_round_id);
-}
-
-fn get_delta(r: &mut Reader<'_>) -> Decoded<CheckpointDelta> {
-    Ok(CheckpointDelta {
-        settlements: r.seq(16, get_settlement)?,
-        next_round_id: r.u64()?,
-    })
-}
-
 /// Sentinel for "no stage" in the wire stage byte (mirrors the
 /// recorder's own packing).
 const NO_STAGE: u8 = 0xFF;
@@ -386,16 +333,8 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             out.u64(*round);
             out.seq(bids, put_bid);
         }
-        Request::PullDelta { region, since } => {
-            out.u8(2);
-            out.u32(*region);
-            out.u64(since.unwrap_or(u64::MAX));
-        }
-        Request::ApplyDelta { region, delta } => {
-            out.u8(3);
-            out.u32(*region);
-            put_delta(&mut out, delta);
-        }
+        Request::PullDelta => out.u8(2),
+        Request::ApplyDelta => out.u8(3),
         Request::Promote => out.u8(4),
         Request::TraceSnapshot { region } => {
             out.u8(5);
@@ -419,14 +358,8 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             round: r.u64()?,
             bids: r.seq(16, get_bid)?,
         },
-        2 => Request::PullDelta {
-            region: r.u32()?,
-            since: Some(r.u64()?).filter(|&since| since != u64::MAX),
-        },
-        3 => Request::ApplyDelta {
-            region: r.u32()?,
-            delta: get_delta(&mut r)?,
-        },
+        2 => Request::PullDelta,
+        3 => Request::ApplyDelta,
         4 => Request::Promote,
         5 => Request::TraceSnapshot { region: r.u32()? },
         tag => return Err(WireError::UnknownTag { tag }),
@@ -465,11 +398,8 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             out.u64(*bidders);
             put_round_error(&mut out, error);
         }
-        Response::Delta(delta) => {
-            out.u8(4);
-            put_delta(&mut out, delta);
-        }
-        Response::Applied => out.u8(5),
+        // Tags 4 and 5 stay unused: they carried the retired replication
+        // responses.
         Response::Promoted => out.u8(6),
         Response::Trace(events) => {
             out.u8(7);
@@ -506,8 +436,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             bidders: r.u64()?,
             error: get_round_error(&mut r)?,
         },
-        4 => Response::Delta(get_delta(&mut r)?),
-        5 => Response::Applied,
         6 => Response::Promoted,
         7 => Response::Trace(r.seq(42, get_trace_event)?),
         8 => Response::Error {
@@ -606,6 +534,7 @@ pub fn read_frame<R: Read>(reader: &mut R) -> std::io::Result<Result<Vec<u8>, Wi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// A per-user map from `(user index, value)` pairs.
     fn users<T, const N: usize>(pairs: [(u32, T); N]) -> BTreeMap<UserId, T> {
@@ -641,26 +570,8 @@ mod tests {
                     },
                 ],
             },
-            Request::PullDelta {
-                region: 0,
-                since: None,
-            },
-            Request::PullDelta {
-                region: 9,
-                since: Some(41),
-            },
-            Request::ApplyDelta {
-                region: 2,
-                delta: CheckpointDelta {
-                    settlements: vec![RoundSettlement {
-                        round: RoundId(5),
-                        payouts: users([(1, std::f64::consts::PI), (7, -1.0)]),
-                        total: f64::from_bits(42),
-                        outcomes: users([(1, true), (7, false)]),
-                    }],
-                    next_round_id: 6,
-                },
-            },
+            Request::PullDelta,
+            Request::ApplyDelta,
             Request::Promote,
             Request::TraceSnapshot { region: 4 },
         ]
@@ -713,11 +624,6 @@ mod tests {
                     deferred: 5,
                 },
             },
-            Response::Delta(CheckpointDelta {
-                settlements: vec![],
-                next_round_id: 0,
-            }),
-            Response::Applied,
             Response::Promoted,
             Response::Trace(vec![TraceEvent {
                 seq: 1,
@@ -743,16 +649,26 @@ mod tests {
 
     #[test]
     fn sample_frames_keep_their_pinned_bytes() {
-        let requests = sample_requests().into_iter();
+        // Every live message encodes to the bytes it had before the
+        // replication messages were retired.
+        let retired = |r: &Request| matches!(r, Request::PullDelta | Request::ApplyDelta);
+        let requests = sample_requests().into_iter().filter(|r| !retired(r));
         assert_eq!(
             pin(requests.map(|r| frame(&encode_request(&r)))),
-            (0x50f1_3a48_fc4c_a15c, 333)
+            (0x7aeb_ac60_b3ef_2fef, 172)
         );
         let responses = sample_responses().into_iter();
         assert_eq!(
             pin(responses.map(|r| frame(&encode_response(&r)))),
-            (0xb3f7_c783_ef98_9b16, 532)
+            (0xf853_5954_30ff_3487, 478)
         );
+        // The retired requests are their bare tags.
+        assert_eq!(encode_request(&Request::PullDelta), [2]);
+        assert_eq!(encode_request(&Request::ApplyDelta), [3]);
+        // The retired responses' tags decode as unknown.
+        for tag in [4, 5] {
+            assert_eq!(decode_response(&[tag]), Err(WireError::UnknownTag { tag }));
+        }
     }
 
     #[test]
@@ -860,16 +776,15 @@ mod tests {
             other => panic!("expected two Cleared responses, got {other:?}"),
         }
 
-        let delta = CheckpointDelta {
-            settlements: vec![RoundSettlement {
-                round: RoundId(11),
-                payouts: users([(3, 1.0 / 3.0), (8, -0.7)]),
-                total: 1.0 / 3.0 - 0.7,
-                outcomes: users([(3, true), (8, false)]),
+        let request = Request::Clear {
+            region: 5,
+            round: 11,
+            bids: vec![Bid {
+                user: 3,
+                cost: 1.0 / 3.0,
+                tasks: vec![(0, 0.1 + 0.2), (4, f64::MIN_POSITIVE)],
             }],
-            next_round_id: 12,
         };
-        let request = Request::ApplyDelta { region: 5, delta };
         assert_eq!(decode_request(&encode_request(&request)).unwrap(), request);
     }
 

@@ -8,14 +8,15 @@
 //!
 //! * [`Fault::NodeLoss`] — the node's primary answers its first `Clear`
 //!   of the fault round, then drops off the network for good. The
-//!   coordinator must promote the follower mid-round and the cluster
-//!   fingerprint must be byte-identical to the fault-free run.
+//!   coordinator must promote the node's stateless spare mid-round and
+//!   the cluster fingerprint must be byte-identical to the fault-free
+//!   run.
 //! * [`Fault::NetPartition`] — the node (both replicas) is dark for the
 //!   fault round and heals afterwards. The coordinator must quarantine
 //!   the whole round with a typed cause and a complete post-mortem.
 //! * [`Fault::DuplicateDelivery`] — every `Clear` of the fault round is
-//!   delivered twice; the node-side idempotency cache must absorb the
-//!   duplicates without a bit of drift.
+//!   delivered twice; the node's last-round response cache must absorb
+//!   the duplicates without a bit of drift.
 //!
 //! [`run_cluster_scenario`] drives any corpus scenario's bid stream
 //! through a loopback cluster of N nodes under a fault plan;

@@ -59,7 +59,7 @@ use mcs_platform::engine::Engine;
 use mcs_platform::fault::FaultInjector;
 use mcs_platform::ingest::Bid;
 use mcs_platform::metrics::{EconSnapshot, MetricsSnapshot};
-use mcs_platform::settle::RoundSettlement;
+use mcs_platform::settle::{fold_rounds, RoundSettlement};
 use mcs_platform::shard::ClearedRound;
 
 use crate::oracle::{check_bounds, check_kernel, check_round, check_round_trace, OracleViolation};
@@ -164,7 +164,9 @@ impl DriveOutcome {
     /// control engaged.
     pub fn fingerprint(&self) -> u64 {
         let mut fnv = Fnv1a::new();
-        fold_rounds(&mut fnv, &self.results, &self.settlements);
+        fold_rounds(&mut fnv, &self.results, &self.settlements, |fnv, id| {
+            fnv.write_u64(id.0)
+        });
         for record in &self.quarantine {
             fnv.write_u64(record.id.0);
             fnv.write_u64(record.bidders as u64);
@@ -569,40 +571,6 @@ pub(crate) fn replay_bid(bid: &Bid) -> ReplayBid {
             .iter()
             .map(|&(task, pos)| (task, pos.to_bits()))
             .collect(),
-    }
-}
-
-/// Folds cleared rounds, then settlements, into `fnv`: round ids,
-/// winners, quote and report bits, social cost, payouts and totals.
-/// Every drive fingerprint opens its round section with this fold.
-pub(crate) fn fold_rounds(
-    fnv: &mut Fnv1a,
-    results: &BTreeMap<RoundId, ClearedRound>,
-    settlements: &BTreeMap<RoundId, RoundSettlement>,
-) {
-    for (id, round) in results {
-        fnv.write_u64(id.0);
-        for winner in round.allocation.winners() {
-            fnv.write_u64(winner.index() as u64);
-        }
-        for (user, quote) in &round.quotes {
-            fnv.write_u64(user.index() as u64);
-            fnv.write_u64(quote.success.to_bits());
-            fnv.write_u64(quote.failure.to_bits());
-        }
-        for (user, &completed) in &round.reports {
-            fnv.write_u64(user.index() as u64);
-            fnv.write_u64(completed as u64);
-        }
-        fnv.write_u64(round.social_cost.to_bits());
-    }
-    for (id, settlement) in settlements {
-        fnv.write_u64(id.0);
-        for (user, payout) in &settlement.payouts {
-            fnv.write_u64(user.index() as u64);
-            fnv.write_u64(payout.to_bits());
-        }
-        fnv.write_u64(settlement.total.to_bits());
     }
 }
 

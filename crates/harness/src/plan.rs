@@ -59,15 +59,16 @@ pub enum Fault {
     DropAndRebuild,
     /// Cluster: the node's primary replica dies mid-round — its first
     /// `Clear` of the fault round still lands, every later call is
-    /// unreachable. The coordinator must promote the follower and the
-    /// cluster fingerprint must not change.
+    /// unreachable. The coordinator must promote the node's stateless
+    /// spare and the cluster fingerprint must not change.
     NodeLoss(u32),
     /// Cluster: the node is fully partitioned for the fault round (both
     /// replicas unreachable); the round must quarantine with a typed
     /// cause and a complete post-mortem, never a silent partial clear.
     NetPartition(u32),
     /// Cluster: every `Clear` of the fault round is delivered twice; the
-    /// node-side idempotency cache must absorb the duplicates bit-free.
+    /// node's last-round response cache must absorb the duplicates
+    /// bit-free.
     DuplicateDelivery,
 }
 

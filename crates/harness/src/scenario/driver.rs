@@ -42,12 +42,13 @@ use mcs_obs::replay::{ReplayLog, ReplayOp};
 use mcs_platform::batch::RoundId;
 use mcs_platform::config::EngineConfig;
 use mcs_platform::ingest::Bid;
+use mcs_platform::settle::fold_rounds;
 
 use mcs_campaign::prelude::FnBidSource;
 use mcs_campaign::runner::{CampaignConfig, CampaignRunner};
 
 use crate::closed_loop::{check_campaign, ClosedLoopViolation};
-use crate::drive::{fold_rounds, replay_bid, Drive, DriveOutcome};
+use crate::drive::{replay_bid, Drive, DriveOutcome};
 use crate::inject::{silence_injected_panics, ScenarioInjector};
 use crate::oracle::OracleViolation;
 use crate::plan::Fault;
@@ -143,7 +144,10 @@ impl ScenarioOutcome {
         let mut fnv = Fnv1a::new();
         fnv.write_bytes(self.name.as_bytes());
         fnv.write_u64(self.version as u64);
-        fold_rounds(&mut fnv, &self.drive.results, &self.drive.settlements);
+        let (results, settlements) = (&self.drive.results, &self.drive.settlements);
+        fold_rounds(&mut fnv, results, settlements, |fnv, id| {
+            fnv.write_u64(id.0)
+        });
         for (user, balance) in &self.balances {
             fnv.write_u64(user.index() as u64);
             fnv.write_u64(balance.to_bits());

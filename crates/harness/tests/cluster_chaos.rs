@@ -220,15 +220,15 @@ fn every_corpus_scenario_survives_the_pinned_chaos_battery() {
 #[test]
 fn corpus_cluster_fingerprints_are_pinned() {
     let pinned = [
-        ("calm-baseline", 0x26b4_1fe5_5a97_3caau64),
-        ("campaign-monsoon", 0x4be3_7e7d_9df6_dbef),
-        ("chaos-campaign", 0xc162_255a_0f18_4a72),
-        ("chaos-multi-task", 0x0315_9239_3d38_6d04),
-        ("chaos-single-task", 0xbf79_de6d_92c9_7fe6),
-        ("diurnal-weather", 0x0069_76d5_e09c_746e),
-        ("flash-crowd", 0x26ec_bda0_ba58_5b8a),
-        ("overload-soak", 0x01d7_99ab_3e56_164c),
-        ("strategic-siege", 0x27c3_2405_14e7_ddff),
+        ("calm-baseline", 0x66e3_7f89_ce76_1ab1u64),
+        ("campaign-monsoon", 0xb7b2_02f9_64dc_71fb),
+        ("chaos-campaign", 0x2c03_9a51_294b_2efb),
+        ("chaos-multi-task", 0x41af_57ae_2a9a_d513),
+        ("chaos-single-task", 0xc6f5_7ca9_8723_c7fe),
+        ("diurnal-weather", 0x4231_421f_f2bc_4cee),
+        ("flash-crowd", 0x3f86_3553_d997_5a61),
+        ("overload-soak", 0x12a7_cfde_f892_d932),
+        ("strategic-siege", 0xf096_80b3_c95d_d3f4),
     ];
     for (name, expected) in pinned {
         let run = run_cluster_scenario(&scenario(name), 1, BANDS, &FaultPlan::new())

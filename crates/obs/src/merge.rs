@@ -1,6 +1,6 @@
 //! Merging per-shard trace rings into one cluster timeline.
 //!
-//! Each cluster shard engine records its own flight-recorder ring with a
+//! Each cluster region shard records its own flight-recorder ring with a
 //! logical clock, so two shards' `seq`/`at` values are incomparable —
 //! shard 3's event 17 says nothing about shard 5's event 17.
 //! [`merge_shard_traces`] imposes the cluster's canonical order:

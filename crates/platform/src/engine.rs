@@ -6,7 +6,6 @@
 //! serving continues.
 
 use std::collections::BTreeMap;
-use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,44 +34,6 @@ use crate::shard::{ClearedRound, ShardPool};
 pub struct EngineCheckpoint {
     /// The per-user balance ledger at checkpoint time.
     pub ledger: Ledger,
-    /// The id the next closed round will receive.
-    pub next_round_id: u64,
-}
-
-impl EngineCheckpoint {
-    /// The checkpoint of an engine that has never cleared a round: an
-    /// empty ledger and round ids starting at zero. Restoring from it is
-    /// equivalent to constructing a fresh engine.
-    pub fn empty() -> Self {
-        EngineCheckpoint::default()
-    }
-
-    /// Folds a replicated [`CheckpointDelta`] into this checkpoint:
-    /// settlements replay into the ledger in their recorded order (see
-    /// [`Ledger::apply_settlement`]) and the round-id watermark advances
-    /// monotonically. A follower that applies every delta the primary
-    /// exported holds a checkpoint bitwise equal to the primary's own
-    /// [`Engine::checkpoint`].
-    pub fn apply_delta(&mut self, delta: &CheckpointDelta) {
-        for settlement in &delta.settlements {
-            self.ledger.apply_settlement(settlement);
-        }
-        self.next_round_id = self.next_round_id.max(delta.next_round_id);
-    }
-}
-
-/// The replication unit between a primary engine and its follower: the
-/// settlements produced since a round-id watermark, plus the round-id
-/// high-water mark itself. Deltas are produced by
-/// [`Engine::checkpoint_delta`] after a drain and folded into a standby
-/// [`EngineCheckpoint`] with [`EngineCheckpoint::apply_delta`]; shipping
-/// only the delta keeps replication traffic proportional to new rounds,
-/// not to engine lifetime.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckpointDelta {
-    /// Settlements of rounds with id strictly greater than the
-    /// requested watermark, in ascending round order.
-    pub settlements: Vec<RoundSettlement>,
     /// The id the next closed round will receive.
     pub next_round_id: u64,
 }
@@ -189,52 +150,6 @@ impl Engine {
     /// without cloning a full checkpoint.
     pub fn next_round_id(&self) -> RoundId {
         RoundId(self.batcher.next_round_id())
-    }
-
-    /// Exports the settlements newer than `since` (strictly greater
-    /// round id; `None` means everything) together with the current
-    /// round-id watermark. A replicator ships this to a follower after
-    /// every drain; the follower folds it into its standby checkpoint
-    /// with [`EngineCheckpoint::apply_delta`].
-    pub fn checkpoint_delta(&self, since: Option<RoundId>) -> CheckpointDelta {
-        // A range read, not a filter: replication work tracks what is
-        // new since the watermark, not the length of the run.
-        let newer = match since {
-            Some(watermark) => self.settlements.range((Excluded(watermark), Unbounded)),
-            None => self.settlements.range(..),
-        };
-        let settlements = newer.map(|(_, settlement)| settlement.clone()).collect();
-        CheckpointDelta {
-            settlements,
-            next_round_id: self.batcher.next_round_id(),
-        }
-    }
-
-    /// Fast-forwards the round-id sequence to `id` without clearing
-    /// anything. Cluster coordinators use this to pin every shard
-    /// engine's round id to the cluster round id, so a shard that saw no
-    /// bids for a few rounds still derives the same per-round seed as a
-    /// shard that cleared all of them.
-    ///
-    /// Skipping to the current id is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is behind the current sequence (round ids never
-    /// move backwards) or if there are closed-but-undrained rounds.
-    pub fn skip_to_round(&mut self, id: u64) {
-        assert!(
-            self.pending.is_empty(),
-            "skip_to_round with undrained rounds pending"
-        );
-        let next = self.batcher.next_round_id();
-        assert!(
-            id >= next,
-            "skip_to_round going backwards: at {next}, asked for {id}"
-        );
-        if id > next {
-            self.batcher.resume_at(id);
-        }
     }
 
     /// The engine configuration.
@@ -686,74 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_deltas_rebuild_the_primary_checkpoint() {
-        let mut e = engine(4);
-        let mut follower = EngineCheckpoint::empty();
-
-        // Round 0: full delta (no watermark yet).
-        submit_feasible_round(&mut e, 0);
-        e.drain();
-        let delta = e.checkpoint_delta(None);
-        assert_eq!(delta.settlements.len(), 1);
-        assert_eq!(delta.next_round_id, 1);
-        follower.apply_delta(&delta);
-
-        // Rounds 1 and 2: incremental delta from the watermark.
-        submit_feasible_round(&mut e, 0);
-        e.drain();
-        submit_feasible_round(&mut e, 4);
-        e.drain();
-        let delta = e.checkpoint_delta(Some(RoundId(0)));
-        assert_eq!(
-            delta
-                .settlements
-                .iter()
-                .map(|s| s.round)
-                .collect::<Vec<_>>(),
-            vec![RoundId(1), RoundId(2)]
-        );
-        follower.apply_delta(&delta);
-
-        // The follower checkpoint is bitwise equal to the primary's.
-        assert_eq!(follower, e.checkpoint());
-        assert_eq!(
-            follower.ledger.total_paid().to_bits(),
-            e.ledger().total_paid().to_bits()
-        );
-
-        // Re-applying an already-applied watermarked delta is NOT
-        // idempotent by design — replicators track watermarks. But an
-        // empty delta always is.
-        let empty = e.checkpoint_delta(Some(RoundId(2)));
-        assert!(empty.settlements.is_empty());
-        follower.apply_delta(&empty);
-        assert_eq!(follower, e.checkpoint());
-    }
-
-    #[test]
-    fn skip_to_round_pins_the_id_sequence() {
-        let mut e = engine(4);
-        e.skip_to_round(0); // no-op at the current id
-        e.skip_to_round(5);
-        assert_eq!(e.next_round_id(), RoundId(5));
-        submit_feasible_round(&mut e, 0);
-        e.drain();
-        assert_eq!(
-            e.results().keys().copied().collect::<Vec<_>>(),
-            vec![RoundId(5)]
-        );
-        assert_eq!(e.checkpoint_delta(None).next_round_id, 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn skip_to_round_refuses_to_rewind() {
-        let mut e = engine(4);
-        e.skip_to_round(3);
-        e.skip_to_round(2);
-    }
-
-    #[test]
     fn skipped_rounds_keep_seeds_aligned() {
         // An engine that skips a quiet round derives the same per-round
         // seed for the next round as one that cleared it: outcomes of
@@ -769,7 +616,14 @@ mod tests {
         let mut quiet = engine(4);
         submit_feasible_round(&mut quiet, 0);
         quiet.drain(); // round 0
-        quiet.skip_to_round(2); // round 1 never happened here
+        let mut checkpoint = quiet.checkpoint();
+        checkpoint.next_round_id = 2; // round 1 never happened here
+        let mut quiet = Engine::restore(
+            *quiet.config(),
+            vec![Task::with_requirement(TaskId::new(0), 0.8).unwrap()],
+            checkpoint,
+            Arc::new(NoFaults),
+        );
         submit_feasible_round(&mut quiet, 4);
         quiet.drain(); // round 2
 

@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 
 use mcs_core::types::UserId;
+use mcs_obs::digest::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::RoundId;
@@ -108,9 +109,7 @@ impl Ledger {
     }
 
     /// Replays a settlement produced by another ledger's
-    /// [`Ledger::settle`] — the replication path: a follower folds the
-    /// primary's settlement stream into its checkpoint without ever
-    /// seeing the cleared rounds themselves.
+    /// [`Ledger::settle`], without the cleared round itself.
     ///
     /// The accumulation order is identical to [`Ledger::settle`]'s
     /// (ascending user id, per-round total summed user by user), so a
@@ -179,6 +178,43 @@ impl Ledger {
     /// Per-user payouts within the current scope.
     pub fn scope_balances(&self) -> &BTreeMap<UserId, f64> {
         &self.scope_balances
+    }
+}
+
+/// Folds cleared rounds, then settlements, into `fnv`, each opened by
+/// its map key as `key` writes it: winners, quote and report bits and
+/// social cost per round, payouts and total per settlement. The one
+/// per-round digest: every drive fingerprint and the cluster's open
+/// their round sections with it.
+pub fn fold_rounds<K>(
+    fnv: &mut Fnv1a,
+    results: &BTreeMap<K, ClearedRound>,
+    settlements: &BTreeMap<K, RoundSettlement>,
+    key: impl Fn(&mut Fnv1a, &K),
+) {
+    for (id, round) in results {
+        key(fnv, id);
+        for winner in round.allocation.winners() {
+            fnv.write_u64(winner.index() as u64);
+        }
+        for (user, quote) in &round.quotes {
+            fnv.write_u64(user.index() as u64);
+            fnv.write_u64(quote.success.to_bits());
+            fnv.write_u64(quote.failure.to_bits());
+        }
+        for (user, &completed) in &round.reports {
+            fnv.write_u64(user.index() as u64);
+            fnv.write_u64(completed as u64);
+        }
+        fnv.write_u64(round.social_cost.to_bits());
+    }
+    for (id, settlement) in settlements {
+        key(fnv, id);
+        for (user, payout) in &settlement.payouts {
+            fnv.write_u64(user.index() as u64);
+            fnv.write_u64(payout.to_bits());
+        }
+        fnv.write_u64(settlement.total.to_bits());
     }
 }
 

@@ -40,11 +40,13 @@
 //! invariant), so which worker — with whatever arena history — clears a
 //! round is unobservable.
 //!
-//! Workers wrap each round in `catch_unwind`: a panicking round becomes a
-//! [`RoundError::Panicked`] and the pool keeps serving (see
-//! [`crate::degrade`]). A helper that panics outside that guard fails
-//! the drain it broke: the drain re-raises the helper's panic rather
-//! than return with a round missing.
+//! Workers clear each round through [`clear_guarded`], the one guarded
+//! clear body, which wraps the round in `catch_unwind`: a panicking
+//! round becomes a [`RoundError::Panicked`] and the pool keeps serving
+//! (see [`crate::degrade`]). [`clear_round`] and the cluster's nodes run
+//! the same body. A helper that panics outside that guard fails the
+//! drain it broke: the drain re-raises the helper's panic rather than
+//! return with a round missing.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -67,7 +69,7 @@ use rand::{Rng, SeedableRng};
 use crate::batch::{Round, RoundId};
 use crate::config::EngineConfig;
 use crate::degrade::{panic_message, RoundError};
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, NoFaults};
 use crate::metrics::{timed, Metrics, RoundEconomics, Stage};
 use crate::settle::RewardQuote;
 
@@ -153,7 +155,8 @@ fn price_round(
 
 /// Clears one round: winner determination, reward quotes for both
 /// outcomes from one critical-bid search per winner, and one set of
-/// execution draws.
+/// execution draws. Runs [`clear_guarded`] on a fresh arena, so a round
+/// that panics comes back as [`RoundError::Panicked`].
 ///
 /// # Errors
 ///
@@ -161,18 +164,78 @@ fn price_round(
 /// [`RoundError::Infeasible`] when the round's bidders cannot cover some
 /// task's requirement.
 pub fn clear_round(round: &Round, config: &EngineConfig) -> Result<ClearedRound, RoundError> {
-    clear_round_metered(round, config, &mut ClearContext::new(), None, None)
+    clear_guarded(
+        round,
+        config,
+        &mut ClearContext::new(),
+        &NoFaults,
+        None,
+        None,
+    )
 }
 
-/// [`clear_round`] with optional allocate/pay stage timing and span
-/// tracing, used by the pool so the two sub-spans of [`Stage::Shard`]
-/// show up in metrics and in the flight recorder.
+/// Clears one round on `context` inside the [`Stage::Shard`] span,
+/// catching a panic at the round boundary: the one guarded clear body.
+/// The pool's workers run it with the engine's fault hooks and
+/// telemetry sinks, a cluster node with [`NoFaults`] and its span ring,
+/// and [`clear_round`] on a fresh arena with neither.
 ///
-/// `context` is the worker's clearing arena. The pool hands each worker
-/// a persistent context so consecutive rounds delta-patch the CSR index
-/// instead of rebuilding it; [`clear_round`] passes a fresh one, which
-/// keeps it a pure function of `(round, config)` — the two are bitwise
-/// identical by the `sync_with` contract.
+/// `context` is the caller's clearing arena. A persistent context lets
+/// consecutive rounds delta-patch the CSR index instead of rebuilding
+/// it; a fresh one keeps the clear a pure function of `(round, config)`.
+/// The two are bitwise identical by the `sync_with` contract. A round
+/// that panics leaves `context` replaced by a fresh arena.
+///
+/// `injector` is consulted first: [`FaultInjector::shard_panic`] makes
+/// the round panic deliberately. With `metrics`, the shard, allocate
+/// and pay stages are timed, and a profiling config
+/// ([`EngineConfig::profiling`]) drains the round's kernel counters into
+/// them; with `recorder`, each stage records an enter/exit span pair. The
+/// `Shard` exit is recorded even when the round panics, since the span
+/// sits outside `catch_unwind`.
+///
+/// # Errors
+///
+/// As [`clear_round`], plus [`RoundError::Panicked`] for a round whose
+/// clear panicked.
+pub fn clear_guarded(
+    round: &Round,
+    config: &EngineConfig,
+    context: &mut ClearContext,
+    injector: &dyn FaultInjector,
+    metrics: Option<&Metrics>,
+    recorder: Option<&FlightRecorder>,
+) -> Result<ClearedRound, RoundError> {
+    timed(Stage::Shard, round.id, metrics, recorder, || {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(message) = injector.shard_panic(round.id) {
+                panic!("{message}");
+            }
+            clear_round_metered(round, config, context, metrics, recorder)
+        }));
+        // Drain this round's kernel counters before any panic cleanup can
+        // discard the arena (a panicked round's partial counts still count
+        // the work it did). Gated: draining is the only profiling cost
+        // that leaves the worker's cache lines.
+        if let Some(metrics) = metrics.filter(|_| config.profiling) {
+            metrics.record_kernel(&context.take_prof());
+        }
+        if caught.is_err() {
+            // A panic can leave the arena half-patched (e.g. mid seed
+            // rebuild); discard it rather than reason about its state.
+            *context = ClearContext::new();
+        }
+        caught.unwrap_or_else(|payload| {
+            Err(RoundError::Panicked {
+                message: panic_message(payload.as_ref()),
+            })
+        })
+    })
+}
+
+/// The unguarded clear [`clear_guarded`] runs: winner determination,
+/// quotes and execution draws on `context`, with the allocate and pay
+/// stages timed into `metrics` and traced into `trace` when given.
 fn clear_round_metered(
     round: &Round,
     config: &EngineConfig,
@@ -256,49 +319,18 @@ impl Shared {
             // Take the lock only to pop; clearing runs unlocked.
             let next = rounds.lock().expect("round queue lock").next();
             let Some(round) = next else { break };
-            cleared.push(self.clear_one(&round, &mut context));
+            let outcome = clear_guarded(
+                &round,
+                &self.config,
+                &mut context,
+                &*self.injector,
+                Some(&self.metrics),
+                Some(&self.recorder),
+            );
+            cleared.push((round.id, (round.profile.user_count(), outcome)));
         }
         self.contexts.give_back(context);
         cleared
-    }
-
-    /// Clears one round inside the [`Stage::Shard`] span, catching a
-    /// panic at the round boundary.
-    fn clear_one(&self, round: &Round, context: &mut ClearContext) -> Cleared {
-        let (metrics, recorder) = (&*self.metrics, &*self.recorder);
-        let bidders = round.profile.user_count();
-        let outcome = timed(
-            Stage::Shard,
-            round.id,
-            Some(metrics),
-            Some(recorder),
-            || {
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(message) = self.injector.shard_panic(round.id) {
-                        panic!("{message}");
-                    }
-                    clear_round_metered(round, &self.config, context, Some(metrics), Some(recorder))
-                }));
-                // Drain this round's kernel counters before any panic cleanup
-                // can discard the arena (a panicked round's partial counts
-                // still count the work it did). Gated: draining is the only
-                // profiling cost that leaves the worker's cache lines.
-                if self.config.profiling {
-                    metrics.record_kernel(&context.take_prof());
-                }
-                if caught.is_err() {
-                    // A panic can leave the arena half-patched (e.g. mid seed
-                    // rebuild); discard it rather than reason about its state.
-                    *context = ClearContext::new();
-                }
-                caught.unwrap_or_else(|payload| {
-                    Err(RoundError::Panicked {
-                        message: panic_message(payload.as_ref()),
-                    })
-                })
-            },
-        );
-        (round.id, (bidders, outcome))
     }
 }
 
@@ -475,7 +507,6 @@ impl Drop for ShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::NoFaults;
     use mcs_core::types::{Cost, Pos, TypeProfile, UserType};
     use mcs_core::types::{Task, TaskId};
 
@@ -804,6 +835,57 @@ mod tests {
         assert_eq!(trace[0].kind, EventKind::StageEnter);
         assert_eq!(trace[1].kind, EventKind::StageExit);
         assert_eq!(trace[1].stage, Some(Stage::Shard));
+    }
+
+    #[test]
+    fn the_guarded_body_quarantines_a_panic_and_hands_back_a_fresh_arena() {
+        use crate::fault::PanicRounds;
+        let config = EngineConfig::default().with_seed(5);
+        let mut context = ClearContext::new();
+        let warm = clear_guarded(
+            &multi_task_round(0),
+            &config,
+            &mut context,
+            &NoFaults,
+            None,
+            None,
+        );
+        assert_eq!(warm, clear_round(&multi_task_round(0), &config));
+        assert!(
+            context.index().is_some(),
+            "a multi-task clear builds an index"
+        );
+
+        let injector = PanicRounds::new([RoundId(1)]);
+        let panicked = clear_guarded(
+            &multi_task_round(1),
+            &config,
+            &mut context,
+            &injector,
+            None,
+            None,
+        );
+        assert_eq!(
+            panicked,
+            Err(RoundError::Panicked {
+                message: format!("injected fault in round {}", RoundId(1)),
+            })
+        );
+        assert!(
+            context.index().is_none(),
+            "a panicked round's arena is discarded"
+        );
+
+        // The fresh arena clears the next round as a fresh context does.
+        let next = clear_guarded(
+            &multi_task_round(2),
+            &config,
+            &mut context,
+            &injector,
+            None,
+            None,
+        );
+        assert_eq!(next, clear_round(&multi_task_round(2), &config));
     }
 
     /// Panics rounds like [`PanicRounds`](crate::fault::PanicRounds),

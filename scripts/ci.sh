@@ -60,6 +60,32 @@ if [ -n "${RULE_FILES}" ] && [ "${RULE_FILES}" != "crates/platform/src/ingest.rs
   exit 1
 fi
 
+echo "==> one clear path (catch_unwind only in mcs_platform::shard, no Engine in the cluster)"
+# Every round clears through mcs_platform::shard::clear_guarded, the one
+# body that turns a panicking round into RoundError::Panicked; a second
+# catch_unwind would be a second guard to keep in step with it. Cluster
+# nodes clear their sub-rounds through that body and run no engine, so
+# crates/cluster/src may not construct one. Files are counted as in the
+# bid-rule step.
+non_test_matches() { # PATTERN DIR: files under DIR's src/ trees whose non-test code matches
+  find "$2" -path '*/src/*' -name '*.rs' | sort | while read -r file; do
+    awk -v pattern="$1" '/#\[cfg\(test\)\]/ { exit }
+         $0 ~ pattern { print FILENAME; exit }' "${file}"
+  done
+}
+GUARD_FILES="$(non_test_matches 'catch_unwind' crates | grep -vx 'crates/platform/src/shard.rs' || true)"
+if [ -n "${GUARD_FILES}" ]; then
+  echo "catch_unwind found outside crates/platform/src/shard.rs:"
+  echo "${GUARD_FILES}"
+  exit 1
+fi
+ENGINE_FILES="$(non_test_matches '(^|[^A-Za-z0-9_])Engine::(new|with_injector|restore)([^A-Za-z0-9_]|$)' crates/cluster)"
+if [ -n "${ENGINE_FILES}" ]; then
+  echo "an Engine is constructed under crates/cluster/src:"
+  echo "${ENGINE_FILES}"
+  exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
